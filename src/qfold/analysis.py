@@ -325,6 +325,8 @@ def write_topobj(topk_or_document, path=None, lattice=None, peptide=None) -> str
 
 def parse_topobj(text: str) -> TopobjDocument:
     blocks = [b for b in text.split("\n\n") if b.strip()]
+    if not blocks:
+        raise ParseError("topobj document is empty")
     header = blocks[0].splitlines()
     if len(header) != 1 or not header[0].startswith("topobj "):
         raise ParseError("first block must be the single-line topobj header")

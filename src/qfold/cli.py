@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .analysis import (
     write_topobj,
     write_xyz,
 )
-from .exceptions import QfoldError
+from .exceptions import ParseError, QfoldError
 from .hamiltonian import (
     MODE_POLYFIT,
     MODE_VQEC,
@@ -135,7 +135,28 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("manifest must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(doc) - known)
+        if unknown:
+            raise ParseError(f"manifest has unknown keys: {', '.join(unknown)}")
+        if "peptide" not in doc:
+            raise ParseError("manifest lacks the peptide key")
+        for f in fields(cls):
+            value = doc.get(f.name, f.default)
+            expected = str if f.name == "peptide" else type(f.default)
+            if expected is float:
+                expected = (int, float)
+            # bool is a subclass of int: true must not pass as a count
+            wrong_bool = isinstance(value, bool) != (expected is bool)
+            if wrong_bool or not isinstance(value, expected):
+                raise ParseError(f"manifest key {f.name!r} has the wrong type")
+        return cls(**doc)
 
 
 # ---------------------------------------------------------------------------

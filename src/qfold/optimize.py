@@ -8,8 +8,10 @@ Two protocols over the same simulator:
 * Primal-dual perturbation for the constrained encoding: each iteration
   evaluates the constraint expectations and one parameter-shift Jacobian at
   the current angles, perturbs primal and dual variables, then applies the
-  update step with the perturbed weights.  Gradient cost per iteration is
-  exactly 2P + 2 circuit evaluations.
+  update step with the perturbed weights.  Cost per iteration is exactly
+  2P + 2 logical circuit evaluations; the current angles and their 2P
+  shifts run as one batched block (``sim.parameter_shift_jacobian``), the
+  perturbed angles as one more state.
 
 Expectations never materialize the full 2^n objective diagonal unless the
 CVaR path demands it: the objective splits into a configuration-bit base
@@ -34,7 +36,7 @@ from .exceptions import (
     EncodingError,
 )
 from .hamiltonian import MODE_POLYFIT, MODE_VQEC, InstanceTables, ProblemInstance
-from .sim import Ansatz, evolve, probabilities
+from .sim import Ansatz, evolve, parameter_shift_jacobian, probabilities
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_NU_GRID = (0.01, 0.05, 0.1, 0.2, 0.5)
@@ -94,17 +96,28 @@ class ExpectationEngine:
         return total
 
     def f_vector(self, probs: np.ndarray) -> np.ndarray:
-        """[objective expectation, constraint expectations...]."""
-        grid = probs.reshape(1 << self.n_ancillas, 1 << self.n_config)
-        marginal = grid.sum(axis=0)
-        total = float(marginal @ self.tables.base_table)
-        for idx, table in self.tables.pair_tables.items():
-            total += float(grid[self._row_masks[idx]].sum(axis=0) @ table)
-        out = np.empty(1 + self.n_constraints)
-        out[0] = total
-        for m, table in enumerate(self.tables.constraint_tables, start=1):
-            out[m] = float(marginal @ table)
-        return out
+        """[objective expectation, constraint expectations...].
+
+        Takes one probability vector, or a ``(2^n, B)`` block of them and
+        returns one row per column.  The marginals of a block are summed in
+        one pass; the dot products run column by column, so every row is
+        bit-identical to the one-vector result.
+        """
+        grid = probs.reshape(1 << self.n_ancillas, 1 << self.n_config, -1)
+        marginals = np.ascontiguousarray(grid.sum(axis=0).T)
+        pairs = [
+            (np.ascontiguousarray(grid[self._row_masks[idx]].sum(axis=0).T), table)
+            for idx, table in self.tables.pair_tables.items()
+        ]
+        out = np.empty((marginals.shape[0], 1 + self.n_constraints))
+        for col, marginal in enumerate(marginals):
+            total = float(marginal.dot(self.tables.base_table))
+            for partial, table in pairs:
+                total += float(partial[col].dot(table))
+            out[col, 0] = total
+            for m, table in enumerate(self.tables.constraint_tables, start=1):
+                out[col, m] = float(marginal.dot(table))
+        return out if probs.ndim == 2 else out[0]
 
     def cvar_objective(self, probs: np.ndarray, alpha: float) -> float:
         """Tail mean over the exact full-basis energy distribution."""
@@ -283,26 +296,21 @@ def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace, budget=None):
     """One seeded run; returns (theta, duals, final F vector)."""
     theta = np.asarray(theta0, dtype=float).copy()
     duals = np.zeros(engine.n_constraints)
-    n_params = ansatz.n_params
-    jac = np.empty((n_params, 1 + engine.n_constraints))
+
+    def f_of_states(states):
+        return engine.f_vector(probabilities(states))
+
     for _ in range(cfg.max_iterations):
         if budget is not None:
             budget.check()
-        f_here = engine.f_vector(probabilities(evolve(ansatz, theta)))
+        f_here, jac = parameter_shift_jacobian(
+            ansatz, theta, f_of_states, with_value=True
+        )
         lagrangian = float(f_here[0] + duals @ f_here[1:])
         if not np.isfinite(lagrangian) or abs(lagrangian) > cfg.divergence_ceiling:
             raise DivergenceError(
                 f"lagrangian {lagrangian!r} exceeded ceiling {cfg.divergence_ceiling}"
             )
-
-        shifted = theta.copy()
-        for p in range(n_params):
-            shifted[p] = theta[p] + math.pi / 2.0
-            f_plus = engine.f_vector(probabilities(evolve(ansatz, shifted)))
-            shifted[p] = theta[p] - math.pi / 2.0
-            f_minus = engine.f_vector(probabilities(evolve(ansatz, shifted)))
-            shifted[p] = theta[p]
-            jac[p, :] = 0.5 * (f_plus - f_minus)
 
         weights = np.concatenate(([1.0], duals))
         theta_pert = np.clip(theta - nu * (jac @ weights), 0.0, TWO_PI)
@@ -310,7 +318,7 @@ def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace, budget=None):
 
         weights_pert = np.concatenate(([1.0], duals_pert))
         theta_next = np.clip(theta - mu * (jac @ weights_pert), 0.0, TWO_PI)
-        f_pert = engine.f_vector(probabilities(evolve(ansatz, theta_pert)))
+        f_pert = f_of_states(evolve(ansatz, theta_pert))
         duals = np.maximum(duals + mu * f_pert[1:], 0.0)
         theta = theta_next
 
@@ -321,8 +329,7 @@ def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace, budget=None):
             lagrangian=lagrangian,
             dual=duals,
         )
-    f_final = engine.f_vector(probabilities(evolve(ansatz, theta)))
-    return theta, duals, f_final
+    return theta, duals, f_of_states(evolve(ansatz, theta))
 
 
 def run_vqec_pdp(instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig):

@@ -6,9 +6,16 @@ is real-orthogonal, so amplitudes are stored as a plain float64 array of
 length ``2 ** n_qubits``; bit ``i`` of the basis index is qubit ``q_i``,
 matching character ``i`` of the bitstring convention used everywhere else.
 
+``evolve_block`` runs a block of parameter vectors as one ``(2^n, B)``
+array, batch axis last; ``evolve`` is its one-column case.  The
+parameter-shift Jacobian puts all 2P shifted circuits (and optionally the
+unshifted one) in one block, evolved in chunks of ``block_columns(n)``
+circuits, so a gradient costs a few state passes at small n instead of 2P
+separate ones; every column is bit-identical to a single ``evolve``.
+
 Provides diagonal expectations, conditional value at risk over the energy
 distribution, seeded multinomial shot sampling, and parameter-shift
-gradients.
+gradients and Jacobians.
 """
 
 from __future__ import annotations
@@ -55,12 +62,12 @@ def bitstring_of(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")[::-1]
 
 
-def _apply_ry(state: np.ndarray, qubit: int, theta: float) -> None:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    view = state.reshape(-1, 2, 1 << qubit)
-    lo = view[:, 0, :]
-    hi = view[:, 1, :]
+def _apply_ry(state: np.ndarray, qubit: int, c, s) -> None:
+    # c, s: cos and sin of the half angles, one per column (plain floats
+    # when the block has a single column)
+    view = state.reshape(-1, 2, 1 << qubit, state.shape[1])
+    lo = view[:, 0]
+    hi = view[:, 1]
     new_hi = s * lo + c * hi
     lo *= c
     lo -= s * hi
@@ -69,32 +76,93 @@ def _apply_ry(state: np.ndarray, qubit: int, theta: float) -> None:
 
 def _apply_cnot_chain(state: np.ndarray, n_qubits: int) -> None:
     # control q_i, target q_{i+1}: adjacent index bits, so a 4-way reshape
-    # exposes both and the conditional flip is a half-block swap
+    # exposes both and the conditional flip is a half-block swap; the flip
+    # is the same for every column, so each run spans 2^i * B amplitudes
+    width = state.shape[1]
     for control in range(n_qubits - 1):
-        view = state.reshape(-1, 2, 2, 1 << control)
+        view = state.reshape(-1, 2, 2, (1 << control) * width)
         tmp = view[:, 0, 1, :].copy()
         view[:, 0, 1, :] = view[:, 1, 1, :]
         view[:, 1, 1, :] = tmp
 
 
-def evolve(ansatz: Ansatz, params) -> np.ndarray:
-    """Run the circuit from the all-zeros state; returns the amplitudes."""
+def _check_params(ansatz: Ansatz, params) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.shape != (ansatz.n_params,):
         raise ParamLengthError(
             f"expected {ansatz.n_params} parameters, got shape {params.shape}"
         )
+    return params
+
+
+def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
+    """Run the circuit once per column of an ``(n_params, B)`` angle block.
+
+    Returns the ``(2^n, B)`` amplitudes; column j equals
+    ``evolve(ansatz, block[:, j])`` bit for bit.  The batch axis is last, so
+    every gate works on contiguous runs of at least B amplitudes, even on
+    qubit 0; that amortizes NumPy's per-call overhead over the block.
+    """
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.shape[0] != ansatz.n_params or block.shape[1] < 1:
+        raise ParamLengthError(
+            f"expected a ({ansatz.n_params}, B >= 1) angle block, "
+            f"got shape {block.shape}"
+        )
     n = ansatz.n_qubits
-    state = np.zeros(1 << n)
+    half = block / 2.0
+    cos = np.cos(half)
+    sin = np.sin(half)
+    if block.shape[1] == 1:
+        # scalar factors keep the single-state case as cheap as a 1-d state
+        cos = cos.ravel().tolist()
+        sin = sin.ravel().tolist()
+    state = np.zeros((1 << n, block.shape[1]))
     state[0] = 1.0
     for q in range(n):
-        _apply_ry(state, q, params[q])
+        _apply_ry(state, q, cos[q], sin[q])
     for layer in range(1, ansatz.layers + 1):
         _apply_cnot_chain(state, n)
         offset = layer * n
         for q in range(n):
-            _apply_ry(state, q, params[offset + q])
+            _apply_ry(state, q, cos[offset + q], sin[offset + q])
     return state
+
+
+def evolve(ansatz: Ansatz, params) -> np.ndarray:
+    """Run the circuit from the all-zeros state; returns the amplitudes."""
+    params = _check_params(ansatz, params)
+    return evolve_block(ansatz, params[:, None]).reshape(-1)
+
+
+def block_columns(n_qubits: int) -> int:
+    """Circuits evolved together per ``evolve_block`` call at this width.
+
+    Wide blocks amortize NumPy's per-call overhead while states are small.
+    From 15 qubits on the per-column inner loops run too short to pay, so
+    circuits run one at a time (crossover table in CHANGES.md).
+    """
+    if n_qubits <= 10:
+        return 64
+    if n_qubits <= 14:
+        return 32
+    return 1
+
+
+def map_states(ansatz: Ansatz, block, block_objective) -> list:
+    """Values of ``block_objective`` for every column of an angle block.
+
+    The columns are evolved in chunks of at most ``block_columns(n)``;
+    ``block_objective`` maps each chunk's ``(2^n, b)`` states to b values,
+    one per column.  Returns the B values in column order.
+    """
+    block = np.asarray(block, dtype=float)
+    step = block_columns(ansatz.n_qubits)
+    out = []
+    for start in range(0, block.shape[1], step):
+        states = evolve_block(ansatz, block[:, start : start + step])
+        out.extend(block_objective(states))
+    return out
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
@@ -186,6 +254,8 @@ class ShotTable:
                 raise ParseError(f"line {lineno}: bad count {parts[1]!r}") from exc
             if count < 0:
                 raise ParseError(f"line {lineno}: negative count")
+            if counts and len(parts[0]) != len(next(iter(counts))):
+                raise ParseError(f"line {lineno}: bitstrings differ in width")
             counts[parts[0]] = counts.get(parts[0], 0) + count
         if not counts:
             raise ParseError("shot table is empty")
@@ -207,24 +277,35 @@ def sample(state: np.ndarray, shots: int, seed) -> ShotTable:
     return ShotTable(counts=counts, shots=shots)
 
 
+def parameter_shift_jacobian(ansatz: Ansatz, params, block_objective, with_value=False):
+    """Exact Jacobian of an objective of ``evolve(ansatz, params)``.
+
+    ``block_objective`` maps a ``(2^n, b)`` block of states to b values
+    (floats or 1-d arrays), as in ``map_states``.  Row p of the result is
+    ``0.5 * (value at params + pi/2 e_p - value at params - pi/2 e_p)``.
+    The 2P shifted circuits, preceded by the unshifted one when
+    ``with_value`` asks for ``(value, jacobian)``, run as one angle block.
+    """
+    params = _check_params(ansatz, params)
+    n_params = ansatz.n_params
+    first = 1 if with_value else 0
+    block = np.repeat(params[:, None], first + 2 * n_params, axis=1)
+    rows = np.arange(n_params)
+    block[rows, first + 2 * rows] = params + HALF_PI
+    block[rows, first + 2 * rows + 1] = params - HALF_PI
+    values = np.array(map_states(ansatz, block, block_objective), dtype=float)
+    jac = 0.5 * (values[first::2] - values[first + 1 :: 2])
+    return (values[0], jac) if with_value else jac
+
+
 def parameter_shift_gradient(ansatz: Ansatz, params, objective) -> np.ndarray:
-    """Exact gradient of ``objective(evolve(ansatz, params))``.
+    """Exact gradient of a scalar ``objective(evolve(ansatz, params))``.
 
     Uses the two-point rule with shifts of half pi, so a full gradient costs
     exactly ``2 * n_params`` circuit evaluations.
     """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (ansatz.n_params,):
-        raise ParamLengthError(
-            f"expected {ansatz.n_params} parameters, got shape {params.shape}"
-        )
-    grad = np.empty(ansatz.n_params)
-    shifted = params.copy()
-    for p in range(ansatz.n_params):
-        shifted[p] = params[p] + HALF_PI
-        plus = objective(evolve(ansatz, shifted))
-        shifted[p] = params[p] - HALF_PI
-        minus = objective(evolve(ansatz, shifted))
-        shifted[p] = params[p]
-        grad[p] = 0.5 * (plus - minus)
-    return grad
+
+    def block_objective(states):
+        return [objective(np.ascontiguousarray(col)) for col in states.T]
+
+    return parameter_shift_jacobian(ansatz, params, block_objective)

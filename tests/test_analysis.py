@@ -370,6 +370,12 @@ def test_topobj_requires_metadata_for_topk():
         write_topobj(topk)
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "  \n"])
+def test_topobj_blank_text_rejected(text):
+    with pytest.raises(ParseError):
+        parse_topobj(text)
+
+
 def test_topobj_parse_errors():
     with pytest.raises(ParseError):
         parse_topobj("nonsense header\n")

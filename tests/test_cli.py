@@ -202,6 +202,32 @@ def test_manifest_validation():
         RunManifest(peptide="KLXF")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"peptide": "KLVF"', "[1, 2]", '"KLVF"', '{"bogus": 1}',
+     '{"peptide": "KLVF", "bogus": 1}', '{"method": "search"}', '{"peptide": 5}',
+     '{"peptide": "KLVF", "k": "x"}', '{"peptide": "KLVF", "k": true}',
+     '{"peptide": "KLVF", "shots": 10.0}', '{"peptide": "KLVF", "grid": 1}'],
+)
+def test_manifest_from_json_rejects_malformed(text):
+    from qfold.exceptions import ParseError
+
+    with pytest.raises(ParseError):
+        RunManifest.from_json(text)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"bogus": 1}', "{not json"])
+def test_pipeline_bad_manifest_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        ["pipeline", "--manifest", str(path), "--out", str(tmp_path / "run")], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: ParseError:")
+    assert not (tmp_path / "run").exists()
+
+
 def test_pipeline_search_matches_oracle(tmp_path, capsys):
     code, _, _ = run_cli(
         [

@@ -24,7 +24,14 @@ from qfold.optimize import (
     run_vqec_pdp,
 )
 from qfold.scoring import load_matrix
-from qfold.sim import Ansatz, cvar, evolve, expectation_diagonal, probabilities
+from qfold.sim import (
+    Ansatz,
+    cvar,
+    evolve,
+    evolve_block,
+    expectation_diagonal,
+    probabilities,
+)
 
 MJ = load_matrix("mj1996")
 LAYOUT = EncodingLayout(4)
@@ -68,6 +75,19 @@ def test_constraint_expectations_match_full_tables():
         assert f.shape == (1 + len(VQEC.constraints),)
         for m, table in enumerate(full_tables, start=1):
             assert f[m] == pytest.approx(float(probs @ table), abs=1e-9)
+
+
+def test_f_vector_block_rows_equal_single_vectors():
+    engine = ExpectationEngine(VQEC)
+    ansatz = Ansatz(VQEC.n_qubits, layers=2)
+    rng = np.random.default_rng(5)
+    block = rng.uniform(0.0, TWO_PI, (ansatz.n_params, 6))
+    probs = probabilities(evolve_block(ansatz, block))
+    rows = engine.f_vector(probs)
+    assert rows.shape == (6, 1 + engine.n_constraints)
+    for j in range(6):
+        single = engine.f_vector(np.ascontiguousarray(probs[:, j]))
+        assert np.array_equal(rows[j], single)
 
 
 def test_cvar_objective_matches_reference():
@@ -260,22 +280,28 @@ def test_pdp_divergence_ceiling():
 
 
 def test_pdp_evaluation_count(monkeypatch):
-    import qfold.optimize as mod
+    # logical circuit evaluations: every column through the block kernel,
+    # which single-state evolve calls reach as one-column blocks
+    import qfold.sim as sim
 
-    calls = []
-    real_evolve = mod.evolve
+    circuits = []
+    real_block = sim.evolve_block
 
-    def counting_evolve(ansatz, params):
-        calls.append(1)
-        return real_evolve(ansatz, params)
+    def counting_block(ansatz, block):
+        states = real_block(ansatz, block)
+        circuits.append(states.shape[1])
+        return states
 
-    monkeypatch.setattr(mod, "evolve", counting_evolve)
+    monkeypatch.setattr(sim, "evolve_block", counting_block)
     iterations = 3
     cfg = VqecConfig(nu=0.05, mu=0.5, restarts=1, max_iterations=iterations, seed=1)
     run_vqec_pdp(VQEC, ANSATZ, cfg)
     per_iteration = 2 * ANSATZ.n_params + 2
     final_metrics = 1
-    assert len(calls) == iterations * per_iteration + final_metrics
+    assert sum(circuits) == iterations * per_iteration + final_metrics
+    # the centre and its 2P shifts share blocks; the perturbed point runs alone
+    chunks = math.ceil((2 * ANSATZ.n_params + 1) / sim.block_columns(ANSATZ.n_qubits))
+    assert len(circuits) == iterations * (chunks + 1) + final_metrics
 
 
 def test_pdp_recovers_ground():

@@ -15,10 +15,14 @@ from qfold.sim import (
     Ansatz,
     ShotTable,
     bitstring_of,
+    block_columns,
     cvar,
     evolve,
+    evolve_block,
     expectation_diagonal,
+    map_states,
     parameter_shift_gradient,
+    parameter_shift_jacobian,
     probabilities,
     sample,
 )
@@ -290,6 +294,13 @@ def test_shot_table_parse_errors():
         ShotTable(counts={"01": 3}, shots=5)
 
 
+def test_shot_table_rejects_mixed_widths():
+    with pytest.raises(ParseError):
+        ShotTable.from_text("01\t3\n011\t2\n")
+    with pytest.raises(ParseError):
+        ShotTable.from_text("# header\n011 2\n\n01 3\n")
+
+
 def test_bitstring_convention():
     assert bitstring_of(1, 4) == "1000"
     assert bitstring_of(8, 4) == "0001"
@@ -362,3 +373,106 @@ def test_gradient_evaluation_count():
 def test_probabilities_sum_to_one():
     state = evolve(Ansatz(6), np.linspace(0.0, 2.0, 18))
     assert float(probabilities(state).sum()) == pytest.approx(1.0, abs=1e-10)
+
+
+# --- batched evolution: bit-identical to single-state evolve ---
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 12])
+@pytest.mark.parametrize("layers", [0, 2])
+def test_evolve_block_columns_equal_evolve(n, layers):
+    ansatz = Ansatz(n, layers=layers)
+    rng = np.random.default_rng(100 * n + layers)
+    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, 5))
+    states = evolve_block(ansatz, block)
+    assert states.shape == (1 << n, 5)
+    for j in range(5):
+        assert np.array_equal(states[:, j], evolve(ansatz, block[:, j]))
+
+
+def test_evolve_block_rejects_bad_shapes():
+    ansatz = Ansatz(3, layers=1)
+    with pytest.raises(ParamLengthError):
+        evolve_block(ansatz, np.zeros(6))
+    with pytest.raises(ParamLengthError):
+        evolve_block(ansatz, np.zeros((5, 2)))
+    with pytest.raises(ParamLengthError):
+        evolve_block(ansatz, np.zeros((6, 0)))
+
+
+def test_block_columns_fall_back_to_single_circuits():
+    assert block_columns(9) >= 2 * Ansatz(9).n_params + 1
+    assert block_columns(16) == 1
+    assert block_columns(24) == 1
+
+
+@pytest.mark.parametrize("n, extra", [(9, 3), (12, 5)])
+def test_map_states_chunk_boundary_changes_nothing(n, extra):
+    # B is not a multiple of the chunk width, so the last chunk is partial
+    ansatz = Ansatz(n, layers=1)
+    width = 2 * block_columns(n) + extra
+    rng = np.random.default_rng(n)
+    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width))
+    mapped = map_states(ansatz, block, lambda states: list(states.T.copy()))
+    assert len(mapped) == width
+    for j, state in enumerate(mapped):
+        assert state.flags.c_contiguous
+        assert np.array_equal(state, evolve(ansatz, block[:, j]))
+
+
+def reference_f_vector(engine, probs):
+    """The expectation engine's former one-vector F evaluation."""
+    grid = probs.reshape(1 << engine.n_ancillas, 1 << engine.n_config)
+    marginal = grid.sum(axis=0)
+    total = float(marginal @ engine.tables.base_table)
+    for idx, table in engine.tables.pair_tables.items():
+        total += float(grid[engine._row_masks[idx]].sum(axis=0) @ table)
+    out = np.empty(1 + engine.n_constraints)
+    out[0] = total
+    for m, table in enumerate(engine.tables.constraint_tables, start=1):
+        out[m] = float(marginal @ table)
+    return out
+
+
+def inline_shift_loop(ansatz, theta, f_of_state):
+    """The primal-dual loop's former per-parameter shift evaluation."""
+    f_here = f_of_state(evolve(ansatz, theta))
+    jac = np.empty((ansatz.n_params, f_here.shape[0]))
+    shifted = theta.copy()
+    for p in range(ansatz.n_params):
+        shifted[p] = theta[p] + math.pi / 2.0
+        f_plus = f_of_state(evolve(ansatz, shifted))
+        shifted[p] = theta[p] - math.pi / 2.0
+        f_minus = f_of_state(evolve(ansatz, shifted))
+        shifted[p] = theta[p]
+        jac[p, :] = 0.5 * (f_plus - f_minus)
+    return f_here, jac
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jacobian_equals_inline_shift_loop(seed):
+    from qfold.hamiltonian import EncodingLayout, assemble
+    from qfold.optimize import ExpectationEngine
+    from qfold.scoring import RESIDUES, load_matrix
+
+    matrix = load_matrix("mj1996")
+    rng = np.random.default_rng(seed)
+    peptide = "".join(rng.choice(list(RESIDUES), 4))
+    engine = ExpectationEngine(assemble("vqec", EncodingLayout(4), peptide, matrix))
+    ansatz = Ansatz(engine.n_vars, layers=2)
+    theta = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_params)
+
+    def f_of_states(states):
+        return engine.f_vector(probabilities(states))
+
+    f_ref, jac_ref = inline_shift_loop(
+        ansatz, theta, lambda state: reference_f_vector(engine, probabilities(state))
+    )
+    f_here, jac = parameter_shift_jacobian(ansatz, theta, f_of_states, with_value=True)
+    assert np.array_equal(f_here, f_ref)
+    assert np.array_equal(jac, jac_ref)
+    assert np.array_equal(parameter_shift_jacobian(ansatz, theta, f_of_states), jac_ref)
+    grad = parameter_shift_gradient(
+        ansatz, theta, lambda state: reference_f_vector(engine, probabilities(state))[0]
+    )
+    assert np.array_equal(grad, jac_ref[:, 0])
