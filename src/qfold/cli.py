@@ -38,6 +38,7 @@ from .optimize import (
     CvarVqeConfig,
     ExpectationEngine,
     VqecConfig,
+    cobyla_budget,
     grid_search,
     run_cvar_vqe,
     run_vqec_pdp,
@@ -290,6 +291,11 @@ def cmd_vqe(args) -> int:
         max_iterations=args.iterations,
         restarts=args.restarts,
         seed=args.seed,
+    )
+    print(
+        f"cobyla budget: {cobyla_budget(cfg, ansatz)} evaluations per restart "
+        f"(--iterations {args.iterations}, at least P+2 = {ansatz.n_params + 2})",
+        file=sys.stderr,
     )
     params, trace = run_cvar_vqe(instance, ansatz, cfg)
     summary = _summarize_state(instance, ansatz, params)

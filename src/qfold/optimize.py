@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exceptions import (
     BudgetExceededError,
@@ -247,8 +246,22 @@ class _Budget:
 # ---------------------------------------------------------------------------
 
 
+def cobyla_budget(cfg: CvarVqeConfig, ansatz: Ansatz) -> int:
+    """Objective evaluations per COBYLA restart.
+
+    ``cfg.max_iterations``, raised to the P + 2 evaluations COBYLA needs
+    before its first step (SciPy would raise a smaller budget itself, with
+    a warning).
+    """
+    return max(cfg.max_iterations, ansatz.n_params + 2)
+
+
 def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
     """Multistart CVaR minimization; returns (best params, trace)."""
+    # imported here: SciPy is most of the package's import time and only
+    # COBYLA needs it
+    from scipy.optimize import minimize
+
     if instance.mode != MODE_POLYFIT:
         raise EncodingError("CVaR-VQE drives the fused-penalty objective only")
     if ansatz.n_qubits != instance.n_qubits:
@@ -278,7 +291,7 @@ def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
             objective,
             x0,
             method="COBYLA",
-            options={"maxiter": cfg.max_iterations},
+            options={"maxiter": cobyla_budget(cfg, ansatz)},
         )
         if result.fun < best_value:
             best_value = float(result.fun)

@@ -13,6 +13,16 @@ unshifted one) in one block, evolved in chunks of ``block_columns(n)``
 circuits, so a gradient costs a few state passes at small n instead of 2P
 separate ones; every column is bit-identical to a single ``evolve``.
 
+Small qubits give NumPy short inner runs (2^q amplitudes per column), so
+the kernel keeps two layouts of the index.  Layout A is the natural order;
+layout B rotates qubits 0..k-1 (k = n // 2) to the top bits.  Each rotation
+layer applies qubits 0..k-1 in layout B, switches to A by a transposed
+copy, then applies qubits k..n-1; the CNOT chain before the next layer and
+the switch back to B are one precomputed row gather (``_chain_gather``,
+cached per width).  Every rotation therefore runs on at least 2^k * B
+contiguous amplitudes, and since only data moves, the amplitudes equal the
+natural-layout gate loop bit for bit.
+
 Provides diagonal expectations, conditional value at risk over the energy
 distribution, seeded multinomial shot sampling, and parameter-shift
 gradients and Jacobians.
@@ -20,6 +30,7 @@ gradients and Jacobians.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,10 +73,11 @@ def bitstring_of(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")[::-1]
 
 
-def _apply_ry(state: np.ndarray, qubit: int, c, s) -> None:
-    # c, s: cos and sin of the half angles, one per column (plain floats
-    # when the block has a single column)
-    view = state.reshape(-1, 2, 1 << qubit, state.shape[1])
+def _apply_ry(state: np.ndarray, bit: int, c, s) -> None:
+    # rotate the qubit stored at index bit ``bit``; c, s: cos and sin of the
+    # half angles, one per column (plain floats when the block has a single
+    # column)
+    view = state.reshape(-1, 2, 1 << bit, state.shape[1])
     lo = view[:, 0]
     hi = view[:, 1]
     new_hi = s * lo + c * hi
@@ -74,16 +86,24 @@ def _apply_ry(state: np.ndarray, qubit: int, c, s) -> None:
     hi[:] = new_hi
 
 
-def _apply_cnot_chain(state: np.ndarray, n_qubits: int) -> None:
-    # control q_i, target q_{i+1}: adjacent index bits, so a 4-way reshape
-    # exposes both and the conditional flip is a half-block swap; the flip
-    # is the same for every column, so each run spans 2^i * B amplitudes
-    width = state.shape[1]
-    for control in range(n_qubits - 1):
-        view = state.reshape(-1, 2, 2, (1 << control) * width)
-        tmp = view[:, 0, 1, :].copy()
-        view[:, 0, 1, :] = view[:, 1, 1, :]
-        view[:, 1, 1, :] = tmp
+@functools.lru_cache(maxsize=4)
+def _chain_gather(n_qubits: int) -> np.ndarray:
+    """Row gather applying the CNOT chain and switching layout A to B.
+
+    Layout A is the natural order (qubit q at index bit q).  Layout B moves
+    qubits 0..k-1 to the top (qubit q < k at bit q + n - k, qubit q >= k at
+    bit q - k), with k = n // 2.  ``np.take(state_a, gather, axis=0)`` is
+    the state after the linear CNOT chain (new bit j = XOR of old bits
+    0..j), in layout B.  Read-only; one ``intp`` per amplitude.
+    """
+    n = n_qubits
+    k = n // 2
+    index = np.arange(1 << n)
+    in_a = (index >> (n - k)) | ((index & ((1 << (n - k)) - 1)) << k)
+    # the chain sends basis state x to prefix_xor(x), whose inverse is x ^ (x << 1)
+    gather = in_a ^ ((in_a << 1) & ((1 << n) - 1))
+    gather.flags.writeable = False
+    return gather
 
 
 def _check_params(ansatz: Ansatz, params) -> np.ndarray:
@@ -99,9 +119,9 @@ def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
     """Run the circuit once per column of an ``(n_params, B)`` angle block.
 
     Returns the ``(2^n, B)`` amplitudes; column j equals
-    ``evolve(ansatz, block[:, j])`` bit for bit.  The batch axis is last, so
-    every gate works on contiguous runs of at least B amplitudes, even on
-    qubit 0; that amortizes NumPy's per-call overhead over the block.
+    ``evolve(ansatz, block[:, j])`` bit for bit.  The batch axis is last,
+    and the two index layouts (module docstring) put every rotation on
+    contiguous runs of at least 2^(n // 2) * B amplitudes.
     """
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != ansatz.n_params or block.shape[1] < 1:
@@ -110,21 +130,34 @@ def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
             f"got shape {block.shape}"
         )
     n = ansatz.n_qubits
+    k = n // 2
+    width = block.shape[1]
     half = block / 2.0
     cos = np.cos(half)
     sin = np.sin(half)
-    if block.shape[1] == 1:
+    if width == 1:
         # scalar factors keep the single-state case as cheap as a 1-d state
         cos = cos.ravel().tolist()
         sin = sin.ravel().tolist()
-    state = np.zeros((1 << n, block.shape[1]))
+    chain = _chain_gather(n)
+    state = np.zeros((1 << n, width))
     state[0] = 1.0
-    for q in range(n):
-        _apply_ry(state, q, cos[q], sin[q])
-    for layer in range(1, ansatz.layers + 1):
-        _apply_cnot_chain(state, n)
+    spare = np.empty_like(state)
+    for layer in range(ansatz.layers + 1):
         offset = layer * n
-        for q in range(n):
+        if layer:
+            # any mode but the default "raise" writes into ``out`` unbuffered
+            np.take(state, chain, axis=0, out=spare, mode="clip")
+            state, spare = spare, state
+        for q in range(k):
+            _apply_ry(state, q + n - k, cos[offset + q], sin[offset + q])
+        # layout B back to A: swap the two halves of the index
+        np.copyto(
+            spare.reshape(1 << (n - k), 1 << k, width),
+            state.reshape(1 << k, 1 << (n - k), width).transpose(1, 0, 2),
+        )
+        state, spare = spare, state
+        for q in range(k, n):
             _apply_ry(state, q, cos[offset + q], sin[offset + q])
     return state
 
@@ -139,12 +172,13 @@ def block_columns(n_qubits: int) -> int:
     """Circuits evolved together per ``evolve_block`` call at this width.
 
     Wide blocks amortize NumPy's per-call overhead while states are small.
-    From 15 qubits on the per-column inner loops run too short to pay, so
-    circuits run one at a time (crossover table in CHANGES.md).
+    From 13 qubits on, one circuit already rotates runs of at least 2^6
+    amplitudes with scalar factors, which beats the per-column factors of a
+    block, so circuits run one at a time (crossover table in CHANGES.md).
     """
     if n_qubits <= 10:
         return 64
-    if n_qubits <= 14:
+    if n_qubits <= 12:
         return 32
     return 1
 

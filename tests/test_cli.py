@@ -130,7 +130,7 @@ def test_search_writes_artifacts(tmp_path, capsys):
 
 def test_vqe_sample_analyze_chain(tmp_path, capsys):
     out_dir = str(tmp_path)
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         [
             "vqe", "--peptide", "KLVF", "--restarts", "4", "--iterations", "40",
             "--seed", "0", "--out", out_dir,
@@ -138,6 +138,7 @@ def test_vqe_sample_analyze_chain(tmp_path, capsys):
         capsys,
     )
     assert code == 0
+    assert "cobyla budget: 40 evaluations per restart" in err
     payload = json.loads((tmp_path / "params.json").read_text())
     assert payload["mode"] == "polyfit"
     assert len(payload["params"]) == 27
@@ -282,3 +283,24 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "total=24" in result.stdout
+
+
+# --- import cost ---
+
+
+def test_cli_import_and_vqec_build_leave_scipy_unloaded(tmp_path):
+    # only COBYLA needs SciPy, and importing it is most of the start-up time
+    script = (
+        "import sys\n"
+        "import qfold.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "code = qfold.cli.main(['build', '--peptide', 'KLVF', '--mode', 'vqec',"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0\n"
+        "assert 'scipy' not in sys.modules, 'build'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "instance.json").exists()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from qfold.optimize import (
     OptTrace,
     VqecConfig,
     _pdp_run,
+    cobyla_budget,
     grid_search,
     run_cvar_vqe,
     run_vqec_pdp,
 )
-from qfold.scoring import load_matrix
+from qfold.scoring import RESIDUES, load_matrix
+from qfold.search import SearchConfig, search
 from qfold.sim import (
     Ansatz,
     cvar,
@@ -107,6 +110,19 @@ def test_cvar_alpha_one_equals_expectation():
     assert engine.cvar_objective(probs, 1.0) == pytest.approx(
         engine.objective_expectation(probs), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("matrix_name", ["mj1996", "hp"])
+def test_vqec_ground_equals_oracle_on_random_peptides(matrix_name):
+    matrix = load_matrix(matrix_name)
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        n_beads = int(rng.integers(4, 6))
+        peptide = "".join(rng.choice(list(RESIDUES), n_beads))
+        instance = assemble("vqec", EncodingLayout(n_beads), peptide, matrix)
+        oracle = search(SearchConfig("fcc", peptide, matrix, k=1)).records[0].energy
+        ground = ExpectationEngine(instance).ground_energy
+        assert ground == pytest.approx(oracle, abs=1e-9), peptide
 
 
 def test_vqec_ground_is_feasible_geometric_minimum():
@@ -209,6 +225,23 @@ def test_cvar_vqe_full_window_sweep_runs():
     )
     params, _ = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
     assert params.shape == (ANSATZ.n_params,)
+
+
+def test_cvar_vqe_budget_raised_to_cobyla_minimum():
+    # below P + 2, COBYLA would raise the budget itself and warn
+    assert cobyla_budget(CvarVqeConfig(max_iterations=5), ANSATZ) == 29
+    assert cobyla_budget(CvarVqeConfig(max_iterations=80), ANSATZ) == 80
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params_5, trace_5 = run_cvar_vqe(
+            POLYFIT, ANSATZ, CvarVqeConfig(restarts=2, max_iterations=5, seed=3)
+        )
+    params_29, trace_29 = run_cvar_vqe(
+        POLYFIT, ANSATZ, CvarVqeConfig(restarts=2, max_iterations=29, seed=3)
+    )
+    assert np.array_equal(params_5, params_29)
+    assert trace_5.objectives == trace_29.objectives
+    assert trace_5.snapshots == trace_29.snapshots
 
 
 def test_cvar_vqe_budget():

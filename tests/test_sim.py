@@ -11,6 +11,7 @@ from qfold.exceptions import (
     ParamLengthError,
     ParseError,
 )
+from qfold import sim
 from qfold.sim import (
     Ansatz,
     ShotTable,
@@ -402,6 +403,7 @@ def test_evolve_block_rejects_bad_shapes():
 
 def test_block_columns_fall_back_to_single_circuits():
     assert block_columns(9) >= 2 * Ansatz(9).n_params + 1
+    assert block_columns(13) == 1
     assert block_columns(16) == 1
     assert block_columns(24) == 1
 
@@ -476,3 +478,85 @@ def test_jacobian_equals_inline_shift_loop(seed):
         ansatz, theta, lambda state: reference_f_vector(engine, probabilities(state))[0]
     )
     assert np.array_equal(grad, jac_ref[:, 0])
+
+
+# --- layout-switching kernel: bit-identical to the natural-layout loop ---
+
+
+def ref_apply_ry(state, qubit, c, s):
+    view = state.reshape(-1, 2, 1 << qubit, state.shape[1])
+    lo = view[:, 0]
+    hi = view[:, 1]
+    new_hi = s * lo + c * hi
+    lo *= c
+    lo -= s * hi
+    hi[:] = new_hi
+
+
+def ref_cnot_chain(state, n):
+    # control q_i, target q_{i+1}, applied as half-block swaps in order
+    width = state.shape[1]
+    for control in range(n - 1):
+        view = state.reshape(-1, 2, 2, (1 << control) * width)
+        tmp = view[:, 0, 1, :].copy()
+        view[:, 0, 1, :] = view[:, 1, 1, :]
+        view[:, 1, 1, :] = tmp
+
+
+def ref_evolve_block(ansatz, block):
+    # the gate loop in the natural layout, one swap per CNOT
+    n = ansatz.n_qubits
+    half = block / 2.0
+    cos = np.cos(half)
+    sin = np.sin(half)
+    if block.shape[1] == 1:
+        cos = cos.ravel().tolist()
+        sin = sin.ravel().tolist()
+    state = np.zeros((1 << n, block.shape[1]))
+    state[0] = 1.0
+    for layer in range(ansatz.layers + 1):
+        if layer:
+            ref_cnot_chain(state, n)
+        for q in range(n):
+            ref_apply_ry(state, q, cos[layer * n + q], sin[layer * n + q])
+    return state
+
+
+def layout_b_index(index_a, n):
+    # qubits 0..k-1 move to the top bits, qubits k..n-1 to the bottom
+    k = n // 2
+    out = 0
+    for q in range(n):
+        bit = (index_a >> q) & 1
+        out |= bit << (q + n - k if q < k else q - k)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 12, 16])
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("width", [1, 5, 64])
+def test_evolve_block_equals_natural_layout_loop(n, layers, width):
+    ansatz = Ansatz(n, layers=layers)
+    rng = np.random.default_rng(1000 * n + 10 * layers + width)
+    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width))
+    assert np.array_equal(evolve_block(ansatz, block), ref_evolve_block(ansatz, block))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_chain_gather_is_a_permutation(n):
+    gather = sim._chain_gather(n)
+    assert gather.shape == (1 << n,)
+    assert np.array_equal(np.sort(gather), np.arange(1 << n))
+    assert not gather.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
+def test_chain_gather_equals_swap_loop(n):
+    rng = np.random.default_rng(n)
+    state = rng.normal(size=(1 << n, 3))
+    chained = state.copy()
+    ref_cnot_chain(chained, n)
+    want = np.empty_like(chained)
+    for i in range(1 << n):
+        want[layout_b_index(i, n)] = chained[i]
+    assert np.array_equal(np.take(state, sim._chain_gather(n), axis=0), want)
