@@ -10,8 +10,8 @@ Two protocols over the same simulator:
   the current angles, perturbs primal and dual variables, then applies the
   update step with the perturbed weights.  Cost per iteration is exactly
   2P + 2 logical circuit evaluations; the current angles and their 2P
-  shifts run as one batched block (``sim.parameter_shift_jacobian``), the
-  perturbed angles as one more state.
+  shifts run in one ``sim.parameter_shift_jacobian`` call, the perturbed
+  angles as one more state.
 
 Expectations never materialize the full 2^n objective diagonal unless the
 CVaR path demands it: the objective splits into a configuration-bit base
@@ -88,11 +88,7 @@ class ExpectationEngine:
         return probs.reshape(1 << self.n_ancillas, 1 << self.n_config).sum(axis=0)
 
     def objective_expectation(self, probs: np.ndarray) -> float:
-        grid = probs.reshape(1 << self.n_ancillas, 1 << self.n_config)
-        total = float(grid.sum(axis=0) @ self.tables.base_table)
-        for idx, table in self.tables.pair_tables.items():
-            total += float(grid[self._row_masks[idx]].sum(axis=0) @ table)
-        return total
+        return float(self.f_vector(probs)[0])
 
     def f_vector(self, probs: np.ndarray) -> np.ndarray:
         """[objective expectation, constraint expectations...].

@@ -7,11 +7,15 @@ length ``2 ** n_qubits``; bit ``i`` of the basis index is qubit ``q_i``,
 matching character ``i`` of the bitstring convention used everywhere else.
 
 ``evolve_block`` runs a block of parameter vectors as one ``(2^n, B)``
-array, batch axis last; ``evolve`` is its one-column case.  The
-parameter-shift Jacobian puts all 2P shifted circuits (and optionally the
-unshifted one) in one block, evolved in chunks of ``block_columns(n)``
-circuits, so a gradient costs a few state passes at small n instead of 2P
-separate ones; every column is bit-identical to a single ``evolve``.
+array, batch axis last; ``evolve`` is its one-column case.  Both run the
+one gate loop, ``_apply_gates``, which can also resume a circuit at any
+gate from a given state.  The parameter-shift Jacobian evolves the 2P
+shifted circuits (and optionally the unshifted one) in chunks of
+``block_columns(n)`` circuits, each resumed from the unshifted circuit at
+the first gate one of its columns shifts.  At small n a gradient is thus a
+few block passes; from n = 13 (one circuit per chunk) no shared prefix is
+recomputed, so it takes P * (P + 2) rotations instead of (2P + 1) * P.
+Every column is bit-identical to a single ``evolve``.
 
 Small qubits give NumPy short inner runs (2^q amplitudes per column), so
 the kernel keeps two layouts of the index.  Layout A is the natural order;
@@ -115,6 +119,48 @@ def _check_params(ansatz: Ansatz, params) -> np.ndarray:
     return params
 
 
+def _half_angle_factors(block: np.ndarray):
+    # cos and sin of the half angles, one row per gate; scalar factors keep
+    # the single-state case as cheap as a 1-d state
+    half = block / 2.0
+    cos = np.cos(half)
+    sin = np.sin(half)
+    if block.shape[1] == 1:
+        return cos.ravel().tolist(), sin.ravel().tolist()
+    return cos, sin
+
+
+def _apply_gates(n_qubits: int, cos, sin, state, spare, start: int, stop: int):
+    """Apply gates ``start .. stop - 1`` to ``state``; returns (state, spare).
+
+    Gate g rotates qubit g % n in rotation layer g // n.  ``state`` holds
+    the amplitudes after gate ``start - 1`` in the layout that gate left
+    (|0> reads the same in both), and the layout moves that precede gate g
+    (the chain gather before a layer's first gate, the switch to layout A
+    before qubit k) run with it.  The moves write into ``spare`` and swap
+    the two buffers, so the caller keeps both names returned.
+    """
+    n = n_qubits
+    k = n // 2
+    width = state.shape[1]
+    chain = _chain_gather(n)
+    for gate in range(start, stop):
+        layer, q = divmod(gate, n)
+        if layer and q == 0:
+            # any mode but the default "raise" writes into ``out`` unbuffered
+            np.take(state, chain, axis=0, out=spare, mode="clip")
+            state, spare = spare, state
+        if q == k:
+            # layout B back to A: swap the two halves of the index
+            np.copyto(
+                spare.reshape(1 << (n - k), 1 << k, width),
+                state.reshape(1 << k, 1 << (n - k), width).transpose(1, 0, 2),
+            )
+            state, spare = spare, state
+        _apply_ry(state, q + n - k if q < k else q, cos[gate], sin[gate])
+    return state, spare
+
+
 def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
     """Run the circuit once per column of an ``(n_params, B)`` angle block.
 
@@ -129,36 +175,12 @@ def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
             f"expected a ({ansatz.n_params}, B >= 1) angle block, "
             f"got shape {block.shape}"
         )
-    n = ansatz.n_qubits
-    k = n // 2
-    width = block.shape[1]
-    half = block / 2.0
-    cos = np.cos(half)
-    sin = np.sin(half)
-    if width == 1:
-        # scalar factors keep the single-state case as cheap as a 1-d state
-        cos = cos.ravel().tolist()
-        sin = sin.ravel().tolist()
-    chain = _chain_gather(n)
-    state = np.zeros((1 << n, width))
+    cos, sin = _half_angle_factors(block)
+    state = np.zeros((1 << ansatz.n_qubits, block.shape[1]))
     state[0] = 1.0
-    spare = np.empty_like(state)
-    for layer in range(ansatz.layers + 1):
-        offset = layer * n
-        if layer:
-            # any mode but the default "raise" writes into ``out`` unbuffered
-            np.take(state, chain, axis=0, out=spare, mode="clip")
-            state, spare = spare, state
-        for q in range(k):
-            _apply_ry(state, q + n - k, cos[offset + q], sin[offset + q])
-        # layout B back to A: swap the two halves of the index
-        np.copyto(
-            spare.reshape(1 << (n - k), 1 << k, width),
-            state.reshape(1 << k, 1 << (n - k), width).transpose(1, 0, 2),
-        )
-        state, spare = spare, state
-        for q in range(k, n):
-            _apply_ry(state, q, cos[offset + q], sin[offset + q])
+    state, _ = _apply_gates(
+        ansatz.n_qubits, cos, sin, state, np.empty_like(state), 0, ansatz.n_params
+    )
     return state
 
 
@@ -181,22 +203,6 @@ def block_columns(n_qubits: int) -> int:
     if n_qubits <= 12:
         return 32
     return 1
-
-
-def map_states(ansatz: Ansatz, block, block_objective) -> list:
-    """Values of ``block_objective`` for every column of an angle block.
-
-    The columns are evolved in chunks of at most ``block_columns(n)``;
-    ``block_objective`` maps each chunk's ``(2^n, b)`` states to b values,
-    one per column.  Returns the B values in column order.
-    """
-    block = np.asarray(block, dtype=float)
-    step = block_columns(ansatz.n_qubits)
-    out = []
-    for start in range(0, block.shape[1], step):
-        states = evolve_block(ansatz, block[:, start : start + step])
-        out.extend(block_objective(states))
-    return out
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
@@ -315,19 +321,62 @@ def parameter_shift_jacobian(ansatz: Ansatz, params, block_objective, with_value
     """Exact Jacobian of an objective of ``evolve(ansatz, params)``.
 
     ``block_objective`` maps a ``(2^n, b)`` block of states to b values
-    (floats or 1-d arrays), as in ``map_states``.  Row p of the result is
-    ``0.5 * (value at params + pi/2 e_p - value at params - pi/2 e_p)``.
-    The 2P shifted circuits, preceded by the unshifted one when
-    ``with_value`` asks for ``(value, jacobian)``, run as one angle block.
+    (floats or 1-d arrays); the block is only valid during the call.  Row p
+    of the result is ``0.5 * (value at params + pi/2 e_p - value at
+    params - pi/2 e_p)``; with ``with_value`` it returns ``(value,
+    jacobian)``.
+
+    The 2P shifted circuits, preceded by the unshifted one when asked, run
+    in chunks of ``block_columns(n)`` columns.  A circuit shifted at gate g
+    shares gates 0..g-1 with the unshifted ("centre") circuit, so the
+    centre is walked forward gate by gate and each chunk resumes from it at
+    the first gate where one of its columns is shifted; a chunk shifted at
+    gate 0 runs from |0> through ``evolve_block``.  From n = 13, where
+    chunks hold one circuit, a Jacobian applies P * (P + 2) rotations
+    instead of (2P + 1) * P.  Every column still performs the arithmetic of
+    a full ``evolve``, so the values are bit-identical to it.
     """
     params = _check_params(ansatz, params)
+    n = ansatz.n_qubits
     n_params = ansatz.n_params
     first = 1 if with_value else 0
     block = np.repeat(params[:, None], first + 2 * n_params, axis=1)
     rows = np.arange(n_params)
     block[rows, first + 2 * rows] = params + HALF_PI
     block[rows, first + 2 * rows + 1] = params - HALF_PI
-    values = np.array(map_states(ansatz, block, block_objective), dtype=float)
+    # the gate at which each column leaves the centre (P: never)
+    leaves = np.concatenate(([n_params] * first, np.repeat(rows, 2)))
+    step = block_columns(n)
+    firsts = range(0, block.shape[1], step)
+    chunks = sorted((int(leaves[c : c + step].min()), c) for c in firsts)
+
+    cos, sin = _half_angle_factors(params[:, None])
+    centre = np.zeros((1 << n, 1))
+    centre[0] = 1.0
+    centre_spare = np.empty_like(centre)
+    at = 0
+    work = work_spare = None
+    values = [None] * block.shape[1]
+    for start, c in chunks:
+        chunk = block[:, c : c + step]
+        if start == 0:
+            states = evolve_block(ansatz, chunk)
+        else:
+            centre, centre_spare = _apply_gates(
+                n, cos, sin, centre, centre_spare, at, start
+            )
+            at = start
+            if work is None or work.shape[1] != chunk.shape[1]:
+                work = np.empty((1 << n, chunk.shape[1]))
+                work_spare = np.empty_like(work)
+            work[:] = centre
+            chunk_cos, chunk_sin = _half_angle_factors(chunk)
+            work, work_spare = _apply_gates(
+                n, chunk_cos, chunk_sin, work, work_spare, start, n_params
+            )
+            states = work
+        values[c : c + step] = block_objective(states)
+    values = np.array(values, dtype=float)
     jac = 0.5 * (values[first::2] - values[first + 1 :: 2])
     return (values[0], jac) if with_value else jac
 

@@ -35,6 +35,7 @@ from qfold.sim import (
     expectation_diagonal,
     probabilities,
 )
+from util import reference_f_vector
 
 MJ = load_matrix("mj1996")
 LAYOUT = EncodingLayout(4)
@@ -61,6 +62,17 @@ def test_objective_expectation_matches_full_diagonal():
         split = engine.objective_expectation(probabilities(state))
         full = expectation_diagonal(state, diag)
         assert split == pytest.approx(full, abs=1e-9)
+
+
+def test_objective_expectation_is_the_f_vector_kernel():
+    klvff = assemble("vqec", EncodingLayout(5), "KLVFF", MJ)
+    for instance in (POLYFIT, VQEC, klvff):
+        engine = ExpectationEngine(instance)
+        for seed in range(2):
+            probs = probabilities(random_state(seed, instance.n_qubits))
+            value = engine.objective_expectation(probs)
+            assert value == reference_f_vector(engine, probs)[0]
+            assert value == engine.f_vector(probs)[0]
 
 
 def test_constraint_expectations_match_full_tables():
@@ -112,6 +124,13 @@ def test_cvar_alpha_one_equals_expectation():
     )
 
 
+def assert_vqec_ground_equals_oracle(peptide, matrix):
+    instance = assemble("vqec", EncodingLayout(len(peptide)), peptide, matrix)
+    oracle = search(SearchConfig("fcc", peptide, matrix, k=1)).records[0].energy
+    ground = ExpectationEngine(instance).ground_energy
+    assert ground == pytest.approx(oracle, abs=1e-9), peptide
+
+
 @pytest.mark.parametrize("matrix_name", ["mj1996", "hp"])
 def test_vqec_ground_equals_oracle_on_random_peptides(matrix_name):
     matrix = load_matrix(matrix_name)
@@ -119,10 +138,16 @@ def test_vqec_ground_equals_oracle_on_random_peptides(matrix_name):
     for _ in range(10):
         n_beads = int(rng.integers(4, 6))
         peptide = "".join(rng.choice(list(RESIDUES), n_beads))
-        instance = assemble("vqec", EncodingLayout(n_beads), peptide, matrix)
-        oracle = search(SearchConfig("fcc", peptide, matrix, k=1)).records[0].energy
-        ground = ExpectationEngine(instance).ground_energy
-        assert ground == pytest.approx(oracle, abs=1e-9), peptide
+        assert_vqec_ground_equals_oracle(peptide, matrix)
+
+
+@pytest.mark.parametrize("matrix_name", ["mj1996", "hp"])
+def test_vqec_ground_equals_oracle_at_six_residues(matrix_name):
+    # the paper's 24-qubit size
+    matrix = load_matrix(matrix_name)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        assert_vqec_ground_equals_oracle("".join(rng.choice(list(RESIDUES), 6)), matrix)
 
 
 def test_vqec_ground_is_feasible_geometric_minimum():

@@ -21,12 +21,12 @@ from qfold.sim import (
     evolve,
     evolve_block,
     expectation_diagonal,
-    map_states,
     parameter_shift_gradient,
     parameter_shift_jacobian,
     probabilities,
     sample,
 )
+from util import reference_f_vector
 
 
 # --- dense-matrix oracle: explicit kron products, no shared kernels ---
@@ -408,34 +408,6 @@ def test_block_columns_fall_back_to_single_circuits():
     assert block_columns(24) == 1
 
 
-@pytest.mark.parametrize("n, extra", [(9, 3), (12, 5)])
-def test_map_states_chunk_boundary_changes_nothing(n, extra):
-    # B is not a multiple of the chunk width, so the last chunk is partial
-    ansatz = Ansatz(n, layers=1)
-    width = 2 * block_columns(n) + extra
-    rng = np.random.default_rng(n)
-    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width))
-    mapped = map_states(ansatz, block, lambda states: list(states.T.copy()))
-    assert len(mapped) == width
-    for j, state in enumerate(mapped):
-        assert state.flags.c_contiguous
-        assert np.array_equal(state, evolve(ansatz, block[:, j]))
-
-
-def reference_f_vector(engine, probs):
-    """The expectation engine's former one-vector F evaluation."""
-    grid = probs.reshape(1 << engine.n_ancillas, 1 << engine.n_config)
-    marginal = grid.sum(axis=0)
-    total = float(marginal @ engine.tables.base_table)
-    for idx, table in engine.tables.pair_tables.items():
-        total += float(grid[engine._row_masks[idx]].sum(axis=0) @ table)
-    out = np.empty(1 + engine.n_constraints)
-    out[0] = total
-    for m, table in enumerate(engine.tables.constraint_tables, start=1):
-        out[m] = float(marginal @ table)
-    return out
-
-
 def inline_shift_loop(ansatz, theta, f_of_state):
     """The primal-dual loop's former per-parameter shift evaluation."""
     f_here = f_of_state(evolve(ansatz, theta))
@@ -451,33 +423,87 @@ def inline_shift_loop(ansatz, theta, f_of_state):
     return f_here, jac
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_jacobian_equals_inline_shift_loop(seed):
+def assert_jacobian_equals_inline_loop(ansatz, theta, block_objective, f_of_state):
+    f_ref, jac_ref = inline_shift_loop(ansatz, theta, f_of_state)
+    f_here, jac = parameter_shift_jacobian(
+        ansatz, theta, block_objective, with_value=True
+    )
+    assert np.array_equal(f_here, f_ref)
+    assert np.array_equal(jac, jac_ref)
+    jac_only = parameter_shift_jacobian(ansatz, theta, block_objective)
+    assert np.array_equal(jac_only, jac_ref)
+    grad = parameter_shift_gradient(ansatz, theta, lambda state: f_of_state(state)[0])
+    assert np.array_equal(grad, jac_ref[:, 0])
+
+
+# (9, 3) and (12, 2) end on a partial chunk, and at n = 12 the later chunks
+# resume from the centre; from n = 13 every shifted circuit resumes alone
+@pytest.mark.parametrize("n, layers", [(9, 3), (12, 2), (13, 0), (13, 1), (13, 2)])
+def test_jacobian_equals_inline_loop_on_random_diagonal(n, layers):
+    ansatz = Ansatz(n, layers=layers)
+    rng = np.random.default_rng(10 * n + layers)
+    theta = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_params)
+    diag = rng.normal(size=(1 << n, 2))
+
+    def f_of_state(state):
+        return probabilities(state) @ diag
+
+    def block_objective(states):
+        return [f_of_state(np.ascontiguousarray(col)) for col in states.T]
+
+    assert_jacobian_equals_inline_loop(ansatz, theta, block_objective, f_of_state)
+
+
+def assert_vqec_jacobian_equals_inline_loop(n_beads, seed):
     from qfold.hamiltonian import EncodingLayout, assemble
     from qfold.optimize import ExpectationEngine
     from qfold.scoring import RESIDUES, load_matrix
 
-    matrix = load_matrix("mj1996")
     rng = np.random.default_rng(seed)
-    peptide = "".join(rng.choice(list(RESIDUES), 4))
-    engine = ExpectationEngine(assemble("vqec", EncodingLayout(4), peptide, matrix))
+    peptide = "".join(rng.choice(list(RESIDUES), n_beads))
+    instance = assemble("vqec", EncodingLayout(n_beads), peptide, load_matrix("mj1996"))
+    engine = ExpectationEngine(instance)
     ansatz = Ansatz(engine.n_vars, layers=2)
     theta = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_params)
-
-    def f_of_states(states):
-        return engine.f_vector(probabilities(states))
-
-    f_ref, jac_ref = inline_shift_loop(
-        ansatz, theta, lambda state: reference_f_vector(engine, probabilities(state))
+    assert_jacobian_equals_inline_loop(
+        ansatz,
+        theta,
+        lambda states: engine.f_vector(probabilities(states)),
+        lambda state: reference_f_vector(engine, probabilities(state)),
     )
-    f_here, jac = parameter_shift_jacobian(ansatz, theta, f_of_states, with_value=True)
-    assert np.array_equal(f_here, f_ref)
-    assert np.array_equal(jac, jac_ref)
-    assert np.array_equal(parameter_shift_jacobian(ansatz, theta, f_of_states), jac_ref)
-    grad = parameter_shift_gradient(
-        ansatz, theta, lambda state: reference_f_vector(engine, probabilities(state))[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jacobian_equals_inline_shift_loop(seed):
+    # 9 qubits: the centre and its shifts run as one block
+    assert_vqec_jacobian_equals_inline_loop(4, seed)
+
+
+def test_jacobian_equals_inline_shift_loop_at_16_qubits():
+    # one circuit per chunk, each resuming from the walked centre
+    assert_vqec_jacobian_equals_inline_loop(5, 7)
+
+
+def test_jacobian_rotation_count_shares_the_centre_prefix(monkeypatch):
+    # one circuit per chunk: the centre applies P rotations and the two
+    # circuits shifted at gate g apply P - g each, P * (P + 2) in all;
+    # running all 2P + 1 circuits from |0> applies (2P + 1) * P
+    ansatz = Ansatz(13, layers=2)
+    assert block_columns(ansatz.n_qubits) == 1
+    calls = []
+    real_ry = sim._apply_ry
+
+    def counting_ry(state, bit, c, s):
+        calls.append(bit)
+        real_ry(state, bit, c, s)
+
+    monkeypatch.setattr(sim, "_apply_ry", counting_ry)
+    theta = np.linspace(0.1, 6.0, ansatz.n_params)
+    parameter_shift_jacobian(
+        ansatz, theta, lambda states: [0.0] * states.shape[1], with_value=True
     )
-    assert np.array_equal(grad, jac_ref[:, 0])
+    p = ansatz.n_params
+    assert len(calls) == p * (p + 2) == 1599
 
 
 # --- layout-switching kernel: bit-identical to the natural-layout loop ---

@@ -45,3 +45,17 @@ def decodable_masks(n_beads):
         if seq.is_decodable:
             out.append((mask, seq))
     return out
+
+
+def reference_f_vector(engine, probs):
+    """The expectation engine's former one-vector F evaluation."""
+    grid = probs.reshape(1 << engine.n_ancillas, 1 << engine.n_config)
+    marginal = grid.sum(axis=0)
+    total = float(marginal @ engine.tables.base_table)
+    for idx, table in engine.tables.pair_tables.items():
+        total += float(grid[engine._row_masks[idx]].sum(axis=0) @ table)
+    out = np.empty(1 + engine.n_constraints)
+    out[0] = total
+    for m, table in enumerate(engine.tables.constraint_tables, start=1):
+        out[m] = float(marginal @ table)
+    return out
