@@ -36,6 +36,7 @@ from .lattice import (
     TET,
     TurnSequence,
     coords_from_turns,
+    squared_distance_matrix,
     turns_from_string,
     unpack_configuration,
 )
@@ -113,6 +114,9 @@ def decode_samples(shots: ShotTable, layout: EncodingLayout, energy_fn, e_star=N
         key = bits[:n_config]
         per_config[key] = per_config.get(key, 0) + count
 
+    # a backtrack puts bead i+2 on bead i; an overlap puts bead j >= i+3 on it
+    turn_back = np.eye(layout.n_beads, k=2, dtype=bool)
+    far = np.triu(np.ones((layout.n_beads,) * 2, dtype=bool), 3)
     entries = []
     for config_bits, count in per_config.items():
         seq = unpack_configuration(config_bits, layout.n_beads)
@@ -121,19 +125,9 @@ def decode_samples(shots: ShotTable, layout: EncodingLayout, energy_fn, e_star=N
         backtrack = overlap = False
         energy = None
         if not redundant:
-            coords = coords_from_turns(seq)
-            n = coords.shape[0]
-            for i in range(n - 2):
-                if np.array_equal(coords[i], coords[i + 2]):
-                    backtrack = True
-                    break
-            for i in range(n - 3):
-                for j in range(i + 3, n):
-                    if np.array_equal(coords[i], coords[j]):
-                        overlap = True
-                        break
-                if overlap:
-                    break
+            coincide = squared_distance_matrix(coords_from_turns(seq), FCC) == 0
+            backtrack = bool((coincide & turn_back).any())
+            overlap = bool((coincide & far).any())
             energy = float(energy_fn(seq))
         entries.append(
             DecodedEntry(

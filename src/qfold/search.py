@@ -3,21 +3,25 @@
 Enumerates every non-backtracking turn sequence (FCC: second turn restricted
 to its four symmetry-unique labels, later turns excluding the inverse of
 their predecessor, 4 * 11^(N-3) sequences; tetrahedral: relative turns,
-3^(N-3) sequences), scores each conformation, and keeps the K lowest.
+3^(N-3) sequences), scores each self-avoiding one, and keeps the K lowest.
 
-Enumeration is a mixed-radix odometer over turn digits with the most
-significant digit at the earliest turn, swept in vectorized chunks.  Workers
-take contiguous spans of the digit space and keep private top-K lists; the
-final merge uses the deterministic (energy, turn string) order, so results
-are bit-identical for any worker count.
+The sweep places one bead per level of the turn tree.  A prefix keeps its
+coordinates and one shell code per scoring pair, so a new bead costs only its
+distances to the earlier beads, and a prefix whose new bead overlaps is
+dropped with its subtree (whose sequences still count as visited).  Prefixes
+are expanded breadth-first until one stands for at most ``chunk`` sequences;
+blocks of that frontier are grown to full length, and leaf energies add the
+pair terms in the scalar scorer's order.  Workers take contiguous spans of
+the frontier and keep private top-K lists; the final merge uses the
+deterministic (energy, turn string) order, so results are bit-identical for
+any worker count and chunk size.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +37,8 @@ from .lattice import (
     coords_from_turns,
     pack_configuration,
     pair_squared_distance,
-    turns_from_string,
 )
 from .scoring import EnergyMatrix, pair_energy, validate_peptide
-
-# options[prev]: the 11 labels != inverse(prev), ascending
-_FCC_OPTIONS = np.array(
-    [[l for l in range(12) if l != (p ^ 1)] for p in range(12)], dtype=np.int64
-)
-_SECOND = np.array(SECOND_TURN_LABELS, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -161,119 +158,136 @@ def conformation_energy(conf, peptide: str, config: SearchConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized sweep
+# prefix-incremental sweep
 # ---------------------------------------------------------------------------
 
 
-def _labels_for_indices(indices: np.ndarray, n_beads: int, lattice: str) -> np.ndarray:
-    """Decode odometer indices into (M, N-1) turn label arrays."""
-    m = indices.shape[0]
-    labels = np.zeros((m, n_beads - 1), dtype=np.int64)
-    rem = indices.copy()
-    if lattice == FCC:
-        n_digits = n_beads - 3
-        div = 11**n_digits
-        labels[:, 1] = _SECOND[rem // div]
-        rem %= div
-        for t in range(2, n_beads - 1):
-            div //= 11
-            digit = rem // div
-            rem %= div
-            labels[:, t] = _FCC_OPTIONS[labels[:, t - 1], digit]
-    else:
-        labels[:, 1] = 1  # relative turn of the second bond is fixed
-        n_digits = n_beads - 3
-        div = 3 ** (n_digits - 1) if n_digits else 1
-        for t in range(2, n_beads - 1):
-            digit = rem // div
-            rem %= div
-            div //= 3 if div > 1 else 1
-            labels[:, t] = (digit + labels[:, t - 1] + 1) % 4
-    return labels
+class _Tree:
+    """The search tree of one config: bond vectors, scoring pairs, subtree sizes.
+
+    A block of M prefixes ending at turn t (beads 0..t+1 placed) is three
+    arrays, prefix axis last: turn labels (N-1, M) int8, bead coordinates
+    (N, 3, M) int16 and one shell code per scoring pair (R, M) int8.  A code
+    is 0 (no contact), 1 (first shell), 2 (second shell) or 3 (overlap).
+    Turns from 2 on try every bond label: the one that backtracks lands on
+    bead t-1, so the overlap test drops it with the other overlaps.
+    ``below[t]`` counts the sequences that extend a prefix ending at turn t.
+    """
+
+    def __init__(self, config: SearchConfig):
+        n = self.n_beads = len(config.peptide)
+        fcc = config.lattice == FCC
+        vectors = (FCC_VECTORS if fcc else TET_VECTORS).astype(np.int16)
+        self.labels = [np.arange(len(vectors), dtype=np.int8)] * (n - 1)
+        self.labels[1] = np.array(SECOND_TURN_LABELS if fcc else (1,), dtype=np.int8)
+        self.options = [len(l) - (t >= 2) for t, l in enumerate(self.labels)]
+        # tetrahedral bond signs alternate along the chain
+        self.steps = [vectors if fcc or t % 2 == 0 else -vectors for t in range(n - 1)]
+        # bead t+1 = bead t + v lies at integer square |r|^2 - 2 r.v + |v|^2
+        # from bead i, r = bead i - bead t; tetrahedral pairs add their
+        # sublattice parity, and code[min(square, 12)] reads off the shell
+        self.minus2v = [-2.0 * s[l] for s, l in zip(self.steps, self.labels)]
+        self.offset = [
+            2 if fcc else 3 + (t + 1 - np.arange(t)[:, None]) % 2 for t in range(n - 1)
+        ]
+        d2, shell = (np.arange(13), 2) if fcc else (np.arange(13) // 4, 1)
+        self.code = np.select([d2 == 0, d2 == shell, d2 == 2 * shell], [3, 1, 2])
+        self.code = self.code.astype(np.int8)
+        # a pair that cannot score only ever adds an exact 0.0, so it is left out
+        rules = [r for r in _pair_rules(config.peptide, config) if r[2] or r[3]]
+        self.pairs = [(i, j) for i, j, _, _ in rules]
+        self.table = np.array([(0.0, *r[2:], 0.0) for r in rules]).reshape(-1, 4)
+        # per bead j: the code rows of the pairs (i, j) and their beads i
+        first, last = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
+        self.ending = [(np.flatnonzero(last == j), first[last == j]) for j in range(n)]
+        self.below = [math.prod(self.options[t + 1 :]) for t in range(n - 1)]
+
+    def root(self):
+        labels = np.zeros((self.n_beads - 1, 1), dtype=np.int8)
+        coords = np.zeros((self.n_beads, 3, 1), dtype=np.int16)
+        coords[1, :, 0] = self.steps[0][0]
+        return labels, coords, np.zeros((len(self.pairs), 1), dtype=np.int8)
+
+    def place(self, prefixes, t: int) -> np.ndarray:
+        """Codes of bead t+1 against beads 0..t-1, shape (t, labels of turn t, M)."""
+        coords = prefixes[1]
+        r = (coords[:t] - coords[t]).astype(np.float64)
+        square = self.minus2v[t] @ r
+        square += ((r * r).sum(axis=1) + self.offset[t])[:, None, :]
+        return self.code[np.minimum(square, 12, out=square).astype(np.intp)]
+
+    def grow(self, prefixes, t: int):
+        """Extend every prefix by turn t, dropping each child that overlaps.
+
+        Every extension of an overlapping prefix overlaps too; the dropped
+        subtrees' sequences are returned as a count.
+        """
+        near = self.place(prefixes, t)
+        option, parent = np.nonzero((near != 3).all(axis=0))
+        labels, coords, codes = (a[..., parent] for a in prefixes)
+        labels[t] = self.labels[t][option]
+        coords[t + 1] = coords[t] + self.steps[t][labels[t]].T
+        rows, beads = self.ending[t + 1]
+        codes[rows] = near[beads[:, None], option, parent]
+        dropped = self.options[t] * near.shape[2] - parent.size
+        return (labels, coords, codes), dropped * self.below[t]
+
+    def leaves(self, prefixes):
+        """Non-overlap flags and energies of every full-length extension,
+        shape (labels, M).  Pair terms add in ``_pair_rules`` order, as the
+        scalar scorer adds them."""
+        last = self.n_beads - 1
+        near = self.place(prefixes, last - 1)
+        energy = np.zeros(near.shape[1:])
+        for row, (i, j) in enumerate(self.pairs):
+            energy += self.table[row, near[i] if j == last else prefixes[2][row]]
+        return (near != 3).all(axis=0), energy
 
 
-def _coords_for_labels(labels: np.ndarray, lattice: str) -> np.ndarray:
-    m, n_turns = labels.shape
-    if lattice == FCC:
-        steps = FCC_VECTORS[labels]
-    else:
-        signs = np.where(np.arange(n_turns) % 2 == 0, 1, -1)
-        steps = TET_VECTORS[labels] * signs[None, :, None]
-    coords = np.zeros((m, n_turns + 1, 3), dtype=np.int64)
-    np.cumsum(steps, axis=1, out=coords[:, 1:, :])
-    return coords
+def _best(energy: np.ndarray, labels: np.ndarray, k: int):
+    """The k lowest (energy, label column) pairs in (energy, turn string) order.
+
+    Turn strings have one character per label and the characters sort as the
+    labels do, so comparing label columns compares the strings.
+    """
+    order = np.lexsort((*labels[::-1], energy))[:k]
+    return energy[order], labels[:, order]
 
 
-def _energies_for_coords(coords: np.ndarray, rules, config: SearchConfig):
-    """Energies plus a per-row flag marking any self-intersection."""
-    m = coords.shape[0]
-    energy = np.zeros(m)
-    collided = np.zeros(m, dtype=bool)
-    shell1 = 2 if config.lattice == FCC else 1
-    for i, j, e1, e2 in rules:
-        diff = coords[:, j, :] - coords[:, i, :]
-        d2 = np.einsum("mk,mk->m", diff, diff)
-        if config.lattice == TET:
-            d2 = (d2 + (j - i) % 2) // 4
-        hit = d2 == 0
-        collided |= hit
-        contrib = np.zeros(m)
-        contrib[hit] = config.collision_penalty
-        if e1 != 0.0:
-            contrib[d2 == shell1] = e1
-        if e2 != 0.0:
-            contrib[d2 == 2 * shell1] = e2
-        energy += contrib
-    return energy, collided
+def _sweep_span(config: SearchConfig, prefixes, turn: int):
+    """Worker kernel: the best k leaves below prefixes ending at ``turn``.
 
-
-def _turn_text(labels_row, lattice: str) -> str:
-    return TurnSequence(lattice, tuple(int(t) for t in labels_row)).to_string()
-
-
-def _sweep_span(config: SearchConfig, n_beads: int, start: int, stop: int):
-    """Worker kernel: best k (energy, turn string) pairs in [start, stop)."""
-    rules = _pair_rules(config.peptide, config)
-    best: list = []  # max-heap via negated sort key
-    deadline = None
-    if config.max_seconds is not None:
-        deadline = time.monotonic() + config.max_seconds
-    for lo in range(start, stop, config.chunk):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                f"search exceeded {config.max_seconds} s wall budget"
-            )
-        hi = min(lo + config.chunk, stop)
-        indices = np.arange(lo, hi, dtype=np.int64)
-        labels = _labels_for_indices(indices, n_beads, config.lattice)
-        coords = _coords_for_labels(labels, config.lattice)
-        energies, collided = _energies_for_coords(coords, rules, config)
-        cutoff = best[0][0] if len(best) >= config.k else None
-        valid = ~collided & (energies < config.collision_penalty)
-        if cutoff is not None:
-            valid &= energies <= -cutoff[0]
-        for row in np.flatnonzero(valid):
-            e = float(energies[row])
-            if cutoff is not None and e > -cutoff[0]:
-                continue
-            key = (-e, _rev(_turn_text(labels[row], config.lattice)))
-            if len(best) < config.k:
-                heapq.heappush(best, (key, e))
-            else:
-                heapq.heappushpop(best, (key, e))
-            cutoff = best[0][0] if len(best) >= config.k else None
-    out = sorted(((e, _unrev(key[1])) for key, e in best), key=lambda r: (r[0], r[1]))
-    return out, stop - start
-
-
-def _rev(text: str) -> tuple:
-    # lexicographically inverted proxy so a min-heap on negated energy keeps
-    # the record that wins the (energy, turn string) ascending tie-break
-    return tuple(-ord(c) for c in text)
-
-
-def _unrev(key: tuple) -> str:
-    return "".join(chr(-v) for v in key)
+    Returns their energies and label columns, plus the number of sequences
+    visited.  Blocks of prefixes worth at most ``chunk`` sequences are grown
+    to full length one turn at a time.
+    """
+    tree, k = _Tree(config), config.k
+    budget = np.inf if config.max_seconds is None else config.max_seconds
+    deadline = time.monotonic() + budget
+    best = np.empty(0), np.empty((tree.n_beads - 1, 0), dtype=np.int8)
+    visited = 0
+    step = max(1, config.chunk // tree.below[turn])
+    for lo in range(0, prefixes[0].shape[1], step):
+        if time.monotonic() > deadline:
+            raise BudgetExceededError(f"search exceeded {budget} s wall budget")
+        block = tuple(a[..., lo : lo + step] for a in prefixes)
+        for t in range(turn + 1, tree.n_beads - 2):
+            block, dropped = tree.grow(block, t)
+            visited += dropped
+        ok, energy = tree.leaves(block)
+        visited += tree.options[-1] * ok.shape[1]
+        keep = ok & (energy < config.collision_penalty)
+        if best[0].size == k:
+            keep &= energy <= best[0][-1]
+        option, parent = np.nonzero(keep)
+        e = energy[option, parent]
+        if e.size > k:  # the block's k best, ties included
+            tied = e <= np.partition(e, k - 1)[k - 1]
+            option, parent, e = option[tied], parent[tied], e[tied]
+        labels = block[0][:, parent]
+        labels[-1] = tree.labels[-1][option]
+        best = _best(np.concatenate([best[0], e]), np.hstack([best[1], labels]), k)
+    return best, visited
 
 
 def search(config: SearchConfig) -> TopK:
@@ -287,48 +301,34 @@ def search(config: SearchConfig) -> TopK:
     n_beads = len(validate_peptide(config.peptide))
     if n_beads < 3:
         raise EncodingError("need at least 3 beads")
-    total = enumeration_size(config.lattice, n_beads)
+    tree = _Tree(config)
+    prefixes, turn, visited = tree.root(), 0, 0
+    while turn < n_beads - 3 and tree.below[turn] > config.chunk:
+        turn += 1
+        prefixes, dropped = tree.grow(prefixes, turn)
+        visited += dropped
 
-    spans = _partition(total, config.workers)
-    results = []
-    if config.workers == 1 or len(spans) == 1:
-        for start, stop in spans:
-            results.append(_sweep_span(config, n_beads, start, stop))
+    n_spans = min(config.workers, prefixes[0].shape[1])
+    if n_spans == 1:
+        results = [_sweep_span(config, prefixes, turn)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        spans = list(zip(*(np.array_split(a, n_spans, axis=-1) for a in prefixes)))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_sweep_span, config, n_beads, start, stop)
-                for start, stop in spans
-            ]
-            results = [f.result() for f in futures]
-
-    merged: list = []
-    visited = 0
-    for pairs, count in results:
-        merged.extend(pairs)
-        visited += count
-    merged.sort(key=lambda r: (r[0], r[1]))
-    del merged[config.k :]
-
-    records = []
-    for energy, text in merged:
-        seq = turns_from_string(text, config.lattice)
-        bits = pack_configuration(seq) if config.lattice == FCC else text
-        records.append(
-            ConformerRecord(
-                energy=energy, turns=seq, bits=bits, coords=coords_from_turns(seq)
+            results = list(
+                pool.map(_sweep_span, [config] * n_spans, spans, [turn] * n_spans)
             )
-        )
+
+    visited += sum(count for _, count in results)
+    energies, labels = _best(
+        np.concatenate([e for (e, _), _ in results]),
+        np.hstack([rows for (_, rows), _ in results]),
+        config.k,
+    )
+    records = []
+    for e, row in zip(energies, labels.T):
+        seq = TurnSequence(config.lattice, tuple(row.tolist()))
+        bits = pack_configuration(seq) if config.lattice == FCC else seq.to_string()
+        records.append(ConformerRecord(float(e), seq, bits, coords_from_turns(seq)))
     return TopK(k=config.k, records=tuple(records), visited=visited)
-
-
-def _partition(total: int, workers: int):
-    n = min(workers, total) or 1
-    base, extra = divmod(total, n)
-    spans = []
-    start = 0
-    for w in range(n):
-        size = base + (1 if w < extra else 0)
-        spans.append((start, start + size))
-        start += size
-    return spans

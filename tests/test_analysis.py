@@ -124,6 +124,33 @@ def test_decode_flags_overlap():
     assert entry.energy == pytest.approx(19980.58)
 
 
+def loop_flags(seq):
+    """The former pairwise loops: (backtrack, overlap) of a decodable sequence."""
+    coords = coords_from_turns(seq)
+    n = coords.shape[0]
+    backtrack = any(np.array_equal(coords[i], coords[i + 2]) for i in range(n - 2))
+    overlap = any(
+        np.array_equal(coords[i], coords[j])
+        for i in range(n - 3)
+        for j in range(i + 3, n)
+    )
+    return backtrack, overlap
+
+
+def test_decode_flags_equal_pairwise_loops():
+    shots = shots_of({format(m, "09b"): 1 for m in range(1 << 9)})
+    ensemble = decode_samples(shots, LAYOUT4, klvf_energy)
+    assert len(ensemble.entries) == 1 << LAYOUT4.n_config_bits
+    seen = set()
+    for entry in ensemble.entries:
+        if entry.redundant:
+            assert not entry.backtrack and not entry.overlap
+            continue
+        seen.add(loop_flags(entry.turns))
+        assert (entry.backtrack, entry.overlap) == loop_flags(entry.turns)
+    assert seen == {(False, False), (True, False), (False, True)}
+
+
 def test_decode_rejects_wrong_width():
     with pytest.raises(EncodingError):
         decode_samples(shots_of({"000000": 1}), LAYOUT4, klvf_energy)

@@ -289,15 +289,20 @@ def test_console_entry_point():
 
 
 def test_cli_import_and_vqec_build_leave_scipy_unloaded(tmp_path):
-    # only COBYLA needs SciPy, and importing it is most of the start-up time
+    # only COBYLA needs SciPy, and importing it is most of the start-up time;
+    # only a search with several workers needs the process pool
+    pool = "concurrent.futures.process"
     script = (
         "import sys\n"
         "import qfold.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
+        f"assert {pool!r} not in sys.modules, 'import'\n"
         "code = qfold.cli.main(['build', '--peptide', 'KLVF', '--mode', 'vqec',"
         f" '--out', {str(tmp_path)!r}])\n"
         "assert code == 0\n"
         "assert 'scipy' not in sys.modules, 'build'\n"
+        "assert qfold.cli.main(['search', '--peptide', 'KLVF']) == 0\n"
+        f"assert {pool!r} not in sys.modules, 'search'\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120

@@ -1,7 +1,9 @@
-"""Exhaustive search versus an independent recursive enumerator."""
+"""Exhaustive search versus an independent recursive enumerator and the former
+odometer sweep (tests/util.py)."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from qfold.lattice import (
     TET_VECTORS,
     TurnSequence,
     coords_from_turns,
+    pack_configuration,
     turns_from_string,
     unpack_configuration,
 )
-from qfold.scoring import epsilon_table, load_matrix
+from qfold.scoring import RESIDUES, epsilon_table, load_matrix
 from qfold.search import (
     ConformerRecord,
     SearchConfig,
@@ -25,6 +28,7 @@ from qfold.search import (
     enumeration_size,
     search,
 )
+from util import reference_search
 
 MJ = load_matrix("mj1996")
 TURN_CHARS = "0123456789ab"
@@ -284,6 +288,61 @@ def test_chunk_invariance():
     ref = search(config(peptide="GNLVS", k=25))
     assert same_topk(ref, search(config(peptide="GNLVS", k=25, chunk=7)))
     assert same_topk(ref, search(config(peptide="GNLVS", k=25, chunk=484)))
+
+
+@pytest.mark.parametrize("lattice", ["fcc", "tet"])
+@pytest.mark.parametrize("chunk", [1, 7, 11, 121, 10**6])
+def test_split_boundary_invariance(lattice, chunk):
+    # N=7: the block and worker splits fall inside the turn tree
+    base = dict(lattice=lattice, peptide="KLVFFAE", nn_level=2, k=40)
+    ref = search(config(**base))
+    assert ref.visited == enumeration_size(lattice, 7)
+    for workers in (1, 2, 3):
+        assert same_topk(ref, search(config(**base, chunk=chunk, workers=workers)))
+
+
+@pytest.mark.parametrize("lattice", ["fcc", "tet"])
+def test_visited_is_enumeration_size(lattice):
+    for n_beads in range(3, 9):
+        peptide = "KLVFFAEG"[:n_beads]
+        top = search(config(lattice=lattice, peptide=peptide, k=1))
+        assert top.visited == enumeration_size(lattice, n_beads)
+
+
+# --- the prefix sweep against the former odometer sweep ---
+
+
+def assert_same_records(top, want, visited, lattice):
+    """``top`` holds the odometer sweep's records, energies compared with ==."""
+    assert top.visited == visited
+    assert [(r.energy, r.turn_string) for r in top.records] == want
+    for rec in top.records:
+        seq = turns_from_string(rec.turn_string, lattice)
+        assert rec.turns == seq
+        bits = pack_configuration(seq) if lattice == "fcc" else rec.turn_string
+        assert rec.bits == bits
+        assert np.array_equal(rec.coords, coords_from_turns(seq))
+
+
+@pytest.mark.parametrize("lattice", ["fcc", "tet"])
+@pytest.mark.parametrize("matrix_name", ["mj1996", "hp"])
+@pytest.mark.parametrize("nn_level", [1, 2])
+def test_search_equals_odometer_sweep(lattice, matrix_name, nn_level):
+    matrix = load_matrix(matrix_name)
+    rng = np.random.default_rng(["fcc", "tet"].index(lattice) * 4 + nn_level)
+    for n_beads in range(3, 8):
+        peptide = "".join(rng.choice(list(RESIDUES), n_beads))
+        cfg = SearchConfig(lattice, peptide, matrix, nn_level=nn_level)
+        every = enumeration_size(lattice, n_beads) + 1  # more than the valid folds
+        want, visited = reference_search(replace(cfg, k=every))
+        for k in (1, 10, every):
+            assert_same_records(search(replace(cfg, k=k)), want[:k], visited, lattice)
+
+
+def test_search_equals_odometer_sweep_n8():
+    cfg = SearchConfig("fcc", "MCMPKHHR", MJ, k=25, nn_level=2)
+    want, visited = reference_search(cfg)
+    assert_same_records(search(cfg), want, visited, "fcc")
 
 
 def test_prefix_of_larger_k():

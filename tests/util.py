@@ -1,8 +1,21 @@
 """Shared helpers for the test suite."""
 
+import heapq
+import time
+
 import numpy as np
 
 from qfold import lattice as lat
+from qfold.exceptions import BudgetExceededError
+from qfold.lattice import (
+    FCC,
+    FCC_VECTORS,
+    SECOND_TURN_LABELS,
+    TET,
+    TET_VECTORS,
+    TurnSequence,
+)
+from qfold.search import SearchConfig, _pair_rules, enumeration_size
 
 
 def bits_to_mask(bits: str) -> int:
@@ -59,3 +72,131 @@ def reference_f_vector(engine, probs):
     for m, table in enumerate(engine.tables.constraint_tables, start=1):
         out[m] = float(marginal @ table)
     return out
+
+
+# --- the exhaustive search's former mixed-radix odometer sweep, as reference ---
+
+# options[prev]: the 11 labels != inverse(prev), ascending
+_FCC_OPTIONS = np.array(
+    [[l for l in range(12) if l != (p ^ 1)] for p in range(12)], dtype=np.int64
+)
+_SECOND = np.array(SECOND_TURN_LABELS, dtype=np.int64)
+
+
+def _labels_for_indices(indices: np.ndarray, n_beads: int, lattice: str) -> np.ndarray:
+    """Decode odometer indices into (M, N-1) turn label arrays."""
+    m = indices.shape[0]
+    labels = np.zeros((m, n_beads - 1), dtype=np.int64)
+    rem = indices.copy()
+    if lattice == FCC:
+        n_digits = n_beads - 3
+        div = 11**n_digits
+        labels[:, 1] = _SECOND[rem // div]
+        rem %= div
+        for t in range(2, n_beads - 1):
+            div //= 11
+            digit = rem // div
+            rem %= div
+            labels[:, t] = _FCC_OPTIONS[labels[:, t - 1], digit]
+    else:
+        labels[:, 1] = 1  # relative turn of the second bond is fixed
+        n_digits = n_beads - 3
+        div = 3 ** (n_digits - 1) if n_digits else 1
+        for t in range(2, n_beads - 1):
+            digit = rem // div
+            rem %= div
+            div //= 3 if div > 1 else 1
+            labels[:, t] = (digit + labels[:, t - 1] + 1) % 4
+    return labels
+
+
+def _coords_for_labels(labels: np.ndarray, lattice: str) -> np.ndarray:
+    m, n_turns = labels.shape
+    if lattice == FCC:
+        steps = FCC_VECTORS[labels]
+    else:
+        signs = np.where(np.arange(n_turns) % 2 == 0, 1, -1)
+        steps = TET_VECTORS[labels] * signs[None, :, None]
+    coords = np.zeros((m, n_turns + 1, 3), dtype=np.int64)
+    np.cumsum(steps, axis=1, out=coords[:, 1:, :])
+    return coords
+
+
+def _energies_for_coords(coords: np.ndarray, rules, config: SearchConfig):
+    """Energies plus a per-row flag marking any self-intersection."""
+    m = coords.shape[0]
+    energy = np.zeros(m)
+    collided = np.zeros(m, dtype=bool)
+    shell1 = 2 if config.lattice == FCC else 1
+    for i, j, e1, e2 in rules:
+        diff = coords[:, j, :] - coords[:, i, :]
+        d2 = np.einsum("mk,mk->m", diff, diff)
+        if config.lattice == TET:
+            d2 = (d2 + (j - i) % 2) // 4
+        hit = d2 == 0
+        collided |= hit
+        contrib = np.zeros(m)
+        contrib[hit] = config.collision_penalty
+        if e1 != 0.0:
+            contrib[d2 == shell1] = e1
+        if e2 != 0.0:
+            contrib[d2 == 2 * shell1] = e2
+        energy += contrib
+    return energy, collided
+
+
+def _turn_text(labels_row, lattice: str) -> str:
+    return TurnSequence(lattice, tuple(int(t) for t in labels_row)).to_string()
+
+
+def _sweep_span(config: SearchConfig, n_beads: int, start: int, stop: int):
+    """Worker kernel: best k (energy, turn string) pairs in [start, stop)."""
+    rules = _pair_rules(config.peptide, config)
+    best: list = []  # max-heap via negated sort key
+    deadline = None
+    if config.max_seconds is not None:
+        deadline = time.monotonic() + config.max_seconds
+    for lo in range(start, stop, config.chunk):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceededError(
+                f"search exceeded {config.max_seconds} s wall budget"
+            )
+        hi = min(lo + config.chunk, stop)
+        indices = np.arange(lo, hi, dtype=np.int64)
+        labels = _labels_for_indices(indices, n_beads, config.lattice)
+        coords = _coords_for_labels(labels, config.lattice)
+        energies, collided = _energies_for_coords(coords, rules, config)
+        cutoff = best[0][0] if len(best) >= config.k else None
+        valid = ~collided & (energies < config.collision_penalty)
+        if cutoff is not None:
+            valid &= energies <= -cutoff[0]
+        for row in np.flatnonzero(valid):
+            e = float(energies[row])
+            if cutoff is not None and e > -cutoff[0]:
+                continue
+            key = (-e, _rev(_turn_text(labels[row], config.lattice)))
+            if len(best) < config.k:
+                heapq.heappush(best, (key, e))
+            else:
+                heapq.heappushpop(best, (key, e))
+            cutoff = best[0][0] if len(best) >= config.k else None
+    out = sorted(((e, _unrev(key[1])) for key, e in best), key=lambda r: (r[0], r[1]))
+    return out, stop - start
+
+
+def _rev(text: str) -> tuple:
+    # lexicographically inverted proxy so a min-heap on negated energy keeps
+    # the record that wins the (energy, turn string) ascending tie-break
+    return tuple(-ord(c) for c in text)
+
+
+def _unrev(key: tuple) -> str:
+    return "".join(chr(-v) for v in key)
+
+
+def reference_search(config):
+    """The former ``search`` with one worker: sorted (energy, turn string) pairs."""
+    n_beads = len(config.peptide)
+    total = enumeration_size(config.lattice, n_beads)
+    pairs, visited = _sweep_span(config, n_beads, 0, total)
+    return pairs[: config.k], visited
