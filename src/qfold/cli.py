@@ -45,7 +45,7 @@ from .optimize import (
 )
 from .polyfit import fit_family, fit_report
 from .scoring import load_matrix, validate_peptide
-from .search import SearchConfig, conformation_energy, enumeration_size, search
+from .search import SearchConfig, conformation_scorer, enumeration_size, search
 from .sim import Ansatz, ShotTable, bitstring_of, evolve, probabilities, sample
 
 ORACLE_SIZE_CAP = 1_000_000
@@ -440,7 +440,7 @@ def cmd_analyze(args) -> int:
     ensemble = decode_samples(
         table,
         layout,
-        lambda seq: conformation_energy(seq, peptide, score_config),
+        conformation_scorer(peptide, score_config),
         e_star=e_star,
     )
     modal = ensemble.modal

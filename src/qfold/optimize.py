@@ -6,12 +6,16 @@ Two protocols over the same simulator:
   of the conditional value at risk of the exact energy distribution, with
   multistart initialization from a configurable angle window.
 * Primal-dual perturbation for the constrained encoding: each iteration
-  evaluates the constraint expectations and one parameter-shift Jacobian at
-  the current angles, perturbs primal and dual variables, then applies the
-  update step with the perturbed weights.  Cost per iteration is exactly
-  2P + 2 logical circuit evaluations; the current angles and their 2P
-  shifts run in one ``sim.parameter_shift_jacobian`` call, the perturbed
-  angles as one more state.
+  evaluates the constraint expectations and the Lagrangian gradients at the
+  current angles, perturbs primal and dual variables, then applies the
+  update step with the perturbed weights.  Cost per iteration is 2P + 2
+  logical circuit evaluations, the paper's parameter-shift count.  The
+  simulator needs only two products ``jac @ w``.  Up to 12 qubits the
+  current angles and their 2P shifts run in one
+  ``sim.parameter_shift_jacobian`` call; from 13 qubits, where that call
+  runs its circuits one at a time (``sim.block_columns``), both products
+  come from one ``evolve`` and one ``sim.adjoint_gradients`` sweep.  The
+  perturbed angles run as one more ``evolve``.
 
 Expectations never materialize the full 2^n objective diagonal unless the
 CVaR path demands it: the objective splits into a configuration-bit base
@@ -35,11 +39,20 @@ from .exceptions import (
     EncodingError,
 )
 from .hamiltonian import MODE_POLYFIT, MODE_VQEC, InstanceTables, ProblemInstance
-from .sim import Ansatz, evolve, parameter_shift_jacobian, probabilities
+from .sim import (
+    Ansatz,
+    adjoint_gradients,
+    block_columns,
+    evolve,
+    parameter_shift_jacobian,
+    probabilities,
+)
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_NU_GRID = (0.01, 0.05, 0.1, 0.2, 0.5)
 DEFAULT_MU_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
+# summed positive constraint expectation up to which a grid run counts as feasible
+FEASIBLE_TOL = 1e-6
 QUADRANTS = (
     (0.0, math.pi / 2.0),
     (math.pi / 2.0, math.pi),
@@ -113,6 +126,27 @@ class ExpectationEngine:
             for m, table in enumerate(self.tables.constraint_tables, start=1):
                 out[col, m] = float(marginal.dot(table))
         return out if probs.ndim == 2 else out[0]
+
+    def costate(self, state: np.ndarray, weights) -> np.ndarray:
+        """``D_w * state`` for the weighted diagonal D_w = sum_m w_m F_m.
+
+        F_0 is the objective and F_1.. the constraints, as in ``f_vector``.
+        D_w is built in the result buffer from the configuration tables: row
+        0 of the (ancilla, configuration) grid is the weighted base and
+        constraint tables, and each ancilla doubles the rows filled so far by
+        adding its pair table.
+        """
+        weights = np.asarray(weights, dtype=float)
+        out = np.empty(1 << self.n_vars)
+        grid = out.reshape(1 << self.n_ancillas, 1 << self.n_config)
+        np.multiply(self.tables.base_table, weights[0], out=grid[0])
+        for weight, table in zip(weights[1:], self.tables.constraint_tables):
+            grid[0] += weight * table
+        for j in range(self.n_ancillas):
+            pair = weights[0] * self.tables.pair_tables[self.n_config + j]
+            np.add(grid[: 1 << j], pair, out=grid[1 << j : 2 << j])
+        out *= state
+        return out
 
     def cvar_objective(self, probs: np.ndarray, alpha: float) -> float:
         """Tail mean over the exact full-basis energy distribution."""
@@ -301,20 +335,38 @@ def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
 # ---------------------------------------------------------------------------
 
 
+def _f_of_states(engine, states):
+    return engine.f_vector(probabilities(states))
+
+
+def _value_and_vjp(engine, ansatz, theta):
+    """F at ``theta`` and a function mapping weight vectors to ``jac @ w``.
+
+    Up to 12 qubits the parameter-shift Jacobian is bit-identical to the
+    shifted circuits; from 13 qubits one adjoint sweep gives every product.
+    """
+    if block_columns(ansatz.n_qubits) > 1:
+        f_here, jac = parameter_shift_jacobian(
+            ansatz, theta, lambda states: _f_of_states(engine, states), with_value=True
+        )
+        return f_here, lambda *weights: [jac @ w for w in weights]
+    state = evolve(ansatz, theta)
+
+    def vjp(*weights):
+        costates = [engine.costate(state, w) for w in weights]
+        return adjoint_gradients(ansatz, theta, state, costates)
+
+    return _f_of_states(engine, state), vjp
+
+
 def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace, budget=None):
     """One seeded run; returns (theta, duals, final F vector)."""
     theta = np.asarray(theta0, dtype=float).copy()
     duals = np.zeros(engine.n_constraints)
-
-    def f_of_states(states):
-        return engine.f_vector(probabilities(states))
-
     for _ in range(cfg.max_iterations):
         if budget is not None:
             budget.check()
-        f_here, jac = parameter_shift_jacobian(
-            ansatz, theta, f_of_states, with_value=True
-        )
+        f_here, vjp = _value_and_vjp(engine, ansatz, theta)
         lagrangian = float(f_here[0] + duals @ f_here[1:])
         if not np.isfinite(lagrangian) or abs(lagrangian) > cfg.divergence_ceiling:
             raise DivergenceError(
@@ -322,12 +374,12 @@ def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace, budget=None):
             )
 
         weights = np.concatenate(([1.0], duals))
-        theta_pert = np.clip(theta - nu * (jac @ weights), 0.0, TWO_PI)
         duals_pert = np.maximum(duals + nu * f_here[1:], 0.0)
-
         weights_pert = np.concatenate(([1.0], duals_pert))
-        theta_next = np.clip(theta - mu * (jac @ weights_pert), 0.0, TWO_PI)
-        f_pert = f_of_states(evolve(ansatz, theta_pert))
+        step, step_pert = vjp(weights, weights_pert)
+        theta_pert = np.clip(theta - nu * step, 0.0, TWO_PI)
+        theta_next = np.clip(theta - mu * step_pert, 0.0, TWO_PI)
+        f_pert = _f_of_states(engine, evolve(ansatz, theta_pert))
         duals = np.maximum(duals + mu * f_pert[1:], 0.0)
         theta = theta_next
 
@@ -338,7 +390,7 @@ def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace, budget=None):
             lagrangian=lagrangian,
             dual=duals,
         )
-    return theta, duals, f_of_states(evolve(ansatz, theta))
+    return theta, duals, _f_of_states(engine, evolve(ansatz, theta))
 
 
 def run_vqec_pdp(instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig):
@@ -387,8 +439,11 @@ class GridEntry:
     duals: tuple = ()
 
     def sort_key(self):
+        # feasible runs first: a violated constraint lowers the Lagrangian
+        # through its dual, which bounds nothing about the constrained optimum
         return (
             self.diverged,
+            self.violation > FEASIBLE_TOL,
             self.lagrangian,
             self.violation,
             -self.ground_probability,

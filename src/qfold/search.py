@@ -36,7 +36,7 @@ from .lattice import (
     TurnSequence,
     coords_from_turns,
     pack_configuration,
-    pair_squared_distance,
+    squared_distance_matrix,
 )
 from .scoring import EnergyMatrix, pair_energy, validate_peptide
 
@@ -133,28 +133,41 @@ def _pair_rules(peptide: str, config: SearchConfig):
     return rules
 
 
-def conformation_energy(conf, peptide: str, config: SearchConfig) -> float:
-    """Score one conformation; overlaps add the collision penalty.
+def conformation_scorer(peptide: str, config: SearchConfig):
+    """``conf -> energy`` for one peptide, with the pair rules built once.
 
-    ``conf`` is either a TurnSequence or an integer coordinate array.
-    FCC scores pairs j - i >= 2 at d^2 = 2 (and d^2 = 4 at nn_level 2);
-    tetrahedral chains score pairs j - i >= 5, odd separations at d^2 = 1
-    and (at nn_level 2) d^2 = 2 contacts.
+    ``conf`` is either a TurnSequence or an integer coordinate array;
+    overlaps add the collision penalty.  FCC scores pairs j - i >= 2 at
+    d^2 = 2 (and d^2 = 4 at nn_level 2); tetrahedral chains score pairs
+    j - i >= 5, odd separations at d^2 = 1 and (at nn_level 2) d^2 = 2
+    contacts.  Terms add in ``_pair_rules`` order.
     """
-    coords = conf if isinstance(conf, np.ndarray) else coords_from_turns(conf)
-    if coords.shape[0] != len(peptide):
-        raise EncodingError("conformation length differs from peptide length")
+    rules = _pair_rules(peptide, config)
+    n_beads = len(peptide)
     shell1 = 2 if config.lattice == FCC else 1
-    energy = 0.0
-    for i, j, e1, e2 in _pair_rules(peptide, config):
-        d2 = pair_squared_distance(coords, i, j, config.lattice)
-        if d2 == 0:
-            energy += config.collision_penalty
-        elif d2 == shell1 and e1 != 0.0:
-            energy += e1
-        elif d2 == 2 * shell1 and e2 != 0.0:
-            energy += e2
-    return energy
+
+    def score(conf) -> float:
+        coords = conf if isinstance(conf, np.ndarray) else coords_from_turns(conf)
+        if coords.shape[0] != n_beads:
+            raise EncodingError("conformation length differs from peptide length")
+        squared = squared_distance_matrix(coords, config.lattice).tolist()
+        energy = 0.0
+        for i, j, e1, e2 in rules:
+            d2 = squared[i][j]
+            if d2 == 0:
+                energy += config.collision_penalty
+            elif d2 == shell1 and e1 != 0.0:
+                energy += e1
+            elif d2 == 2 * shell1 and e2 != 0.0:
+                energy += e2
+        return energy
+
+    return score
+
+
+def conformation_energy(conf, peptide: str, config: SearchConfig) -> float:
+    """Score one conformation (``conformation_scorer``, built for one call)."""
+    return conformation_scorer(peptide, config)(conf)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,14 @@ few block passes; from n = 13 (one circuit per chunk) no shared prefix is
 recomputed, so it takes P * (P + 2) rotations instead of (2P + 1) * P.
 Every column is bit-identical to a single ``evolve``.
 
+``adjoint_gradients`` is the other derivative: the gradients of a few
+weighted diagonal expectations <psi|D_w|psi>, which is what a vector-Jacobian
+product ``jac @ w`` of diagonal observables asks for.  It sweeps the circuit
+backward once from ``evolve``'s final state, un-applying each gate to the
+state and to one co-state D_w psi per weight vector, so its cost does not
+depend on P or on the number of observables.  It agrees with the shifted
+circuits to rounding, not bit for bit.
+
 Small qubits give NumPy short inner runs (2^q amplitudes per column), so
 the kernel keeps two layouts of the index.  Layout A is the natural order;
 layout B rotates qubits 0..k-1 (k = n // 2) to the top bits.  Each rotation
@@ -28,8 +36,8 @@ contiguous amplitudes, and since only data moves, the amplitudes equal the
 natural-layout gate loop bit for bit.
 
 Provides diagonal expectations, conditional value at risk over the energy
-distribution, seeded multinomial shot sampling, and parameter-shift
-gradients and Jacobians.
+distribution, seeded multinomial shot sampling, parameter-shift gradients
+and Jacobians, and adjoint gradients of diagonal expectations.
 """
 
 from __future__ import annotations
@@ -392,3 +400,64 @@ def parameter_shift_gradient(ansatz: Ansatz, params, objective) -> np.ndarray:
         return [objective(np.ascontiguousarray(col)) for col in states.T]
 
     return parameter_shift_jacobian(ansatz, params, block_objective)
+
+
+def _ry_pi_overlap(costate: np.ndarray, state: np.ndarray, bit: int) -> float:
+    # <costate| Ry(pi) on index bit ``bit`` |state>: sum(lam_hi psi_lo - lam_lo psi_hi)
+    lam = costate.reshape(-1, 2, 1 << bit)
+    psi = state.reshape(-1, 2, 1 << bit)
+    return float(
+        np.einsum("ij,ij->", lam[:, 1], psi[:, 0])
+        - np.einsum("ij,ij->", lam[:, 0], psi[:, 1])
+    )
+
+
+def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
+    """Gradients of diagonal expectations by one backward sweep.
+
+    ``state`` is ``evolve(ansatz, params)`` and each co-state is ``D_w *
+    state`` for a real diagonal D_w in natural index order.  Row w of the
+    ``(len(costates), n_params)`` result is the gradient of <psi|D_w|psi>;
+    for D_w = sum_m w_m D_m it equals ``parameter_shift_jacobian(...) @ w``
+    to rounding.
+
+    The sweep walks the gates backward.  Gate g rotates qubit q by theta_g,
+    so d<psi|D_w|psi>/d theta_g = <lambda_g| Ry(pi)_q |psi_g>, with psi_g
+    and lambda_g the state and co-state just after gate g.  Both are then
+    carried back past gate g by Ry(-theta_g), and past the layout moves
+    before it: the switch to layout A by the inverse transpose, and the
+    chain gather by a scatter through the same cached index.  ``state`` and
+    the co-states are overwritten; the sweep keeps one spare state besides
+    them.
+    """
+    params = _check_params(ansatz, params)
+    n = ansatz.n_qubits
+    k = n // 2
+    chain = _chain_gather(n)
+    cos, sin = _half_angle_factors(params[:, None])
+    arrays = [np.asarray(a, dtype=float).reshape(-1, 1) for a in (state, *costates)]
+    if any(a.shape != (1 << n, 1) for a in arrays):
+        raise EncodingError("state and co-states must hold 2^n amplitudes")
+    spare = np.empty_like(arrays[0])
+    grads = np.empty((len(costates), ansatz.n_params))
+    for gate in reversed(range(ansatz.n_params)):
+        layer, q = divmod(gate, n)
+        bit = q + n - k if q < k else q
+        for w, costate in enumerate(arrays[1:]):
+            grads[w, gate] = _ry_pi_overlap(costate, arrays[0], bit)
+        for a in arrays:
+            _apply_ry(a, bit, cos[gate], -sin[gate])
+        if q == k:
+            # layout A back to B: the inverse of the transposed copy
+            for i, a in enumerate(arrays):
+                np.copyto(
+                    spare.reshape(1 << k, 1 << (n - k), 1),
+                    a.reshape(1 << (n - k), 1 << k, 1).transpose(1, 0, 2),
+                )
+                arrays[i], spare = spare, a
+        if layer and q == 0:
+            # undo the chain gather: new[i] = old[chain[i]]
+            for i, a in enumerate(arrays):
+                spare.reshape(-1)[chain] = a.reshape(-1)
+                arrays[i], spare = spare, a
+    return grads

@@ -29,10 +29,12 @@ from qfold.scoring import RESIDUES, load_matrix
 from qfold.search import SearchConfig, search
 from qfold.sim import (
     Ansatz,
+    adjoint_gradients,
     cvar,
     evolve,
     evolve_block,
     expectation_diagonal,
+    parameter_shift_jacobian,
     probabilities,
 )
 from util import reference_f_vector
@@ -362,6 +364,87 @@ def test_pdp_evaluation_count(monkeypatch):
     assert len(circuits) == iterations * (chunks + 1) + final_metrics
 
 
+def random_vqec(n_beads, seed):
+    rng = np.random.default_rng(seed)
+    peptide = "".join(rng.choice(list(RESIDUES), n_beads))
+    instance = assemble("vqec", EncodingLayout(n_beads), peptide, MJ)
+    return instance, Ansatz(instance.n_qubits, layers=2), rng
+
+
+def test_costate_is_weighted_full_diagonal_times_state():
+    engine = ExpectationEngine(VQEC)
+    rows = 1 << engine.n_ancillas
+    constraints = [np.tile(t, rows) for t in engine.tables.constraint_tables]
+    state = random_state(8, engine.n_vars)
+    rng = np.random.default_rng(8)
+    objective_only = [1.0] + [0.0] * len(constraints)
+    for weights in (objective_only, rng.uniform(0.0, 3.0, 1 + len(constraints))):
+        diag = weights[0] * engine.tables.full_diagonal()
+        for w, table in zip(weights[1:], constraints):
+            diag = diag + w * table
+        assert np.abs(engine.costate(state, weights) - diag * state).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_adjoint_vjp_equals_jacobian_products_at_16_qubits(seed):
+    instance, ansatz, rng = random_vqec(5, seed)
+    engine = ExpectationEngine(instance)
+    theta = rng.uniform(0.0, TWO_PI, ansatz.n_params)
+    jac = parameter_shift_jacobian(
+        ansatz, theta, lambda states: engine.f_vector(probabilities(states))
+    )
+    zero_duals = np.zeros(1 + engine.n_constraints)
+    zero_duals[0] = 1.0
+    active = np.concatenate(([1.0], rng.uniform(0.1, 3.0, engine.n_constraints)))
+    state = evolve(ansatz, theta)
+    costates = [engine.costate(state, w) for w in (zero_duals, active)]
+    grads = adjoint_gradients(ansatz, theta, state, costates)
+    for grad, w in zip(grads, (zero_duals, active)):
+        assert np.abs(grad - jac @ w).max() <= 1e-10
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n_qubits)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_pdp_dispatch_by_width(monkeypatch):
+    import qfold.optimize as optimize
+
+    shift = count_calls(monkeypatch, optimize, "parameter_shift_jacobian")
+    adjoint = count_calls(monkeypatch, optimize, "adjoint_gradients")
+    cfg = VqecConfig(nu=0.05, mu=0.5, restarts=1, max_iterations=2, seed=1)
+    run_vqec_pdp(VQEC, ANSATZ, cfg)
+    assert shift == [9, 9] and adjoint == []
+    instance, ansatz, _ = random_vqec(5, 0)
+    run_vqec_pdp(instance, ansatz, cfg)
+    assert shift == [9, 9] and adjoint == [16, 16]
+
+
+def test_pdp_adjoint_iteration_agrees_with_shift_path(monkeypatch):
+    import qfold.optimize as optimize
+
+    instance, ansatz, rng = random_vqec(5, 3)
+    engine = ExpectationEngine(instance)
+    cfg = VqecConfig(nu=0.1, mu=1.0, restarts=1, max_iterations=1, seed=0)
+    theta0 = rng.uniform(0.0, TWO_PI, ansatz.n_params)
+    adjoint = _pdp_run(engine, ansatz, theta0, cfg.nu, cfg.mu, cfg, OptTrace())
+    # the dispatch reads the block width: report blocks to force the shift path
+    monkeypatch.setattr(optimize, "block_columns", lambda n_qubits: 2)
+    shifted = _pdp_run(engine, ansatz, theta0, cfg.nu, cfg.mu, cfg, OptTrace())
+    assert np.abs(adjoint[0] - shifted[0]).max() <= 1e-10
+    assert np.abs(adjoint[1] - shifted[1]).max() <= 1e-10
+    assert np.abs(adjoint[2] - shifted[2]).max() <= 1e-10
+    assert not np.array_equal(adjoint[0], theta0)
+
+
 def test_pdp_recovers_ground():
     cfg = VqecConfig(nu=0.01, mu=0.5, restarts=3, max_iterations=150, seed=0)
     params, duals, trace = run_vqec_pdp(VQEC, ANSATZ, cfg)
@@ -415,6 +498,18 @@ def test_grid_ranking_deterministic_and_order_free():
     shuffled = entries[:]
     random.Random(4).shuffle(shuffled)
     assert sorted(shuffled, key=GridEntry.sort_key) == ranked
+
+
+def test_grid_ranks_feasible_entries_before_lower_lagrangians():
+    # a violated constraint lowers the Lagrangian through its dual; that is
+    # no bound on the constrained optimum, so it must not outrank feasibility
+    violating = GridEntry(0.05, 0.1, 4, -10.0, -11.54, 0.506, 0.0, False)
+    feasible = GridEntry(0.01, 0.5, 4, -8.47, -8.47, 0.0, 0.645, False)
+    within_tol = GridEntry(0.2, 0.5, 0, -8.0, -8.0, 1e-7, 0.5, False)
+    diverged = GridEntry(0.5, 5.0, 0, math.inf, math.inf, math.inf, 0.0, True)
+    entries = [diverged, violating, within_tol, feasible]
+    ranked = sorted(entries, key=GridEntry.sort_key)
+    assert ranked == [feasible, within_tol, violating, diverged]
 
 
 def test_grid_report_json():

@@ -25,10 +25,11 @@ from qfold.search import (
     SearchConfig,
     TopK,
     conformation_energy,
+    conformation_scorer,
     enumeration_size,
     search,
 )
-from util import reference_search
+from util import reference_conformation_energy, reference_search
 
 MJ = load_matrix("mj1996")
 TURN_CHARS = "0123456789ab"
@@ -200,6 +201,34 @@ def test_energy_matches_oracle_everywhere_tet():
         assert conformation_energy(seq, "KLVFFA", cfg) == pytest.approx(
             want, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("lattice", ["fcc", "tet"])
+@pytest.mark.parametrize("matrix_name", ["mj1996", "hp"])
+def test_scorer_equals_former_scalar_scorer(lattice, matrix_name):
+    # random turn labels, backtracks and overlaps included; energies are
+    # compared with ==, for turn sequences and for coordinate arrays
+    rng = np.random.default_rng(len(lattice) + len(matrix_name))
+    labels = 12 if lattice == "fcc" else 4
+    overlaps = 0
+    for n_beads in range(3, 10):
+        peptide = "".join(rng.choice(list(RESIDUES), n_beads))
+        for nn_level in (1, 2):
+            cfg = config(
+                lattice=lattice,
+                peptide=peptide,
+                matrix=load_matrix(matrix_name),
+                nn_level=nn_level,
+            )
+            score = conformation_scorer(peptide, cfg)
+            for _ in range(40):
+                seq = TurnSequence(lattice, tuple(rng.integers(0, labels, n_beads - 1)))
+                want = reference_conformation_energy(seq, peptide, cfg)
+                overlaps += want >= cfg.collision_penalty
+                assert score(seq) == want
+                assert score(coords_from_turns(seq)) == want
+                assert conformation_energy(seq, peptide, cfg) == want
+    assert overlaps > 0
 
 
 def test_length_mismatch_rejected():

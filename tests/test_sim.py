@@ -15,6 +15,7 @@ from qfold import sim
 from qfold.sim import (
     Ansatz,
     ShotTable,
+    adjoint_gradients,
     bitstring_of,
     block_columns,
     cvar,
@@ -504,6 +505,53 @@ def test_jacobian_rotation_count_shares_the_centre_prefix(monkeypatch):
     )
     p = ansatz.n_params
     assert len(calls) == p * (p + 2) == 1599
+
+
+# --- adjoint gradients: jac @ w from one backward sweep ---
+
+
+def assert_adjoint_equals_jacobian_products(ansatz, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_params)
+    diags = rng.normal(size=(1 << ansatz.n_qubits, 3))
+    jac = parameter_shift_jacobian(
+        ansatz, theta, lambda states: probabilities(states).T @ diags
+    )
+    # the objective alone (inactive duals), then positive duals on the rest
+    weights = [np.array([1.0, 0.0, 0.0]), np.array([1.0, *rng.uniform(0.1, 3.0, 2)])]
+    state = evolve(ansatz, theta)
+    costates = [(diags @ w) * state for w in weights]
+    grads = adjoint_gradients(ansatz, theta, state, costates)
+    assert grads.shape == (2, ansatz.n_params)
+    for grad, w in zip(grads, weights):
+        assert np.abs(grad - jac @ w).max() <= 1e-10
+
+
+# k = n // 2 is 0 at one qubit, so the layout switch is the identity there
+@pytest.mark.parametrize(
+    "n, layers", [(1, 0), (1, 2), (2, 1), (3, 2), (5, 0), (9, 3), (13, 2)]
+)
+def test_adjoint_gradients_equal_jacobian_products(n, layers):
+    assert_adjoint_equals_jacobian_products(Ansatz(n, layers=layers), 100 * n + layers)
+
+
+def test_adjoint_gradients_single_qubit_analytic():
+    # <Z> after Ry(theta) is cos(theta): the gradient is -sin(theta)
+    ansatz = Ansatz(1, layers=0)
+    theta = np.array([0.7])
+    state = evolve(ansatz, theta)
+    z = np.array([1.0, -1.0])
+    grads = adjoint_gradients(ansatz, theta, state, [z * state])
+    assert grads[0, 0] == pytest.approx(-math.sin(0.7), abs=1e-15)
+
+
+def test_adjoint_gradients_reject_wrong_widths():
+    ansatz = Ansatz(3, layers=1)
+    theta = np.zeros(ansatz.n_params)
+    with pytest.raises(ParamLengthError):
+        adjoint_gradients(ansatz, theta[:-1], evolve(ansatz, theta), [])
+    with pytest.raises(EncodingError):
+        adjoint_gradients(ansatz, theta, evolve(ansatz, theta), [np.zeros(4)])
 
 
 # --- layout-switching kernel: bit-identical to the natural-layout loop ---

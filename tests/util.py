@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from qfold import lattice as lat
-from qfold.exceptions import BudgetExceededError
+from qfold.exceptions import BudgetExceededError, EncodingError
 from qfold.lattice import (
     FCC,
     FCC_VECTORS,
@@ -47,6 +47,24 @@ def geometric_fcc_energy(seq, eps, nn_level=1):
             elif d2 == 4 and nn_level >= 2:
                 energy += eps[i, j] / np.sqrt(2)
     return energy, valid
+
+
+def reference_conformation_energy(conf, peptide: str, config: SearchConfig) -> float:
+    """The former scalar scorer: rules rebuilt per call, one pair at a time."""
+    coords = conf if isinstance(conf, np.ndarray) else lat.coords_from_turns(conf)
+    if coords.shape[0] != len(peptide):
+        raise EncodingError("conformation length differs from peptide length")
+    shell1 = 2 if config.lattice == FCC else 1
+    energy = 0.0
+    for i, j, e1, e2 in _pair_rules(peptide, config):
+        d2 = lat.pair_squared_distance(coords, i, j, config.lattice)
+        if d2 == 0:
+            energy += config.collision_penalty
+        elif d2 == shell1 and e1 != 0.0:
+            energy += e1
+        elif d2 == 2 * shell1 and e2 != 0.0:
+            energy += e2
+    return energy
 
 
 def decodable_masks(n_beads):
