@@ -48,7 +48,9 @@ from .scoring import load_matrix, validate_peptide
 from .search import SearchConfig, conformation_scorer, enumeration_size, search
 from .sim import Ansatz, ShotTable, bitstring_of, evolve, probabilities, sample
 
-ORACLE_SIZE_CAP = 1_000_000
+# `analyze --oracle` runs exhaustive search up to N = 9 (4 * 11^6 = 7,086,244
+# sequences, about 1.5 s); N = 10 has 11 times as many
+ORACLE_SIZE_CAP = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +351,7 @@ def cmd_vqec(args) -> int:
             f"best_nu={best.nu} best_mu={best.mu} restart={best.restart}"
         )
         final = {"lagrangian": best.lagrangian, "violation": best.violation}
+        evaluations = report.circuit_evaluations
     else:
         params, duals, trace = run_vqec_pdp(instance, ansatz, cfg)
         engine = ExpectationEngine(instance)
@@ -358,11 +361,13 @@ def cmd_vqec(args) -> int:
             "lagrangian": float(f[0] + np.asarray(duals) @ f[1:]),
             "violation": violation,
         }
+        evaluations = trace.circuit_evaluations
     summary = _summarize_state(instance, ansatz, params)
     print(
         f"lagrangian={final['lagrangian']:.6f} violation={final['violation']:.6f} "
         f"modal={summary['modal_turns']} "
-        f"ground_probability={summary['ground_probability']:.6f}"
+        f"ground_probability={summary['ground_probability']:.6f} "
+        f"circuit_evaluations={evaluations}"
     )
     if args.out is not None:
         payload = {

@@ -9,13 +9,14 @@ Two protocols over the same simulator:
   evaluates the constraint expectations and the Lagrangian gradients at the
   current angles, perturbs primal and dual variables, then applies the
   update step with the perturbed weights.  Cost per iteration is 2P + 2
-  logical circuit evaluations, the paper's parameter-shift count.  The
-  simulator needs only two products ``jac @ w``.  Up to 12 qubits the
-  current angles and their 2P shifts run in one
-  ``sim.parameter_shift_jacobian`` call; from 13 qubits, where that call
-  runs its circuits one at a time (``sim.block_columns``), both products
-  come from one ``evolve`` and one ``sim.adjoint_gradients`` sweep.  The
-  perturbed angles run as one more ``evolve``.
+  logical circuit evaluations, the paper's parameter-shift count, which
+  ``OptTrace.circuit_evaluations`` reports.  The simulator needs only the
+  two products ``jac @ w``, and both come from one ``sim.adjoint_gradients``
+  sweep.  One driver, ``_pdp_runs``, advances up to
+  ``sim.block_columns(n)`` trajectories (restarts, or every grid point's
+  restarts) in lockstep: per iteration one ``evolve_block`` of the current
+  angles, one sweep and one ``evolve_block`` of the perturbed angles, with
+  each column's arithmetic the same bits as running it alone.
 
 Expectations never materialize the full 2^n objective diagonal unless the
 CVaR path demands it: the objective splits into a configuration-bit base
@@ -44,7 +45,7 @@ from .sim import (
     adjoint_gradients,
     block_columns,
     evolve,
-    parameter_shift_jacobian,
+    evolve_block,
     probabilities,
 )
 
@@ -131,19 +132,23 @@ class ExpectationEngine:
         """``D_w * state`` for the weighted diagonal D_w = sum_m w_m F_m.
 
         F_0 is the objective and F_1.. the constraints, as in ``f_vector``.
-        D_w is built in the result buffer from the configuration tables: row
-        0 of the (ancilla, configuration) grid is the weighted base and
-        constraint tables, and each ancilla doubles the rows filled so far by
-        adding its pair table.
+        Takes one state and one weight vector, or a ``(2^n, B)`` block of
+        states and one weight row per column.  D_w is built in the result
+        buffer from the configuration tables: row 0 of the (ancilla,
+        configuration) grid is the weighted base and constraint tables, and
+        each ancilla doubles the rows filled so far by adding its pair
+        table.  Every step is elementwise, so a column's result does not
+        depend on the others.
         """
         weights = np.asarray(weights, dtype=float)
-        out = np.empty(1 << self.n_vars)
-        grid = out.reshape(1 << self.n_ancillas, 1 << self.n_config)
-        np.multiply(self.tables.base_table, weights[0], out=grid[0])
+        weights = weights.reshape(-1, 1 + self.n_constraints).T
+        out = np.empty(state.shape)
+        grid = out.reshape(1 << self.n_ancillas, 1 << self.n_config, -1)
+        np.multiply(self.tables.base_table[:, None], weights[0], out=grid[0])
         for weight, table in zip(weights[1:], self.tables.constraint_tables):
-            grid[0] += weight * table
+            grid[0] += weight * table[:, None]
         for j in range(self.n_ancillas):
-            pair = weights[0] * self.tables.pair_tables[self.n_config + j]
+            pair = weights[0] * self.tables.pair_tables[self.n_config + j][:, None]
             np.add(grid[: 1 << j], pair, out=grid[1 << j : 2 << j])
         out *= state
         return out
@@ -232,6 +237,10 @@ class OptTrace:
     snapshots: list = field(default_factory=list)
     lagrangians: list = field(default_factory=list)
     duals: list = field(default_factory=list)
+    # logical circuit evaluations, the paper's cost: one per CVaR objective,
+    # 2P + 2 per primal-dual iteration and one per final state, whatever
+    # the simulator ran to get them
+    circuit_evaluations: int = 0
 
     def record(self, objective, params=None, every=0, lagrangian=None, dual=None):
         index = len(self.objectives)
@@ -304,6 +313,7 @@ def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
     def objective(params):
         budget.check()
         probs = probabilities(evolve(ansatz, params))
+        trace.circuit_evaluations += 1
         value = engine.cvar_objective(probs, cfg.alpha)
         trace.record(value, params=params, every=cfg.snapshot_every)
         return value
@@ -335,62 +345,140 @@ def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
 # ---------------------------------------------------------------------------
 
 
-def _f_of_states(engine, states):
-    return engine.f_vector(probabilities(states))
+@dataclass
+class _Run:
+    """One primal-dual trajectory: its final iterate, or that it diverged."""
+
+    theta: np.ndarray | None = None
+    duals: np.ndarray | None = None
+    f_final: np.ndarray | None = None
+    ground_probability: float = 0.0
+    diverged: bool = False
+    evaluations: int = 0
+    rows: list = field(default_factory=list)
+
+    @property
+    def lagrangian(self) -> float:
+        return float(self.f_final[0] + self.duals @ self.f_final[1:])
 
 
-def _value_and_vjp(engine, ansatz, theta):
-    """F at ``theta`` and a function mapping weight vectors to ``jac @ w``.
+def _pdp_block(engine, ansatz, starts, steps, cfg, budget, drop_diverged):
+    """Advance the trajectories ``starts[j]`` at ``steps[j] = (nu, mu)`` in lockstep.
 
-    Up to 12 qubits the parameter-shift Jacobian is bit-identical to the
-    shifted circuits; from 13 qubits one adjoint sweep gives every product.
+    The angles are one ``(P, B)`` block.  An iteration is one
+    ``evolve_block`` of the current angles, ``f_vector`` and two co-states
+    per column, one adjoint sweep for both ``jac @ w`` products of every
+    column, and one ``evolve_block`` of the perturbed angles.  Every step is
+    elementwise or a per-column reduction, so a trajectory's iterates are
+    the same bits at any block width.  A column whose Lagrangian leaves the
+    divergence ceiling raises ``DivergenceError``, or with ``drop_diverged``
+    leaves the block.
     """
-    if block_columns(ansatz.n_qubits) > 1:
-        f_here, jac = parameter_shift_jacobian(
-            ansatz, theta, lambda states: _f_of_states(engine, states), with_value=True
+    runs = [_Run() for _ in starts]
+    live = list(range(len(starts)))
+    theta = np.array(starts, dtype=float).T
+    steps = np.array(steps, dtype=float)
+    duals = np.zeros((len(starts), engine.n_constraints))
+    per_iteration = 2 * ansatz.n_params + 2
+    for _ in range(cfg.max_iterations):
+        if budget is not None:
+            budget.check()
+        states = evolve_block(ansatz, theta)
+        f_here = engine.f_vector(probabilities(states))
+        # one dot per contiguous row, as in f_vector, so that no column's
+        # value depends on its neighbours
+        lagrangian = [float(f[0] + d @ f[1:]) for f, d in zip(f_here, duals)]
+        ceiling = cfg.divergence_ceiling
+        bad = [not math.isfinite(v) or abs(v) > ceiling for v in lagrangian]
+        if any(bad):
+            if not drop_diverged:
+                value = lagrangian[bad.index(True)]
+                raise DivergenceError(
+                    f"lagrangian {value!r} exceeded ceiling {ceiling}"
+                )
+            keep = np.logical_not(bad)
+            for j in np.flatnonzero(bad):
+                runs[live[j]].diverged = True
+            live = [c for c, k in zip(live, keep) if k]
+            if not live:
+                return runs
+            theta, states = theta[:, keep], states[:, keep]
+            f_here, duals, steps = f_here[keep], duals[keep], steps[keep]
+            lagrangian = [v for v, k in zip(lagrangian, keep) if k]
+        nu, mu = steps[:, 0], steps[:, 1]
+
+        ones = np.ones((len(live), 1))
+        duals_pert = np.maximum(duals + nu[:, None] * f_here[:, 1:], 0.0)
+        # the co-states live only for the sweep: at 24 qubits each is 128 MiB
+        step, step_pert = adjoint_gradients(
+            ansatz,
+            theta,
+            states,
+            [engine.costate(states, np.hstack((ones, d))) for d in (duals, duals_pert)],
         )
-        return f_here, lambda *weights: [jac @ w for w in weights]
-    state = evolve(ansatz, theta)
+        theta_pert = np.clip(theta - nu * step, 0.0, TWO_PI)
+        theta_next = np.clip(theta - mu * step_pert, 0.0, TWO_PI)
+        f_pert = engine.f_vector(probabilities(evolve_block(ansatz, theta_pert)))
+        duals = np.maximum(duals + mu[:, None] * f_pert[:, 1:], 0.0)
+        theta = theta_next
+        for j, c in enumerate(live):
+            runs[c].evaluations += per_iteration
+            runs[c].rows.append(
+                (f_here[j, 0], theta[:, j].copy(), lagrangian[j], duals[j].copy())
+            )
 
-    def vjp(*weights):
-        costates = [engine.costate(state, w) for w in weights]
-        return adjoint_gradients(ansatz, theta, state, costates)
+    probs = probabilities(evolve_block(ansatz, theta))
+    f_final = engine.f_vector(probs)
+    for j, c in enumerate(live):
+        run = runs[c]
+        run.theta = theta[:, j].copy()
+        run.duals = duals[j].copy()
+        run.f_final = f_final[j].copy()
+        run.ground_probability = engine.ground_probability(
+            np.ascontiguousarray(probs[:, j])
+        )
+        run.evaluations += 1
+    return runs
 
-    return _f_of_states(engine, state), vjp
+
+def _pdp_runs(
+    engine, ansatz, starts, steps, cfg, budget=None, trace=None, drop_diverged=False
+):
+    """The primal-dual driver: one run per row of ``starts`` and ``steps``.
+
+    Runs go through ``_pdp_block`` in blocks of ``block_columns(n)``
+    trajectories (64 up to 10 qubits, 32 up to 12, one from 13), in row
+    order.  With ``trace``, each run's iterations are recorded in it one run
+    after the other, and its logical circuit evaluations are added to the
+    trace's count.
+    """
+    if ansatz.n_qubits != engine.n_vars:
+        raise EncodingError("ansatz width does not match the instance")
+    width = block_columns(ansatz.n_qubits)
+    runs = []
+    for first in range(0, len(starts), width):
+        runs += _pdp_block(
+            engine, ansatz, starts[first : first + width], steps[first : first + width],
+            cfg, budget, drop_diverged,
+        )
+    if trace is not None:
+        for run in runs:
+            for objective, theta, lagrangian, duals in run.rows:
+                trace.record(
+                    objective,
+                    params=theta,
+                    every=cfg.snapshot_every,
+                    lagrangian=lagrangian,
+                    dual=duals,
+                )
+            trace.circuit_evaluations += run.evaluations
+    return runs
 
 
 def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace, budget=None):
     """One seeded run; returns (theta, duals, final F vector)."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    duals = np.zeros(engine.n_constraints)
-    for _ in range(cfg.max_iterations):
-        if budget is not None:
-            budget.check()
-        f_here, vjp = _value_and_vjp(engine, ansatz, theta)
-        lagrangian = float(f_here[0] + duals @ f_here[1:])
-        if not np.isfinite(lagrangian) or abs(lagrangian) > cfg.divergence_ceiling:
-            raise DivergenceError(
-                f"lagrangian {lagrangian!r} exceeded ceiling {cfg.divergence_ceiling}"
-            )
-
-        weights = np.concatenate(([1.0], duals))
-        duals_pert = np.maximum(duals + nu * f_here[1:], 0.0)
-        weights_pert = np.concatenate(([1.0], duals_pert))
-        step, step_pert = vjp(weights, weights_pert)
-        theta_pert = np.clip(theta - nu * step, 0.0, TWO_PI)
-        theta_next = np.clip(theta - mu * step_pert, 0.0, TWO_PI)
-        f_pert = _f_of_states(engine, evolve(ansatz, theta_pert))
-        duals = np.maximum(duals + mu * f_pert[1:], 0.0)
-        theta = theta_next
-
-        trace.record(
-            f_here[0],
-            params=theta,
-            every=cfg.snapshot_every,
-            lagrangian=lagrangian,
-            dual=duals,
-        )
-    return theta, duals, _f_of_states(engine, evolve(ansatz, theta))
+    (run,) = _pdp_runs(engine, ansatz, [theta0], [(nu, mu)], cfg, budget, trace)
+    return run.theta, run.duals, run.f_final
 
 
 def run_vqec_pdp(instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig):
@@ -401,23 +489,17 @@ def run_vqec_pdp(instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig):
     """
     if instance.mode != MODE_VQEC:
         raise EncodingError("the primal-dual loop drives the constrained mode only")
-    if ansatz.n_qubits != instance.n_qubits:
-        raise EncodingError("ansatz width does not match the instance")
     engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(0.0, TWO_PI, (cfg.restarts, ansatz.n_params))
-    budget = _Budget(cfg.max_seconds)
     trace = OptTrace()
-    best = None
-    for restart in range(cfg.restarts):
-        theta, duals, f_final = _pdp_run(
-            engine, ansatz, starts[restart], cfg.nu, cfg.mu, cfg, trace, budget
-        )
-        lagrangian = float(f_final[0] + duals @ f_final[1:])
-        if best is None or lagrangian < best[0]:
-            best = (lagrangian, theta, duals)
-    trace.snapshots.append((len(trace.objectives), tuple(map(float, best[1]))))
-    return best[1], best[2], trace
+    runs = _pdp_runs(
+        engine, ansatz, starts, [(cfg.nu, cfg.mu)] * cfg.restarts, cfg,
+        _Budget(cfg.max_seconds), trace,
+    )
+    best = min(runs, key=lambda run: run.lagrangian)
+    trace.snapshots.append((len(trace.objectives), tuple(map(float, best.theta))))
+    return best.theta, best.duals, trace
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +554,7 @@ class GridEntry:
 @dataclass(frozen=True)
 class GridReport:
     entries: tuple
+    circuit_evaluations: int = 0
 
     @property
     def best(self) -> GridEntry:
@@ -493,42 +576,36 @@ def grid_search(instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig) -> G
     engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(0.0, TWO_PI, (cfg.restarts, ansatz.n_params))
+    points = list(itertools.product(cfg.nu_grid, cfg.mu_grid))
+    runs = _pdp_runs(
+        engine, ansatz, np.tile(starts, (len(points), 1)),
+        np.repeat(np.array(points, dtype=float), cfg.restarts, axis=0),
+        cfg, drop_diverged=True,
+    )
     entries = []
-    for nu, mu in itertools.product(cfg.nu_grid, cfg.mu_grid):
-        for restart in range(cfg.restarts):
-            trace = OptTrace()
-            try:
-                theta, duals, f_final = _pdp_run(
-                    engine, ansatz, starts[restart], nu, mu, cfg, trace
-                )
-            except DivergenceError:
-                entries.append(
-                    GridEntry(
-                        nu=nu,
-                        mu=mu,
-                        restart=restart,
-                        objective=math.inf,
-                        lagrangian=math.inf,
-                        violation=math.inf,
-                        ground_probability=0.0,
-                        diverged=True,
-                    )
-                )
-                continue
-            probs = probabilities(evolve(ansatz, theta))
-            entries.append(
-                GridEntry(
-                    nu=float(nu),
-                    mu=float(mu),
-                    restart=restart,
-                    objective=float(f_final[0]),
-                    lagrangian=float(f_final[0] + duals @ f_final[1:]),
-                    violation=float(np.maximum(f_final[1:], 0.0).sum()),
-                    ground_probability=engine.ground_probability(probs),
-                    diverged=False,
-                    params=tuple(map(float, theta)),
-                    duals=tuple(map(float, duals)),
-                )
+    for i, run in enumerate(runs):
+        (nu, mu), restart = points[i // cfg.restarts], i % cfg.restarts
+        if run.diverged:
+            inf = math.inf
+            entries.append(GridEntry(float(nu), float(mu), restart, inf, inf, inf, 0.0, True))
+            continue
+        f_final = run.f_final
+        entries.append(
+            GridEntry(
+                nu=float(nu),
+                mu=float(mu),
+                restart=restart,
+                objective=float(f_final[0]),
+                lagrangian=run.lagrangian,
+                violation=float(np.maximum(f_final[1:], 0.0).sum()),
+                ground_probability=run.ground_probability,
+                diverged=False,
+                params=tuple(map(float, run.theta)),
+                duals=tuple(map(float, run.duals)),
             )
+        )
     entries.sort(key=GridEntry.sort_key)
-    return GridReport(entries=tuple(entries))
+    return GridReport(
+        entries=tuple(entries),
+        circuit_evaluations=sum(run.evaluations for run in runs),
+    )

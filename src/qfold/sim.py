@@ -17,13 +17,16 @@ few block passes; from n = 13 (one circuit per chunk) no shared prefix is
 recomputed, so it takes P * (P + 2) rotations instead of (2P + 1) * P.
 Every column is bit-identical to a single ``evolve``.
 
-``adjoint_gradients`` is the other derivative: the gradients of a few
-weighted diagonal expectations <psi|D_w|psi>, which is what a vector-Jacobian
-product ``jac @ w`` of diagonal observables asks for.  It sweeps the circuit
-backward once from ``evolve``'s final state, un-applying each gate to the
-state and to one co-state D_w psi per weight vector, so its cost does not
-depend on P or on the number of observables.  It agrees with the shifted
-circuits to rounding, not bit for bit.
+``adjoint_gradients`` is the other derivative, and the one the optimizer
+uses: the gradients of a few weighted diagonal expectations <psi|D_w|psi>,
+which is what a vector-Jacobian product ``jac @ w`` of diagonal observables
+asks for.  It sweeps the circuit backward once from the final states of an
+angle block, un-applying each gate to the state and to one co-state D_w psi
+per weight vector, so its cost does not depend on P or on the number of
+observables.  Up to 12 qubits the state and co-states are column groups of
+one block; from 13 each array is swept on its own.  It agrees with the
+shifted circuits to rounding, not bit for bit; the parameter-shift Jacobian
+stays as the reference.
 
 Small qubits give NumPy short inner runs (2^q amplitudes per column), so
 the kernel keeps two layouts of the index.  Layout A is the natural order;
@@ -199,12 +202,15 @@ def evolve(ansatz: Ansatz, params) -> np.ndarray:
 
 
 def block_columns(n_qubits: int) -> int:
-    """Circuits evolved together per ``evolve_block`` call at this width.
+    """Columns run together as one block at this width.
 
-    Wide blocks amortize NumPy's per-call overhead while states are small.
-    From 13 qubits on, one circuit already rotates runs of at least 2^6
-    amplitudes with scalar factors, which beats the per-column factors of a
-    block, so circuits run one at a time (crossover table in CHANGES.md).
+    This is the chunk width of the parameter-shift Jacobian and the number
+    of primal-dual trajectories ``optimize`` advances in lockstep, and above
+    one it makes ``adjoint_gradients`` sweep its arrays stacked.  Wide blocks
+    amortize NumPy's per-call overhead while states are small.  From 13
+    qubits on, one circuit already rotates runs of at least 2^6 amplitudes
+    with scalar factors, which beats the per-column factors of a block, so
+    circuits run one at a time (crossover table in CHANGES.md).
     """
     if n_qubits <= 10:
         return 64
@@ -412,52 +418,125 @@ def _ry_pi_overlap(costate: np.ndarray, state: np.ndarray, bit: int) -> float:
     )
 
 
+def _undo_moves(n_qubits: int, gate: int, state, spare):
+    """Carry ``state`` back past the layout moves before ``gate``.
+
+    The switch to layout A is undone by the inverse transpose, the chain
+    gather by a scatter through the same cached index.  Returns (state,
+    spare) swapped as in ``_apply_gates``.
+    """
+    n = n_qubits
+    k = n // 2
+    layer, q = divmod(gate, n)
+    width = state.shape[1]
+    if q == k:
+        np.copyto(
+            spare.reshape(1 << k, 1 << (n - k), width),
+            state.reshape(1 << (n - k), 1 << k, width).transpose(1, 0, 2),
+        )
+        state, spare = spare, state
+    if layer and q == 0:
+        # new[i] = old[chain[i]]; a flat scatter is the faster one for a
+        # single column
+        if width == 1:
+            spare.reshape(-1)[_chain_gather(n)] = state.reshape(-1)
+        else:
+            spare[_chain_gather(n)] = state
+        state, spare = spare, state
+    return state, spare
+
+
+def _stacked_sweep(n_qubits: int, block: np.ndarray, arrays, grads) -> None:
+    # psi and its W co-states as the column groups of one (2^n, (1 + W) * B)
+    # array: one rotation, one layout move and one overlap reduction per
+    # gate.  The overlaps land in a (W, B, 2^(n-1)) buffer, so each column's
+    # reduction is a sum over one contiguous row whatever B is.
+    n = n_qubits
+    k = n // 2
+    groups = len(arrays)
+    width = block.shape[1]
+    cos, sin = np.cos(block / 2.0), np.sin(block / 2.0)
+    cos = np.tile(cos, groups)
+    sin = -np.tile(sin, groups)
+    state = np.concatenate(arrays, axis=1)
+    spare = np.empty_like(state)
+    overlap = np.empty((groups - 1, width, 1 << (n - 1)))
+    for gate in reversed(range(block.shape[0])):
+        q = gate % n
+        bit = q + n - k if q < k else q
+        view = state.reshape(-1, 2, 1 << bit, groups, width)
+        psi = view[..., :1, :]
+        lam = view[..., 1:, :]
+        out = overlap.reshape(groups - 1, width, -1, 1 << bit).transpose(2, 3, 0, 1)
+        np.multiply(lam[:, 1], psi[:, 0], out=out)
+        out -= lam[:, 0] * psi[:, 1]
+        grads[:, gate] = overlap.sum(axis=2)
+        _apply_ry(state, bit, cos[gate], sin[gate])
+        state, spare = _undo_moves(n, gate, state, spare)
+
+
+def _separate_sweep(n_qubits: int, params: np.ndarray, arrays, grads) -> None:
+    # one state at a time, each array rotated and moved on its own; the
+    # arrays are overwritten
+    n = n_qubits
+    k = n // 2
+    cos, sin = _half_angle_factors(params[:, None])
+    spare = np.empty_like(arrays[0])
+    for gate in reversed(range(params.shape[0])):
+        q = gate % n
+        bit = q + n - k if q < k else q
+        for w, costate in enumerate(arrays[1:]):
+            grads[w, gate] = _ry_pi_overlap(costate, arrays[0], bit)
+        for a in arrays:
+            _apply_ry(a, bit, cos[gate], -sin[gate])
+        for i, a in enumerate(arrays):
+            arrays[i], spare = _undo_moves(n, gate, a, spare)
+
+
 def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     """Gradients of diagonal expectations by one backward sweep.
 
-    ``state`` is ``evolve(ansatz, params)`` and each co-state is ``D_w *
-    state`` for a real diagonal D_w in natural index order.  Row w of the
-    ``(len(costates), n_params)`` result is the gradient of <psi|D_w|psi>;
-    for D_w = sum_m w_m D_m it equals ``parameter_shift_jacobian(...) @ w``
-    to rounding.
+    ``params`` is one angle vector or an ``(n_params, B)`` block, and
+    ``state`` is ``evolve`` (or ``evolve_block``) of it.  Each co-state is
+    ``D_w * state`` for a real diagonal D_w in natural index order, column
+    by column.  The result is ``(W, n_params)`` for W co-states, or ``(W,
+    n_params, B)`` for a block: row w (of column b) is the gradient of
+    <psi|D_w|psi>, and for D_w = sum_m w_m D_m it equals
+    ``parameter_shift_jacobian(...) @ w`` to rounding.
 
     The sweep walks the gates backward.  Gate g rotates qubit q by theta_g,
     so d<psi|D_w|psi>/d theta_g = <lambda_g| Ry(pi)_q |psi_g>, with psi_g
     and lambda_g the state and co-state just after gate g.  Both are then
     carried back past gate g by Ry(-theta_g), and past the layout moves
     before it: the switch to layout A by the inverse transpose, and the
-    chain gather by a scatter through the same cached index.  ``state`` and
-    the co-states are overwritten; the sweep keeps one spare state besides
-    them.
+    chain gather by a scatter through the same cached index.
+
+    Where ``block_columns(n) > 1`` (n <= 12) the state and co-states go
+    through the sweep as the column groups of one array; from 13 qubits
+    each column's arrays are swept one at a time, overwriting ``state``
+    and the co-states, with one spare state besides them.  Either way a
+    column's gradients are the same bits whatever the other columns hold.
     """
-    params = _check_params(ansatz, params)
+    params = np.asarray(params, dtype=float)
+    single = params.ndim == 1
+    block = params[:, None] if single else params
+    if block.ndim != 2 or block.shape[0] != ansatz.n_params or block.shape[1] < 1:
+        raise ParamLengthError(
+            f"expected {ansatz.n_params} parameters or a ({ansatz.n_params}, B >= 1) "
+            f"angle block, got shape {params.shape}"
+        )
     n = ansatz.n_qubits
-    k = n // 2
-    chain = _chain_gather(n)
-    cos, sin = _half_angle_factors(params[:, None])
-    arrays = [np.asarray(a, dtype=float).reshape(-1, 1) for a in (state, *costates)]
-    if any(a.shape != (1 << n, 1) for a in arrays):
-        raise EncodingError("state and co-states must hold 2^n amplitudes")
-    spare = np.empty_like(arrays[0])
-    grads = np.empty((len(costates), ansatz.n_params))
-    for gate in reversed(range(ansatz.n_params)):
-        layer, q = divmod(gate, n)
-        bit = q + n - k if q < k else q
-        for w, costate in enumerate(arrays[1:]):
-            grads[w, gate] = _ry_pi_overlap(costate, arrays[0], bit)
-        for a in arrays:
-            _apply_ry(a, bit, cos[gate], -sin[gate])
-        if q == k:
-            # layout A back to B: the inverse of the transposed copy
-            for i, a in enumerate(arrays):
-                np.copyto(
-                    spare.reshape(1 << k, 1 << (n - k), 1),
-                    a.reshape(1 << (n - k), 1 << k, 1).transpose(1, 0, 2),
-                )
-                arrays[i], spare = spare, a
-        if layer and q == 0:
-            # undo the chain gather: new[i] = old[chain[i]]
-            for i, a in enumerate(arrays):
-                spare.reshape(-1)[chain] = a.reshape(-1)
-                arrays[i], spare = spare, a
-    return grads
+    width = block.shape[1]
+    shape = (1 << n,) if single else (1 << n, width)
+    arrays = [np.asarray(a, dtype=float) for a in (state, *costates)]
+    if any(a.shape != shape for a in arrays):
+        raise EncodingError("state and co-states must hold 2^n amplitudes per column")
+    arrays = [a.reshape(1 << n, width) for a in arrays]
+    grads = np.empty((len(costates), ansatz.n_params, width))
+    if block_columns(n) > 1:
+        _stacked_sweep(n, block, arrays, grads)
+    else:
+        for b in range(width):
+            columns = [np.ascontiguousarray(a[:, b : b + 1]) for a in arrays]
+            _separate_sweep(n, block[:, b], columns, grads[:, :, b])
+    return grads[:, :, 0] if single else grads

@@ -5,8 +5,8 @@ per criterion.  Expected values come from independent oracles (recursive
 enumeration, closed-form geometry, dense linear algebra) or are frozen from
 the spec'd protocol; tolerances are pinned inline.
 
-Criterion 9's 6-bead soft target needs roughly a day of statevector time on
-one CPU (a 24-qubit gradient step costs ~146 evolutions at ~11 s each), so
+Criterion 9's 6-bead soft target needs about 51 minutes of statevector time
+on a 2-core box (50 primal-dual iterations on 24 qubits, about 61 s each), so
 that measurement only runs when QFOLD_RUN_SLOW=1 is exported; everything
 else completes in minutes.
 """
@@ -296,7 +296,7 @@ def test_criterion_09_vqec_recovery_and_duals():
 
 @pytest.mark.skipif(
     os.environ.get("QFOLD_RUN_SLOW") != "1",
-    reason="24-qubit soft target costs ~a day of statevector time; "
+    reason="24-qubit soft target costs about 51 min of statevector time; "
     "export QFOLD_RUN_SLOW=1 to measure it",
 )
 def test_criterion_09_n6_soft_target():

@@ -175,10 +175,37 @@ def test_vqec_single_point(tmp_path, capsys):
         capsys,
     )
     assert code == 0
+    # logical evaluations: 2 restarts x (40 x (2P + 2) + 1), P = 27
+    assert "circuit_evaluations=4482" in out
     payload = json.loads((tmp_path / "params.json").read_text())
     assert payload["method"] == "vqec"
     assert len(payload["duals"]) == 3
     assert all(v >= 0.0 for v in payload["duals"])
+
+
+@pytest.mark.parametrize(
+    "peptide, covered", [("KLVFFAEDV", True), ("KLVFFAEDVG", False)]
+)
+def test_analyze_oracle_covers_nine_residues(tmp_path, capsys, peptide, covered):
+    # N = 9 is 7,086,244 sequences, inside the cap; N = 10 is 11 times that
+    from qfold.hamiltonian import EncodingLayout
+    from qfold.scoring import load_matrix
+    from qfold.search import SearchConfig, search
+
+    shots = tmp_path / "shots.tsv"
+    shots.write_text("0" * EncodingLayout(len(peptide)).total_qubits + "\t10\n")
+    code, _, _ = run_cli(
+        ["analyze", "--peptide", peptide, "--shots-file", str(shots), "--oracle",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    e_star = json.loads((tmp_path / "report.json").read_text())["e_star"]
+    if covered:
+        config = SearchConfig("fcc", peptide, load_matrix("mj1996"), k=1)
+        assert e_star == search(config).records[0].energy
+    else:
+        assert e_star is None
 
 
 # --- manifests and pipelines ---

@@ -286,6 +286,14 @@ def test_pdp_rejects_wrong_mode():
         run_vqec_pdp(POLYFIT, ANSATZ, cfg)
 
 
+def test_pdp_drivers_reject_wrong_width():
+    cfg = VqecConfig(nu_grid=(0.1,), mu_grid=(0.5,), restarts=1, max_iterations=1)
+    with pytest.raises(EncodingError):
+        run_vqec_pdp(VQEC, Ansatz(5), cfg)
+    with pytest.raises(EncodingError):
+        grid_search(VQEC, Ansatz(5), cfg)
+
+
 def test_pdp_inactive_constraints_reduce_to_projected_descent():
     engine = ExpectationEngine(VQEC)
     rng = np.random.default_rng(2)
@@ -339,29 +347,22 @@ def test_pdp_divergence_ceiling():
         run_vqec_pdp(VQEC, ANSATZ, cfg)
 
 
-def test_pdp_evaluation_count(monkeypatch):
-    # logical circuit evaluations: every column through the block kernel,
-    # which single-state evolve calls reach as one-column blocks
-    import qfold.sim as sim
-
-    circuits = []
-    real_block = sim.evolve_block
-
-    def counting_block(ansatz, block):
-        states = real_block(ansatz, block)
-        circuits.append(states.shape[1])
-        return states
-
-    monkeypatch.setattr(sim, "evolve_block", counting_block)
+def test_pdp_evaluation_count():
+    # logical circuit evaluations, the paper's cost model, whatever the
+    # simulator ran: 2P + 2 per iteration plus one final state per restart
     iterations = 3
     cfg = VqecConfig(nu=0.05, mu=0.5, restarts=1, max_iterations=iterations, seed=1)
-    run_vqec_pdp(VQEC, ANSATZ, cfg)
+    _, _, trace = run_vqec_pdp(VQEC, ANSATZ, cfg)
     per_iteration = 2 * ANSATZ.n_params + 2
     final_metrics = 1
-    assert sum(circuits) == iterations * per_iteration + final_metrics
-    # the centre and its 2P shifts share blocks; the perturbed point runs alone
-    chunks = math.ceil((2 * ANSATZ.n_params + 1) / sim.block_columns(ANSATZ.n_qubits))
-    assert len(circuits) == iterations * (chunks + 1) + final_metrics
+    assert trace.circuit_evaluations == iterations * per_iteration + final_metrics
+    grid_cfg = VqecConfig(
+        nu_grid=(0.05,), mu_grid=(0.5, 1.0), restarts=2, max_iterations=iterations,
+        seed=1,
+    )
+    report = grid_search(VQEC, ANSATZ, grid_cfg)
+    per_run = iterations * per_iteration + final_metrics
+    assert report.circuit_evaluations == 4 * per_run
 
 
 def random_vqec(n_beads, seed):
@@ -403,46 +404,90 @@ def test_adjoint_vjp_equals_jacobian_products_at_16_qubits(seed):
         assert np.abs(grad - jac @ w).max() <= 1e-10
 
 
-def count_calls(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
+def reference_pdp(engine, ansatz, theta, nu, mu, iterations):
+    # the primal-dual loop on the parameter-shift Jacobian, one trajectory
+    def f_block(states):
+        return engine.f_vector(probabilities(states))
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].n_qubits)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
-def test_pdp_dispatch_by_width(monkeypatch):
-    import qfold.optimize as optimize
-
-    shift = count_calls(monkeypatch, optimize, "parameter_shift_jacobian")
-    adjoint = count_calls(monkeypatch, optimize, "adjoint_gradients")
-    cfg = VqecConfig(nu=0.05, mu=0.5, restarts=1, max_iterations=2, seed=1)
-    run_vqec_pdp(VQEC, ANSATZ, cfg)
-    assert shift == [9, 9] and adjoint == []
-    instance, ansatz, _ = random_vqec(5, 0)
-    run_vqec_pdp(instance, ansatz, cfg)
-    assert shift == [9, 9] and adjoint == [16, 16]
+    duals = np.zeros(engine.n_constraints)
+    for _ in range(iterations):
+        f_here, jac = parameter_shift_jacobian(ansatz, theta, f_block, with_value=True)
+        duals_pert = np.maximum(duals + nu * f_here[1:], 0.0)
+        step = jac @ np.concatenate(([1.0], duals))
+        step_pert = jac @ np.concatenate(([1.0], duals_pert))
+        theta_pert = np.clip(theta - nu * step, 0.0, TWO_PI)
+        theta_next = np.clip(theta - mu * step_pert, 0.0, TWO_PI)
+        duals = np.maximum(duals + mu * f_block(evolve(ansatz, theta_pert))[1:], 0.0)
+        theta = theta_next
+    return theta, duals, f_block(evolve(ansatz, theta))
 
 
-def test_pdp_adjoint_iteration_agrees_with_shift_path(monkeypatch):
-    import qfold.optimize as optimize
-
-    instance, ansatz, rng = random_vqec(5, 3)
+@pytest.mark.parametrize("n_beads", [4, 5])
+def test_pdp_iteration_agrees_with_shift_jacobian_step(n_beads):
+    # n = 9 runs the stacked adjoint sweep, n = 16 the one-array sweep
+    if n_beads == 4:
+        instance, ansatz, rng = VQEC, ANSATZ, np.random.default_rng(3)
+    else:
+        instance, ansatz, rng = random_vqec(5, 3)
     engine = ExpectationEngine(instance)
     cfg = VqecConfig(nu=0.1, mu=1.0, restarts=1, max_iterations=1, seed=0)
     theta0 = rng.uniform(0.0, TWO_PI, ansatz.n_params)
-    adjoint = _pdp_run(engine, ansatz, theta0, cfg.nu, cfg.mu, cfg, OptTrace())
-    # the dispatch reads the block width: report blocks to force the shift path
-    monkeypatch.setattr(optimize, "block_columns", lambda n_qubits: 2)
-    shifted = _pdp_run(engine, ansatz, theta0, cfg.nu, cfg.mu, cfg, OptTrace())
-    assert np.abs(adjoint[0] - shifted[0]).max() <= 1e-10
-    assert np.abs(adjoint[1] - shifted[1]).max() <= 1e-10
-    assert np.abs(adjoint[2] - shifted[2]).max() <= 1e-10
-    assert not np.array_equal(adjoint[0], theta0)
+    got = _pdp_run(engine, ansatz, theta0, cfg.nu, cfg.mu, cfg, OptTrace())
+    want = reference_pdp(engine, ansatz, theta0, cfg.nu, cfg.mu, cfg.max_iterations)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-10
+    assert not np.array_equal(got[0], theta0)
+
+
+def trace_rows(trace, first, count):
+    snapshot_at = dict(trace.snapshots)
+    return [
+        (trace.objectives[i], trace.lagrangians[i], trace.duals[i], snapshot_at[i])
+        for i in range(first, first + count)
+    ]
+
+
+def test_pdp_block_columns_equal_single_runs():
+    # restarts and grid entries run as one block; each column must be the
+    # same bits as its trajectory run alone, including around a column
+    # that diverges and leaves the block
+    iterations = 8
+    cfg = VqecConfig(
+        nu=0.1, mu=1.0, restarts=5, max_iterations=iterations, seed=4, snapshot_every=1
+    )
+    params, duals, trace = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    engine = ExpectationEngine(VQEC)
+    starts = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (5, ANSATZ.n_params))
+    singles = []
+    for restart, start in enumerate(starts):
+        single = OptTrace()
+        run = _pdp_run(engine, ANSATZ, start, cfg.nu, cfg.mu, cfg, single)
+        singles.append(run)
+        block_rows = trace_rows(trace, restart * iterations, iterations)
+        assert block_rows == trace_rows(single, 0, iterations)
+    assert any(
+        np.array_equal(params, t) and np.array_equal(duals, d) for t, d, _ in singles
+    )
+
+    # |Lagrangian| starts at 20-26 on these restarts and peaks at 32-55:
+    # a ceiling of 40 drops some columns mid-run and lets the others finish
+    grid_cfg = VqecConfig(
+        nu_grid=(0.05, 0.1), mu_grid=(0.5, 1.0), restarts=3, max_iterations=iterations,
+        seed=cfg.seed, divergence_ceiling=40.0,
+    )
+    report = grid_search(VQEC, ANSATZ, grid_cfg)
+    assert any(e.diverged for e in report.entries)
+    assert any(not e.diverged for e in report.entries)
+    for entry in report.entries:
+        args = (engine, ANSATZ, starts[entry.restart], entry.nu, entry.mu, grid_cfg)
+        if entry.diverged:
+            with pytest.raises(DivergenceError):
+                _pdp_run(*args, OptTrace())
+            continue
+        theta, d, f = _pdp_run(*args, OptTrace())
+        assert np.array_equal(entry.params, theta)
+        assert np.array_equal(entry.duals, d)
+        assert entry.lagrangian == float(f[0] + d @ f[1:])
 
 
 def test_pdp_recovers_ground():

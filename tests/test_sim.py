@@ -535,6 +535,27 @@ def test_adjoint_gradients_equal_jacobian_products(n, layers):
     assert_adjoint_equals_jacobian_products(Ansatz(n, layers=layers), 100 * n + layers)
 
 
+@pytest.mark.parametrize("n", [3, 9, 13])
+def test_adjoint_gradients_block_columns_equal_single_sweeps(n):
+    # n <= 12 sweeps the block stacked, n = 13 one column at a time; either
+    # way a column's gradients are the bits of its own sweep
+    ansatz = Ansatz(n, layers=2)
+    rng = np.random.default_rng(n)
+    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, 4))
+    diags = rng.normal(size=(1 << n, 2))
+    states = evolve_block(ansatz, block)
+    grads = adjoint_gradients(
+        ansatz, block, states, [diags[:, [m]] * states for m in range(2)]
+    )
+    assert grads.shape == (2, ansatz.n_params, 4)
+    for b in range(4):
+        state = np.ascontiguousarray(states[:, b])
+        costates = [diags[:, m] * state for m in range(2)]
+        assert np.array_equal(
+            grads[:, :, b], adjoint_gradients(ansatz, block[:, b], state, costates)
+        )
+
+
 def test_adjoint_gradients_single_qubit_analytic():
     # <Z> after Ry(theta) is cos(theta): the gradient is -sin(theta)
     ansatz = Ansatz(1, layers=0)
@@ -552,6 +573,12 @@ def test_adjoint_gradients_reject_wrong_widths():
         adjoint_gradients(ansatz, theta[:-1], evolve(ansatz, theta), [])
     with pytest.raises(EncodingError):
         adjoint_gradients(ansatz, theta, evolve(ansatz, theta), [np.zeros(4)])
+    block = np.zeros((ansatz.n_params, 2))
+    states = evolve_block(ansatz, block)
+    with pytest.raises(ParamLengthError):
+        adjoint_gradients(ansatz, block[:-1], states, [states])
+    with pytest.raises(EncodingError):
+        adjoint_gradients(ansatz, block, states, [states[:, :1]])
 
 
 # --- layout-switching kernel: bit-identical to the natural-layout loop ---
