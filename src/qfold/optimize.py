@@ -2,9 +2,14 @@
 
 Two protocols over the same simulator:
 
-* CVaR-VQE: derivative-free minimization (linear-approximation trust region)
-  of the conditional value at risk of the exact energy distribution, with
-  multistart initialization from a configurable angle window.
+* CVaR-VQE: derivative-free minimization of the conditional value at risk
+  of the exact energy distribution, with multistart initialization from a
+  configurable angle window.  The minimizer is COBYLA, Powell's
+  linear-approximation trust region, kept here as ``_cobyla``: an ask/tell
+  generator that follows PRIMA's decision rules for a problem without
+  constraints.  Restarts advance in lockstep, ``sim.block_columns(n)`` at a
+  time: each tick is one ``evolve_block`` of the points the live restarts
+  ask for, one CVaR per column and one answer per restart.
 * Primal-dual perturbation for the constrained encoding: each iteration
   evaluates the constraint expectations and the Lagrangian gradients at the
   current angles, perturbs primal and dual variables, then applies the
@@ -44,9 +49,9 @@ from .sim import (
     Ansatz,
     adjoint_gradients,
     block_columns,
-    evolve,
     evolve_block,
     probabilities,
+    sorted_cvar,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -159,15 +164,7 @@ class ExpectationEngine:
             diag = self.tables.full_diagonal()
             self._sort_order = np.argsort(diag, kind="stable")
             self._sorted_diag = diag[self._sort_order]
-        p = probs[self._sort_order]
-        cum = np.cumsum(p)
-        mass = min(alpha, float(cum[-1]))
-        boundary = int(np.searchsorted(cum, mass, side="left"))
-        total = float(self._sorted_diag[:boundary] @ p[:boundary])
-        used = float(cum[boundary - 1]) if boundary else 0.0
-        if boundary < p.size and mass > used:
-            total += float(self._sorted_diag[boundary]) * (mass - used)
-        return total / mass
+        return sorted_cvar(self._sorted_diag, probs[self._sort_order], alpha)
 
     def ground_probability(self, probs: np.ndarray) -> float:
         return float(self.config_marginal(probs)[self.ground_configs].sum())
@@ -288,19 +285,273 @@ class _Budget:
 def cobyla_budget(cfg: CvarVqeConfig, ansatz: Ansatz) -> int:
     """Objective evaluations per COBYLA restart.
 
-    ``cfg.max_iterations``, raised to the P + 2 evaluations COBYLA needs
-    before its first step (SciPy would raise a smaller budget itself, with
-    a warning).
+    ``cfg.max_iterations``, raised to P + 2: the initial simplex takes
+    P + 1 evaluations, and one trust-region step should follow it.
     """
     return max(cfg.max_iterations, ansatz.n_params + 2)
 
 
-def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
-    """Multistart CVaR minimization; returns (best params, trace)."""
-    # imported here: SciPy is most of the package's import time and only
-    # COBYLA needs it
-    from scipy.optimize import minimize
+# PRIMA's constants for COBYLA (Zhang 2023, doi:10.5281/zenodo.8052654)
+_REALMAX = float(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
+_FUNCMAX = 1.0e30  # a NaN objective counts as this, and larger values clip to it
+_ETA1, _ETA2 = 0.1, 0.7  # reduction ratios that shrink / enlarge the radius
+_GAMMA1, _GAMMA2 = 0.5, 2.0  # shrink / enlarge factors
+_GAMMA3 = 1.5  # a radius this close to rho snaps to rho
+# initial and final trust-region radius: SciPy's COBYLA defaults (rhobeg, tol)
+_RHOBEG, _RHOEND = 1.0, 1e-4
 
+
+def _cobyla(x0, maxfev):
+    """Ask/tell COBYLA without constraints, as a generator.
+
+    ``x = next(gen)`` asks for the first point, and ``x = gen.send(f)``
+    tells the objective at the last one and asks for the next.  The
+    generator returns ``(x_best, f_best)``: the lowest value told (after
+    moderation: NaN becomes ``_FUNCMAX``, and values clip to
+    [-REALMAX, FUNCMAX]).  A tie goes to the first point in PRIMA's filter
+    order, which takes the initial simplex vertex by vertex (x0 + e_0
+    before x0) and then the points in the order evaluated.  A trial point
+    within ``1e-4 * _RHOEND`` of a vertex reuses its value unasked.  The
+    run stops after ``maxfev`` values, or once the trust region has
+    shrunk to ``_RHOEND``.
+
+    This follows PRIMA's ``cobylb`` step for step, with no constraints, so
+    its merit function is f.  The simplex is ``sim`` (columns 0..n-1 are
+    vertex offsets from the pole, column n the pole, the best vertex) with
+    ``simi`` the inverse of the offsets.  The linear model's trust-region
+    step is the closed form ``-delta * g / |g|``, which PRIMA's ``trstlp``
+    computes through Givens rotations with the same value up to rounding.
+    """
+    n = x0.size
+    x_best, f_best = None, math.inf
+
+    def trial(x):
+        """The value at x: a vertex's within 1e-4 * _RHOEND of it, else asked."""
+        nonlocal nf, x_best, f_best
+        distsq = np.empty(n + 1)
+        distsq[n] = np.sum((x - sim[:, n]) * (x - sim[:, n]))
+        diff = x[:, None] - (sim[:, n][:, None] + sim[:, :n])
+        distsq[:n] = np.sum(diff * diff, axis=0)
+        j = int(np.argmin(distsq))
+        if distsq[j] <= (1e-4 * _RHOEND) * (1e-4 * _RHOEND):
+            return fval[j]
+        f = _moderated((yield x))
+        nf += 1
+        if f < f_best:
+            x_best, f_best = x, f
+        return f
+
+    # initial simplex: x0 and x0 + _RHOBEG * e_j, the pole moving to each new best
+    sim = np.eye(n, n + 1) * _RHOBEG
+    sim[:, n] = x0
+    fval = np.empty(n + 1)
+    fval[n] = _moderated((yield x0))
+    for j in range(n):
+        x = sim[:, n].copy()
+        x[j] += _RHOBEG
+        fval[j] = _moderated((yield x))
+        if fval[j] < fval[n]:
+            fval[j], fval[n] = fval[n], fval[j]
+            sim[:, n] = x
+            sim[j, : j + 1] = -_RHOBEG
+    simi = np.linalg.inv(sim[:, :n])
+    nf = n + 1
+    # PRIMA's filter takes the initial points vertex by vertex
+    for i in range(n + 1):
+        if fval[i] < f_best:
+            x_best = sim[:, n] + sim[:, i] if i < n else sim[:, n].copy()
+            f_best = fval[i]
+
+    rho = delta = _RHOBEG
+    ratio, jdrop_tr = -1.0, 0
+    small_radius = False
+    for _ in range(10 * maxfev):
+        simi, ok = _updatepole(fval, sim, simi)
+        if not ok:
+            break
+        adequate_geo = _offsets_within(sim, 2.0 * delta)
+        g = (fval[:n] - fval[n]) @ simi
+        d = _tr_step(g, delta)
+        dnorm = min(delta, np.linalg.norm(d))
+        shortd = dnorm <= 0.1 * rho
+        preref = -np.dot(d, g)
+        trfail = not preref > 1.0e-6 * _EPS * rho
+        if shortd or trfail:
+            delta *= 0.1
+            if delta <= _GAMMA3 * rho:
+                delta = rho
+        else:
+            x = sim[:, n] + d
+            f = yield from trial(x)
+            actrem = fval[n] - f
+            ratio = -_REALMAX if math.isnan(actrem) else actrem / preref
+            delta = _trrad(delta, dnorm, ratio)
+            if delta <= _GAMMA3 * rho:
+                delta = rho
+            jdrop_tr = _setdrop_tr(actrem > 0, d, delta, rho, sim, simi)
+            simi, ok = _updatexfc(jdrop_tr, d, f, fval, sim, simi)
+            if not ok or nf >= maxfev or not np.isfinite(x).all():
+                break
+
+        bad_trstep = shortd or trfail or ratio <= 0 or jdrop_tr is None
+        if bad_trstep and not adequate_geo and not _offsets_within(sim, 2.0 * delta):
+            # geometry step: replace the farthest vertex along its simi row
+            jdrop_geo = int(np.argmax(np.sum(sim[:, :n] * sim[:, :n], axis=0)))
+            d = simi[jdrop_geo, :]
+            d = delta / 2 * (d / np.linalg.norm(d))
+            if np.dot(d, (fval[:n] - fval[n]) @ simi) > 0:
+                d *= -1
+            x = sim[:, n] + d
+            f = yield from trial(x)
+            simi, ok = _updatexfc(jdrop_geo, d, f, fval, sim, simi)
+            if not ok or nf >= maxfev or not np.isfinite(x).all():
+                break
+        if bad_trstep and adequate_geo and max(delta, dnorm) <= rho:
+            if rho <= _RHOEND:
+                small_radius = True
+                break
+            delta = max(0.5 * rho, _redrho(rho))
+            rho = _redrho(rho)
+            simi, ok = _updatepole(fval, sim, simi)
+            if not ok:
+                break
+
+    if small_radius and shortd:
+        # PRIMA's last step: the short step that ended the run, if it moves
+        x = sim[:, n] + d
+        if np.linalg.norm(x - sim[:, n]) > 1.0e-3 * _RHOEND and nf < maxfev:
+            f = _moderated((yield x))
+            if f < f_best:
+                x_best, f_best = x, f
+    return x_best, f_best
+
+
+def _moderated(f) -> float:
+    return _FUNCMAX if math.isnan(f) else min(max(f, -_REALMAX), _FUNCMAX)
+
+
+def _offsets_within(sim, radius) -> bool:
+    n = sim.shape[0]
+    return bool(np.all(np.sum(sim[:, :n] * sim[:, :n], axis=0) <= radius * radius))
+
+
+def _tr_step(g, delta):
+    """The linear model's minimizer on the trust region: ``-delta * g / |g|``."""
+    norm = np.linalg.norm(g)
+    if not (0.0 < norm < math.inf):
+        # g = 0, or a moderated objective overflowed the model
+        return np.zeros_like(g)
+    return g * (-delta / norm)
+
+
+def _trrad(delta, dnorm, ratio):
+    if ratio <= _ETA1:
+        return _GAMMA1 * dnorm
+    if ratio <= _ETA2:
+        return max(_GAMMA1 * delta, dnorm)
+    return max(_GAMMA1 * delta, _GAMMA2 * dnorm)
+
+
+def _redrho(rho):
+    rho_ratio = rho / _RHOEND
+    if rho_ratio > 250:
+        return 0.1 * rho
+    if rho_ratio <= 16:
+        return _RHOEND
+    return math.sqrt(rho_ratio) * _RHOEND
+
+
+def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
+    """The vertex a trust-region point replaces, or None."""
+    n = d.size
+    distsq = np.zeros(n + 1)
+    if ximproved:
+        diff = sim[:, :n] - np.tile(d, (n, 1)).T
+        distsq[:n] = np.sum(diff * diff, axis=0)
+        distsq[n] = np.sum(d * d)
+    else:
+        distsq[:n] = np.sum(sim[:, :n] * sim[:, :n], axis=0)
+    scale = max(rho, delta / 10)
+    weight = np.maximum(1, distsq / (scale * scale))
+    simid = simi @ d
+    score = weight * abs(np.array([*simid, 1 - np.sum(simid)]))
+    if not ximproved:
+        score[n] = -1
+    score[np.isnan(score)] = -1
+    if (score > 0).any():
+        return int(np.argmax(score))
+    return int(np.argmax(distsq)) if ximproved else None
+
+
+def _reinverted(sim, simi):
+    """``(simi, ok)``: ``simi``, or a fresh inverse where it has drifted."""
+    n = sim.shape[0]
+    erri = np.max(abs(simi @ sim[:, :n] - np.eye(n)))
+    if erri > 0.1 or np.isnan(erri):
+        simi_test = np.linalg.inv(sim[:, :n])
+        erri_test = np.max(abs(simi_test @ sim[:, :n] - np.eye(n)))
+        if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
+            simi, erri = simi_test, erri_test
+    return simi, bool(erri <= 1)
+
+
+def _updatexfc(jdrop, d, f, fval, sim, simi):
+    """Put the point pole + d with value f in vertex ``jdrop``; ``(simi, ok)``.
+
+    ``ok`` is False when rounding has damaged the simplex, which ends the
+    run.
+    """
+    if jdrop is None:
+        return simi, True
+    n = sim.shape[0]
+    if jdrop < n:
+        sim[:, jdrop] = d
+        simi_jdrop = simi[jdrop, :] / np.dot(simi[jdrop, :], d)
+        simi -= np.outer(simi @ d, simi_jdrop)
+        simi[jdrop, :] = simi_jdrop
+    else:
+        sim[:, n] += d
+        sim[:, :n] -= np.tile(d, (n, 1)).T
+        simid = simi @ d
+        sum_simi = np.sum(simi, axis=0)
+        simi += np.outer(simid, sum_simi / (1 - sum(simid)))
+    simi, ok = _reinverted(sim, simi)
+    if not ok:
+        return simi, False
+    fval[jdrop] = f
+    return _updatepole(fval, sim, simi)
+
+
+def _updatepole(fval, sim, simi):
+    """Make the best vertex (the first on a tie) the pole; ``(simi, ok)``."""
+    n = sim.shape[0]
+    jopt = int(np.argmin(fval))
+    if fval[jopt] < fval[n]:
+        sim[:, n] += sim[:, jopt]
+        sim_jopt = sim[:, jopt].copy()
+        sim[:, jopt] = 0
+        sim[:, :n] -= np.tile(sim_jopt, (n, 1)).T
+        simi[jopt, :] = -np.sum(simi, axis=0)
+    else:
+        jopt = n
+    simi, ok = _reinverted(sim, simi)
+    if ok and jopt < n:
+        fval[[jopt, n]] = fval[[n, jopt]]
+    return simi, ok
+
+
+def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
+    """Multistart CVaR minimization; returns (best params, trace).
+
+    Each restart is one ``_cobyla`` run from its seeded start.  Restarts
+    advance in lockstep, ``block_columns(n)`` at a time: a tick evolves the
+    point every live run asks for as one ``evolve_block`` and tells each
+    run its CVaR.  A column is the same bits as its circuit run alone, so
+    each restart's run does not depend on the others.  Trace rows are
+    recorded restart after restart; the best restart has the lowest
+    value, the first on a tie.
+    """
     if instance.mode != MODE_POLYFIT:
         raise EncodingError("CVaR-VQE drives the fused-penalty objective only")
     if ansatz.n_qubits != instance.n_qubits:
@@ -308,34 +559,42 @@ def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
     engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     budget = _Budget(cfg.max_seconds)
-    trace = OptTrace()
-
-    def objective(params):
-        budget.check()
-        probs = probabilities(evolve(ansatz, params))
-        trace.circuit_evaluations += 1
-        value = engine.cvar_objective(probs, cfg.alpha)
-        trace.record(value, params=params, every=cfg.snapshot_every)
-        return value
-
-    best_params = None
-    best_value = math.inf
+    starts = []
     for restart in range(cfg.restarts):
-        budget.check()
         if cfg.full_window_sweep:
             lo, hi = QUADRANTS[restart % 4]
         else:
             lo, hi = cfg.init_window
-        x0 = rng.uniform(lo, hi, ansatz.n_params)
-        result = minimize(
-            objective,
-            x0,
-            method="COBYLA",
-            options={"maxiter": cobyla_budget(cfg, ansatz)},
-        )
-        if result.fun < best_value:
-            best_value = float(result.fun)
-            best_params = np.asarray(result.x, dtype=float)
+        starts.append(rng.uniform(lo, hi, ansatz.n_params))
+    maxfev = cobyla_budget(cfg, ansatz)
+    width = block_columns(ansatz.n_qubits)
+    trace = OptTrace()
+    best_params = None
+    best_value = math.inf
+    for first in range(0, cfg.restarts, width):
+        runs = [_cobyla(x0, maxfev) for x0 in starts[first : first + width]]
+        rows = [[] for _ in runs]
+        results = [None] * len(runs)
+        asked = {j: next(run) for j, run in enumerate(runs)}
+        while asked:
+            budget.check()
+            live = list(asked)
+            block = np.array([asked[j] for j in live]).T
+            probs = np.ascontiguousarray(probabilities(evolve_block(ansatz, block)).T)
+            for j, column in zip(live, probs):
+                value = engine.cvar_objective(column, cfg.alpha)
+                rows[j].append((value, asked[j]))
+                try:
+                    asked[j] = runs[j].send(value)
+                except StopIteration as stop:
+                    results[j] = stop.value
+                    del asked[j]
+        for run_rows, (params, value) in zip(rows, results):
+            for objective, point in run_rows:
+                trace.record(objective, params=point, every=cfg.snapshot_every)
+            if value < best_value:
+                best_params, best_value = params, value
+    trace.circuit_evaluations = len(trace.objectives)
     trace.snapshots.append((len(trace.objectives), tuple(map(float, best_params))))
     return best_params, trace
 

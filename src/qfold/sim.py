@@ -262,8 +262,16 @@ def cvar(energies, probs, alpha: float) -> float:
     if energies.size == 0:
         raise EmptyDistributionError("no probability mass in the distribution")
     order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    probs = probs[order]
+    return sorted_cvar(energies[order], probs[order], alpha)
+
+
+def sorted_cvar(energies: np.ndarray, probs: np.ndarray, alpha: float) -> float:
+    """``cvar`` of a distribution whose energies are already ascending.
+
+    The one tail kernel: ``cvar`` calls it after dropping zero-mass states
+    and sorting, and ``ExpectationEngine.cvar_objective`` on its pre-sorted
+    diagonal.  Zero-mass entries may stay in; they add nothing to the tail.
+    """
     cum = np.cumsum(probs)
     mass = min(alpha, float(cum[-1]))
     boundary = int(np.searchsorted(cum, mass, side="left"))

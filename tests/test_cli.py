@@ -336,3 +336,21 @@ def test_cli_import_and_vqec_build_leave_scipy_unloaded(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "instance.json").exists()
+
+
+def test_vqe_pipeline_leaves_scipy_unloaded(tmp_path):
+    # CVaR-VQE runs on the in-repo COBYLA; SciPy is a test dependency only
+    script = (
+        "import sys\n"
+        "import qfold.cli\n"
+        "code = qfold.cli.main(['pipeline', '--method', 'vqe', '--peptide', 'KLVF',"
+        " '--restarts', '2', '--iterations', '30', '--shots', '64',"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0\n"
+        "assert 'scipy' not in sys.modules, 'pipeline'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "params.json").exists()

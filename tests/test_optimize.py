@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qfold import optimize
 from qfold.exceptions import (
     BudgetExceededError,
     DivergenceError,
@@ -19,6 +20,7 @@ from qfold.optimize import (
     GridEntry,
     OptTrace,
     VqecConfig,
+    _cobyla,
     _pdp_run,
     cobyla_budget,
     grid_search,
@@ -30,6 +32,7 @@ from qfold.search import SearchConfig, search
 from qfold.sim import (
     Ansatz,
     adjoint_gradients,
+    block_columns,
     cvar,
     evolve,
     evolve_block,
@@ -37,7 +40,11 @@ from qfold.sim import (
     parameter_shift_jacobian,
     probabilities,
 )
-from util import reference_f_vector
+from util import (
+    reference_cvar_objective,
+    reference_f_vector,
+    reference_run_cvar_vqe,
+)
 
 MJ = load_matrix("mj1996")
 LAYOUT = EncodingLayout(4)
@@ -116,6 +123,20 @@ def test_cvar_objective_matches_reference():
             assert engine.cvar_objective(probs, alpha) == pytest.approx(
                 cvar(diag, probs, alpha), abs=1e-10
             )
+
+
+def test_cvar_objective_is_the_former_kernel_bit_for_bit():
+    # sim.cvar and ExpectationEngine.cvar_objective share sim.sorted_cvar;
+    # each must keep the bits of its former standalone code
+    engine = ExpectationEngine(POLYFIT)
+    rng = np.random.default_rng(9)
+    size = 1 << POLYFIT.n_qubits
+    for trial in range(20):
+        probs = rng.random(size) * (rng.random(size) < 0.3)
+        probs /= probs.sum()
+        for alpha in (1.0, 0.1, float(rng.uniform(0.01, 1.0))):
+            want = reference_cvar_objective(engine, probs, alpha)
+            assert engine.cvar_objective(probs, alpha) == want
 
 
 def test_cvar_alpha_one_equals_expectation():
@@ -275,6 +296,135 @@ def test_cvar_vqe_budget():
     cfg = CvarVqeConfig(restarts=1, max_iterations=5, max_seconds=0.0)
     with pytest.raises(BudgetExceededError):
         run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+
+
+def cobyla_values(x0, objective, maxfev):
+    """Drive ``_cobyla`` on ``objective``; returns (points asked, its result)."""
+    run = _cobyla(np.asarray(x0, dtype=float), maxfev)
+    asked = [next(run)]
+    try:
+        while True:
+            asked.append(run.send(objective(asked[-1])))
+    except StopIteration as stop:
+        return asked, stop.value
+
+
+def test_cobyla_initial_simplex_equals_scipy():
+    # the first P + 1 points are x0 and x0 + e_j with PRIMA's pole swaps,
+    # and their values, bit for bit
+    cfg = CvarVqeConfig(restarts=3, max_iterations=40, seed=11, snapshot_every=1)
+    _, ours = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    _, theirs = reference_run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    assert len(ours.objectives) == len(theirs.objectives) == 3 * 40
+    for restart in range(3):
+        rows = range(restart * 40, restart * 40 + ANSATZ.n_params + 1)
+        for i in rows:
+            assert ours.snapshots[i] == theirs.snapshots[i]
+            assert ours.objectives[i] == theirs.objectives[i]
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_cvar_vqe_best_equals_scipy_on_klvf(seed):
+    # criterion 8's settings (seed 0) and the pipeline's defaults (seed 11)
+    cfg = CvarVqeConfig(alpha=0.1, restarts=20, max_iterations=80, seed=seed)
+    _, ours = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    _, theirs = reference_run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    assert ours.best_so_far[-1] == pytest.approx(theirs.best_so_far[-1], abs=1e-9)
+
+
+def test_cvar_vqe_best_equals_scipy_on_drawn_peptides():
+    rng = np.random.default_rng(5)
+    for k in range(10):
+        peptide = "".join(rng.choice(list(RESIDUES), 4))
+        instance = assemble("polyfit", LAYOUT, peptide, MJ)
+        cfg = CvarVqeConfig(restarts=3, max_iterations=60, seed=k)
+        _, ours = run_cvar_vqe(instance, ANSATZ, cfg)
+        _, theirs = reference_run_cvar_vqe(instance, ANSATZ, cfg)
+        assert ours.best_so_far[-1] == pytest.approx(
+            theirs.best_so_far[-1], abs=1e-9
+        ), peptide
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_cobyla_converges_like_scipy_on_a_convex_quadratic(n):
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(n)
+    centre = rng.uniform(-1.0, 1.0, n)
+    weights = rng.uniform(0.5, 3.0, n)
+    x0 = rng.uniform(-2.0, 2.0, n)
+
+    def quadratic(x):
+        return float(np.sum(weights * (x - centre) ** 2))
+
+    reference = minimize(quadratic, x0, method="COBYLA", options={"maxiter": 3000})
+    asked, (x_best, f_best) = cobyla_values(x0, quadratic, 3000)
+    # both stop on the final trust-region radius (1e-4), far inside the budget
+    assert reference.status == 0 and len(asked) < 3000
+    assert abs(len(asked) - reference.nfev) <= 0.25 * reference.nfev
+    assert f_best == quadratic(x_best) < 1e-7 and reference.fun < 1e-7
+    assert np.max(np.abs(x_best - centre)) < 1e-3
+
+
+def test_cvar_vqe_stops_on_final_radius_before_the_budget():
+    cfg = CvarVqeConfig(restarts=2, max_iterations=1500, seed=0)
+    params, trace = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    assert len(trace.objectives) < cfg.restarts * cobyla_budget(cfg, ANSATZ)
+    assert trace.circuit_evaluations == len(trace.objectives)
+    engine = ExpectationEngine(POLYFIT)
+    assert trace.best_so_far[-1] == pytest.approx(engine.ground_energy, abs=0.05)
+
+
+# the -inf case overflows the linear model's gradient, as it does in PRIMA
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_cobyla_moderates_nan_and_inf():
+    realmax = np.finfo(float).max
+    # every value NaN: the run ends on its radius at 1e30, and the tie goes
+    # to the first vertex in PRIMA's filter order, x0 + e_0, as in SciPy
+    x0 = np.full(4, 0.2)
+    asked, (x_best, f_best) = cobyla_values(x0, lambda x: math.nan, 200)
+    assert len(asked) < 200
+    assert np.array_equal(x_best, [1.2, 0.2, 0.2, 0.2]) and f_best == 1e30
+
+    # NaN and +inf read as 1e30, -inf as -REALMAX, which then stays best
+    def spiky(x):
+        if x[0] > 0.9:
+            return math.nan
+        if x[1] > 0.9:
+            return math.inf
+        return float(np.sum((x - 0.5) ** 2))
+
+    asked, (x_best, f_best) = cobyla_values(np.zeros(3), spiky, 150)
+    assert f_best == min(spiky(x) for x in asked) and math.isfinite(f_best)
+    calls = iter(range(1000))
+    asked, (x_best, f_best) = cobyla_values(
+        np.zeros(3), lambda x: -math.inf if next(calls) == 5 else spiky(x), 150
+    )
+    assert f_best == -realmax and np.array_equal(x_best, asked[5])
+
+
+def test_cvar_vqe_lockstep_equals_single_restarts(monkeypatch):
+    # restarts run as one evolve_block per tick; each must be the same bits
+    # as run alone, including a partial second block (65 columns at n=9)
+    assert block_columns(ANSATZ.n_qubits) == 64
+    configs = (
+        CvarVqeConfig(
+            restarts=5, max_iterations=40, seed=2, snapshot_every=1,
+            full_window_sweep=True,
+        ),
+        CvarVqeConfig(restarts=65, max_iterations=29, seed=6, snapshot_every=7),
+    )
+    for cfg in configs:
+        params, trace = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "block_columns", lambda n_qubits: 1)
+            alone_params, alone = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+        assert np.array_equal(trace.objectives, alone.objectives)
+        assert trace.snapshots == alone.snapshots
+        assert np.array_equal(params, alone_params)
+        assert trace.best_so_far[-1] == alone.best_so_far[-1]
+        assert trace.circuit_evaluations == len(trace.objectives)
 
 
 # --- PDP mechanics ---

@@ -27,7 +27,7 @@ from qfold.sim import (
     probabilities,
     sample,
 )
-from util import reference_f_vector
+from util import reference_cvar, reference_f_vector
 
 
 # --- dense-matrix oracle: explicit kron products, no shared kernels ---
@@ -216,6 +216,22 @@ def test_cvar_monotone_in_alpha():
     values = [cvar(energies, probs, float(a)) for a in alphas]
     assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
     assert values[-1] <= float(energies @ probs) + 1e-12
+
+
+def test_cvar_is_the_former_kernel_bit_for_bit():
+    # sim.cvar and ExpectationEngine.cvar_objective share sim.sorted_cvar;
+    # each must keep the bits of its former standalone code
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        size = int(rng.integers(1, 40))
+        energies = rng.normal(size=size).round(int(rng.integers(0, 3)))
+        probs = rng.random(size) * (rng.random(size) < 0.7)
+        if not probs.any():
+            probs[int(rng.integers(size))] = 0.3
+        # odd trials normalized; even ones may hold less mass than alpha
+        probs /= probs.sum() if trial % 2 else 1.0
+        for alpha in (1.0, 0.1, float(rng.uniform(0.01, 1.0))):
+            assert cvar(energies, probs, alpha) == reference_cvar(energies, probs, alpha)
 
 
 def test_cvar_errors():

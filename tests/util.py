@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import heapq
+import math
 import time
 
 import numpy as np
@@ -90,6 +91,42 @@ def reference_f_vector(engine, probs):
     for m, table in enumerate(engine.tables.constraint_tables, start=1):
         out[m] = float(marginal @ table)
     return out
+
+
+def reference_cvar(energies, probs, alpha):
+    """The former ``sim.cvar``: zero-mass states dropped, then sorted."""
+    energies = np.asarray(energies, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    keep = probs > 0.0
+    energies = energies[keep]
+    probs = probs[keep]
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order]
+    probs = probs[order]
+    cum = np.cumsum(probs)
+    mass = min(alpha, float(cum[-1]))
+    boundary = int(np.searchsorted(cum, mass, side="left"))
+    total = float(energies[:boundary] @ probs[:boundary])
+    used = float(cum[boundary - 1]) if boundary else 0.0
+    if boundary < energies.size and mass > used:
+        total += float(energies[boundary]) * (mass - used)
+    return total / mass
+
+
+def reference_cvar_objective(engine, probs, alpha):
+    """The former ``ExpectationEngine.cvar_objective``: every state kept."""
+    diag = engine.tables.full_diagonal()
+    order = np.argsort(diag, kind="stable")
+    sorted_diag = diag[order]
+    p = probs[order]
+    cum = np.cumsum(p)
+    mass = min(alpha, float(cum[-1]))
+    boundary = int(np.searchsorted(cum, mass, side="left"))
+    total = float(sorted_diag[:boundary] @ p[:boundary])
+    used = float(cum[boundary - 1]) if boundary else 0.0
+    if boundary < p.size and mass > used:
+        total += float(sorted_diag[boundary]) * (mass - used)
+    return total / mass
 
 
 # --- the exhaustive search's former mixed-radix odometer sweep, as reference ---
@@ -218,3 +255,57 @@ def reference_search(config):
     total = enumeration_size(config.lattice, n_beads)
     pairs, visited = _sweep_span(config, n_beads, 0, total)
     return pairs[: config.k], visited
+
+
+# --- CVaR-VQE's former SciPy-driven multistart, as reference ---
+
+
+def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
+    """The former ``run_cvar_vqe``: one SciPy COBYLA call per restart.
+
+    Returns (best params, trace) as ``run_cvar_vqe`` does.  ``on_result``
+    sees each restart's ``OptimizeResult``.  SciPy is a test dependency
+    only, so it is imported here.
+    """
+    from scipy.optimize import minimize
+
+    from qfold.optimize import (
+        QUADRANTS,
+        ExpectationEngine,
+        OptTrace,
+        cobyla_budget,
+    )
+    from qfold.sim import evolve, probabilities
+
+    engine = ExpectationEngine(instance)
+    rng = np.random.default_rng(cfg.seed)
+    trace = OptTrace()
+
+    def objective(params):
+        probs = probabilities(evolve(ansatz, params))
+        trace.circuit_evaluations += 1
+        value = engine.cvar_objective(probs, cfg.alpha)
+        trace.record(value, params=params, every=cfg.snapshot_every)
+        return value
+
+    best_params = None
+    best_value = math.inf
+    for restart in range(cfg.restarts):
+        if cfg.full_window_sweep:
+            lo, hi = QUADRANTS[restart % 4]
+        else:
+            lo, hi = cfg.init_window
+        x0 = rng.uniform(lo, hi, ansatz.n_params)
+        result = minimize(
+            objective,
+            x0,
+            method="COBYLA",
+            options={"maxiter": cobyla_budget(cfg, ansatz)},
+        )
+        if on_result is not None:
+            on_result(result)
+        if result.fun < best_value:
+            best_value = float(result.fun)
+            best_params = np.asarray(result.x, dtype=float)
+    trace.snapshots.append((len(trace.objectives), tuple(map(float, best_params))))
+    return best_params, trace
