@@ -6,37 +6,32 @@ is real-orthogonal, so amplitudes are stored as a plain float64 array of
 length ``2 ** n_qubits``; bit ``i`` of the basis index is qubit ``q_i``,
 matching character ``i`` of the bitstring convention used everywhere else.
 
-``evolve_block`` runs a block of parameter vectors as one ``(2^n, B)``
-array, batch axis last; ``evolve`` is its one-column case.  Both run the
-one gate loop, ``_apply_gates``, which can also resume a circuit at any
-gate from a given state.  The parameter-shift Jacobian evolves the 2P
-shifted circuits (and optionally the unshifted one) in chunks of
-``block_columns(n)`` circuits, each resumed from the unshifted circuit at
-the first gate one of its columns shifts.  At small n a gradient is thus a
-few block passes; from n = 13 (one circuit per chunk) no shared prefix is
-recomputed, so it takes P * (P + 2) rotations instead of (2P + 1) * P.
-Every column is bit-identical to a single ``evolve``.
+``evolve_block`` runs a block of parameter vectors and returns a
+``(2^n, B)`` array; ``evolve`` is its one-column case.  Inside, the state
+is ``(B, 2^n)``, batch axis first.  A rotation layer is the product of
+Ry(theta_q) over all qubits, and the kernel applies it in groups of at most
+``GROUP_QUBITS`` = 5 qubits of adjacent index bits, qubit 0's group first.
+A group of g qubits is one 2^g x 2^g Kronecker block; the blocks of every
+layer and column are built once per call from the half-angle cosines and
+sines (``_layer_blocks``).  The kernel applies a block as one matrix
+product per column: the group is read from the bottom index bits and
+written to the top ones, so after the last group the index is back in
+natural order.  The CNOT chain between layers is one cached gather
+(``_chain_gather``).  Each column's products have the same shape whatever
+B is, so column j equals ``evolve`` of that column bit for bit.  Fusing a
+group sums each amplitude in another order than a gate-by-gate loop, so
+the two agree to rounding, not bit for bit.
 
-``adjoint_gradients`` is the other derivative, and the one the optimizer
-uses: the gradients of a few weighted diagonal expectations <psi|D_w|psi>,
-which is what a vector-Jacobian product ``jac @ w`` of diagonal observables
-asks for.  It sweeps the circuit backward once from the final states of an
-angle block, un-applying each gate to the state and to one co-state D_w psi
-per weight vector, so its cost does not depend on P or on the number of
-observables.  Up to 12 qubits the state and co-states are column groups of
-one block; from 13 each array is swept on its own.  It agrees with the
-shifted circuits to rounding, not bit for bit; the parameter-shift Jacobian
-stays as the reference.
-
-Small qubits give NumPy short inner runs (2^q amplitudes per column), so
-the kernel keeps two layouts of the index.  Layout A is the natural order;
-layout B rotates qubits 0..k-1 (k = n // 2) to the top bits.  Each rotation
-layer applies qubits 0..k-1 in layout B, switches to A by a transposed
-copy, then applies qubits k..n-1; the CNOT chain before the next layer and
-the switch back to B are one precomputed row gather (``_chain_gather``,
-cached per width).  Every rotation therefore runs on at least 2^k * B
-contiguous amplitudes, and since only data moves, the amplitudes equal the
-natural-layout gate loop bit for bit.
+``adjoint_gradients`` is the derivative the optimizer uses: the gradients of
+a few weighted diagonal expectations <psi|D_w|psi>, which is what a
+vector-Jacobian product ``jac @ w`` of diagonal observables asks for.  It
+sweeps the circuit backward once, layer by layer, carrying the state and
+one co-state D_w psi per weight vector.  For each group it reads all of the
+group's gradients from one overlap matrix per co-state and then undoes the
+group with the transposed block, so its cost does not depend on P or on
+the number of observables.  ``parameter_shift_jacobian`` evolves the 2P
+shifted circuits through ``evolve_block``; it is the reference the adjoint
+sweep is tested against, to rounding.
 
 Provides diagonal expectations, conditional value at risk over the energy
 distribution, seeded multinomial shot sampling, parameter-shift gradients
@@ -59,6 +54,8 @@ from .exceptions import (
 )
 
 HALF_PI = math.pi / 2.0
+# most qubits in one Kronecker block: a 32 x 32 matrix per layer and column
+GROUP_QUBITS = 5
 
 
 @dataclass(frozen=True)
@@ -88,37 +85,45 @@ def bitstring_of(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")[::-1]
 
 
-def _apply_ry(state: np.ndarray, bit: int, c, s) -> None:
-    # rotate the qubit stored at index bit ``bit``; c, s: cos and sin of the
-    # half angles, one per column (plain floats when the block has a single
-    # column)
-    view = state.reshape(-1, 2, 1 << bit, state.shape[1])
-    lo = view[:, 0]
-    hi = view[:, 1]
-    new_hi = s * lo + c * hi
-    lo *= c
-    lo -= s * hi
-    hi[:] = new_hi
+def _group_sizes(n_qubits: int) -> tuple:
+    # qubits per rotation group, from qubit 0 up: as few groups as fit
+    # GROUP_QUBITS, as even as they can be, the larger ones first
+    count = -(-n_qubits // GROUP_QUBITS)
+    base, extra = divmod(n_qubits, count)
+    return (base + 1,) * extra + (base,) * (count - extra)
 
 
 @functools.lru_cache(maxsize=4)
 def _chain_gather(n_qubits: int) -> np.ndarray:
-    """Row gather applying the CNOT chain and switching layout A to B.
+    """Gather applying the linear CNOT chain in the natural index order.
 
-    Layout A is the natural order (qubit q at index bit q).  Layout B moves
-    qubits 0..k-1 to the top (qubit q < k at bit q + n - k, qubit q >= k at
-    bit q - k), with k = n // 2.  ``np.take(state_a, gather, axis=0)`` is
-    the state after the linear CNOT chain (new bit j = XOR of old bits
-    0..j), in layout B.  Read-only; one ``intp`` per amplitude.
+    The chain sends basis state x to its prefix XOR (new bit j = XOR of old
+    bits 0..j), whose inverse is ``x ^ (x << 1)``, so ``np.take(state,
+    gather, axis=-1)`` is the chained state.  Read-only; one ``intp`` per
+    amplitude.
     """
-    n = n_qubits
-    k = n // 2
-    index = np.arange(1 << n)
-    in_a = (index >> (n - k)) | ((index & ((1 << (n - k)) - 1)) << k)
-    # the chain sends basis state x to prefix_xor(x), whose inverse is x ^ (x << 1)
-    gather = in_a ^ ((in_a << 1) & ((1 << n) - 1))
+    index = np.arange(1 << n_qubits)
+    gather = index ^ ((index << 1) & ((1 << n_qubits) - 1))
     gather.flags.writeable = False
     return gather
+
+
+@functools.lru_cache(maxsize=GROUP_QUBITS)
+def _ry_pi_table(size: int) -> np.ndarray:
+    """``(4^g, g)`` signs turning a group's overlap matrix into g gradients.
+
+    For C[i, k] = sum <psi_i, lambda_k> over the other index bits, the
+    gradient of the group's qubit j is <lambda| Ry(pi)_j |psi> = sum over k
+    of C[k ^ 2^j, k], counted + where bit j of k is set and - where not.
+    """
+    dim = 1 << size
+    table = np.zeros((dim, dim, size))
+    k = np.arange(dim)
+    for j in range(size):
+        table[k ^ (1 << j), k, j] = np.where(k >> j & 1, 1.0, -1.0)
+    table = table.reshape(dim * dim, size)
+    table.flags.writeable = False
+    return table
 
 
 def _check_params(ansatz: Ansatz, params) -> np.ndarray:
@@ -130,69 +135,79 @@ def _check_params(ansatz: Ansatz, params) -> np.ndarray:
     return params
 
 
-def _half_angle_factors(block: np.ndarray):
-    # cos and sin of the half angles, one row per gate; scalar factors keep
-    # the single-state case as cheap as a 1-d state
-    half = block / 2.0
-    cos = np.cos(half)
-    sin = np.sin(half)
-    if block.shape[1] == 1:
-        return cos.ravel().tolist(), sin.ravel().tolist()
-    return cos, sin
-
-
-def _apply_gates(n_qubits: int, cos, sin, state, spare, start: int, stop: int):
-    """Apply gates ``start .. stop - 1`` to ``state``; returns (state, spare).
-
-    Gate g rotates qubit g % n in rotation layer g // n.  ``state`` holds
-    the amplitudes after gate ``start - 1`` in the layout that gate left
-    (|0> reads the same in both), and the layout moves that precede gate g
-    (the chain gather before a layer's first gate, the switch to layout A
-    before qubit k) run with it.  The moves write into ``spare`` and swap
-    the two buffers, so the caller keeps both names returned.
-    """
-    n = n_qubits
-    k = n // 2
-    width = state.shape[1]
-    chain = _chain_gather(n)
-    for gate in range(start, stop):
-        layer, q = divmod(gate, n)
-        if layer and q == 0:
-            # any mode but the default "raise" writes into ``out`` unbuffered
-            np.take(state, chain, axis=0, out=spare, mode="clip")
-            state, spare = spare, state
-        if q == k:
-            # layout B back to A: swap the two halves of the index
-            np.copyto(
-                spare.reshape(1 << (n - k), 1 << k, width),
-                state.reshape(1 << k, 1 << (n - k), width).transpose(1, 0, 2),
-            )
-            state, spare = spare, state
-        _apply_ry(state, q + n - k if q < k else q, cos[gate], sin[gate])
-    return state, spare
-
-
-def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
-    """Run the circuit once per column of an ``(n_params, B)`` angle block.
-
-    Returns the ``(2^n, B)`` amplitudes; column j equals
-    ``evolve(ansatz, block[:, j])`` bit for bit.  The batch axis is last,
-    and the two index layouts (module docstring) put every rotation on
-    contiguous runs of at least 2^(n // 2) * B amplitudes.
-    """
+def _check_block(ansatz: Ansatz, block) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != ansatz.n_params or block.shape[1] < 1:
         raise ParamLengthError(
             f"expected a ({ansatz.n_params}, B >= 1) angle block, "
             f"got shape {block.shape}"
         )
-    cos, sin = _half_angle_factors(block)
-    state = np.zeros((1 << ansatz.n_qubits, block.shape[1]))
-    state[0] = 1.0
-    state, _ = _apply_gates(
-        ansatz.n_qubits, cos, sin, state, np.empty_like(state), 0, ansatz.n_params
-    )
-    return state
+    return block
+
+
+def _layer_blocks(n_qubits: int, block: np.ndarray) -> list:
+    """Kronecker blocks of every rotation layer, one array per group.
+
+    The group of qubits lo .. lo + g - 1 gets a ``(layers + 1, B, 2^g,
+    2^g)`` array holding Ry(theta_{lo+g-1}) x ... x Ry(theta_lo) per layer
+    and column: qubit lo is the lowest bit of the group's index.  Groups
+    are listed from qubit 0 up.
+    """
+    n = n_qubits
+    half = block.reshape(-1, n, block.shape[1]).transpose(0, 2, 1) / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    # Ry(theta) = [[c, -s], [s, c]], as (layer, column, qubit, row, col)
+    ry = np.stack((cos, -sin, sin, cos), axis=-1).reshape(*half.shape, 2, 2)
+    blocks = []
+    lo = 0
+    for size in _group_sizes(n):
+        hi = lo + size
+        kron = ry[:, :, lo]
+        for q in range(lo + 1, hi):
+            # qubit q becomes the top bit of the block's row and column
+            dim = 2 * kron.shape[-1]
+            kron = ry[:, :, q, :, None, :, None] * kron[:, :, None, :, None, :]
+            kron = kron.reshape(*kron.shape[:2], dim, dim)
+        blocks.append(kron)
+        lo = hi
+    return blocks
+
+
+def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
+    """Run the circuit once per column of an ``(n_params, B)`` angle block.
+
+    Returns the ``(2^n, B)`` amplitudes, a transposed view of the
+    ``(B, 2^n)`` state the kernel works on, so each column is contiguous;
+    column j equals ``evolve(ansatz, block[:, j])`` bit for bit.  Each group
+    of a rotation layer is one matrix product per column, of one shape
+    whatever B is (module docstring).
+    """
+    block = _check_block(ansatz, block)
+    n = ansatz.n_qubits
+    width = block.shape[1]
+    blocks = _layer_blocks(n, block)
+    # the first layer turns |0> into the product of its blocks' first columns
+    state = blocks[-1][0, :, :, 0]
+    for kron in blocks[-2::-1]:
+        state = (state[:, :, None] * kron[0, :, None, :, 0]).reshape(width, -1)
+    # with a single group the state is still a strided view of its block
+    state = np.ascontiguousarray(state)
+    spare = np.empty_like(state)
+    chain = _chain_gather(n)
+    for layer in range(1, ansatz.layers + 1):
+        # any mode but the default "raise" writes into ``out`` unbuffered
+        np.take(state, chain, axis=1, out=spare, mode="clip")
+        state, spare = spare, state
+        for kron in blocks:
+            # the group on the bottom index bits moves to the top ones
+            dim = kron.shape[-1]
+            np.matmul(
+                kron[layer],
+                state.reshape(width, -1, dim).transpose(0, 2, 1),
+                out=spare.reshape(width, dim, -1),
+            )
+            state, spare = spare, state
+    return state.T
 
 
 def evolve(ansatz: Ansatz, params) -> np.ndarray:
@@ -205,12 +220,12 @@ def block_columns(n_qubits: int) -> int:
     """Columns run together as one block at this width.
 
     This is the chunk width of the parameter-shift Jacobian and the number
-    of primal-dual trajectories ``optimize`` advances in lockstep, and above
-    one it makes ``adjoint_gradients`` sweep its arrays stacked.  Wide blocks
-    amortize NumPy's per-call overhead while states are small.  From 13
-    qubits on, one circuit already rotates runs of at least 2^6 amplitudes
-    with scalar factors, which beats the per-column factors of a block, so
-    circuits run one at a time (crossover table in CHANGES.md).
+    of restarts or primal-dual trajectories ``optimize`` advances in
+    lockstep.  A column costs the same matrix products at any block width,
+    so a block saves only NumPy's per-call overhead, which pays while
+    states are small.  From 13 qubits wider blocks measured no faster per
+    column than one circuit at a time, so circuits run one at a time
+    (crossover table in CHANGES.md).
     """
     if n_qubits <= 10:
         return 64
@@ -290,6 +305,8 @@ class ShotTable:
     shots: int
 
     def __post_init__(self):
+        if self.shots < 1:
+            raise EncodingError("a shot table needs at least one shot")
         if sum(self.counts.values()) != self.shots:
             raise EncodingError("shot counts do not sum to the shot total")
 
@@ -321,7 +338,10 @@ class ShotTable:
             counts[parts[0]] = counts.get(parts[0], 0) + count
         if not counts:
             raise ParseError("shot table is empty")
-        return cls(counts=counts, shots=sum(counts.values()))
+        shots = sum(counts.values())
+        if shots < 1:
+            raise ParseError("shot counts sum to zero")
+        return cls(counts=counts, shots=shots)
 
 
 def sample(state: np.ndarray, shots: int, seed) -> ShotTable:
@@ -349,55 +369,22 @@ def parameter_shift_jacobian(ansatz: Ansatz, params, block_objective, with_value
     jacobian)``.
 
     The 2P shifted circuits, preceded by the unshifted one when asked, run
-    in chunks of ``block_columns(n)`` columns.  A circuit shifted at gate g
-    shares gates 0..g-1 with the unshifted ("centre") circuit, so the
-    centre is walked forward gate by gate and each chunk resumes from it at
-    the first gate where one of its columns is shifted; a chunk shifted at
-    gate 0 runs from |0> through ``evolve_block``.  From n = 13, where
-    chunks hold one circuit, a Jacobian applies P * (P + 2) rotations
-    instead of (2P + 1) * P.  Every column still performs the arithmetic of
-    a full ``evolve``, so the values are bit-identical to it.
+    through ``evolve_block`` in chunks of ``block_columns(n)`` columns, so
+    every value is the bits of a single ``evolve``.  It costs 2P (+ 1)
+    circuits against the adjoint sweep's few, and stays as the reference
+    ``adjoint_gradients`` is tested against.
     """
     params = _check_params(ansatz, params)
-    n = ansatz.n_qubits
     n_params = ansatz.n_params
     first = 1 if with_value else 0
     block = np.repeat(params[:, None], first + 2 * n_params, axis=1)
     rows = np.arange(n_params)
     block[rows, first + 2 * rows] = params + HALF_PI
     block[rows, first + 2 * rows + 1] = params - HALF_PI
-    # the gate at which each column leaves the centre (P: never)
-    leaves = np.concatenate(([n_params] * first, np.repeat(rows, 2)))
-    step = block_columns(n)
-    firsts = range(0, block.shape[1], step)
-    chunks = sorted((int(leaves[c : c + step].min()), c) for c in firsts)
-
-    cos, sin = _half_angle_factors(params[:, None])
-    centre = np.zeros((1 << n, 1))
-    centre[0] = 1.0
-    centre_spare = np.empty_like(centre)
-    at = 0
-    work = work_spare = None
-    values = [None] * block.shape[1]
-    for start, c in chunks:
-        chunk = block[:, c : c + step]
-        if start == 0:
-            states = evolve_block(ansatz, chunk)
-        else:
-            centre, centre_spare = _apply_gates(
-                n, cos, sin, centre, centre_spare, at, start
-            )
-            at = start
-            if work is None or work.shape[1] != chunk.shape[1]:
-                work = np.empty((1 << n, chunk.shape[1]))
-                work_spare = np.empty_like(work)
-            work[:] = centre
-            chunk_cos, chunk_sin = _half_angle_factors(chunk)
-            work, work_spare = _apply_gates(
-                n, chunk_cos, chunk_sin, work, work_spare, start, n_params
-            )
-            states = work
-        values[c : c + step] = block_objective(states)
+    step = block_columns(ansatz.n_qubits)
+    values = []
+    for c in range(0, block.shape[1], step):
+        values += list(block_objective(evolve_block(ansatz, block[:, c : c + step])))
     values = np.array(values, dtype=float)
     jac = 0.5 * (values[first::2] - values[first + 1 :: 2])
     return (values[0], jac) if with_value else jac
@@ -416,91 +403,6 @@ def parameter_shift_gradient(ansatz: Ansatz, params, objective) -> np.ndarray:
     return parameter_shift_jacobian(ansatz, params, block_objective)
 
 
-def _ry_pi_overlap(costate: np.ndarray, state: np.ndarray, bit: int) -> float:
-    # <costate| Ry(pi) on index bit ``bit`` |state>: sum(lam_hi psi_lo - lam_lo psi_hi)
-    lam = costate.reshape(-1, 2, 1 << bit)
-    psi = state.reshape(-1, 2, 1 << bit)
-    return float(
-        np.einsum("ij,ij->", lam[:, 1], psi[:, 0])
-        - np.einsum("ij,ij->", lam[:, 0], psi[:, 1])
-    )
-
-
-def _undo_moves(n_qubits: int, gate: int, state, spare):
-    """Carry ``state`` back past the layout moves before ``gate``.
-
-    The switch to layout A is undone by the inverse transpose, the chain
-    gather by a scatter through the same cached index.  Returns (state,
-    spare) swapped as in ``_apply_gates``.
-    """
-    n = n_qubits
-    k = n // 2
-    layer, q = divmod(gate, n)
-    width = state.shape[1]
-    if q == k:
-        np.copyto(
-            spare.reshape(1 << k, 1 << (n - k), width),
-            state.reshape(1 << (n - k), 1 << k, width).transpose(1, 0, 2),
-        )
-        state, spare = spare, state
-    if layer and q == 0:
-        # new[i] = old[chain[i]]; a flat scatter is the faster one for a
-        # single column
-        if width == 1:
-            spare.reshape(-1)[_chain_gather(n)] = state.reshape(-1)
-        else:
-            spare[_chain_gather(n)] = state
-        state, spare = spare, state
-    return state, spare
-
-
-def _stacked_sweep(n_qubits: int, block: np.ndarray, arrays, grads) -> None:
-    # psi and its W co-states as the column groups of one (2^n, (1 + W) * B)
-    # array: one rotation, one layout move and one overlap reduction per
-    # gate.  The overlaps land in a (W, B, 2^(n-1)) buffer, so each column's
-    # reduction is a sum over one contiguous row whatever B is.
-    n = n_qubits
-    k = n // 2
-    groups = len(arrays)
-    width = block.shape[1]
-    cos, sin = np.cos(block / 2.0), np.sin(block / 2.0)
-    cos = np.tile(cos, groups)
-    sin = -np.tile(sin, groups)
-    state = np.concatenate(arrays, axis=1)
-    spare = np.empty_like(state)
-    overlap = np.empty((groups - 1, width, 1 << (n - 1)))
-    for gate in reversed(range(block.shape[0])):
-        q = gate % n
-        bit = q + n - k if q < k else q
-        view = state.reshape(-1, 2, 1 << bit, groups, width)
-        psi = view[..., :1, :]
-        lam = view[..., 1:, :]
-        out = overlap.reshape(groups - 1, width, -1, 1 << bit).transpose(2, 3, 0, 1)
-        np.multiply(lam[:, 1], psi[:, 0], out=out)
-        out -= lam[:, 0] * psi[:, 1]
-        grads[:, gate] = overlap.sum(axis=2)
-        _apply_ry(state, bit, cos[gate], sin[gate])
-        state, spare = _undo_moves(n, gate, state, spare)
-
-
-def _separate_sweep(n_qubits: int, params: np.ndarray, arrays, grads) -> None:
-    # one state at a time, each array rotated and moved on its own; the
-    # arrays are overwritten
-    n = n_qubits
-    k = n // 2
-    cos, sin = _half_angle_factors(params[:, None])
-    spare = np.empty_like(arrays[0])
-    for gate in reversed(range(params.shape[0])):
-        q = gate % n
-        bit = q + n - k if q < k else q
-        for w, costate in enumerate(arrays[1:]):
-            grads[w, gate] = _ry_pi_overlap(costate, arrays[0], bit)
-        for a in arrays:
-            _apply_ry(a, bit, cos[gate], -sin[gate])
-        for i, a in enumerate(arrays):
-            arrays[i], spare = _undo_moves(n, gate, a, spare)
-
-
 def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     """Gradients of diagonal expectations by one backward sweep.
 
@@ -512,39 +414,67 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     <psi|D_w|psi>, and for D_w = sum_m w_m D_m it equals
     ``parameter_shift_jacobian(...) @ w`` to rounding.
 
-    The sweep walks the gates backward.  Gate g rotates qubit q by theta_g,
-    so d<psi|D_w|psi>/d theta_g = <lambda_g| Ry(pi)_q |psi_g>, with psi_g
-    and lambda_g the state and co-state just after gate g.  Both are then
-    carried back past gate g by Ry(-theta_g), and past the layout moves
-    before it: the switch to layout A by the inverse transpose, and the
-    chain gather by a scatter through the same cached index.
-
-    Where ``block_columns(n) > 1`` (n <= 12) the state and co-states go
-    through the sweep as the column groups of one array; from 13 qubits
-    each column's arrays are swept one at a time, overwriting ``state``
-    and the co-states, with one spare state besides them.  Either way a
-    column's gradients are the same bits whatever the other columns hold.
+    The sweep walks the rotation layers backward over copies of psi and
+    the co-states, each ``(B, 2^n)``.  The rotations of a layer
+    commute, and Ry(pi)_q commutes with Ry(theta_q), so every gate's
+    gradient d<psi|D_w|psi>/d theta_q = <lambda| Ry(pi)_q |psi> may be read
+    anywhere inside its layer.  The groups come off in reverse order, each
+    from the top index bits.  One matrix product per column and co-state
+    gives the group's overlap matrix C = sum psi lambda^T over the other
+    index bits, a cached sign table turns C into the group's g gradients
+    (``_ry_pi_table``), and one more product undoes the group with its
+    transposed Kronecker block.  The CNOT chain is undone by a scatter
+    through the cached gather.  Every product has the same shape for
+    every column, so a column's gradients are the same bits whatever the
+    other columns hold.  Besides its inputs the sweep holds 2 + W states per
+    column: the copies and one spare.
     """
     params = np.asarray(params, dtype=float)
     single = params.ndim == 1
-    block = params[:, None] if single else params
-    if block.ndim != 2 or block.shape[0] != ansatz.n_params or block.shape[1] < 1:
-        raise ParamLengthError(
-            f"expected {ansatz.n_params} parameters or a ({ansatz.n_params}, B >= 1) "
-            f"angle block, got shape {params.shape}"
-        )
+    block = _check_block(ansatz, params[:, None] if single else params)
     n = ansatz.n_qubits
     width = block.shape[1]
     shape = (1 << n,) if single else (1 << n, width)
     arrays = [np.asarray(a, dtype=float) for a in (state, *costates)]
     if any(a.shape != shape for a in arrays):
         raise EncodingError("state and co-states must hold 2^n amplitudes per column")
-    arrays = [a.reshape(1 << n, width) for a in arrays]
+    # each array is copied to (B, 2^n); one spare array rotates through them
+    arrays = [np.array(a.reshape(1 << n, width).T, order="C") for a in arrays]
+    spare = np.empty_like(arrays[0])
+    chain = _chain_gather(n)
+    blocks = _layer_blocks(n, block)
     grads = np.empty((len(costates), ansatz.n_params, width))
-    if block_columns(n) > 1:
-        _stacked_sweep(n, block, arrays, grads)
-    else:
-        for b in range(width):
-            columns = [np.ascontiguousarray(a[:, b : b + 1]) for a in arrays]
-            _separate_sweep(n, block[:, b], columns, grads[:, :, b])
+    for layer in reversed(range(ansatz.layers + 1)):
+        hi = n
+        for kron in reversed(blocks):
+            # the group sits on the top index bits; undoing it moves it to
+            # the bottom ones
+            dim = kron.shape[-1]
+            size = dim.bit_length() - 1
+            lo = hi - size
+            psi, *lams = (a.reshape(width, dim, -1) for a in arrays)
+            for w, lam in enumerate(lams):
+                overlap = np.matmul(psi, lam.transpose(0, 2, 1))
+                gates = np.matmul(overlap.reshape(width, 1, -1), _ry_pi_table(size))
+                grads[w, layer * n + lo : layer * n + hi] = gates[:, 0].T
+            if not (layer or lo):
+                # the first gates of the circuit: nothing left to undo
+                break
+            for i, a in enumerate(arrays):
+                np.matmul(
+                    a.reshape(width, dim, -1).transpose(0, 2, 1),
+                    kron[layer],
+                    out=spare.reshape(width, -1, dim),
+                )
+                arrays[i], spare = spare, a
+            hi = lo
+        if layer:
+            for i, a in enumerate(arrays):
+                # the chain made new[x] = old[chain[x]]: scatter back; a
+                # flat scatter is the faster one for a single column
+                if width == 1:
+                    spare.reshape(-1)[chain] = a.reshape(-1)
+                else:
+                    spare[:, chain] = a
+                arrays[i], spare = spare, a
     return grads[:, :, 0] if single else grads

@@ -208,6 +208,19 @@ def test_analyze_oracle_covers_nine_residues(tmp_path, capsys, peptide, covered)
         assert e_star is None
 
 
+def test_analyze_zero_total_shot_table_exits_2(tmp_path, capsys):
+    # counts summing to zero give no distribution to decode
+    shots = tmp_path / "shots.tsv"
+    shots.write_text("000000000\t0\n")
+    code, _, err = run_cli(
+        ["analyze", "--peptide", "KLVF", "--shots-file", str(shots),
+         "--out", str(tmp_path / "report")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ParseError:")
+
+
 # --- manifests and pipelines ---
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfold.exceptions import (
     EmptyDistributionError,
@@ -40,11 +42,7 @@ def dense_ry(theta):
 
 def dense_single(n, qubit, gate):
     # basis index bit i is qubit i, so qubit 0 is the rightmost kron factor
-    op = np.eye(1)
-    for q in range(n):
-        factor = gate if q == qubit else np.eye(2)
-        op = np.kron(factor, op)
-    return op
+    return np.kron(np.kron(np.eye(1 << (n - 1 - qubit)), gate), np.eye(1 << qubit))
 
 
 def dense_cnot(n, control, target):
@@ -59,15 +57,14 @@ def dense_evolve(ansatz, params):
     n = ansatz.n_qubits
     state = np.zeros(1 << n)
     state[0] = 1.0
-    mat = np.eye(1 << n)
     for q in range(n):
-        mat = dense_single(n, q, dense_ry(params[q])) @ mat
+        state = dense_single(n, q, dense_ry(params[q])) @ state
     for layer in range(1, ansatz.layers + 1):
         for c in range(n - 1):
-            mat = dense_cnot(n, c, c + 1) @ mat
+            state = dense_cnot(n, c, c + 1) @ state
         for q in range(n):
-            mat = dense_single(n, q, dense_ry(params[layer * n + q])) @ mat
-    return mat @ state
+            state = dense_single(n, q, dense_ry(params[layer * n + q])) @ state
+    return state
 
 
 # --- ansatz layout ---
@@ -319,6 +316,51 @@ def test_shot_table_rejects_mixed_widths():
         ShotTable.from_text("# header\n011 2\n\n01 3\n")
 
 
+def shot_lines(width):
+    row = st.builds(
+        "{}{}{}".format,
+        st.text("01", min_size=width, max_size=width),
+        st.sampled_from(["\t", " ", "  \t"]),
+        st.integers(-2, 40).map(str),
+    )
+    return st.lists(
+        st.one_of(
+            row, row, st.sampled_from(["", "  ", "# shots"]), st.text(max_size=10)
+        ),
+        max_size=6,
+    )
+
+
+# near-tables of one width, with blanks, comments and junk lines, and raw text
+shot_texts = st.one_of(
+    st.integers(1, 6).flatmap(shot_lines).map("\n".join), st.text(max_size=30)
+)
+
+
+@settings(max_examples=200)
+@given(shot_texts)
+def test_shot_table_text_round_trips_or_raises_parse_error(text):
+    try:
+        table = ShotTable.from_text(text)
+    except ParseError:
+        return
+    canonical = table.to_text()
+    again = ShotTable.from_text(canonical)
+    assert again == table
+    assert again.to_text() == canonical
+
+
+def test_shot_table_rejects_zero_shots():
+    with pytest.raises(ParseError):
+        ShotTable.from_text("000000000\t0\n")
+    with pytest.raises(ParseError):
+        ShotTable.from_text("01 0\n10 0\n")
+    with pytest.raises(EncodingError):
+        ShotTable(counts={"01": 0}, shots=0)
+    with pytest.raises(EncodingError):
+        ShotTable(counts={}, shots=0)
+
+
 def test_bitstring_convention():
     assert bitstring_of(1, 4) == "1000"
     assert bitstring_of(8, 4) == "0001"
@@ -453,8 +495,8 @@ def assert_jacobian_equals_inline_loop(ansatz, theta, block_objective, f_of_stat
     assert np.array_equal(grad, jac_ref[:, 0])
 
 
-# (9, 3) and (12, 2) end on a partial chunk, and at n = 12 the later chunks
-# resume from the centre; from n = 13 every shifted circuit resumes alone
+# (9, 3) and (12, 2) end on a partial chunk; from n = 13 every chunk holds
+# one circuit
 @pytest.mark.parametrize("n, layers", [(9, 3), (12, 2), (13, 0), (13, 1), (13, 2)])
 def test_jacobian_equals_inline_loop_on_random_diagonal(n, layers):
     ansatz = Ansatz(n, layers=layers)
@@ -492,35 +534,13 @@ def assert_vqec_jacobian_equals_inline_loop(n_beads, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_jacobian_equals_inline_shift_loop(seed):
-    # 9 qubits: the centre and its shifts run as one block
+    # 9 qubits: the unshifted circuit and its shifts run as one block
     assert_vqec_jacobian_equals_inline_loop(4, seed)
 
 
 def test_jacobian_equals_inline_shift_loop_at_16_qubits():
-    # one circuit per chunk, each resuming from the walked centre
+    # one circuit per chunk
     assert_vqec_jacobian_equals_inline_loop(5, 7)
-
-
-def test_jacobian_rotation_count_shares_the_centre_prefix(monkeypatch):
-    # one circuit per chunk: the centre applies P rotations and the two
-    # circuits shifted at gate g apply P - g each, P * (P + 2) in all;
-    # running all 2P + 1 circuits from |0> applies (2P + 1) * P
-    ansatz = Ansatz(13, layers=2)
-    assert block_columns(ansatz.n_qubits) == 1
-    calls = []
-    real_ry = sim._apply_ry
-
-    def counting_ry(state, bit, c, s):
-        calls.append(bit)
-        real_ry(state, bit, c, s)
-
-    monkeypatch.setattr(sim, "_apply_ry", counting_ry)
-    theta = np.linspace(0.1, 6.0, ansatz.n_params)
-    parameter_shift_jacobian(
-        ansatz, theta, lambda states: [0.0] * states.shape[1], with_value=True
-    )
-    p = ansatz.n_params
-    assert len(calls) == p * (p + 2) == 1599
 
 
 # --- adjoint gradients: jac @ w from one backward sweep ---
@@ -543,7 +563,7 @@ def assert_adjoint_equals_jacobian_products(ansatz, seed):
         assert np.abs(grad - jac @ w).max() <= 1e-10
 
 
-# k = n // 2 is 0 at one qubit, so the layout switch is the identity there
+# one qubit is a single 2 x 2 block; 5 qubits fill one block
 @pytest.mark.parametrize(
     "n, layers", [(1, 0), (1, 2), (2, 1), (3, 2), (5, 0), (9, 3), (13, 2)]
 )
@@ -551,10 +571,19 @@ def test_adjoint_gradients_equal_jacobian_products(n, layers):
     assert_adjoint_equals_jacobian_products(Ansatz(n, layers=layers), 100 * n + layers)
 
 
+# group splits 3+3, 4+3, 4+4+3 and 5+5+4: two to three groups, of equal
+# and of unequal sizes
+@pytest.mark.parametrize("n", [6, 7, 11, 14])
+def test_adjoint_gradients_equal_jacobian_products_across_group_splits(n):
+    splits = {6: (3, 3), 7: (4, 3), 11: (4, 4, 3), 14: (5, 5, 4)}
+    assert sim._group_sizes(n) == splits[n]
+    assert_adjoint_equals_jacobian_products(Ansatz(n, layers=2), 7 * n)
+
+
 @pytest.mark.parametrize("n", [3, 9, 13])
 def test_adjoint_gradients_block_columns_equal_single_sweeps(n):
-    # n <= 12 sweeps the block stacked, n = 13 one column at a time; either
-    # way a column's gradients are the bits of its own sweep
+    # every product in the sweep has one shape per column, so a column's
+    # gradients are the bits of its own sweep
     ansatz = Ansatz(n, layers=2)
     rng = np.random.default_rng(n)
     block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, 4))
@@ -597,7 +626,7 @@ def test_adjoint_gradients_reject_wrong_widths():
         adjoint_gradients(ansatz, block, states, [states[:, :1]])
 
 
-# --- layout-switching kernel: bit-identical to the natural-layout loop ---
+# --- layer kernel: the per-gate loop and the dense oracle, to rounding ---
 
 
 def ref_apply_ry(state, qubit, c, s):
@@ -639,16 +668,8 @@ def ref_evolve_block(ansatz, block):
     return state
 
 
-def layout_b_index(index_a, n):
-    # qubits 0..k-1 move to the top bits, qubits k..n-1 to the bottom
-    k = n // 2
-    out = 0
-    for q in range(n):
-        bit = (index_a >> q) & 1
-        out |= bit << (q + n - k if q < k else q - k)
-    return out
-
-
+# fused Kronecker blocks sum each amplitude in another order than the gate
+# loop, so the two agree to rounding, not bit for bit
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 12, 16])
 @pytest.mark.parametrize("layers", [0, 1, 2])
 @pytest.mark.parametrize("width", [1, 5, 64])
@@ -656,7 +677,22 @@ def test_evolve_block_equals_natural_layout_loop(n, layers, width):
     ansatz = Ansatz(n, layers=layers)
     rng = np.random.default_rng(1000 * n + 10 * layers + width)
     block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width))
-    assert np.array_equal(evolve_block(ansatz, block), ref_evolve_block(ansatz, block))
+    got = evolve_block(ansatz, block)
+    assert np.abs(got - ref_evolve_block(ansatz, block)).max() <= 1e-12
+
+
+# 1..5 qubits are one block, 6..8 two
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("layers", [0, 1, 2, 3])
+@pytest.mark.parametrize("width", [1, 5, 64])
+def test_layer_kernel_matches_dense_oracle(n, layers, width):
+    ansatz = Ansatz(n, layers=layers)
+    rng = np.random.default_rng(100 * n + 10 * layers + width)
+    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width))
+    got = evolve_block(ansatz, block)
+    assert got.shape == (1 << n, width)
+    for j in range(width):
+        assert np.abs(got[:, j] - dense_evolve(ansatz, block[:, j])).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -673,7 +709,4 @@ def test_chain_gather_equals_swap_loop(n):
     state = rng.normal(size=(1 << n, 3))
     chained = state.copy()
     ref_cnot_chain(chained, n)
-    want = np.empty_like(chained)
-    for i in range(1 << n):
-        want[layout_b_index(i, n)] = chained[i]
-    assert np.array_equal(np.take(state, sim._chain_gather(n), axis=0), want)
+    assert np.array_equal(np.take(state, sim._chain_gather(n), axis=0), chained)
