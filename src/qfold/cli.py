@@ -30,6 +30,7 @@ from .hamiltonian import (
     MODE_VQEC,
     MODES,
     EncodingLayout,
+    Penalties,
     ProblemInstance,
     assemble,
 )
@@ -131,6 +132,9 @@ class RunManifest:
             raise QfoldError("the vqe method optimizes the polyfit encoding")
         if self.method == "vqec" and self.mode != MODE_VQEC:
             raise QfoldError("the vqec method optimizes the vqec encoding")
+        # a comparison, not float(): a JSON integer may exceed every float
+        if not 0.0 < self.p0 <= sys.float_info.max:
+            raise QfoldError("p0 must be a finite positive penalty height")
         validate_peptide(self.peptide)
 
     def to_json(self) -> str:
@@ -140,7 +144,7 @@ class RunManifest:
     def from_json(cls, text: str) -> "RunManifest":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("manifest must be a JSON object")
@@ -159,7 +163,10 @@ class RunManifest:
             wrong_bool = isinstance(value, bool) != (expected is bool)
             if wrong_bool or not isinstance(value, expected):
                 raise ParseError(f"manifest key {f.name!r} has the wrong type")
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except QfoldError as exc:
+            raise ParseError(f"manifest value rejected: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +202,13 @@ def cmd_fit_penalty(args) -> int:
     fits = fit_family(n_beads, p0=args.p0, r2_tol=args.r2_tol)
     if separations is not None:
         fits = {s: fits[s] for s in separations}
+    _write_fits(fits, args.out)
+    return 0
+
+
+def _write_fits(fits: dict, out) -> None:
     print(fit_report(fits), end="")
-    if args.out is not None:
+    if out is not None:
         doc = {
             str(sep): {
                 "degree": fit.degree,
@@ -206,37 +218,41 @@ def cmd_fit_penalty(args) -> int:
             }
             for sep, fit in sorted(fits.items())
         }
-        path = _out_path(args.out, "fits.json")
+        path = _out_path(out, "fits.json")
         with open(path, "w") as handle:
             json.dump(doc, handle, indent=2)
             handle.write("\n")
         print(f"wrote {path}")
-    return 0
 
 
-def _assemble(args) -> ProblemInstance:
+def _assemble(args, penalties=None, fits=None) -> ProblemInstance:
     if args.lattice != FCC:
         raise QfoldError("hamiltonian modes are defined on the fcc lattice only")
     peptide = validate_peptide(args.peptide)
     matrix = load_matrix(args.matrix)
-    return assemble(args.mode, EncodingLayout(len(peptide)), peptide, matrix)
+    return assemble(
+        args.mode, EncodingLayout(len(peptide)), peptide, matrix, penalties, fits
+    )
 
 
 def cmd_build(args) -> int:
-    instance = _assemble(args)
+    _write_instance(_assemble(args), args.out)
+    return 0
+
+
+def _write_instance(instance: ProblemInstance, out) -> None:
     constraint_terms = sum(c.term_count() for c in instance.constraints)
     print(
         f"mode={instance.mode} peptide={instance.peptide} "
         f"qubits={instance.n_qubits} objective_terms={instance.objective.term_count()} "
         f"constraints={len(instance.constraints)} constraint_terms={constraint_terms}"
     )
-    if args.out is not None:
-        path = _out_path(args.out, "instance.json")
+    if out is not None:
+        path = _out_path(out, "instance.json")
         with open(path, "w") as handle:
             handle.write(instance.to_json())
             handle.write("\n")
         print(f"wrote {path}")
-    return 0
 
 
 def cmd_search(args) -> int:
@@ -270,8 +286,7 @@ def _write_params(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _summarize_state(instance: ProblemInstance, ansatz: Ansatz, params) -> dict:
-    engine = ExpectationEngine(instance)
+def _summarize_state(instance: ProblemInstance, engine, ansatz: Ansatz, params) -> dict:
     probs = probabilities(evolve(ansatz, np.asarray(params)))
     modal = engine.modal_config(probs)
     bits = bitstring_of(modal, instance.layout.n_config_bits)
@@ -287,6 +302,11 @@ def _summarize_state(instance: ProblemInstance, ansatz: Ansatz, params) -> dict:
 def cmd_vqe(args) -> int:
     args = replace_namespace(args, mode=MODE_POLYFIT)
     instance = _assemble(args)
+    _solve_vqe(instance, ExpectationEngine(instance), args)
+    return 0
+
+
+def _solve_vqe(instance: ProblemInstance, engine: ExpectationEngine, args) -> None:
     ansatz = Ansatz(instance.n_qubits, layers=args.layers)
     cfg = CvarVqeConfig(
         alpha=args.alpha,
@@ -299,8 +319,8 @@ def cmd_vqe(args) -> int:
         f"(--iterations {args.iterations}, at least P+2 = {ansatz.n_params + 2})",
         file=sys.stderr,
     )
-    params, trace = run_cvar_vqe(instance, ansatz, cfg)
-    summary = _summarize_state(instance, ansatz, params)
+    params, trace = run_cvar_vqe(instance, ansatz, cfg, engine)
+    summary = _summarize_state(instance, engine, ansatz, params)
     print(
         f"objective={trace.best_so_far[-1]:.6f} "
         f"modal={summary['modal_turns']} "
@@ -324,12 +344,16 @@ def cmd_vqe(args) -> int:
             handle.write(trace.to_json_lines())
         print(f"wrote {params_path}")
         print(f"wrote {trace_path}")
-    return 0
 
 
 def cmd_vqec(args) -> int:
     args = replace_namespace(args, mode=MODE_VQEC)
     instance = _assemble(args)
+    _solve_vqec(instance, ExpectationEngine(instance), args)
+    return 0
+
+
+def _solve_vqec(instance: ProblemInstance, engine: ExpectationEngine, args) -> None:
     ansatz = Ansatz(instance.n_qubits, layers=args.layers)
     cfg = VqecConfig(
         nu=args.nu,
@@ -340,7 +364,7 @@ def cmd_vqec(args) -> int:
     )
     grid_lines = None
     if args.grid:
-        report = grid_search(instance, ansatz, cfg)
+        report = grid_search(instance, ansatz, cfg, engine)
         best = report.best
         params = np.array(best.params)
         duals = np.array(best.duals)
@@ -353,8 +377,7 @@ def cmd_vqec(args) -> int:
         final = {"lagrangian": best.lagrangian, "violation": best.violation}
         evaluations = report.circuit_evaluations
     else:
-        params, duals, trace = run_vqec_pdp(instance, ansatz, cfg)
-        engine = ExpectationEngine(instance)
+        params, duals, trace = run_vqec_pdp(instance, ansatz, cfg, engine)
         f = engine.f_vector(probabilities(evolve(ansatz, params)))
         violation = float(max(0.0, *f[1:])) if f.shape[0] > 1 else 0.0
         final = {
@@ -362,7 +385,7 @@ def cmd_vqec(args) -> int:
             "violation": violation,
         }
         evaluations = trace.circuit_evaluations
-    summary = _summarize_state(instance, ansatz, params)
+    summary = _summarize_state(instance, engine, ansatz, params)
     print(
         f"lagrangian={final['lagrangian']:.6f} violation={final['violation']:.6f} "
         f"modal={summary['modal_turns']} "
@@ -394,7 +417,6 @@ def cmd_vqec(args) -> int:
             with open(grid_path, "w") as handle:
                 handle.write(grid_lines)
             print(f"wrote {grid_path}")
-    return 0
 
 
 def cmd_sample(args) -> int:
@@ -527,29 +549,7 @@ def run_pipeline(manifest: RunManifest) -> int:
         )
         return 0
 
-    if manifest.mode == MODE_POLYFIT:
-        cmd_fit_penalty(
-            replace_namespace(
-                base, separation=None, p0=manifest.p0, r2_tol=0.999
-            )
-        )
-    cmd_build(replace_namespace(base, mode=manifest.mode))
-    solver = argparse.Namespace(
-        **vars(base),
-        mode=manifest.mode,
-        alpha=manifest.alpha,
-        nu=manifest.nu,
-        mu=manifest.mu,
-        grid=manifest.grid,
-        restarts=manifest.restarts,
-        iterations=manifest.iterations,
-        layers=manifest.layers,
-        seed=manifest.seed,
-    )
-    if manifest.method == "vqe":
-        cmd_vqe(solver)
-    else:
-        cmd_vqec(solver)
+    _fit_assemble_solve(manifest, base)
     cmd_sample(
         replace_namespace(
             base, params=None, shots=manifest.shots, seed=manifest.seed,
@@ -563,6 +563,35 @@ def run_pipeline(manifest: RunManifest) -> int:
         )
     )
     return 0
+
+
+def _fit_assemble_solve(manifest: RunManifest, base: argparse.Namespace) -> None:
+    """Fit once, assemble once and solve on one engine.
+
+    The instance and engine are dropped when this returns, so sampling and
+    analysis do not hold them.
+    """
+    solver = argparse.Namespace(
+        **vars(base),
+        mode=manifest.mode,
+        alpha=manifest.alpha,
+        nu=manifest.nu,
+        mu=manifest.mu,
+        grid=manifest.grid,
+        restarts=manifest.restarts,
+        iterations=manifest.iterations,
+        layers=manifest.layers,
+        seed=manifest.seed,
+    )
+    fits = None
+    if manifest.mode == MODE_POLYFIT:
+        n_beads = len(validate_peptide(manifest.peptide))
+        fits = fit_family(n_beads, p0=manifest.p0, r2_tol=0.999)
+        _write_fits(fits, base.out)
+    instance = _assemble(solver, Penalties(p0=manifest.p0), fits)
+    _write_instance(instance, base.out)
+    solve = _solve_vqe if manifest.method == "vqe" else _solve_vqec
+    solve(instance, ExpectationEngine(instance), solver)
 
 
 def replace_namespace(ns: argparse.Namespace, **updates) -> argparse.Namespace:

@@ -46,4 +46,4 @@ class EmptyStructureError(QfoldError, ValueError):
 
 
 class ParseError(QfoldError, ValueError):
-    """Structured text input (topobj, xyz, shot table, manifest) is malformed."""
+    """Structured text input (topobj, xyz, shot table, manifest, instance) is malformed."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import polyfit as pf
-from .exceptions import EncodingError
+from .exceptions import EncodingError, ParseError, QfoldError
 from .lattice import (
     FCC_CODEWORDS,
     FCC_VECTORS,
@@ -296,27 +296,54 @@ class ProblemInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ProblemInstance":
-        doc = json.loads(text)
+        """Parse ``to_json``'s document.
+
+        A document of another format version raises ``EncodingError``; any
+        other malformed document raises ``ParseError``.
+        """
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"instance is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("instance must be a JSON object")
         if doc.get("version") != INSTANCE_FORMAT_VERSION:
             raise EncodingError(
                 f"unsupported instance format version {doc.get('version')!r}"
             )
-        layout = EncodingLayout(doc["layout"]["n_beads"])
-        n_vars = doc["n_vars"]
-        objective = PBPolynomial.from_terms(doc["objective"], n_vars)
-        constraints = tuple(
-            PBPolynomial.from_terms(terms, n_vars) for terms in doc["constraints"]
-        )
-        pen = doc["penalties"]
-        return cls(
-            layout=layout,
-            mode=doc["mode"],
-            peptide=doc["peptide"],
-            matrix_name=doc["matrix"],
-            penalties=Penalties(pen["lam_back"], pen["lam_redun"], pen["p0"]),
-            objective=objective,
-            constraints=constraints,
-        )
+        try:
+            if not isinstance(doc["peptide"], str):
+                raise ParseError("instance peptide must be a string")
+            peptide = validate_peptide(doc["peptide"])
+            n_beads = doc["layout"]["n_beads"]
+            # checked before the layout, whose size grows with n_beads
+            if type(n_beads) is not int or n_beads != len(peptide):
+                raise ParseError("layout n_beads does not match the peptide")
+            layout = EncodingLayout(n_beads)
+            n_vars = doc["n_vars"]
+            if type(n_vars) is not int or n_vars != layout.total_qubits:
+                raise ParseError("n_vars does not match the layout")
+            if doc["mode"] not in MODES or not isinstance(doc["matrix"], str):
+                raise ParseError("instance mode or matrix name is malformed")
+            pen = doc["penalties"]
+            weights = [pen[key] for key in ("lam_back", "lam_redun", "p0")]
+            if any(type(w) not in (int, float) for w in weights):
+                raise ParseError("penalty weights must be numbers")
+            return cls(
+                layout=layout,
+                mode=doc["mode"],
+                peptide=peptide,
+                matrix_name=doc["matrix"],
+                penalties=Penalties(*map(float, weights)),
+                objective=PBPolynomial.from_terms(doc["objective"], n_vars),
+                constraints=tuple(
+                    PBPolynomial.from_terms(terms, n_vars) for terms in doc["constraints"]
+                ),
+            )
+        except ParseError:
+            raise
+        except (QfoldError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"malformed instance: {exc!r}") from exc
 
 
 def assemble(

@@ -7,9 +7,11 @@ Two protocols over the same simulator:
   configurable angle window.  The minimizer is COBYLA, Powell's
   linear-approximation trust region, kept here as ``_cobyla``: an ask/tell
   generator that follows PRIMA's decision rules for a problem without
-  constraints.  Restarts advance in lockstep, ``sim.block_columns(n)`` at a
+  constraints, and re-checks its simplex inverse only where the simplex
+  has changed.  Restarts advance in lockstep, ``sim.block_columns(n)`` at a
   time: each tick is one ``evolve_block`` of the points the live restarts
-  ask for, one CVaR per column and one answer per restart.
+  ask for, one ``cvar_objective`` of that block and one answer per
+  restart.
 * Primal-dual perturbation for the constrained encoding: each iteration
   evaluates the constraint expectations and the Lagrangian gradients at the
   current angles, perturbs primal and dual variables, then applies the
@@ -31,6 +33,7 @@ expectations need only configuration-space marginals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -158,13 +161,20 @@ class ExpectationEngine:
         out *= state
         return out
 
-    def cvar_objective(self, probs: np.ndarray, alpha: float) -> float:
-        """Tail mean over the exact full-basis energy distribution."""
+    def cvar_objective(self, probs: np.ndarray, alpha: float):
+        """Tail mean over the exact full-basis energy distribution.
+
+        Takes one probability vector, or a ``(2^n, B)`` block of them and
+        returns one value per column.  The block is gathered into the sorted
+        diagonal's order once, as ``(B, 2^n)`` rows, for one
+        ``sorted_cvar`` call; every value is the bits of its column alone.
+        """
         if self._sorted_diag is None:
             diag = self.tables.full_diagonal()
             self._sort_order = np.argsort(diag, kind="stable")
             self._sorted_diag = diag[self._sort_order]
-        return sorted_cvar(self._sorted_diag, probs[self._sort_order], alpha)
+        rows = np.take(probs.T, self._sort_order, axis=-1)
+        return sorted_cvar(self._sorted_diag, rows, alpha)
 
     def ground_probability(self, probs: np.ndarray) -> float:
         return float(self.config_marginal(probs)[self.ground_configs].sum())
@@ -330,10 +340,10 @@ def _cobyla(x0, maxfev):
         """The value at x: a vertex's within 1e-4 * _RHOEND of it, else asked."""
         nonlocal nf, x_best, f_best
         distsq = np.empty(n + 1)
-        distsq[n] = np.sum((x - sim[:, n]) * (x - sim[:, n]))
+        distsq[n] = ((x - sim[:, n]) * (x - sim[:, n])).sum()
         diff = x[:, None] - (sim[:, n][:, None] + sim[:, :n])
-        distsq[:n] = np.sum(diff * diff, axis=0)
-        j = int(np.argmin(distsq))
+        distsq[:n] = (diff * diff).sum(axis=0)
+        j = int(distsq.argmin())
         if distsq[j] <= (1e-4 * _RHOEND) * (1e-4 * _RHOEND):
             return fval[j]
         f = _moderated((yield x))
@@ -366,16 +376,20 @@ def _cobyla(x0, maxfev):
     rho = delta = _RHOBEG
     ratio, jdrop_tr = -1.0, 0
     small_radius = False
+    # only the first pass checks here: later the simplex is checked where it
+    # changes, and the pole is always the best vertex
+    checked = False
     for _ in range(10 * maxfev):
-        simi, ok = _updatepole(fval, sim, simi)
+        simi, ok = _updatepole(fval, sim, simi, checked)
         if not ok:
             break
+        checked = True
         adequate_geo = _offsets_within(sim, 2.0 * delta)
         g = (fval[:n] - fval[n]) @ simi
         d = _tr_step(g, delta)
-        dnorm = min(delta, np.linalg.norm(d))
+        dnorm = min(delta, _norm(d))
         shortd = dnorm <= 0.1 * rho
-        preref = -np.dot(d, g)
+        preref = -d.dot(g)
         trfail = not preref > 1.0e-6 * _EPS * rho
         if shortd or trfail:
             delta *= 0.1
@@ -397,10 +411,10 @@ def _cobyla(x0, maxfev):
         bad_trstep = shortd or trfail or ratio <= 0 or jdrop_tr is None
         if bad_trstep and not adequate_geo and not _offsets_within(sim, 2.0 * delta):
             # geometry step: replace the farthest vertex along its simi row
-            jdrop_geo = int(np.argmax(np.sum(sim[:, :n] * sim[:, :n], axis=0)))
+            jdrop_geo = int((sim[:, :n] * sim[:, :n]).sum(axis=0).argmax())
             d = simi[jdrop_geo, :]
-            d = delta / 2 * (d / np.linalg.norm(d))
-            if np.dot(d, (fval[:n] - fval[n]) @ simi) > 0:
+            d = delta / 2 * (d / _norm(d))
+            if d.dot((fval[:n] - fval[n]) @ simi) > 0:
                 d *= -1
             x = sim[:, n] + d
             f = yield from trial(x)
@@ -411,16 +425,15 @@ def _cobyla(x0, maxfev):
             if rho <= _RHOEND:
                 small_radius = True
                 break
+            # PRIMA updates the pole here, as its merit function may change
+            # with rho; without constraints it is f, so the pole stays
             delta = max(0.5 * rho, _redrho(rho))
             rho = _redrho(rho)
-            simi, ok = _updatepole(fval, sim, simi)
-            if not ok:
-                break
 
     if small_radius and shortd:
         # PRIMA's last step: the short step that ended the run, if it moves
         x = sim[:, n] + d
-        if np.linalg.norm(x - sim[:, n]) > 1.0e-3 * _RHOEND and nf < maxfev:
+        if _norm(x - sim[:, n]) > 1.0e-3 * _RHOEND and nf < maxfev:
             f = _moderated((yield x))
             if f < f_best:
                 x_best, f_best = x, f
@@ -431,14 +444,19 @@ def _moderated(f) -> float:
     return _FUNCMAX if math.isnan(f) else min(max(f, -_REALMAX), _FUNCMAX)
 
 
+def _norm(v) -> float:
+    # np.linalg.norm's arithmetic for a 1-d vector, without its dispatch
+    return math.sqrt(v.dot(v))
+
+
 def _offsets_within(sim, radius) -> bool:
     n = sim.shape[0]
-    return bool(np.all(np.sum(sim[:, :n] * sim[:, :n], axis=0) <= radius * radius))
+    return bool(((sim[:, :n] * sim[:, :n]).sum(axis=0) <= radius * radius).all())
 
 
 def _tr_step(g, delta):
     """The linear model's minimizer on the trust region: ``-delta * g / |g|``."""
-    norm = np.linalg.norm(g)
+    norm = _norm(g)
     if not (0.0 < norm < math.inf):
         # g = 0, or a moderated objective overflowed the model
         return np.zeros_like(g)
@@ -465,32 +483,42 @@ def _redrho(rho):
 def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
     """The vertex a trust-region point replaces, or None."""
     n = d.size
-    distsq = np.zeros(n + 1)
+    distsq = np.empty(n + 1)
     if ximproved:
-        diff = sim[:, :n] - np.tile(d, (n, 1)).T
-        distsq[:n] = np.sum(diff * diff, axis=0)
-        distsq[n] = np.sum(d * d)
+        diff = sim[:, :n] - d[:, None]
+        distsq[:n] = (diff * diff).sum(axis=0)
+        distsq[n] = (d * d).sum()
     else:
-        distsq[:n] = np.sum(sim[:, :n] * sim[:, :n], axis=0)
+        distsq[:n] = (sim[:, :n] * sim[:, :n]).sum(axis=0)
+        distsq[n] = 0.0
     scale = max(rho, delta / 10)
     weight = np.maximum(1, distsq / (scale * scale))
-    simid = simi @ d
-    score = weight * abs(np.array([*simid, 1 - np.sum(simid)]))
+    score = np.empty(n + 1)
+    score[:n] = simi @ d
+    score[n] = 1 - score[:n].sum()
+    score = weight * abs(score)
     if not ximproved:
         score[n] = -1
     score[np.isnan(score)] = -1
     if (score > 0).any():
-        return int(np.argmax(score))
-    return int(np.argmax(distsq)) if ximproved else None
+        return int(score.argmax())
+    return int(distsq.argmax()) if ximproved else None
+
+
+@functools.lru_cache(maxsize=4)
+def _eye(n):
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _reinverted(sim, simi):
     """``(simi, ok)``: ``simi``, or a fresh inverse where it has drifted."""
     n = sim.shape[0]
-    erri = np.max(abs(simi @ sim[:, :n] - np.eye(n)))
+    erri = abs(simi @ sim[:, :n] - _eye(n)).max()
     if erri > 0.1 or np.isnan(erri):
         simi_test = np.linalg.inv(sim[:, :n])
-        erri_test = np.max(abs(simi_test @ sim[:, :n] - np.eye(n)))
+        erri_test = abs(simi_test @ sim[:, :n] - _eye(n)).max()
         if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
             simi, erri = simi_test, erri_test
     return simi, bool(erri <= 1)
@@ -507,15 +535,16 @@ def _updatexfc(jdrop, d, f, fval, sim, simi):
     n = sim.shape[0]
     if jdrop < n:
         sim[:, jdrop] = d
-        simi_jdrop = simi[jdrop, :] / np.dot(simi[jdrop, :], d)
-        simi -= np.outer(simi @ d, simi_jdrop)
+        simi_jdrop = simi[jdrop, :] / simi[jdrop, :].dot(d)
+        simi -= (simi @ d)[:, None] * simi_jdrop
         simi[jdrop, :] = simi_jdrop
     else:
         sim[:, n] += d
-        sim[:, :n] -= np.tile(d, (n, 1)).T
+        sim[:, :n] -= d[:, None]
         simid = simi @ d
-        sum_simi = np.sum(simi, axis=0)
-        simi += np.outer(simid, sum_simi / (1 - sum(simid)))
+        sum_simi = simi.sum(axis=0)
+        # PRIMA adds left to right, as cumsum does; a pairwise sum differs
+        simi += simid[:, None] * (sum_simi / (1 - simid.cumsum()[-1]))
     simi, ok = _reinverted(sim, simi)
     if not ok:
         return simi, False
@@ -523,16 +552,22 @@ def _updatexfc(jdrop, d, f, fval, sim, simi):
     return _updatepole(fval, sim, simi)
 
 
-def _updatepole(fval, sim, simi):
-    """Make the best vertex (the first on a tie) the pole; ``(simi, ok)``."""
+def _updatepole(fval, sim, simi, checked=True):
+    """Make the best vertex (the first on a tie) the pole; ``(simi, ok)``.
+
+    ``checked`` says the simplex has passed ``_reinverted`` since it last
+    changed; the check is then repeated only if the pole moves.
+    """
     n = sim.shape[0]
-    jopt = int(np.argmin(fval))
+    jopt = int(fval.argmin())
     if fval[jopt] < fval[n]:
         sim[:, n] += sim[:, jopt]
         sim_jopt = sim[:, jopt].copy()
         sim[:, jopt] = 0
-        sim[:, :n] -= np.tile(sim_jopt, (n, 1)).T
-        simi[jopt, :] = -np.sum(simi, axis=0)
+        sim[:, :n] -= sim_jopt[:, None]
+        simi[jopt, :] = -simi.sum(axis=0)
+    elif checked:
+        return simi, True
     else:
         jopt = n
     simi, ok = _reinverted(sim, simi)
@@ -541,8 +576,12 @@ def _updatepole(fval, sim, simi):
     return simi, ok
 
 
-def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
+def run_cvar_vqe(
+    instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig, engine=None
+):
     """Multistart CVaR minimization; returns (best params, trace).
+
+    ``engine`` is the instance's ``ExpectationEngine``, built here if None.
 
     Each restart is one ``_cobyla`` run from its seeded start.  Restarts
     advance in lockstep, ``block_columns(n)`` at a time: a tick evolves the
@@ -556,7 +595,8 @@ def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
         raise EncodingError("CVaR-VQE drives the fused-penalty objective only")
     if ansatz.n_qubits != instance.n_qubits:
         raise EncodingError("ansatz width does not match the instance")
-    engine = ExpectationEngine(instance)
+    if engine is None:
+        engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     budget = _Budget(cfg.max_seconds)
     starts = []
@@ -580,9 +620,9 @@ def run_cvar_vqe(instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig):
             budget.check()
             live = list(asked)
             block = np.array([asked[j] for j in live]).T
-            probs = np.ascontiguousarray(probabilities(evolve_block(ansatz, block)).T)
-            for j, column in zip(live, probs):
-                value = engine.cvar_objective(column, cfg.alpha)
+            probs = probabilities(evolve_block(ansatz, block))
+            for j, value in zip(live, engine.cvar_objective(probs, cfg.alpha)):
+                value = float(value)
                 rows[j].append((value, asked[j]))
                 try:
                     asked[j] = runs[j].send(value)
@@ -668,7 +708,7 @@ def _pdp_block(engine, ansatz, starts, steps, cfg, budget, drop_diverged):
 
         ones = np.ones((len(live), 1))
         duals_pert = np.maximum(duals + nu[:, None] * f_here[:, 1:], 0.0)
-        # the co-states live only for the sweep: at 24 qubits each is 128 MiB
+        # the sweep consumes the co-states: at 24 qubits each is 128 MiB
         step, step_pert = adjoint_gradients(
             ansatz,
             theta,
@@ -740,15 +780,19 @@ def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace, budget=None):
     return run.theta, run.duals, run.f_final
 
 
-def run_vqec_pdp(instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig):
+def run_vqec_pdp(
+    instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig, engine=None
+):
     """Multistart primal-dual runs at (cfg.nu, cfg.mu).
 
     Returns (best params, final duals, trace); best means lowest final
-    Lagrangian objective across restarts.
+    Lagrangian objective across restarts.  ``engine`` is the instance's
+    ``ExpectationEngine``, built here if None.
     """
     if instance.mode != MODE_VQEC:
         raise EncodingError("the primal-dual loop drives the constrained mode only")
-    engine = ExpectationEngine(instance)
+    if engine is None:
+        engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(0.0, TWO_PI, (cfg.restarts, ansatz.n_params))
     trace = OptTrace()
@@ -823,16 +867,20 @@ class GridReport:
         return "\n".join(e.to_json() for e in self.entries) + "\n"
 
 
-def grid_search(instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig) -> GridReport:
+def grid_search(
+    instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig, engine=None
+) -> GridReport:
     """Sweep (nu, mu) over the configured grids with shared restarts.
 
     Every grid point sees the same seeded initial angles, so rows are
     comparable and the ranking is independent of execution order.  Runs
     that trip the divergence ceiling are kept, flagged, and ranked last.
+    ``engine`` is the instance's ``ExpectationEngine``, built here if None.
     """
     if instance.mode != MODE_VQEC:
         raise EncodingError("grid search drives the constrained mode only")
-    engine = ExpectationEngine(instance)
+    if engine is None:
+        engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(0.0, TWO_PI, (cfg.restarts, ansatz.n_params))
     points = list(itertools.product(cfg.nu_grid, cfg.mu_grid))

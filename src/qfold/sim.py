@@ -11,16 +11,18 @@ matching character ``i`` of the bitstring convention used everywhere else.
 is ``(B, 2^n)``, batch axis first.  A rotation layer is the product of
 Ry(theta_q) over all qubits, and the kernel applies it in groups of at most
 ``GROUP_QUBITS`` = 5 qubits of adjacent index bits, qubit 0's group first.
-A group of g qubits is one 2^g x 2^g Kronecker block; the blocks of every
-layer and column are built once per call from the half-angle cosines and
-sines (``_layer_blocks``).  The kernel applies a block as one matrix
-product per column: the group is read from the bottom index bits and
-written to the top ones, so after the last group the index is back in
-natural order.  The CNOT chain between layers is one cached gather
-(``_chain_gather``).  Each column's products have the same shape whatever
-B is, so column j equals ``evolve`` of that column bit for bit.  Fusing a
-group sums each amplitude in another order than a gate-by-gate loop, so
-the two agree to rounding, not bit for bit.
+A group of g qubits is one 2^g x 2^g Kronecker block.  Per call, each
+layer and column gets its groups' 2^g products of half-angle cosines and
+sines (``_layer_products``), and each block is one gather from those
+products and their negatives (``_layer_blocks``); the first layer needs
+only the products, which are its blocks' first columns.  The kernel
+applies a block as one matrix product per column: the group is read from
+the bottom index bits and written to the top ones, so after the last
+group the index is back in natural order.  The CNOT chain between layers
+is one cached gather (``_chain_gather``).  Each column's products have the
+same shape whatever B is, so column j equals ``evolve`` of that column bit
+for bit.  Fusing a group sums each amplitude in another order than a
+gate-by-gate loop, so the two agree to rounding, not bit for bit.
 
 ``adjoint_gradients`` is the derivative the optimizer uses: the gradients of
 a few weighted diagonal expectations <psi|D_w|psi>, which is what a
@@ -34,8 +36,9 @@ shifted circuits through ``evolve_block``; it is the reference the adjoint
 sweep is tested against, to rounding.
 
 Provides diagonal expectations, conditional value at risk over the energy
-distribution, seeded multinomial shot sampling, parameter-shift gradients
-and Jacobians, and adjoint gradients of diagonal expectations.
+distribution (``sorted_cvar`` takes a block of distributions at once),
+seeded multinomial shot sampling, parameter-shift gradients and Jacobians,
+and adjoint gradients of diagonal expectations.
 """
 
 from __future__ import annotations
@@ -145,31 +148,70 @@ def _check_block(ansatz: Ansatz, block) -> np.ndarray:
     return block
 
 
-def _layer_blocks(n_qubits: int, block: np.ndarray) -> list:
-    """Kronecker blocks of every rotation layer, one array per group.
+@functools.lru_cache(maxsize=GROUP_QUBITS)
+def _kron_gather(size: int) -> np.ndarray:
+    """``(2^g, 2^g)`` gather from ``[P, -P]`` into a group's Kronecker block.
 
-    The group of qubits lo .. lo + g - 1 gets a ``(layers + 1, B, 2^g,
-    2^g)`` array holding Ry(theta_{lo+g-1}) x ... x Ry(theta_lo) per layer
-    and column: qubit lo is the lowest bit of the group's index.  Groups
-    are listed from qubit 0 up.
+    Ry(theta) = [[c, -s], [s, c]]: entry (r, c) of a Kronecker product of g
+    of them takes cos where bits r and c agree and sin where they differ, so
+    its magnitude is P[r ^ c], and it is negated once per bit set in c but
+    not in r.  Read-only.
+    """
+    dim = 1 << size
+    rows, cols = np.arange(dim)[:, None], np.arange(dim)
+    flips = ~rows & cols
+    parity = np.zeros_like(flips)
+    for j in range(size):
+        parity ^= flips >> j & 1
+    gather = (rows ^ cols) + dim * parity
+    gather.flags.writeable = False
+    return gather
+
+
+def _layer_products(n_qubits: int, block: np.ndarray) -> list:
+    """The 2^g cos/sin products of every rotation layer, one array per group.
+
+    The group of qubits lo .. lo + g - 1 gets a ``(layers + 1, B, 2^g)``
+    array: entry k multiplies, for each qubit q of the group, cos(theta_q /
+    2) where bit q - lo of k is clear and sin(theta_q / 2) where it is set,
+    qubit lo first and each later factor on the left.  Entry k is column 0
+    of the group's Kronecker block, row k.  Groups are listed from qubit 0
+    up.
     """
     n = n_qubits
     half = block.reshape(-1, n, block.shape[1]).transpose(0, 2, 1) / 2.0
-    cos, sin = np.cos(half), np.sin(half)
-    # Ry(theta) = [[c, -s], [s, c]], as (layer, column, qubit, row, col)
-    ry = np.stack((cos, -sin, sin, cos), axis=-1).reshape(*half.shape, 2, 2)
-    blocks = []
+    # (layer, column, qubit, cos or sin)
+    factors = np.stack((np.cos(half), np.sin(half)), axis=-1)
+    products = []
     lo = 0
     for size in _group_sizes(n):
-        hi = lo + size
-        kron = ry[:, :, lo]
-        for q in range(lo + 1, hi):
-            # qubit q becomes the top bit of the block's row and column
-            dim = 2 * kron.shape[-1]
-            kron = ry[:, :, q, :, None, :, None] * kron[:, :, None, :, None, :]
-            kron = kron.reshape(*kron.shape[:2], dim, dim)
-        blocks.append(kron)
-        lo = hi
+        prod = factors[:, :, lo]
+        for q in range(lo + 1, lo + size):
+            # qubit q becomes the top bit of the index
+            prod = (factors[:, :, q, :, None] * prod[:, :, None, :]).reshape(
+                *prod.shape[:2], -1
+            )
+        products.append(prod)
+        lo += size
+    return products
+
+
+def _layer_blocks(products: list) -> list:
+    """Kronecker blocks of ``_layer_products``, one array per group.
+
+    The group of qubits lo .. lo + g - 1 gets an ``(L, B, 2^g, 2^g)``
+    array for the L layers of its products, holding Ry(theta_{lo+g-1}) x
+    ... x Ry(theta_lo) per layer and column: qubit lo is the lowest bit of
+    the group's index.  Each block is
+    one gather from its products and their negatives (``_kron_gather``);
+    negation is exact, so every entry is the bits of the explicit Kronecker
+    product taken qubit lo first.
+    """
+    blocks = []
+    for prod in products:
+        signed = np.concatenate((prod, -prod), axis=-1)
+        size = prod.shape[-1].bit_length() - 1
+        blocks.append(np.take(signed, _kron_gather(size), axis=-1))
     return blocks
 
 
@@ -185,12 +227,14 @@ def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
     block = _check_block(ansatz, block)
     n = ansatz.n_qubits
     width = block.shape[1]
-    blocks = _layer_blocks(n, block)
-    # the first layer turns |0> into the product of its blocks' first columns
-    state = blocks[-1][0, :, :, 0]
-    for kron in blocks[-2::-1]:
-        state = (state[:, :, None] * kron[0, :, None, :, 0]).reshape(width, -1)
-    # with a single group the state is still a strided view of its block
+    products = _layer_products(n, block)
+    # the first layer turns |0> into the product of its blocks' first
+    # columns, which are its groups' products; the other layers need blocks
+    blocks = _layer_blocks([prod[1:] for prod in products])
+    state = products[-1][0]
+    for prod in products[-2::-1]:
+        state = (state[:, :, None] * prod[0, :, None, :]).reshape(width, -1)
+    # the layer loop writes into state and spare as C-contiguous (B, 2^n)
     state = np.ascontiguousarray(state)
     spare = np.empty_like(state)
     chain = _chain_gather(n)
@@ -202,7 +246,7 @@ def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
             # the group on the bottom index bits moves to the top ones
             dim = kron.shape[-1]
             np.matmul(
-                kron[layer],
+                kron[layer - 1],
                 state.reshape(width, -1, dim).transpose(0, 2, 1),
                 out=spare.reshape(width, dim, -1),
             )
@@ -280,21 +324,30 @@ def cvar(energies, probs, alpha: float) -> float:
     return sorted_cvar(energies[order], probs[order], alpha)
 
 
-def sorted_cvar(energies: np.ndarray, probs: np.ndarray, alpha: float) -> float:
-    """``cvar`` of a distribution whose energies are already ascending.
+def sorted_cvar(energies: np.ndarray, probs: np.ndarray, alpha: float):
+    """``cvar`` of distributions whose energies are already ascending.
 
-    The one tail kernel: ``cvar`` calls it after dropping zero-mass states
-    and sorting, and ``ExpectationEngine.cvar_objective`` on its pre-sorted
-    diagonal.  Zero-mass entries may stay in; they add nothing to the tail.
+    The one tail kernel.  ``probs`` is one row of probabilities in the order
+    of ``energies``, or a ``(B, 2^n)`` block of such rows; the result is a
+    float, or one value per row.  ``cvar`` calls it after dropping zero-mass
+    states and sorting, and ``ExpectationEngine.cvar_objective`` on a block
+    gathered into its pre-sorted diagonal's order.  Zero-mass entries may
+    stay in; they add nothing to the tail.  The block's cumulative sums are
+    one row-wise ``cumsum``; each row then takes its own ``searchsorted`` and
+    contiguous dot, so a row's value is the same bits as its call alone.
     """
-    cum = np.cumsum(probs)
-    mass = min(alpha, float(cum[-1]))
-    boundary = int(np.searchsorted(cum, mass, side="left"))
-    total = float(energies[:boundary] @ probs[:boundary])
-    used = float(cum[boundary - 1]) if boundary else 0.0
-    if boundary < energies.size and mass > used:
-        total += float(energies[boundary]) * (mass - used)
-    return total / mass
+    rows = probs.reshape(-1, probs.shape[-1])
+    cums = np.cumsum(rows, axis=1)
+    out = np.empty(rows.shape[0])
+    for j, (row, cum) in enumerate(zip(rows, cums)):
+        mass = min(alpha, float(cum[-1]))
+        boundary = int(cum.searchsorted(mass, side="left"))
+        total = float(energies[:boundary] @ row[:boundary])
+        used = float(cum[boundary - 1]) if boundary else 0.0
+        if boundary < energies.size and mass > used:
+            total += float(energies[boundary]) * (mass - used)
+        out[j] = total / mass
+    return out if probs.ndim == 2 else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -414,11 +467,14 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     <psi|D_w|psi>, and for D_w = sum_m w_m D_m it equals
     ``parameter_shift_jacobian(...) @ w`` to rounding.
 
-    The sweep walks the rotation layers backward over copies of psi and
-    the co-states, each ``(B, 2^n)``.  The rotations of a layer
-    commute, and Ry(pi)_q commutes with Ry(theta_q), so every gate's
-    gradient d<psi|D_w|psi>/d theta_q = <lambda| Ry(pi)_q |psi> may be read
-    anywhere inside its layer.  The groups come off in reverse order, each
+    The sweep walks the rotation layers backward over psi and the
+    co-states, each as ``(B, 2^n)``.  psi is copied.  The co-states are
+    consumed: where a co-state's ``(B, 2^n)`` view is C-contiguous (always
+    for one column) the sweep runs in its buffer, which ends up holding
+    scratch values, so a caller that still needs one passes a copy.  The
+    rotations of a layer commute, and Ry(pi)_q commutes with Ry(theta_q),
+    so every gate's gradient d<psi|D_w|psi>/d theta_q = <lambda| Ry(pi)_q
+    |psi> may be read anywhere inside its layer.  The groups come off in reverse order, each
     from the top index bits.  One matrix product per column and co-state
     gives the group's overlap matrix C = sum psi lambda^T over the other
     index bits, a cached sign table turns C into the group's g gradients
@@ -426,8 +482,9 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     transposed Kronecker block.  The CNOT chain is undone by a scatter
     through the cached gather.  Every product has the same shape for
     every column, so a column's gradients are the same bits whatever the
-    other columns hold.  Besides its inputs the sweep holds 2 + W states per
-    column: the copies and one spare.
+    other columns hold.  Besides its inputs the sweep holds two states per
+    column, the copy of psi and one spare, when every co-state is swept in
+    place, and one more per co-state it has to copy.
     """
     params = np.asarray(params, dtype=float)
     single = params.ndim == 1
@@ -438,11 +495,16 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     arrays = [np.asarray(a, dtype=float) for a in (state, *costates)]
     if any(a.shape != shape for a in arrays):
         raise EncodingError("state and co-states must hold 2^n amplitudes per column")
-    # each array is copied to (B, 2^n); one spare array rotates through them
-    arrays = [np.array(a.reshape(1 << n, width).T, order="C") for a in arrays]
+    # psi is copied to (B, 2^n); a co-state is swept in place where that
+    # view is C-contiguous and overlaps no other co-state, else copied too
+    views = [a.reshape(1 << n, width).T for a in arrays]
+    arrays = [np.array(views[0], order="C")]
+    for view in views[1:]:
+        shared = any(np.may_share_memory(view, a) for a in arrays[1:])
+        arrays.append(np.array(view, order="C") if shared else np.ascontiguousarray(view))
     spare = np.empty_like(arrays[0])
     chain = _chain_gather(n)
-    blocks = _layer_blocks(n, block)
+    blocks = _layer_blocks(_layer_products(n, block))
     grads = np.empty((len(costates), ansatz.n_params, width))
     for layer in reversed(range(ansatz.layers + 1)):
         hi = n

@@ -1,15 +1,21 @@
 """End-to-end checks of the command-line surface."""
 
+import collections
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfold.cli import RunManifest, main, resource_counts
+from qfold.exceptions import ParseError, QfoldError
 from qfold.hamiltonian import ProblemInstance
 from qfold.analysis import parse_topobj, parse_xyz
 from qfold.sim import ShotTable
+from util import json_values, mutated_json
 
 
 def run_cli(args, capsys):
@@ -257,7 +263,42 @@ def test_manifest_from_json_rejects_malformed(text):
         RunManifest.from_json(text)
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", '{"bogus": 1}', "{not json"])
+@pytest.mark.parametrize("p0", [math.nan, math.inf, -math.inf, 0.0, -1.0, 10**400])
+def test_manifest_rejects_bad_p0(p0):
+    with pytest.raises(QfoldError):
+        RunManifest(peptide="KLVF", p0=p0)
+    text = json.dumps({"peptide": "KLVF", "method": "vqe", "p0": p0})
+    with pytest.raises(ParseError):
+        RunManifest.from_json(text)
+
+
+MANIFEST_KEYS = [(f,) for f in json.loads(RunManifest(peptide="KLVF").to_json())]
+
+
+@st.composite
+def manifest_texts(draw):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.text(max_size=40))
+    if kind == 1:
+        return json.dumps(draw(json_values))
+    base = RunManifest(peptide="KLVF", method=draw(st.sampled_from(["search", "vqe"])))
+    return mutated_json(draw, base.to_json(), MANIFEST_KEYS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(manifest_texts())
+def test_manifest_json_round_trips_or_raises_parse_error(text):
+    try:
+        manifest = RunManifest.from_json(text)
+    except ParseError:
+        return
+    canonical = manifest.to_json()
+    assert RunManifest.from_json(canonical).to_json() == canonical
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"bogus": 1}', "{not json",
+                                  '{"peptide": "KLVF", "p0": NaN}'])
 def test_pipeline_bad_manifest_exits_2(tmp_path, capsys, text):
     path = tmp_path / "manifest.json"
     path.write_text(text)
@@ -313,6 +354,59 @@ def test_pipeline_rerun_byte_identical(tmp_path, capsys):
         if name == "manifest.json":
             continue  # differs only in the output-directory field
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_pipeline_instance_carries_manifest_p0(tmp_path, capsys):
+    from qfold.hamiltonian import EncodingLayout, Penalties, assemble
+    from qfold.scoring import load_matrix
+
+    manifest = RunManifest(
+        peptide="KLVF", method="vqe", p0=20.0, restarts=1, iterations=30,
+        shots=50, out=str(tmp_path),
+    )
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest.to_json())
+    code, _, _ = run_cli(["pipeline", "--manifest", str(path)], capsys)
+    assert code == 0
+    fits = json.loads((tmp_path / "fits.json").read_text())
+    assert {fit["p0"] for fit in fits.values()} == {20.0}
+    instance = ProblemInstance.from_json((tmp_path / "instance.json").read_text())
+    assert instance.penalties.p0 == 20.0
+    want = assemble(
+        "polyfit", EncodingLayout(4), "KLVF", load_matrix("mj1996"), Penalties(p0=20.0)
+    )
+    assert instance.objective == want.objective
+
+
+@pytest.mark.parametrize("method, fits", [("vqe", 1), ("vqec", 0)])
+def test_pipeline_fits_assembles_and_builds_an_engine_once(
+    tmp_path, capsys, monkeypatch, method, fits
+):
+    from qfold import cli, optimize, polyfit
+
+    calls = collections.Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "fit_family", counted("fit", polyfit.fit_family))
+    monkeypatch.setattr(polyfit, "fit_family", counted("fit", polyfit.fit_family))
+    monkeypatch.setattr(cli, "assemble", counted("assemble", cli.assemble))
+    engine_init = optimize.ExpectationEngine.__init__
+    monkeypatch.setattr(
+        optimize.ExpectationEngine, "__init__", counted("engine", engine_init)
+    )
+    code, _, _ = run_cli(
+        ["pipeline", "--peptide", "KLVF", "--method", method, "--restarts", "1",
+         "--iterations", "30", "--shots", "50", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert calls == collections.Counter(fit=fits, assemble=1, engine=1)
 
 
 def test_console_entry_point():

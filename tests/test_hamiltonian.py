@@ -5,16 +5,27 @@ the lattice tables and the energy matrix alone; nothing here is copied from
 the builder under test.
 """
 
+import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfold import hamiltonian as ham
 from qfold import lattice as lat
 from qfold import pb, polyfit, scoring
-from qfold.exceptions import EncodingError
-from util import bits_to_mask, decodable_masks, geometric_fcc_energy, mask_to_bits
+from qfold.exceptions import EncodingError, ParseError
+from util import (
+    bits_to_mask,
+    decodable_masks,
+    geometric_fcc_energy,
+    json_values,
+    mask_to_bits,
+    mutated_json,
+)
 
 
 @pytest.fixture(scope="module")
@@ -347,3 +358,54 @@ def test_instance_json_roundtrip(mj):
         assert back.constraints == inst.constraints
     with pytest.raises(EncodingError):
         ham.ProblemInstance.from_json('{"version": 99}')
+
+
+@pytest.mark.parametrize("text", ["", "[]", '{"version": 1}', "{", "NaN"])
+def test_instance_from_json_malformed_raises_parse_error(text):
+    with pytest.raises(ParseError):
+        ham.ProblemInstance.from_json(text)
+
+
+def test_instance_from_json_coefficient_beyond_float_raises_parse_error():
+    doc = json.loads(klvf_instance_texts()[0])
+    doc["objective"][0][1] = 10**400
+    with pytest.raises(ParseError):
+        ham.ProblemInstance.from_json(json.dumps(doc))
+
+
+@functools.lru_cache(maxsize=1)
+def klvf_instance_texts():
+    mj = scoring.load_matrix("mj1996")
+    return tuple(
+        ham.assemble(mode, ham.EncodingLayout(4), "KLVF", mj).to_json()
+        for mode in ham.MODES
+    )
+
+
+INSTANCE_PATHS = [
+    ("version",), ("mode",), ("peptide",), ("matrix",), ("layout",),
+    ("layout", "n_beads"), ("penalties",), ("penalties", "p0"), ("n_vars",),
+    ("objective",), ("objective", 0), ("objective", 0, 0), ("objective", 0, 1),
+    ("constraints",),
+]
+
+
+@st.composite
+def instance_texts(draw):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.text(max_size=40))
+    if kind == 1:
+        return json.dumps(draw(json_values))
+    return mutated_json(draw, draw(st.sampled_from(klvf_instance_texts())), INSTANCE_PATHS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance_texts())
+def test_instance_json_round_trips_or_raises(text):
+    try:
+        inst = ham.ProblemInstance.from_json(text)
+    except (ParseError, EncodingError):
+        return
+    canonical = inst.to_json()
+    assert ham.ProblemInstance.from_json(canonical).to_json() == canonical

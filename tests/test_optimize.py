@@ -139,6 +139,21 @@ def test_cvar_objective_is_the_former_kernel_bit_for_bit():
             assert engine.cvar_objective(probs, alpha) == want
 
 
+def test_cvar_objective_block_columns_equal_single_vectors():
+    engine = ExpectationEngine(POLYFIT)
+    ansatz = Ansatz(POLYFIT.n_qubits, layers=2)
+    rng = np.random.default_rng(6)
+    block = rng.uniform(0.0, TWO_PI, (ansatz.n_params, 7))
+    probs = probabilities(evolve_block(ansatz, block))
+    for alpha in (1.0, 0.1, 0.37):
+        values = engine.cvar_objective(probs, alpha)
+        assert values.shape == (7,)
+        for j in range(7):
+            column = np.ascontiguousarray(probs[:, j])
+            assert values[j] == engine.cvar_objective(column, alpha)
+            assert values[j] == reference_cvar_objective(engine, column, alpha)
+
+
 def test_cvar_alpha_one_equals_expectation():
     engine = ExpectationEngine(POLYFIT)
     probs = probabilities(random_state(33, POLYFIT.n_qubits))

@@ -1,5 +1,6 @@
 """Statevector simulator against dense-matrix and finite-difference oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -28,8 +29,9 @@ from qfold.sim import (
     parameter_shift_jacobian,
     probabilities,
     sample,
+    sorted_cvar,
 )
-from util import reference_cvar, reference_f_vector
+from util import reference_cvar, reference_f_vector, reference_sorted_cvar
 
 
 # --- dense-matrix oracle: explicit kron products, no shared kernels ---
@@ -229,6 +231,41 @@ def test_cvar_is_the_former_kernel_bit_for_bit():
         probs /= probs.sum() if trial % 2 else 1.0
         for alpha in (1.0, 0.1, float(rng.uniform(0.01, 1.0))):
             assert cvar(energies, probs, alpha) == reference_cvar(energies, probs, alpha)
+
+
+def assert_block_cvar_equals_rows(energies, rows, alpha):
+    values = sorted_cvar(energies, rows, alpha)
+    assert values.shape == (rows.shape[0],)
+    for row, value in zip(rows, values):
+        row = np.ascontiguousarray(row)
+        assert value == sorted_cvar(energies, row, alpha)
+        assert value == reference_sorted_cvar(energies, row, alpha)
+
+
+def test_sorted_cvar_block_equals_row_calls():
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        size = int(rng.integers(1, 300))
+        energies = np.sort(rng.normal(size=size).round(int(rng.integers(0, 3))))
+        # zero-mass entries in every row; most rows normalized, the rest
+        # may hold less mass than alpha
+        rows = rng.random((int(rng.integers(1, 9)), size))
+        rows *= rng.random(rows.shape) < 0.6
+        rows[:, int(rng.integers(size))] = 0.2
+        scale = rows.sum(axis=1, keepdims=True)
+        rows /= np.where(rng.random(scale.shape) < 0.7, scale, 1.0)
+        for alpha in (1.0, 0.1, float(rng.uniform(0.01, 1.0))):
+            assert_block_cvar_equals_rows(energies, rows, alpha)
+
+
+def test_sorted_cvar_block_boundary_on_a_cumulative_sum():
+    # dyadic masses sum exactly, so alpha = 0.5 lands on a cumulative sum:
+    # after a zero-mass entry in row 0, and on the last entry in row 1
+    energies = np.array([-3.0, -1.0, 0.5, 2.0])
+    rows = np.array([[0.25, 0.0, 0.25, 0.5], [0.125, 0.125, 0.25, 0.5]])
+    assert_block_cvar_equals_rows(energies, rows, 0.5)
+    assert_block_cvar_equals_rows(energies, rows, 1.0)
+    assert sorted_cvar(energies, rows, 0.5).tolist() == [-1.25, -0.75]
 
 
 def test_cvar_errors():
@@ -601,6 +638,30 @@ def test_adjoint_gradients_block_columns_equal_single_sweeps(n):
         )
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_adjoint_gradients_sweep_costates_in_place(n):
+    # a contiguous co-state is consumed, a strided one copied, and one
+    # passed twice is copied the second time: all give the same bits
+    ansatz = Ansatz(n, layers=2)
+    rng = np.random.default_rng(40 + n)
+    theta = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_params)
+    state = evolve(ansatz, theta)
+    kept = state.copy()
+    costates = [rng.normal(size=1 << n) * state for _ in range(2)]
+    strided = np.empty((1 << n, 2))
+    strided[:, 0] = costates[1]
+    want = adjoint_gradients(ansatz, theta, state, [costates[0].copy(), strided[:, 0]])
+    assert np.array_equal(strided[:, 0], costates[1])
+    assert np.array_equal(state, kept)
+    consumed = costates[0].copy()
+    got = adjoint_gradients(ansatz, theta, state, [consumed, costates[1].copy()])
+    assert np.array_equal(got, want)
+    assert not np.array_equal(consumed, costates[0])
+    twice = costates[0].copy()
+    got = adjoint_gradients(ansatz, theta, state, [twice, twice])
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[0])
+
+
 def test_adjoint_gradients_single_qubit_analytic():
     # <Z> after Ry(theta) is cos(theta): the gradient is -sin(theta)
     ansatz = Ansatz(1, layers=0)
@@ -693,6 +754,39 @@ def test_layer_kernel_matches_dense_oracle(n, layers, width):
     assert got.shape == (1 << n, width)
     for j in range(width):
         assert np.abs(got[:, j] - dense_evolve(ansatz, block[:, j])).max() <= 1e-12
+
+
+def kron_chain(cos, sin):
+    # Ry(theta_{g-1}) x ... x Ry(theta_0) through np.kron, qubit 0 first
+    kron = np.ones((1, 1))
+    for c, s in zip(cos, sin):
+        ry = np.array([[c, -s], [s, c]])
+        kron = ry if kron.size == 1 else np.kron(ry, kron)
+    return kron
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_layer_blocks_equal_kron_chain_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for layers in range(4):
+        for width in (1, 3, 64):
+            ansatz = Ansatz(n, layers=layers)
+            block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width))
+            # the kernel's half angles, (layer, column, qubit), and their
+            # cosines and sines, taken as the kernel takes them
+            half = block.reshape(-1, n, width).transpose(0, 2, 1) / 2.0
+            cos, sin = np.cos(half), np.sin(half)
+            products = sim._layer_products(n, block)
+            blocks = sim._layer_blocks(products)
+            lo = 0
+            for size, prod, kron in zip(sim._group_sizes(n), products, blocks):
+                assert kron.shape == (layers + 1, width, 1 << size, 1 << size)
+                group = slice(lo, lo + size)
+                for layer, b in itertools.product(range(layers + 1), range(width)):
+                    want = kron_chain(cos[layer, b, group], sin[layer, b, group])
+                    assert np.array_equal(kron[layer, b], want)
+                    assert np.array_equal(prod[layer, b], want[:, 0])
+                lo += size
 
 
 @pytest.mark.parametrize("n", range(1, 17))

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
 import heapq
+import json
 import math
 import time
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qfold import lattice as lat
 from qfold.exceptions import BudgetExceededError, EncodingError
@@ -17,6 +19,29 @@ from qfold.lattice import (
     TurnSequence,
 )
 from qfold.search import SearchConfig, _pair_rules, enumeration_size
+
+
+# any JSON document, NaN and the infinities included, for parser fuzzing
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def mutated_json(draw, text, paths):
+    """``text`` with the value at one of ``paths`` replaced or deleted."""
+    doc = json.loads(text)
+    path = draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return json.dumps(doc)
 
 
 def bits_to_mask(bits: str) -> int:
@@ -93,16 +118,8 @@ def reference_f_vector(engine, probs):
     return out
 
 
-def reference_cvar(energies, probs, alpha):
-    """The former ``sim.cvar``: zero-mass states dropped, then sorted."""
-    energies = np.asarray(energies, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    keep = probs > 0.0
-    energies = energies[keep]
-    probs = probs[keep]
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    probs = probs[order]
+def reference_sorted_cvar(energies, probs, alpha):
+    """The former one-row ``sim.sorted_cvar``: energies already ascending."""
     cum = np.cumsum(probs)
     mass = min(alpha, float(cum[-1]))
     boundary = int(np.searchsorted(cum, mass, side="left"))
@@ -113,20 +130,22 @@ def reference_cvar(energies, probs, alpha):
     return total / mass
 
 
+def reference_cvar(energies, probs, alpha):
+    """The former ``sim.cvar``: zero-mass states dropped, then sorted."""
+    energies = np.asarray(energies, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    keep = probs > 0.0
+    energies = energies[keep]
+    probs = probs[keep]
+    order = np.argsort(energies, kind="stable")
+    return reference_sorted_cvar(energies[order], probs[order], alpha)
+
+
 def reference_cvar_objective(engine, probs, alpha):
     """The former ``ExpectationEngine.cvar_objective``: every state kept."""
     diag = engine.tables.full_diagonal()
     order = np.argsort(diag, kind="stable")
-    sorted_diag = diag[order]
-    p = probs[order]
-    cum = np.cumsum(p)
-    mass = min(alpha, float(cum[-1]))
-    boundary = int(np.searchsorted(cum, mass, side="left"))
-    total = float(sorted_diag[:boundary] @ p[:boundary])
-    used = float(cum[boundary - 1]) if boundary else 0.0
-    if boundary < p.size and mass > used:
-        total += float(sorted_diag[boundary]) * (mass - used)
-    return total / mass
+    return reference_sorted_cvar(diag[order], probs[order], alpha)
 
 
 # --- the exhaustive search's former mixed-radix odometer sweep, as reference ---
