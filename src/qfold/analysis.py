@@ -22,9 +22,11 @@ Both writers are exact inverses of their parsers byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .lattice import (
     TET,
     TurnSequence,
     coords_from_turns,
+    fcc_coords,
     squared_distance_matrix,
     turns_from_string,
     unpack_configuration,
@@ -68,12 +71,14 @@ class DecodedEntry:
     redundant: bool
     backtrack: bool
     overlap: bool
+    # integer bead coordinates; None when a redundant codeword leaves no geometry
+    coords: np.ndarray | None = field(repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
         return not (self.redundant or self.backtrack or self.overlap)
 
-    @property
+    @cached_property
     def turn_string(self) -> str:
         return self.turns.to_string()
 
@@ -99,46 +104,46 @@ class DecodedEnsemble:
 def decode_samples(shots: ShotTable, layout: EncodingLayout, energy_fn, e_star=None):
     """Aggregate a shot table into turn-sequence entries.
 
-    ``energy_fn`` maps a decodable TurnSequence to its geometric energy;
+    ``energy_fn`` maps a decodable configuration's squared-distance matrix,
+    as nested lists, to its geometric energy (``search.squared_distance_scorer``);
     entries whose configuration contains a redundant codeword carry no
-    energy.  Entries come back sorted by descending probability with ties
-    broken by turn string, so ``ensemble.modal`` is the modal sequence.
+    energy.  Each distinct configuration is decoded once, and its entry
+    keeps the coordinates.  Entries come back sorted by descending
+    probability with ties broken by turn string, so ``ensemble.modal`` is
+    the modal sequence.
     """
     n_config = layout.n_config_bits
+    width = layout.total_qubits
     per_config: dict = {}
     for bits, count in shots.counts.items():
-        if len(bits) != layout.total_qubits:
-            raise EncodingError(
-                f"bitstring length {len(bits)} != layout width {layout.total_qubits}"
-            )
+        if len(bits) != width:
+            raise EncodingError(f"bitstring length {len(bits)} != layout width {width}")
         key = bits[:n_config]
         per_config[key] = per_config.get(key, 0) + count
 
+    seqs = [unpack_configuration(bits, layout.n_beads) for bits in per_config]
+    # every decodable configuration at once: coordinates (D, N, 3) and
+    # squared distances (D, N, N), integers throughout
+    labels = [seq.turns for seq in seqs if seq.is_decodable]
+    coords = fcc_coords(np.array(labels, dtype=np.intp).reshape(-1, layout.n_beads - 1))
+    squared = squared_distance_matrix(coords, FCC)
     # a backtrack puts bead i+2 on bead i; an overlap puts bead j >= i+3 on it
-    turn_back = np.eye(layout.n_beads, k=2, dtype=bool)
+    coincide = squared == 0
+    backtracks = (coincide & np.eye(layout.n_beads, k=2, dtype=bool)).any(axis=(1, 2))
     far = np.triu(np.ones((layout.n_beads,) * 2, dtype=bool), 3)
+    overlaps = (coincide & far).any(axis=(1, 2))
+    decoded = zip(coords, squared.tolist(), backtracks.tolist(), overlaps.tolist())
     entries = []
-    for config_bits, count in per_config.items():
-        seq = unpack_configuration(config_bits, layout.n_beads)
+    for seq, count in zip(seqs, per_config.values()):
         probability = count / shots.shots
-        redundant = bool(seq.redundant_positions)
-        backtrack = overlap = False
-        energy = None
-        if not redundant:
-            coincide = squared_distance_matrix(coords_from_turns(seq), FCC) == 0
-            backtrack = bool((coincide & turn_back).any())
-            overlap = bool((coincide & far).any())
-            energy = float(energy_fn(seq))
-        entries.append(
-            DecodedEntry(
-                turns=seq,
-                probability=probability,
-                energy=energy,
-                redundant=redundant,
-                backtrack=backtrack,
-                overlap=overlap,
+        if seq.is_decodable:
+            chain, rows, backtrack, overlap = next(decoded)
+            energy = float(energy_fn(rows))
+            entries.append(
+                DecodedEntry(seq, probability, energy, False, backtrack, overlap, chain)
             )
-        )
+        else:
+            entries.append(DecodedEntry(seq, probability, None, True, False, False, None))
     entries.sort(key=lambda e: (-e.probability, e.turn_string))
     return DecodedEnsemble(entries=tuple(entries), e_star=e_star)
 
@@ -148,22 +153,29 @@ def decode_samples(shots: ShotTable, layout: EncodingLayout, energy_fn, e_star=N
 # ---------------------------------------------------------------------------
 
 
-def radius_of_gyration(coords, masses=None) -> float:
-    """Mass-weighted root-mean-square distance from the center of mass."""
+def radius_of_gyration(coords, masses=None):
+    """Mass-weighted root-mean-square distance from the center of mass.
+
+    ``coords`` is one ``(n, 3)`` structure, giving a float, or a stack
+    ``(..., n, 3)`` of structures with the same masses, giving an array.
+    """
     coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[0] == 0 or coords.shape[1] != 3:
+    if coords.ndim < 2 or coords.shape[-2] == 0 or coords.shape[-1] != 3:
         raise EmptyStructureError("need an (n, 3) coordinate array with n >= 1")
+    n = coords.shape[-2]
     if masses is None:
-        masses = np.ones(coords.shape[0])
+        masses = np.ones(n)
     masses = np.asarray(masses, dtype=float)
-    if masses.shape != (coords.shape[0],):
+    if masses.shape != (n,):
         raise EncodingError("one mass per bead required")
     if np.any(masses <= 0.0):
         raise EncodingError("masses must be positive")
     total = masses.sum()
-    center = (masses[:, None] * coords).sum(axis=0) / total
-    offsets = coords - center
-    return float(np.sqrt((masses * np.einsum("ij,ij->i", offsets, offsets)).sum() / total))
+    center = (masses[:, None] * coords).sum(axis=-2) / total
+    offsets = coords - center[..., None, :]
+    squares = np.einsum("...ij,...ij->...i", offsets, offsets)
+    rg = np.sqrt((masses * squares).sum(axis=-1) / total)
+    return float(rg) if coords.ndim == 2 else rg
 
 
 def kabsch_rmsd(a, b) -> float:
@@ -361,7 +373,10 @@ def parse_topobj(text: str) -> TopobjDocument:
             parts = row.split()
             if len(parts) != 3:
                 raise ParseError(f"block {index}: bad coordinate line")
-            coords[i] = [float(v) for v in parts]
+            try:
+                coords[i] = [float(v) for v in parts]
+            except ValueError as exc:
+                raise ParseError(f"block {index}: bad coordinate") from exc
         records.append(
             TopobjRecord(
                 energy=energy,
@@ -426,19 +441,22 @@ def energy_probability_report(
     scored.sort(key=lambda e: (e.energy, e.turn_string))
     unscored.sort(key=lambda e: e.turn_string)
 
+    radii = []
+    if scored:
+        chains = np.stack([e.coords for e in scored])
+        radii = radius_of_gyration(scaled_coords(chains, scored[0].turns.lattice), masses)
+
     lines = ["\t".join(REPORT_COLUMNS)]
     rows = []
     cumulative = 0.0
-    for entry in scored + unscored:
+    for entry, rg in itertools.zip_longest(scored + unscored, list(radii)):
         cumulative += entry.probability
         if entry.energy is None:
             energy_text = rg_text = ""
             ground = False
-            rg = None
         else:
             energy_text = f"{entry.energy:.6f}"
-            coords = scaled_coords(entry.turns)
-            rg = radius_of_gyration(coords, masses)
+            rg = float(rg)
             rg_text = f"{rg:.6f}"
             ground = e_star is not None and abs(entry.energy - e_star) <= 1e-9
         row = {

@@ -4,7 +4,9 @@ Every subcommand is deterministic given its seed, so archived runs reproduce
 byte for byte.  ``pipeline`` chains penalty fitting, Hamiltonian assembly,
 one solver (exhaustive search, CVaR-VQE, or the primal-dual method), shot
 sampling, and report generation, dropping each artifact in the output
-directory next to a copy of the manifest that produced it.
+directory next to a copy of the manifest that produced it.  The penalty-fit
+module is imported only by the stages that fit, so constrained and search
+runs do not load it.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from .optimize import (
     run_cvar_vqe,
     run_vqec_pdp,
 )
-from .polyfit import fit_family, fit_report
 from .scoring import load_matrix, validate_peptide
-from .search import SearchConfig, conformation_scorer, enumeration_size, search
+from .search import SearchConfig, enumeration_size, search, squared_distance_scorer
 from .sim import Ansatz, ShotTable, bitstring_of, evolve, probabilities, sample
 
 # `analyze --oracle` runs exhaustive search up to N = 9 (4 * 11^6 = 7,086,244
@@ -97,6 +98,18 @@ def _resource_line(counts: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+# the least value of each integer field of a manifest
+MANIFEST_COUNT_MINIMA = {
+    "k": 1,
+    "restarts": 1,
+    "iterations": 1,
+    "layers": 0,
+    "shots": 1,
+    "seed": 0,
+    "workers": 1,
+}
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce one pipeline run."""
@@ -132,9 +145,19 @@ class RunManifest:
             raise QfoldError("the vqe method optimizes the polyfit encoding")
         if self.method == "vqec" and self.mode != MODE_VQEC:
             raise QfoldError("the vqec method optimizes the vqec encoding")
-        # a comparison, not float(): a JSON integer may exceed every float
+        # comparisons, not float(): a JSON integer may exceed every float
         if not 0.0 < self.p0 <= sys.float_info.max:
             raise QfoldError("p0 must be a finite positive penalty height")
+        if not 0.0 < self.alpha <= 1.0:
+            raise QfoldError("alpha must lie in (0, 1]")
+        for name in ("nu", "mu"):
+            if not 0.0 < getattr(self, name) <= sys.float_info.max:
+                raise QfoldError(f"{name} must be a finite positive step size")
+        for name, least in MANIFEST_COUNT_MINIMA.items():
+            if getattr(self, name) < least:
+                raise QfoldError(f"{name} must be >= {least}")
+        if self.nn_level not in (1, 2):
+            raise QfoldError("nn_level must be 1 or 2")
         validate_peptide(self.peptide)
 
     def to_json(self) -> str:
@@ -199,6 +222,8 @@ def cmd_fit_penalty(args) -> int:
     else:
         n_beads = len(validate_peptide(args.peptide))
         separations = None
+    from .polyfit import fit_family
+
     fits = fit_family(n_beads, p0=args.p0, r2_tol=args.r2_tol)
     if separations is not None:
         fits = {s: fits[s] for s in separations}
@@ -207,6 +232,8 @@ def cmd_fit_penalty(args) -> int:
 
 
 def _write_fits(fits: dict, out) -> None:
+    from .polyfit import fit_report
+
     print(fit_report(fits), end="")
     if out is not None:
         doc = {
@@ -225,18 +252,16 @@ def _write_fits(fits: dict, out) -> None:
         print(f"wrote {path}")
 
 
-def _assemble(args, penalties=None, fits=None) -> ProblemInstance:
+def _assemble(args, mode: str, penalties=None, fits=None) -> ProblemInstance:
     if args.lattice != FCC:
         raise QfoldError("hamiltonian modes are defined on the fcc lattice only")
     peptide = validate_peptide(args.peptide)
     matrix = load_matrix(args.matrix)
-    return assemble(
-        args.mode, EncodingLayout(len(peptide)), peptide, matrix, penalties, fits
-    )
+    return assemble(mode, EncodingLayout(len(peptide)), peptide, matrix, penalties, fits)
 
 
 def cmd_build(args) -> int:
-    _write_instance(_assemble(args), args.out)
+    _write_instance(_assemble(args, args.mode), args.out)
     return 0
 
 
@@ -286,8 +311,7 @@ def _write_params(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _summarize_state(instance: ProblemInstance, engine, ansatz: Ansatz, params) -> dict:
-    probs = probabilities(evolve(ansatz, np.asarray(params)))
+def _summarize_state(instance: ProblemInstance, engine, probs) -> dict:
     modal = engine.modal_config(probs)
     bits = bitstring_of(modal, instance.layout.n_config_bits)
     seq = unpack_configuration(bits, instance.layout.n_beads)
@@ -300,13 +324,16 @@ def _summarize_state(instance: ProblemInstance, engine, ansatz: Ansatz, params) 
 
 
 def cmd_vqe(args) -> int:
-    args = replace_namespace(args, mode=MODE_POLYFIT)
-    instance = _assemble(args)
+    instance = _assemble(args, MODE_POLYFIT)
     _solve_vqe(instance, ExpectationEngine(instance), args)
     return 0
 
 
-def _solve_vqe(instance: ProblemInstance, engine: ExpectationEngine, args) -> None:
+def _solve_vqe(instance: ProblemInstance, engine: ExpectationEngine, args) -> np.ndarray:
+    """Optimize, report and write the result; returns the final state.
+
+    ``args`` is a ``vqe`` namespace or a ``RunManifest``.
+    """
     ansatz = Ansatz(instance.n_qubits, layers=args.layers)
     cfg = CvarVqeConfig(
         alpha=args.alpha,
@@ -320,7 +347,8 @@ def _solve_vqe(instance: ProblemInstance, engine: ExpectationEngine, args) -> No
         file=sys.stderr,
     )
     params, trace = run_cvar_vqe(instance, ansatz, cfg, engine)
-    summary = _summarize_state(instance, engine, ansatz, params)
+    state = evolve(ansatz, params)
+    summary = _summarize_state(instance, engine, probabilities(state))
     print(
         f"objective={trace.best_so_far[-1]:.6f} "
         f"modal={summary['modal_turns']} "
@@ -344,16 +372,20 @@ def _solve_vqe(instance: ProblemInstance, engine: ExpectationEngine, args) -> No
             handle.write(trace.to_json_lines())
         print(f"wrote {params_path}")
         print(f"wrote {trace_path}")
+    return state
 
 
 def cmd_vqec(args) -> int:
-    args = replace_namespace(args, mode=MODE_VQEC)
-    instance = _assemble(args)
+    instance = _assemble(args, MODE_VQEC)
     _solve_vqec(instance, ExpectationEngine(instance), args)
     return 0
 
 
-def _solve_vqec(instance: ProblemInstance, engine: ExpectationEngine, args) -> None:
+def _solve_vqec(instance: ProblemInstance, engine: ExpectationEngine, args) -> np.ndarray:
+    """Optimize, report and write the result; returns the final state.
+
+    ``args`` is a ``vqec`` namespace or a ``RunManifest``.
+    """
     ansatz = Ansatz(instance.n_qubits, layers=args.layers)
     cfg = VqecConfig(
         nu=args.nu,
@@ -374,18 +406,22 @@ def _solve_vqec(instance: ProblemInstance, engine: ExpectationEngine, args) -> N
             f"grid_points={len(cfg.nu_grid) * len(cfg.mu_grid)} "
             f"best_nu={best.nu} best_mu={best.mu} restart={best.restart}"
         )
-        final = {"lagrangian": best.lagrangian, "violation": best.violation}
         evaluations = report.circuit_evaluations
     else:
         params, duals, trace = run_vqec_pdp(instance, ansatz, cfg, engine)
-        f = engine.f_vector(probabilities(evolve(ansatz, params)))
+        evaluations = trace.circuit_evaluations
+    state = evolve(ansatz, params)
+    probs = probabilities(state)
+    if args.grid:
+        final = {"lagrangian": best.lagrangian, "violation": best.violation}
+    else:
+        f = engine.f_vector(probs)
         violation = float(max(0.0, *f[1:])) if f.shape[0] > 1 else 0.0
         final = {
             "lagrangian": float(f[0] + np.asarray(duals) @ f[1:]),
             "violation": violation,
         }
-        evaluations = trace.circuit_evaluations
-    summary = _summarize_state(instance, engine, ansatz, params)
+    summary = _summarize_state(instance, engine, probs)
     print(
         f"lagrangian={final['lagrangian']:.6f} violation={final['violation']:.6f} "
         f"modal={summary['modal_turns']} "
@@ -417,6 +453,7 @@ def _solve_vqec(instance: ProblemInstance, engine: ExpectationEngine, args) -> N
             with open(grid_path, "w") as handle:
                 handle.write(grid_lines)
             print(f"wrote {grid_path}")
+    return state
 
 
 def cmd_sample(args) -> int:
@@ -429,15 +466,17 @@ def cmd_sample(args) -> int:
     layout = EncodingLayout(len(peptide))
     ansatz = Ansatz(layout.total_qubits, layers=payload.get("layers", args.layers))
     params = np.array(payload["params"], dtype=float)
-    state = evolve(ansatz, params)
-    table = sample(state, args.shots, args.seed)
+    _write_shots(sample(evolve(ansatz, params), args.shots, args.seed), args.out)
+    return 0
+
+
+def _write_shots(table: ShotTable, out) -> None:
     print(f"shots={table.shots} distinct={len(table.counts)}")
-    if args.out is not None:
-        path = _out_path(args.out, "shots.tsv")
+    if out is not None:
+        path = _out_path(out, "shots.tsv")
         with open(path, "w") as handle:
             handle.write(table.to_text())
         print(f"wrote {path}")
-    return 0
 
 
 def _oracle_minimum(peptide: str, matrix, nn_level: int):
@@ -457,17 +496,21 @@ def cmd_analyze(args) -> int:
         shots_path = os.path.join(args.out if args.out is not None else ".", "shots.tsv")
     with open(shots_path) as handle:
         table = ShotTable.from_text(handle.read())
-    layout = EncodingLayout(len(peptide))
-    score_config = SearchConfig(
-        lattice=FCC, peptide=peptide, matrix=matrix, nn_level=args.nn_level
-    )
     e_star = args.e_star
     if e_star is None and args.oracle:
         e_star = _oracle_minimum(peptide, matrix, args.nn_level)
+    _analyze(table, peptide, matrix, args.nn_level, e_star, args.out)
+    return 0
+
+
+def _analyze(table: ShotTable, peptide: str, matrix, nn_level: int, e_star, out) -> None:
+    score_config = SearchConfig(
+        lattice=FCC, peptide=peptide, matrix=matrix, nn_level=nn_level
+    )
     ensemble = decode_samples(
         table,
-        layout,
-        conformation_scorer(peptide, score_config),
+        EncodingLayout(len(peptide)),
+        squared_distance_scorer(peptide, score_config),
         e_star=e_star,
     )
     modal = ensemble.modal
@@ -476,9 +519,9 @@ def cmd_analyze(args) -> int:
         f"modal={modal.turn_string} probability={modal.probability:.6f} "
         f"energy={energy_text} valid_probability={ensemble.valid_probability:.6f}"
     )
-    if args.out is not None:
-        report_path = _out_path(args.out, "report.tsv")
-        json_path = _out_path(args.out, "report.json")
+    if out is not None:
+        report_path = _out_path(out, "report.tsv")
+        json_path = _out_path(out, "report.json")
         energy_probability_report(
             ensemble, e_star=e_star, path=report_path, peptide=peptide,
             json_path=json_path,
@@ -486,10 +529,9 @@ def cmd_analyze(args) -> int:
         print(f"wrote {report_path}")
         print(f"wrote {json_path}")
         if modal.energy is not None:
-            xyz_path = _out_path(args.out, "modal.xyz")
+            xyz_path = _out_path(out, "modal.xyz")
             write_xyz(modal.turns, peptide, path=xyz_path)
             print(f"wrote {xyz_path}")
-    return 0
 
 
 def cmd_pipeline(args) -> int:
@@ -526,78 +568,41 @@ def cmd_pipeline(args) -> int:
 
 
 def run_pipeline(manifest: RunManifest) -> int:
+    """Run every stage of ``manifest``, handing its results on in memory."""
     out = manifest.out
     manifest_path = _out_path(out, "manifest.json")
     with open(manifest_path, "w") as handle:
         handle.write(manifest.to_json())
     print(f"wrote {manifest_path}")
-
-    base = argparse.Namespace(
-        peptide=manifest.peptide,
-        lattice=manifest.lattice,
-        matrix=manifest.matrix,
-        out=out,
-    )
     if manifest.method == "search":
-        cmd_search(
-            replace_namespace(
-                base,
-                k=manifest.k,
-                nn_level=manifest.nn_level,
-                workers=manifest.workers,
-            )
-        )
+        cmd_search(manifest)
         return 0
-
-    _fit_assemble_solve(manifest, base)
-    cmd_sample(
-        replace_namespace(
-            base, params=None, shots=manifest.shots, seed=manifest.seed,
-            layers=manifest.layers,
-        )
-    )
-    cmd_analyze(
-        replace_namespace(
-            base, shots_file=None, nn_level=manifest.nn_level, e_star=None,
-            oracle=True,
-        )
-    )
+    table = sample(_fit_assemble_solve(manifest), manifest.shots, manifest.seed)
+    _write_shots(table, out)
+    peptide = validate_peptide(manifest.peptide)
+    matrix = load_matrix(manifest.matrix)
+    e_star = _oracle_minimum(peptide, matrix, manifest.nn_level)
+    _analyze(table, peptide, matrix, manifest.nn_level, e_star, out)
     return 0
 
 
-def _fit_assemble_solve(manifest: RunManifest, base: argparse.Namespace) -> None:
-    """Fit once, assemble once and solve on one engine.
+def _fit_assemble_solve(manifest: RunManifest) -> np.ndarray:
+    """Fit once, assemble once and solve on one engine; returns the final state.
 
     The instance and engine are dropped when this returns, so sampling and
     analysis do not hold them.
     """
-    solver = argparse.Namespace(
-        **vars(base),
-        mode=manifest.mode,
-        alpha=manifest.alpha,
-        nu=manifest.nu,
-        mu=manifest.mu,
-        grid=manifest.grid,
-        restarts=manifest.restarts,
-        iterations=manifest.iterations,
-        layers=manifest.layers,
-        seed=manifest.seed,
-    )
     fits = None
     if manifest.mode == MODE_POLYFIT:
+        from .polyfit import fit_family
+
         n_beads = len(validate_peptide(manifest.peptide))
         fits = fit_family(n_beads, p0=manifest.p0, r2_tol=0.999)
-        _write_fits(fits, base.out)
-    instance = _assemble(solver, Penalties(p0=manifest.p0), fits)
-    _write_instance(instance, base.out)
+        _write_fits(fits, manifest.out)
+    instance = _assemble(manifest, manifest.mode, Penalties(p0=manifest.p0), fits)
+    _write_instance(instance, manifest.out)
     solve = _solve_vqe if manifest.method == "vqe" else _solve_vqec
-    solve(instance, ExpectationEngine(instance), solver)
-
-
-def replace_namespace(ns: argparse.Namespace, **updates) -> argparse.Namespace:
-    merged = dict(vars(ns))
-    merged.update(updates)
-    return argparse.Namespace(**merged)
+    return solve(instance, ExpectationEngine(instance), manifest)
 
 
 # ---------------------------------------------------------------------------

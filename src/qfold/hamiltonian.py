@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import polyfit as pf
 from .exceptions import EncodingError, ParseError, QfoldError
 from .lattice import (
     FCC_CODEWORDS,
@@ -69,7 +69,7 @@ class EncodingLayout:
     def n_config_bits(self) -> int:
         return n_config_bits(self.n_beads)
 
-    @property
+    @cached_property
     def pairs(self) -> tuple:
         """Interaction pairs (m, n) with n >= m + 2, lexicographic order."""
         n = self.n_beads
@@ -164,6 +164,19 @@ def _step_polys(layout: EncodingLayout, j: int) -> tuple:
     return tuple(out)
 
 
+def _bead_positions(layout: EncodingLayout, count: int) -> list:
+    """Coordinates of beads 0 .. count-1, each as polynomials (x, y, z).
+
+    Bead 0 sits at the origin and bead m + 1 is bead m plus step m, so every
+    step polynomial is built once.
+    """
+    positions = [tuple(PBPolynomial.zero(layout.total_qubits) for _ in range(3))]
+    for j in range(count - 1):
+        step = _step_polys(layout, j)
+        positions.append(tuple(positions[j][c] + step[c] for c in range(3)))
+    return positions
+
+
 def position_polys(layout: EncodingLayout, m: int) -> tuple:
     """Coordinates of bead ``m`` as polynomials (x_m, y_m, z_m).
 
@@ -173,25 +186,35 @@ def position_polys(layout: EncodingLayout, m: int) -> tuple:
     """
     if not 0 <= m < layout.n_beads:
         raise EncodingError(f"bead index {m} out of range 0..{layout.n_beads - 1}")
-    coords = [PBPolynomial.zero(layout.total_qubits) for _ in range(3)]
-    for j in range(m):
-        step = _step_polys(layout, j)
-        for c in range(3):
-            coords[c] = coords[c] + step[c]
-    return tuple(coords)
+    return _bead_positions(layout, m + 1)[m]
 
 
-def distance_poly(layout: EncodingLayout, m: int, n: int) -> PBPolynomial:
-    """Squared distance between beads ``m`` and ``n`` as a polynomial."""
-    if not m < n:
-        raise EncodingError(f"need m < n, got ({m}, {n})")
-    pos_m = position_polys(layout, m)
-    pos_n = position_polys(layout, n)
-    total = PBPolynomial.zero(layout.total_qubits)
+def _squared_distance(pos_m: tuple, pos_n: tuple) -> PBPolynomial:
+    total = PBPolynomial.zero(pos_m[0].n_vars)
     for c in range(3):
         delta = pos_n[c] - pos_m[c]
         total = total + delta * delta
     return total
+
+
+def distance_poly(layout: EncodingLayout, m: int, n: int) -> PBPolynomial:
+    """Squared distance between beads ``m`` and ``n`` as a polynomial."""
+    if not 0 <= m < n < layout.n_beads:
+        raise EncodingError(f"need 0 <= m < n < {layout.n_beads}, got ({m}, {n})")
+    positions = _bead_positions(layout, n + 1)
+    return _squared_distance(positions[m], positions[n])
+
+
+def pair_distance_polys(layout: EncodingLayout) -> dict:
+    """``D_mn`` for every interaction pair, keyed ``(m, n)``.
+
+    Bead positions are built once and shared by all pairs.  Every
+    coefficient is an integer, so the terms equal ``distance_poly``'s.
+    """
+    positions = _bead_positions(layout, layout.n_beads)
+    return {
+        (m, n): _squared_distance(positions[m], positions[n]) for m, n in layout.pairs
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +255,15 @@ def build_h_redun(layout: EncodingLayout, lam_redun: float = 50.0) -> PBPolynomi
 
 
 def build_h_int(
-    layout: EncodingLayout, matrix: EnergyMatrix, peptide: str
+    layout: EncodingLayout,
+    matrix: EnergyMatrix,
+    peptide: str,
+    distances: dict,
 ) -> PBPolynomial:
-    """Contact reward: Sum_{pairs} q^a_mn * epsilon_mn * (3 - D_mn)."""
+    """Contact reward: Sum_{pairs} q^a_mn * epsilon_mn * (3 - D_mn).
+
+    ``distances`` is ``pair_distance_polys(layout)``.
+    """
     peptide = validate_peptide(peptide)
     if len(peptide) != layout.n_beads:
         raise EncodingError(
@@ -245,7 +274,7 @@ def build_h_int(
     total = PBPolynomial.zero(n_vars)
     for m, n in layout.pairs:
         ancilla = PBPolynomial.variable(layout.ancilla_index(m, n), n_vars)
-        gap = 3.0 - distance_poly(layout, m, n)
+        gap = 3.0 - distances[m, n]
         total = total + ancilla * gap * float(eps[m, n])
     return total
 
@@ -372,14 +401,18 @@ def assemble(
     if mode == MODE_VQEC and fits is not None:
         raise EncodingError("penalty fits are a dense-mode input")
 
+    distances = pair_distance_polys(layout)
     objective = (
         build_h_back(layout, penalties.lam_back)
         + build_h_redun(layout, penalties.lam_redun)
-        + build_h_int(layout, matrix, peptide)
+        + build_h_int(layout, matrix, peptide, distances)
     )
     constraints: list = []
 
     if mode == MODE_POLYFIT:
+        # imported here: constrained-mode runs never load the penalty fits
+        from . import polyfit as pf
+
         if fits is None:
             fits = pf.fit_family(layout.n_beads, p0=penalties.p0)
         for m, n in layout.pairs:
@@ -388,12 +421,9 @@ def assemble(
                 continue
             if s not in fits:
                 raise EncodingError(f"no penalty fit for separation {s}")
-            objective = objective + pf.build_olap_penalty(
-                fits[s], distance_poly(layout, m, n)
-            )
+            objective = objective + pf.build_olap_penalty(fits[s], distances[m, n])
     else:
-        for m, n in layout.pairs:
-            constraints.append(2.0 - distance_poly(layout, m, n))
+        constraints = [2.0 - distances[pair] for pair in layout.pairs]
 
     return ProblemInstance(
         layout=layout,

@@ -258,14 +258,14 @@ def unpack_configuration(bits: str, n_beads: int) -> TurnSequence:
         raise EncodingError(
             f"configuration for {n_beads} beads needs {expect} bits, got {len(bits)}"
         )
-    if any(c not in "01" for c in bits):
+    if bits.strip("01"):
         raise EncodingError("configuration bits must be '0'/'1'")
+    # the groups are checked binary words now, so they index the codeword table
     turns = [0]
     if n_beads >= 3:
-        turns.append(decode_turn(bits[0:2] + "00"))
+        turns.append(_CODEWORD_TO_LABEL.get(bits[0:2] + "00"))
     for j in range(2, n_beads - 1):
-        group = bits[4 * j - 6 : 4 * j - 2]
-        turns.append(decode_turn(group))
+        turns.append(_CODEWORD_TO_LABEL.get(bits[4 * j - 6 : 4 * j - 2]))
     return TurnSequence(FCC, tuple(turns))
 
 
@@ -293,6 +293,23 @@ def pack_configuration(seq: TurnSequence) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _chain_coords(steps: np.ndarray) -> np.ndarray:
+    # bead 0 at the origin, bead k the sum of bonds 0..k-1; bonds on axis -2
+    coords = np.zeros(steps.shape[:-2] + (steps.shape[-2] + 1, 3), dtype=np.int64)
+    np.cumsum(steps, axis=-2, out=coords[..., 1:, :])
+    return coords
+
+
+def fcc_coords(labels) -> np.ndarray:
+    """Integer FCC bead coordinates of turn labels, origin at bead 0.
+
+    ``labels`` is one row of ``n_beads - 1`` labels, or a stack of rows
+    ``(..., n_beads - 1)``; the result has shape ``(..., n_beads, 3)``,
+    dtype int64.
+    """
+    return _chain_coords(FCC_VECTORS[np.asarray(labels, dtype=np.intp)])
+
+
 def coords_from_turns(seq: TurnSequence) -> np.ndarray:
     """Integer bead coordinates of a turn sequence, origin at bead 0.
 
@@ -309,15 +326,11 @@ def coords_from_turns(seq: TurnSequence) -> np.ndarray:
             raise EncodingError(
                 f"redundant groups at turns {seq.redundant_positions}; no geometry"
             )
-        steps = FCC_VECTORS[list(seq.turns)]
-    elif seq.lattice == TET:
+        return fcc_coords(seq.turns)
+    if seq.lattice == TET:
         signs = np.array([1 if i % 2 == 0 else -1 for i in range(len(seq.turns))])
-        steps = TET_VECTORS[list(seq.turns)] * signs[:, None]
-    else:
-        raise EncodingError(f"unknown lattice {seq.lattice!r}")
-    coords = np.zeros((len(seq.turns) + 1, 3), dtype=np.int64)
-    np.cumsum(steps, axis=0, out=coords[1:])
-    return coords
+        return _chain_coords(TET_VECTORS[list(seq.turns)] * signs[:, None])
+    raise EncodingError(f"unknown lattice {seq.lattice!r}")
 
 
 def pair_squared_distance(coords: np.ndarray, i: int, j: int, lattice: str) -> int:
@@ -341,12 +354,15 @@ def pair_squared_distance(coords: np.ndarray, i: int, j: int, lattice: str) -> i
 
 
 def squared_distance_matrix(coords: np.ndarray, lattice: str) -> np.ndarray:
-    """All-pairs squared distances, same convention as pair_squared_distance."""
-    d = coords[:, None, :] - coords[None, :, :]
-    e2 = np.einsum("ijk,ijk->ij", d, d)
+    """All-pairs squared distances, same convention as pair_squared_distance.
+
+    ``coords`` is one ``(n, 3)`` chain or a stack ``(..., n, 3)`` of them.
+    """
+    d = coords[..., :, None, :] - coords[..., None, :, :]
+    e2 = np.einsum("...ijk,...ijk->...ij", d, d)
     if lattice == FCC:
         return e2
-    n = coords.shape[0]
+    n = coords.shape[-2]
     idx = np.arange(n)
     parity = (idx[None, :] - idx[:, None]) % 2
     return (e2 + parity) // 4

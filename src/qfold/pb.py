@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .exceptions import DegreeOverflowError, EncodingError
 
@@ -111,7 +110,7 @@ class PBPolynomial:
         union = 0
         for m in self.terms:
             union |= m
-        return [i for i in range(self.n_vars) if (union >> i) & 1]
+        return _mask_bits(union)
 
     def stats(self) -> dict:
         return {
@@ -123,10 +122,7 @@ class PBPolynomial:
 
     def terms_as_lists(self) -> list:
         """Serializable form: sorted [(variable indices, coefficient), ...]."""
-        out = []
-        for mask in sorted(self.terms):
-            out.append([[i for i in range(self.n_vars) if (mask >> i) & 1], self.terms[mask]])
-        return out
+        return [[_mask_bits(mask), self.terms[mask]] for mask in sorted(self.terms)]
 
     def __repr__(self):
         return (
@@ -216,6 +212,16 @@ class PBPolynomial:
             if m & ~mask == 0:
                 total += c
         return total
+
+
+def _mask_bits(mask: int) -> list:
+    """Indices of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def _assignment_mask(assignment, n_vars: int) -> int:
@@ -342,6 +348,9 @@ def compose_scalar_poly(
     support = inner.support()
     if len(support) <= max_table_vars:
         table = value_table(inner, support).astype(outer.dtype)
+        # imported here: only penalty composition needs NumPy's polynomials
+        from numpy.polynomial import polynomial as npoly
+
         composed = npoly.polyval(table, outer).astype(float)
         return from_value_table(composed, support, inner.n_vars, term_ceiling)
     result = PBPolynomial.constant(float(outer[-1]), inner.n_vars)

@@ -133,24 +133,24 @@ def _pair_rules(peptide: str, config: SearchConfig):
     return rules
 
 
-def conformation_scorer(peptide: str, config: SearchConfig):
-    """``conf -> energy`` for one peptide, with the pair rules built once.
+def squared_distance_scorer(peptide: str, config: SearchConfig):
+    """``squared -> energy`` for one peptide, with the pair rules built once.
 
-    ``conf`` is either a TurnSequence or an integer coordinate array;
-    overlaps add the collision penalty.  FCC scores pairs j - i >= 2 at
-    d^2 = 2 (and d^2 = 4 at nn_level 2); tetrahedral chains score pairs
-    j - i >= 5, odd separations at d^2 = 1 and (at nn_level 2) d^2 = 2
-    contacts.  Terms add in ``_pair_rules`` order.
+    ``squared`` is a conformation's ``squared_distance_matrix`` (an array
+    or nested lists); overlaps add the collision penalty.  FCC scores pairs
+    j - i >= 2 at d^2 = 2 (and d^2 = 4 at nn_level 2); tetrahedral chains
+    score pairs j - i >= 5, odd separations at d^2 = 1 and (at nn_level 2)
+    d^2 = 2 contacts.  Terms add in ``_pair_rules`` order.
     """
     rules = _pair_rules(peptide, config)
     n_beads = len(peptide)
     shell1 = 2 if config.lattice == FCC else 1
 
-    def score(conf) -> float:
-        coords = conf if isinstance(conf, np.ndarray) else coords_from_turns(conf)
-        if coords.shape[0] != n_beads:
+    def score(squared) -> float:
+        if len(squared) != n_beads:
             raise EncodingError("conformation length differs from peptide length")
-        squared = squared_distance_matrix(coords, config.lattice).tolist()
+        if isinstance(squared, np.ndarray):
+            squared = squared.tolist()
         energy = 0.0
         for i, j, e1, e2 in rules:
             d2 = squared[i][j]
@@ -161,6 +161,20 @@ def conformation_scorer(peptide: str, config: SearchConfig):
             elif d2 == 2 * shell1 and e2 != 0.0:
                 energy += e2
         return energy
+
+    return score
+
+
+def conformation_scorer(peptide: str, config: SearchConfig):
+    """``conf -> energy``: ``squared_distance_scorer`` of a conformation.
+
+    ``conf`` is either a TurnSequence or an integer coordinate array.
+    """
+    score_squared = squared_distance_scorer(peptide, config)
+
+    def score(conf) -> float:
+        coords = conf if isinstance(conf, np.ndarray) else coords_from_turns(conf)
+        return score_squared(squared_distance_matrix(coords, config.lattice))
 
     return score
 

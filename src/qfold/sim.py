@@ -406,8 +406,9 @@ def sample(state: np.ndarray, shots: int, seed) -> ShotTable:
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, probs)
     n = int(round(math.log2(state.shape[0])))
+    hit = np.flatnonzero(drawn)
     counts = {
-        bitstring_of(b, n): int(c) for b, c in zip(np.flatnonzero(drawn), drawn[drawn > 0])
+        bitstring_of(b, n): c for b, c in zip(hit.tolist(), drawn[hit].tolist())
     }
     return ShotTable(counts=counts, shots=shots)
 

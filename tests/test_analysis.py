@@ -1,10 +1,13 @@
 """Decoding, structure metrics, and the on-disk formats."""
 
+import collections
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfold.analysis import (
     BOND_ANGSTROMS,
@@ -26,9 +29,14 @@ from qfold.analysis import (
 )
 from qfold.exceptions import EmptyStructureError, EncodingError, ParseError
 from qfold.hamiltonian import EncodingLayout
-from qfold.lattice import coords_from_turns, turns_from_string
-from qfold.scoring import load_matrix
-from qfold.search import SearchConfig, conformation_energy, search
+from qfold.lattice import (
+    coords_from_turns,
+    pair_squared_distance,
+    turns_from_string,
+    unpack_configuration,
+)
+from qfold.scoring import load_masses, load_matrix
+from qfold.search import SearchConfig, conformation_energy, search, squared_distance_scorer
 from qfold.sim import ShotTable
 
 MJ = load_matrix("mj1996")
@@ -36,12 +44,8 @@ LAYOUT4 = EncodingLayout(4)
 LAYOUT5 = EncodingLayout(5)
 
 
-def klvf_energy(seq):
-    return conformation_energy(seq, "KLVF", SearchConfig("fcc", "KLVF", MJ))
-
-
-def klvff_energy(seq):
-    return conformation_energy(seq, "KLVFF", SearchConfig("fcc", "KLVFF", MJ))
+klvf_energy = squared_distance_scorer("KLVF", SearchConfig("fcc", "KLVF", MJ))
+klvff_energy = squared_distance_scorer("KLVFF", SearchConfig("fcc", "KLVFF", MJ))
 
 
 def shots_of(counts):
@@ -204,6 +208,16 @@ def test_rg_compact_fold_below_extended():
     compact = radius_of_gyration(scaled_coords(topk.records[0].turns))
     extended = BOND_ANGSTROMS * math.sqrt(17.5 / 6.0)
     assert compact < extended
+
+
+def test_rg_of_a_stack_equals_each_structure():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(4, 6, 3))
+    masses = rng.uniform(50.0, 200.0, size=6)
+    radii = radius_of_gyration(stack, masses)
+    assert radii.tolist() == [radius_of_gyration(c, masses) for c in stack]
+    with pytest.raises(EncodingError):
+        radius_of_gyration(stack, masses[:5])
 
 
 def test_rg_errors():
@@ -498,3 +512,142 @@ def test_report_uses_ensemble_e_star(tmp_path):
     text = energy_probability_report(ensemble, path=path)
     assert path.read_text() == text
     assert text.splitlines()[1].split("\t")[5] == "*"
+
+
+# --- decoding once per configuration ---
+
+
+def _per_entry_reference(shots, peptide, masses):
+    """Decode every distinct configuration on its own, from its turns."""
+    n_beads = len(peptide)
+    config = SearchConfig("fcc", peptide, MJ)
+    n_config = EncodingLayout(n_beads).n_config_bits
+    counts = collections.Counter()
+    for bits, count in shots.counts.items():
+        counts[bits[:n_config]] += count
+    reference = {}
+    for bits, count in counts.items():
+        seq = unpack_configuration(bits, n_beads)
+        row = {"probability": count / shots.shots, "energy": None, "rg": None,
+               "redundant": not seq.is_decodable, "backtrack": False, "overlap": False}
+        if seq.is_decodable:
+            coords = coords_from_turns(seq)
+            for i in range(n_beads):
+                for j in range(i + 2, n_beads):
+                    if pair_squared_distance(coords, i, j, "fcc") == 0:
+                        row["backtrack" if j == i + 2 else "overlap"] = True
+            row["energy"] = conformation_energy(seq, peptide, config)
+            row["rg"] = radius_of_gyration(scaled_coords(seq), masses)
+        reference.setdefault(seq.to_string(), []).append(row)
+    return reference
+
+
+@pytest.mark.parametrize("peptide", ["KLVFF", "KLVFFA"])
+def test_decode_and_report_match_the_per_entry_path(tmp_path, peptide):
+    layout = EncodingLayout(len(peptide))
+    rng = np.random.default_rng(len(peptide))
+    counts = collections.Counter(
+        "".join(rng.choice(list("01"), layout.total_qubits)) for _ in range(600)
+    )
+    shots = ShotTable(counts=dict(counts), shots=600)
+    masses = np.array([load_masses()[r] for r in peptide])
+    reference = _per_entry_reference(shots, peptide, masses)
+
+    ensemble = decode_samples(
+        shots, layout, squared_distance_scorer(peptide, SearchConfig("fcc", peptide, MJ))
+    )
+    for flag in ("redundant", "backtrack", "overlap"):
+        assert any(getattr(e, flag) for e in ensemble.entries), flag
+    energy_probability_report(ensemble, peptide=peptide, json_path=tmp_path / "r.json")
+    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    got = {}
+    for entry, row in zip(sorted(ensemble.entries, key=_report_order), rows):
+        assert row["turns"] == entry.turn_string
+        got.setdefault(entry.turn_string, []).append(
+            {"probability": entry.probability, "energy": entry.energy,
+             "rg": row["rg_angstrom"], "redundant": entry.redundant,
+             "backtrack": entry.backtrack, "overlap": entry.overlap}
+        )
+    # equal floats, bit for bit: energies, probabilities and radii
+    by_value = lambda rows: sorted(rows, key=lambda r: (r["probability"], str(r["energy"])))
+    assert {k: by_value(v) for k, v in got.items()} == {
+        k: by_value(v) for k, v in reference.items()
+    }
+
+
+def _report_order(entry):
+    # the report's row order: scored entries by energy, then the rest
+    if entry.energy is None:
+        return (1, 0.0, entry.turn_string)
+    return (0, entry.energy, entry.turn_string)
+
+
+# --- parser fuzzing ---
+
+TOPOBJ_TEXTS = [
+    write_topobj(search(SearchConfig(lattice, peptide, MJ, k=3)), lattice=lattice,
+                 peptide=peptide)
+    for lattice, peptide in (("fcc", "KLVF"), ("tet", "KLVFFA"))
+]
+XYZ_TEXTS = [
+    write_xyz(turns_from_string("0931", "fcc"), "KLVFF"),
+    write_xyz(np.array([[0, 0, 0], [1, 1, 1]]), "KL", lattice="tet", comment="two"),
+]
+tokens = (
+    st.text(max_size=6)
+    | st.integers(-5, 5).map(str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.sampled_from(["x", "bits", "energy", "turns", "topobj", "nan", "1_0", "\r"])
+)
+
+
+@st.composite
+def mutated_lines(draw, texts):
+    """One of ``texts`` with a few lines or tokens deleted, added or replaced."""
+    lines = draw(st.sampled_from(texts)).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.integers(0, 3))
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, draw(tokens))
+        elif op == 2:
+            lines[i] = draw(tokens)
+        else:
+            parts = lines[i].split(" ")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(tokens)
+            lines[i] = " ".join(parts)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=60) | mutated_lines(TOPOBJ_TEXTS))
+def test_topobj_round_trips_or_raises(text):
+    try:
+        document = parse_topobj(text)
+    except (ParseError, EncodingError):
+        return
+    canonical = write_topobj(document)
+    assert write_topobj(parse_topobj(canonical)) == canonical
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=60) | mutated_lines(XYZ_TEXTS))
+def test_xyz_round_trips_or_raises(text):
+    try:
+        peptide, coords, comment = parse_xyz(text)
+    except (ParseError, EncodingError):
+        return
+    canonical = xyz_text(peptide, coords, comment)
+    assert xyz_text(*parse_xyz(canonical)) == canonical
+
+
+@pytest.mark.parametrize("text", TOPOBJ_TEXTS)
+def test_topobj_written_text_round_trips_byte_exact(text):
+    assert write_topobj(parse_topobj(text)) == text
+
+
+@pytest.mark.parametrize("text", XYZ_TEXTS)
+def test_xyz_written_text_round_trips_byte_exact(text):
+    assert xyz_text(*parse_xyz(text)) == text

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,11 @@ from hypothesis import strategies as st
 from qfold.cli import RunManifest, main, resource_counts
 from qfold.exceptions import ParseError, QfoldError
 from qfold.hamiltonian import ProblemInstance
+from qfold.optimize import CvarVqeConfig, VqecConfig
+from qfold.scoring import load_matrix
+from qfold.search import SearchConfig
 from qfold.analysis import parse_topobj, parse_xyz
-from qfold.sim import ShotTable
+from qfold.sim import Ansatz, ShotTable
 from util import json_values, mutated_json
 
 
@@ -297,6 +301,81 @@ def test_manifest_json_round_trips_or_raises_parse_error(text):
     assert RunManifest.from_json(canonical).to_json() == canonical
 
 
+BAD_NUMBERS = [
+    ("shots", 0), ("restarts", 0), ("iterations", 0), ("layers", -1), ("k", 0),
+    ("workers", 0), ("seed", -1), ("nn_level", 3), ("alpha", 0.0), ("alpha", 1.5),
+    ("alpha", math.nan), ("nu", 0.0), ("nu", math.inf), ("mu", -0.5), ("mu", 10**400),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_NUMBERS)
+def test_manifest_rejects_bad_numbers(key, value):
+    with pytest.raises(QfoldError):
+        RunManifest(peptide="KLVF", **{key: value})
+    text = json.dumps({"peptide": "KLVF", key: value})
+    with pytest.raises(ParseError):
+        RunManifest.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--method", "vqe", "--shots", "0"], ["--method", "vqec", "--restarts", "0"],
+     ["--method", "vqe", "--alpha", "0"], ["--method", "vqec", "--mu", "nan"],
+     ["--method", "search", "--k", "0"], ["--method", "vqec", "--seed", "-1"]],
+)
+def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(
+        ["pipeline", "--peptide", "KLVF", *flags, "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: QfoldError:")
+    assert stdout == ""
+    assert not out.exists()
+
+
+INT_FIELDS = [k for k, v in asdict(RunManifest(peptide="KLVF")).items()
+              if type(v) is int]
+FLOAT_FIELDS = ["p0", "alpha", "nu", "mu"]
+numbers = (
+    st.integers(-3, 3) | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@st.composite
+def numeric_manifest_texts(draw):
+    doc = json.loads(RunManifest(peptide="KLVF", method="vqe").to_json())
+    for key in draw(st.lists(st.sampled_from(INT_FIELDS + FLOAT_FIELDS), max_size=3)):
+        value = draw(numbers)
+        if key in INT_FIELDS and isinstance(value, float) and draw(st.booleans()):
+            value = int(value) if math.isfinite(value) else 0
+        doc[key] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_manifest_texts())
+def test_manifest_numbers_accepted_only_where_every_stage_takes_them(text):
+    try:
+        manifest = RunManifest.from_json(text)
+    except ParseError:
+        return
+    canonical = manifest.to_json()
+    assert RunManifest.from_json(canonical).to_json() == canonical
+    # each stage's own checks accept what the manifest accepted
+    CvarVqeConfig(alpha=manifest.alpha, max_iterations=manifest.iterations,
+                  restarts=manifest.restarts, seed=manifest.seed)
+    VqecConfig(nu=manifest.nu, mu=manifest.mu, restarts=manifest.restarts,
+               max_iterations=manifest.iterations, seed=manifest.seed)
+    SearchConfig(lattice=manifest.lattice, peptide=manifest.peptide,
+                 matrix=load_matrix(manifest.matrix), k=manifest.k,
+                 nn_level=manifest.nn_level, workers=manifest.workers)
+    Ansatz(9, layers=manifest.layers)
+    assert manifest.shots >= 1 and manifest.seed >= 0
+    assert math.isfinite(manifest.nu) and math.isfinite(manifest.mu)
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"bogus": 1}', "{not json",
                                   '{"peptide": "KLVF", "p0": NaN}'])
 def test_pipeline_bad_manifest_exits_2(tmp_path, capsys, text):
@@ -393,7 +472,6 @@ def test_pipeline_fits_assembles_and_builds_an_engine_once(
 
         return wrapper
 
-    monkeypatch.setattr(cli, "fit_family", counted("fit", polyfit.fit_family))
     monkeypatch.setattr(polyfit, "fit_family", counted("fit", polyfit.fit_family))
     monkeypatch.setattr(cli, "assemble", counted("assemble", cli.assemble))
     engine_init = optimize.ExpectationEngine.__init__
@@ -407,6 +485,36 @@ def test_pipeline_fits_assembles_and_builds_an_engine_once(
     )
     assert code == 0
     assert calls == collections.Counter(fit=fits, assemble=1, engine=1)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--method", "vqe", "--restarts", "2", "--iterations", "30"],
+     ["--method", "vqec", "--restarts", "2", "--iterations", "3"],
+     ["--method", "vqec", "--grid", "--restarts", "1", "--iterations", "2"]],
+)
+def test_pipeline_evolves_the_final_state_once(tmp_path, capsys, monkeypatch, flags):
+    # the summary, the final violation and the shots share one evolution
+    from qfold import cli
+
+    events = []
+
+    def recorded(name, func):
+        def wrapper(*args, **kwargs):
+            result = func(*args, **kwargs)
+            events.append(name)
+            return result
+
+        return wrapper
+
+    for name in ("run_cvar_vqe", "run_vqec_pdp", "grid_search", "evolve", "sample"):
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    code, _, _ = run_cli(
+        ["pipeline", "--peptide", "KLVF", *flags, "--shots", "64", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert events[1:] == ["evolve", "sample"]
 
 
 def test_console_entry_point():
@@ -424,7 +532,8 @@ def test_console_entry_point():
 
 def test_cli_import_and_vqec_build_leave_scipy_unloaded(tmp_path):
     # only COBYLA needs SciPy, and importing it is most of the start-up time;
-    # only a search with several workers needs the process pool
+    # only a search with several workers needs the process pool, and only
+    # penalty fitting needs the fit module and NumPy's polynomial package
     pool = "concurrent.futures.process"
     script = (
         "import sys\n"
@@ -435,6 +544,8 @@ def test_cli_import_and_vqec_build_leave_scipy_unloaded(tmp_path):
         f" '--out', {str(tmp_path)!r}])\n"
         "assert code == 0\n"
         "assert 'scipy' not in sys.modules, 'build'\n"
+        "assert 'qfold.polyfit' not in sys.modules, 'build'\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'build'\n"
         "assert qfold.cli.main(['search', '--peptide', 'KLVF']) == 0\n"
         f"assert {pool!r} not in sys.modules, 'search'\n"
     )

@@ -194,7 +194,7 @@ def test_h_redun_counts_redundant_groups():
 
 def test_h_int_sign_structure(mj):
     lay = ham.EncodingLayout(4)
-    hi = ham.build_h_int(lay, mj, "KLVF")
+    hi = ham.build_h_int(lay, mj, "KLVF", ham.pair_distance_polys(lay))
     eps = scoring.epsilon_table(mj, "KLVF")
     a03 = lay.ancilla_index(0, 3)
     # straight chain: D_{0,3} = 18, every other pair far too; switch a_{0,3} on
@@ -214,8 +214,9 @@ def test_h_int_sign_structure(mj):
 
 
 def test_h_int_peptide_length_checked(mj):
+    lay = ham.EncodingLayout(4)
     with pytest.raises(EncodingError):
-        ham.build_h_int(ham.EncodingLayout(4), mj, "KLVFF")
+        ham.build_h_int(lay, mj, "KLVFF", ham.pair_distance_polys(lay))
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +250,54 @@ def test_assemble_term_counts_klvffa(mj):
     assert vqec.objective.term_count() == 2890
     assert dense.objective.term_count() == 18877
     assert dense.objective.term_count() >= 5 * vqec.objective.term_count()
+
+
+def _per_pair_reference(mode, layout, peptide, matrix):
+    """``assemble`` with every pair's D_mn rebuilt from scratch by ``distance_poly``."""
+    n_vars = layout.total_qubits
+    eps = scoring.epsilon_table(matrix, peptide)
+    objective = ham.build_h_back(layout) + ham.build_h_redun(layout)
+    h_int = pb.PBPolynomial.zero(n_vars)
+    for m, n in layout.pairs:
+        ancilla = pb.PBPolynomial.variable(layout.ancilla_index(m, n), n_vars)
+        h_int = h_int + ancilla * (3.0 - ham.distance_poly(layout, m, n)) * float(eps[m, n])
+    objective = objective + h_int
+    if mode == "vqec":
+        return objective, [2.0 - ham.distance_poly(layout, m, n) for m, n in layout.pairs]
+    fits = polyfit.fit_family(layout.n_beads)
+    for m, n in layout.pairs:
+        if n - m >= 3:
+            objective = objective + polyfit.build_olap_penalty(
+                fits[n - m], ham.distance_poly(layout, m, n)
+            )
+    return objective, []
+
+
+@pytest.mark.parametrize("peptide", ["KLV", "KLVF", "GNLVS", "KLVFFA"])
+@pytest.mark.parametrize("mode", ["vqec", "polyfit"])
+def test_assemble_equals_per_pair_distances(mj, mode, peptide):
+    layout = ham.EncodingLayout(len(peptide))
+    objective, constraints = _per_pair_reference(mode, layout, peptide, mj)
+    inst = ham.assemble(mode, layout, peptide, mj)
+    assert inst.objective == objective
+    assert list(inst.constraints) == constraints
+
+
+@pytest.mark.parametrize("mode", ["vqec", "polyfit"])
+def test_assemble_builds_each_pair_distance_once(mj, monkeypatch, mode):
+    built = []
+
+    def counted(pos_m, pos_n):
+        built.append((pos_m, pos_n))
+        return squared_distance(pos_m, pos_n)
+
+    squared_distance = ham._squared_distance
+    monkeypatch.setattr(ham, "_squared_distance", counted)
+    layout = ham.EncodingLayout(5)
+    ham.assemble(mode, layout, "KLVFF", mj)
+    assert len(built) == len(layout.pairs) == 6
+    # one per pair: no two calls share both bead positions
+    assert len({(id(a), id(b)) for a, b in built}) == len(built)
 
 
 def test_constraints_equal_two_minus_distance(mj):

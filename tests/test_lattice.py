@@ -240,3 +240,18 @@ def test_turn_string_roundtrip():
         lat.turns_from_string("0c", lat.FCC)
     with pytest.raises(EncodingError):
         lat.turns_from_string("04", lat.TET)
+
+
+@pytest.mark.parametrize("lattice, n_labels", [(lat.FCC, 12), (lat.TET, 4)])
+def test_stacked_geometry_equals_each_chain(lattice, n_labels):
+    rng = np.random.default_rng(n_labels)
+    seqs = [
+        lat.TurnSequence(lattice, tuple(int(t) for t in rng.integers(0, n_labels, 5)))
+        for _ in range(8)
+    ]
+    chains = np.stack([lat.coords_from_turns(seq) for seq in seqs])
+    if lattice == lat.FCC:
+        assert np.array_equal(lat.fcc_coords([seq.turns for seq in seqs]), chains)
+    stacked = lat.squared_distance_matrix(chains, lattice)
+    for chain, squared in zip(chains, stacked):
+        assert np.array_equal(squared, lat.squared_distance_matrix(chain, lattice))
