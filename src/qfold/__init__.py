@@ -25,8 +25,10 @@ optimize
     CVaR-VQE and primal-dual constrained optimization loops.
 analysis
     Sample decoding, structural metrics, file formats.
+pipeline
+    Run manifests and the fit, assemble, solve, sample, decode chain.
 cli
-    Command-line pipeline.
+    Command-line surface.
 """
 
 __version__ = "0.1.0"

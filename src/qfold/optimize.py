@@ -60,7 +60,7 @@ from .sim import (
 TWO_PI = 2.0 * math.pi
 DEFAULT_NU_GRID = (0.01, 0.05, 0.1, 0.2, 0.5)
 DEFAULT_MU_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
-# summed positive constraint expectation up to which a grid run counts as feasible
+# the constraint_violation up to which a run counts as feasible
 FEASIBLE_TOL = 1e-6
 QUADRANTS = (
     (0.0, math.pi / 2.0),
@@ -68,6 +68,15 @@ QUADRANTS = (
     (math.pi, 3.0 * math.pi / 2.0),
     (3.0 * math.pi / 2.0, TWO_PI),
 )
+
+
+def constraint_violation(f) -> float:
+    """Summed positive constraint expectations of ``[objective, constraints...]``.
+
+    The one measure of infeasibility: ``FEASIBLE_TOL`` bounds it, grid
+    entries rank on it and a single run reports it.
+    """
+    return float(np.maximum(f[1:], 0.0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +913,7 @@ def grid_search(
                 restart=restart,
                 objective=float(f_final[0]),
                 lagrangian=run.lagrangian,
-                violation=float(np.maximum(f_final[1:], 0.0).sum()),
+                violation=constraint_violation(f_final),
                 ground_probability=run.ground_probability,
                 diverged=False,
                 params=tuple(map(float, run.theta)),

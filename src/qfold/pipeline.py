@@ -1,0 +1,363 @@
+"""The folding pipeline: fit, assemble, solve, sample and decode, in memory.
+
+``stages(manifest)`` yields each stage's result as that stage ends, and
+``run(manifest)`` collects them; nothing here prints or writes.  The solve
+stage drops its ``ExpectationEngine`` when it returns, so sampling and
+analysis do not hold its tables, and only the stages that fit penalties
+import the penalty-fit module.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from dataclasses import asdict, dataclass, fields, replace
+
+import numpy as np
+
+from .analysis import DecodedEnsemble, decode_samples
+from .exceptions import ParseError, QfoldError
+from .hamiltonian import (
+    MODE_POLYFIT,
+    MODE_VQEC,
+    MODES,
+    EncodingLayout,
+    Penalties,
+    ProblemInstance,
+    assemble,
+)
+from .lattice import FCC, LATTICES, unpack_configuration
+from .optimize import (
+    CvarVqeConfig,
+    ExpectationEngine,
+    GridReport,
+    OptTrace,
+    VqecConfig,
+    constraint_violation,
+    grid_search,
+    run_cvar_vqe,
+    run_vqec_pdp,
+)
+from .scoring import load_matrix, validate_peptide
+from .search import SearchConfig, TopK, enumeration_size, search, squared_distance_scorer
+from .sim import Ansatz, ShotTable, bitstring_of, evolve, probabilities, sample
+
+# the oracle runs exhaustive search up to N = 9 (4 * 11^6 = 7,086,244
+# sequences, about 1.5 s); N = 10 has 11 times as many
+ORACLE_SIZE_CAP = 10_000_000
+
+# each optimizing method and the encoding it optimizes
+METHOD_MODES = {"vqe": MODE_POLYFIT, "vqec": MODE_VQEC}
+METHODS = ("search", *METHOD_MODES)
+
+# the least value of each integer field of a manifest
+MANIFEST_COUNT_MINIMA = {
+    "k": 1,
+    "restarts": 1,
+    "iterations": 1,
+    "layers": 0,
+    "shots": 1,
+    "seed": 0,
+    "workers": 1,
+}
+
+
+def check_finite_positive(name: str, value, what: str) -> None:
+    # comparisons, not float(): a JSON integer may exceed every float
+    if not 0.0 < value <= sys.float_info.max:
+        raise QfoldError(f"{name} must be a finite positive {what}")
+
+
+# ---------------------------------------------------------------------------
+# run manifests
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunManifest:
+    """Everything needed to reproduce one pipeline run."""
+
+    peptide: str
+    lattice: str = FCC
+    method: str = "search"
+    mode: str = MODE_POLYFIT
+    matrix: str = "mj1996"
+    k: int = 10
+    nn_level: int = 1
+    p0: float = 50.0
+    alpha: float = 0.1
+    nu: float = 0.01
+    mu: float = 0.5
+    grid: bool = False
+    restarts: int = 20
+    iterations: int = 80
+    layers: int = 2
+    shots: int = 1024
+    seed: int = 0
+    workers: int = 1
+    out: str = "."
+
+    def __post_init__(self):
+        if self.lattice not in LATTICES:
+            raise QfoldError(f"unknown lattice {self.lattice!r}")
+        if self.method not in METHODS:
+            raise QfoldError(f"unknown method {self.method!r}")
+        if self.mode not in MODES:
+            raise QfoldError(f"unknown mode {self.mode!r}")
+        if self.method in METHOD_MODES:
+            encoding = METHOD_MODES[self.method]
+            if self.mode != encoding:
+                raise QfoldError(f"the {self.method} method optimizes the {encoding} encoding")
+            if self.lattice != FCC:
+                raise QfoldError("hamiltonian modes are defined on the fcc lattice only")
+        check_finite_positive("p0", self.p0, "penalty height")
+        if not 0.0 < self.alpha <= 1.0:
+            raise QfoldError("alpha must lie in (0, 1]")
+        for name in ("nu", "mu"):
+            check_finite_positive(name, getattr(self, name), "step size")
+        for name, least in MANIFEST_COUNT_MINIMA.items():
+            if getattr(self, name) < least:
+                raise QfoldError(f"{name} must be >= {least}")
+        if self.nn_level not in (1, 2):
+            raise QfoldError("nn_level must be 1 or 2")
+        validate_peptide(self.peptide)
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> "RunManifest":
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("manifest must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(doc) - known)
+        if unknown:
+            raise ParseError(f"manifest has unknown keys: {', '.join(unknown)}")
+        if "peptide" not in doc:
+            raise ParseError("manifest lacks the peptide key")
+        for f in fields(cls):
+            value = doc.get(f.name, f.default)
+            expected = str if f.name == "peptide" else type(f.default)
+            if expected is float:
+                expected = (int, float)
+            # bool is a subclass of int: true must not pass as a count
+            wrong_bool = isinstance(value, bool) != (expected is bool)
+            if wrong_bool or not isinstance(value, expected):
+                raise ParseError(f"manifest key {f.name!r} has the wrong type")
+        try:
+            return cls(**doc)
+        except QfoldError as exc:
+            raise ParseError(f"manifest value rejected: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# stage results
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Solution:
+    """The chosen angles and their final state, with the optimizer's ``trace``
+    or the step-size ``grid`` report.  ``final`` is the objective (vqe), or
+    the Lagrangian and ``constraint_violation`` (vqec), at those angles, and
+    ``summary`` the modal fold and ground probability of ``state``."""
+
+    method: str
+    mode: str
+    peptide: str
+    ansatz: Ansatz
+    params: np.ndarray
+    duals: np.ndarray | None
+    trace: OptTrace | None
+    grid: GridReport | None
+    state: np.ndarray
+    final: dict
+    summary: dict
+
+    def to_json(self) -> str:
+        """The ``params.json`` text, which ``read_params`` reads back."""
+        payload = {
+            "method": self.method,
+            "mode": self.mode,
+            "peptide": self.peptide,
+            "layers": self.ansatz.layers,
+            "n_qubits": self.ansatz.n_qubits,
+            "params": [float(v) for v in self.params],
+        }
+        if self.duals is not None:
+            payload["duals"] = [float(v) for v in self.duals]
+        return json.dumps({**payload, **self.final, **self.summary}, indent=2) + "\n"
+
+
+def read_params(text: str) -> tuple:
+    """The angles and layer count of a ``params.json`` text.
+
+    The layer count is None where the text gives none.  Anything but an
+    object with a list of finite numbers under ``params``, and a
+    non-negative integer under ``layers`` if present, raises ``ParseError``.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"params file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("params"), list):
+        raise ParseError("params file must be a JSON object with a params list")
+    params = doc["params"]
+    # type(), not isinstance(): true is an int; the bound rejects NaN, inf and
+    # integers beyond every float
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in params):
+        raise ParseError("params must be finite numbers")
+    layers = doc.get("layers")
+    if "layers" in doc and not (type(layers) is int and layers >= 0):
+        raise ParseError("layers must be a non-negative integer")
+    return np.array(params, dtype=float), layers
+
+
+@dataclass(frozen=True)
+class PipelineRun:
+    """Every stage result of one run; a stage the method skips stays None."""
+
+    topk: TopK | None = None
+    fits: dict | None = None
+    instance: ProblemInstance | None = None
+    solution: Solution | None = None
+    shots: ShotTable | None = None
+    ensemble: DecodedEnsemble | None = None
+
+
+# the stage names, in the order the stages run
+STAGES = tuple(f.name for f in fields(PipelineRun))
+
+
+# ---------------------------------------------------------------------------
+# stages
+# ---------------------------------------------------------------------------
+
+
+def run(manifest: RunManifest) -> PipelineRun:
+    """Run every stage of ``manifest`` in memory; writes no file."""
+    return PipelineRun(**dict(stages(manifest)))
+
+
+def stages(manifest: RunManifest):
+    """Yield ``(stage name, result)`` for each stage of ``manifest`` as it ends.
+
+    A search yields ``topk``; an optimizing method yields ``fits`` (polyfit
+    only), ``instance``, ``solution``, ``shots`` and ``ensemble``.  The
+    decoding's reference energy is the exhaustive oracle's.
+    """
+    if manifest.method == "search":
+        yield "topk", search_folds(manifest)
+        return
+    fits = fit_penalties(manifest)
+    if fits is not None:
+        yield "fits", fits
+    instance = build_instance(manifest, fits)
+    yield "instance", instance
+    solution = solve(manifest, instance)
+    yield "solution", solution
+    shots = sample(solution.state, manifest.shots, manifest.seed)
+    yield "shots", shots
+    yield "ensemble", decode_shots(manifest, shots, oracle=True)
+
+
+def search_folds(manifest: RunManifest) -> TopK:
+    peptide, matrix = validate_peptide(manifest.peptide), load_matrix(manifest.matrix)
+    return search(SearchConfig(manifest.lattice, peptide, matrix, k=manifest.k,
+                               nn_level=manifest.nn_level, workers=manifest.workers))
+
+
+def fit_penalties(manifest: RunManifest) -> dict | None:
+    """The overlap-penalty fits of a polyfit manifest at its P0, else None."""
+    if manifest.mode != MODE_POLYFIT:
+        return None
+    from .polyfit import fit_family
+
+    return fit_family(len(validate_peptide(manifest.peptide)), p0=manifest.p0)
+
+
+def build_instance(manifest: RunManifest, fits: dict | None) -> ProblemInstance:
+    peptide = validate_peptide(manifest.peptide)
+    matrix = load_matrix(manifest.matrix)
+    return assemble(
+        manifest.mode, EncodingLayout(len(peptide)), peptide, matrix,
+        Penalties(p0=manifest.p0), fits,
+    )
+
+
+def solver(manifest: RunManifest, n_qubits: int) -> tuple:
+    """The ansatz and optimizer config that ``solve`` runs."""
+    runs = dict(restarts=manifest.restarts, max_iterations=manifest.iterations,
+                seed=manifest.seed)
+    if manifest.method == "vqe":
+        cfg = CvarVqeConfig(alpha=manifest.alpha, **runs)
+    else:
+        cfg = VqecConfig(nu=manifest.nu, mu=manifest.mu, **runs)
+    return Ansatz(n_qubits, layers=manifest.layers), cfg
+
+
+def solve(manifest: RunManifest, instance: ProblemInstance) -> Solution:
+    """Optimize on one engine, then evolve the chosen angles once."""
+    ansatz, cfg = solver(manifest, instance.n_qubits)
+    engine = ExpectationEngine(instance)
+    duals = trace = grid = None
+    if manifest.method == "vqe":
+        params, trace = run_cvar_vqe(instance, ansatz, cfg, engine)
+    elif manifest.grid:
+        grid = grid_search(instance, ansatz, cfg, engine)
+        params, duals = np.array(grid.best.params), np.array(grid.best.duals)
+    else:
+        params, duals, trace = run_vqec_pdp(instance, ansatz, cfg, engine)
+    state = evolve(ansatz, params)
+    probs = probabilities(state)
+    if manifest.method == "vqe":
+        final = {"objective": trace.best_so_far[-1]}
+    elif grid is not None:
+        final = {"lagrangian": grid.best.lagrangian, "violation": grid.best.violation}
+    else:
+        f = engine.f_vector(probs)
+        final = {
+            "lagrangian": float(f[0] + duals @ f[1:]),
+            "violation": constraint_violation(f),
+        }
+    modal = engine.modal_config(probs)
+    bits = bitstring_of(modal, instance.layout.n_config_bits)
+    summary = {
+        "modal_config": int(modal),
+        "modal_turns": unpack_configuration(bits, instance.layout.n_beads).to_string(),
+        "ground_probability": engine.ground_probability(probs),
+        "ground_energy": engine.ground_energy,
+    }
+    return Solution(
+        manifest.method, instance.mode, instance.peptide, ansatz, params, duals,
+        trace, grid, state, final, summary,
+    )
+
+
+def resample(manifest: RunManifest, params_text: str) -> ShotTable:
+    """Shots of the state that a ``params.json`` text's angles prepare.
+
+    The text's layer count, where it has one, overrides the manifest's.
+    """
+    params, layers = read_params(params_text)
+    n_qubits = EncodingLayout(len(validate_peptide(manifest.peptide))).total_qubits
+    ansatz = Ansatz(n_qubits, layers=manifest.layers if layers is None else layers)
+    return sample(evolve(ansatz, params), manifest.shots, manifest.seed)
+
+
+def decode_shots(
+    manifest: RunManifest, shots: ShotTable, e_star=None, oracle=False
+) -> DecodedEnsemble:
+    """Decode ``shots`` against ``e_star``, or with ``oracle`` and no
+    ``e_star`` against the exhaustive oracle's minimum where N allows."""
+    peptide, matrix = validate_peptide(manifest.peptide), load_matrix(manifest.matrix)
+    config = SearchConfig(FCC, peptide, matrix, nn_level=manifest.nn_level)
+    if e_star is None and oracle and enumeration_size(FCC, len(peptide)) <= ORACLE_SIZE_CAP:
+        topk = search(replace(config, k=1))
+        e_star = topk.records[0].energy if topk.records else None
+    scorer = squared_distance_scorer(peptide, config)
+    return decode_samples(shots, EncodingLayout(len(peptide)), scorer, e_star=e_star)

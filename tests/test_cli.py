@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from qfold.cli import RunManifest, main, resource_counts
 from qfold.exceptions import ParseError, QfoldError
 from qfold.hamiltonian import ProblemInstance
 from qfold.optimize import CvarVqeConfig, VqecConfig
+from qfold.pipeline import read_params
 from qfold.scoring import load_matrix
 from qfold.search import SearchConfig
 from qfold.analysis import parse_topobj, parse_xyz
@@ -317,21 +319,83 @@ def test_manifest_rejects_bad_numbers(key, value):
         RunManifest.from_json(text)
 
 
+PIPELINE = ["pipeline", "--peptide", "KLVF"]
+
+
 @pytest.mark.parametrize(
     "flags",
-    [["--method", "vqe", "--shots", "0"], ["--method", "vqec", "--restarts", "0"],
-     ["--method", "vqe", "--alpha", "0"], ["--method", "vqec", "--mu", "nan"],
-     ["--method", "search", "--k", "0"], ["--method", "vqec", "--seed", "-1"]],
+    [[*PIPELINE, "--method", "vqe", "--shots", "0"],
+     [*PIPELINE, "--method", "vqec", "--restarts", "0"],
+     [*PIPELINE, "--method", "vqe", "--alpha", "0"],
+     [*PIPELINE, "--method", "vqec", "--mu", "nan"],
+     [*PIPELINE, "--method", "search", "--k", "0"],
+     [*PIPELINE, "--method", "vqec", "--seed", "-1"],
+     # every other subcommand's numbers pass the same checks
+     ["fit-penalty", "--separation", "3", "--p0", "nan"],
+     ["fit-penalty", "--separation", "3", "--p0", "-5"],
+     ["fit-penalty", "--peptide", "KLVF", "--p0", "inf"],
+     ["vqec", "--peptide", "KLVF", "--mu", "inf", "--restarts", "1", "--iterations", "2"],
+     ["vqec", "--peptide", "KLVF", "--nu", "nan", "--restarts", "1", "--iterations", "2"],
+     ["vqe", "--peptide", "KLVF", "--seed", "-1"],
+     ["search", "--peptide", "KLVF", "--workers", "0"]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"
-    code, stdout, err = run_cli(
-        ["pipeline", "--peptide", "KLVF", *flags, "--out", str(out)], capsys
-    )
+    code, stdout, err = run_cli([*flags, "--out", str(out)], capsys)
     assert code == 2
     assert err.startswith("error: QfoldError:")
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", '{"layers": 2}', "[1, 2]", '{"params": ["a", "b"]}',
+     '{"params": [0.1], "layers": "x"}', '{"params": [NaN]}', '{"params": [true]}',
+     '{"params": [0.1], "layers": -1}', '{"params": [0.1], "layers": null}'],
+)
+def test_sample_bad_params_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(
+        ["sample", "--peptide", "KLVF", "--params", str(path), "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: ParseError:")
+    assert stdout == ""
+    assert not out.exists()
+
+
+PARAMS_KEYS = [("params",), ("layers",), ("params", 0)]
+
+
+@st.composite
+def params_texts(draw):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.text(max_size=40))
+    if kind == 1:
+        return json.dumps(draw(json_values))
+    base = {"method": "vqe", "layers": 1, "params": [0.5, 1.5, 2.5]}
+    return mutated_json(draw, json.dumps(base), PARAMS_KEYS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params_texts())
+def test_read_params_round_trips_or_raises_parse_error(text):
+    try:
+        params, layers = read_params(text)
+    except ParseError:
+        return
+    assert params.dtype == float and np.isfinite(params).all()
+    assert layers is None or (type(layers) is int and layers >= 0)
+    doc = {"params": params.tolist()}
+    if layers is not None:
+        doc["layers"] = layers
+    again, again_layers = read_params(json.dumps(doc))
+    assert again.tolist() == params.tolist()
+    assert again_layers == layers
 
 
 INT_FIELDS = [k for k, v in asdict(RunManifest(peptide="KLVF")).items()
@@ -461,7 +525,7 @@ def test_pipeline_instance_carries_manifest_p0(tmp_path, capsys):
 def test_pipeline_fits_assembles_and_builds_an_engine_once(
     tmp_path, capsys, monkeypatch, method, fits
 ):
-    from qfold import cli, optimize, polyfit
+    from qfold import optimize, pipeline, polyfit
 
     calls = collections.Counter()
 
@@ -473,7 +537,7 @@ def test_pipeline_fits_assembles_and_builds_an_engine_once(
         return wrapper
 
     monkeypatch.setattr(polyfit, "fit_family", counted("fit", polyfit.fit_family))
-    monkeypatch.setattr(cli, "assemble", counted("assemble", cli.assemble))
+    monkeypatch.setattr(pipeline, "assemble", counted("assemble", pipeline.assemble))
     engine_init = optimize.ExpectationEngine.__init__
     monkeypatch.setattr(
         optimize.ExpectationEngine, "__init__", counted("engine", engine_init)
@@ -495,7 +559,7 @@ def test_pipeline_fits_assembles_and_builds_an_engine_once(
 )
 def test_pipeline_evolves_the_final_state_once(tmp_path, capsys, monkeypatch, flags):
     # the summary, the final violation and the shots share one evolution
-    from qfold import cli
+    from qfold import pipeline
 
     events = []
 
@@ -508,7 +572,7 @@ def test_pipeline_evolves_the_final_state_once(tmp_path, capsys, monkeypatch, fl
         return wrapper
 
     for name in ("run_cvar_vqe", "run_vqec_pdp", "grid_search", "evolve", "sample"):
-        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+        monkeypatch.setattr(pipeline, name, recorded(name, getattr(pipeline, name)))
     code, _, _ = run_cli(
         ["pipeline", "--peptide", "KLVF", *flags, "--shots", "64", "--out", str(tmp_path)],
         capsys,

@@ -1,0 +1,112 @@
+"""The in-memory pipeline: its results, and the files the CLI writes from them."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qfold
+from qfold import pipeline
+from qfold.analysis import energy_probability_report, write_topobj
+from qfold.cli import run_pipeline
+from qfold.optimize import ExpectationEngine, constraint_violation
+from qfold.pipeline import RunManifest, read_params
+from qfold.sim import probabilities
+
+ROOT = Path(__file__).resolve().parents[1]
+
+RUNS = {
+    "search": dict(method="search", k=3),
+    "vqe": dict(method="vqe", mode="polyfit", restarts=2, iterations=30, shots=300),
+    "vqec": dict(method="vqec", mode="vqec", restarts=2, iterations=5, shots=200, seed=3),
+    "vqec-grid": dict(method="vqec", mode="vqec", grid=True, restarts=1, iterations=2,
+                      shots=64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_writes_nothing_and_serialises_to_the_pipeline_files(
+    tmp_path, capsys, monkeypatch, name
+):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    manifest = RunManifest(peptide="KLVF", out=str(tmp_path / "never"), **RUNS[name])
+    result = pipeline.run(manifest)
+    assert not (tmp_path / "never").exists()
+    assert list(cwd.iterdir()) == []
+
+    out = tmp_path / "cli"
+    assert run_pipeline(RunManifest(**{**vars(manifest), "out": str(out)})) == 0
+    capsys.readouterr()
+
+    def written(file):
+        return (out / file).read_text()
+
+    if name == "search":
+        assert result.instance is None and result.solution is None
+        text = write_topobj(result.topk, lattice="fcc", peptide="KLVF")
+        assert text == written("folds.topobj")
+        return
+    assert result.topk is None
+    assert (result.fits is not None) == (name == "vqe")
+    assert result.instance.to_json() + "\n" == written("instance.json")
+    solution = result.solution
+    assert solution.to_json() == written("params.json")
+    params, layers = read_params(solution.to_json())
+    assert params.tolist() == solution.params.tolist()
+    assert layers == manifest.layers
+    if manifest.grid:
+        assert solution.trace is None
+        assert solution.grid.to_json_lines() == written("grid.jsonl")
+    else:
+        assert solution.trace.to_json_lines() == written("trace.jsonl")
+    assert result.shots.to_text() == written("shots.tsv")
+    report = energy_probability_report(
+        result.ensemble, peptide="KLVF", json_path=tmp_path / "report.json"
+    )
+    assert report == written("report.tsv")
+    assert (tmp_path / "report.json").read_text() == written("report.json")
+
+
+def test_single_vqec_run_reports_the_summed_violation():
+    # one definition of infeasibility for single runs and grid entries
+    assert constraint_violation(np.array([-3.0, 0.25, -1.0, 0.5])) == 0.75
+    assert constraint_violation(np.array([7.0])) == 0.0
+    # a run that ends with two constraints violated, where sum and max differ
+    manifest = RunManifest(peptide="KLVFF", method="vqec", mode="vqec", restarts=1,
+                           iterations=1, nu=0.5, mu=5.0, seed=2)
+    instance = pipeline.build_instance(manifest, None)
+    solution = pipeline.solve(manifest, instance)
+    f = ExpectationEngine(instance).f_vector(probabilities(solution.state))
+    assert (f[1:] > 0).sum() >= 2
+    assert solution.final["violation"] == constraint_violation(f)
+    assert json.loads(solution.to_json())["violation"] == constraint_violation(f)
+
+
+@pytest.mark.parametrize(
+    "method, extra_spans",
+    [("vqec", set()), ("vqe", {"polyfit.fit_family"})],
+)
+def test_traced_pipeline_records_every_layer(tmp_path, method, extra_spans):
+    # the benchmark's traced runs wrap names on the pipeline's call path
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    src = str(Path(qfold.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_path), "0",
+         "--", "pipeline", "--peptide", "KLVF", "--method", method, "--restarts", "1",
+         "--iterations", "2", "--shots", "64", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    assert names >= {
+        "cli.pipeline", "optimize.run", "optimize.engine", "hamiltonian.assemble",
+        "sim.sample", "analysis.decode", "analysis.report", *extra_spans,
+    }
