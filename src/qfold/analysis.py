@@ -223,17 +223,13 @@ def xyz_text(peptide: str, coords_angstrom, comment: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_xyz(conf, peptide: str, path=None, lattice=None, comment=None) -> str:
-    """Emit an XYZ file; returns the text, writing it when a path is given."""
+def write_xyz(conf, peptide: str, lattice=None, comment=None) -> str:
+    """The XYZ text of a chain."""
     coords = scaled_coords(conf, lattice)
     if comment is None:
         kind = conf.lattice if isinstance(conf, TurnSequence) else lattice
         comment = f"{kind} lattice chain, bonds {BOND_ANGSTROMS} A"
-    text = xyz_text(peptide, coords, comment)
-    if path is not None:
-        with open(path, "w") as handle:
-            handle.write(text)
-    return text
+    return xyz_text(peptide, coords, comment)
 
 
 def parse_xyz(text: str):
@@ -310,7 +306,7 @@ def topobj_text(document: TopobjDocument) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def write_topobj(topk_or_document, path=None, lattice=None, peptide=None) -> str:
+def write_topobj(topk_or_document, lattice=None, peptide=None) -> str:
     """Serialize a search TopK (or a parsed document) to topobj text."""
     if isinstance(topk_or_document, TopobjDocument):
         document = topk_or_document
@@ -322,11 +318,7 @@ def write_topobj(topk_or_document, path=None, lattice=None, peptide=None) -> str
             peptide=peptide,
             records=tuple(_topobj_records(topk_or_document, lattice)),
         )
-    text = topobj_text(document)
-    if path is not None:
-        with open(path, "w") as handle:
-            handle.write(text)
-    return text
+    return topobj_text(document)
 
 
 def parse_topobj(text: str) -> TopobjDocument:
@@ -419,12 +411,13 @@ def _entry_flags(entry: DecodedEntry) -> str:
 def energy_probability_report(
     ensemble: DecodedEnsemble,
     e_star: float | None = None,
-    path=None,
     peptide: str | None = None,
     masses=None,
-    json_path=None,
-) -> str:
-    """Tab-delimited rows sorted by energy with a cumulative column.
+) -> tuple:
+    """The ``report.tsv`` and ``report.json`` texts of an ensemble.
+
+    The TSV holds tab-delimited rows sorted by energy with a cumulative
+    column; the JSON holds the same rows as objects, next to ``e_star``.
 
     Rows whose energy matches ``e_star`` within 1e-9 are marked as ground.
     Undecodable entries sort last with blank energy and radius columns.
@@ -482,12 +475,5 @@ def energy_probability_report(
                 ]
             )
         )
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as handle:
-            handle.write(text)
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            json.dump({"e_star": e_star, "rows": rows}, handle, indent=2)
-            handle.write("\n")
-    return text
+    doc = json.dumps({"e_star": e_star, "rows": rows}, indent=2) + "\n"
+    return "\n".join(lines) + "\n", doc

@@ -21,7 +21,7 @@ from dataclasses import MISSING, fields, replace
 from . import pipeline
 from .analysis import energy_probability_report, write_topobj, write_xyz
 from .exceptions import QfoldError
-from .hamiltonian import MODES
+from .hamiltonian import MODE_POLYFIT, MODES
 from .lattice import FCC, LATTICES
 from .optimize import cobyla_budget
 from .pipeline import METHOD_MODES, METHODS, RunManifest, check_finite_positive
@@ -79,13 +79,9 @@ def cmd_resources(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _path(out: str, name: str) -> str:
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
-
-
 def _write(out, name: str, text: str) -> None:
-    path = _path(out, name)
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
     with open(path, "w") as handle:
         handle.write(text)
     print(f"wrote {path}")
@@ -101,7 +97,7 @@ def _emit_fits(fits: dict, manifest, out) -> None:
                 "degree": fit.degree,
                 "r2": fit.r2,
                 "p0": fit.p0,
-                "coeffs_mono": [float(c) for c in fit.coeffs_mono],
+                "coeffs_cheb": list(fit.coeffs_cheb),
             }
             for sep, fit in sorted(fits.items())
         }
@@ -171,13 +167,9 @@ def _emit_ensemble(ensemble, manifest, out) -> None:
     )
     if out is not None:
         peptide = validate_peptide(manifest.peptide)
-        report_path = _path(out, "report.tsv")
-        json_path = _path(out, "report.json")
-        energy_probability_report(
-            ensemble, path=report_path, peptide=peptide, json_path=json_path
-        )
-        print(f"wrote {report_path}")
-        print(f"wrote {json_path}")
+        tsv, doc = energy_probability_report(ensemble, peptide=peptide)
+        _write(out, "report.tsv", tsv)
+        _write(out, "report.json", doc)
         if modal.energy is not None:
             _write(out, "modal.xyz", write_xyz(modal.turns, peptide))
 
@@ -218,15 +210,13 @@ def _run_stages(manifest: RunManifest, out, *emitted: str) -> int:
 
 def _manifest(args, **given) -> RunManifest:
     """The manifest of a subcommand's flags; a field without a flag keeps
-    its default, and an optimizing method sets the mode."""
+    its default."""
     values = {
         f.name: getattr(args, f.name)
         for f in fields(RunManifest)
         if getattr(args, f.name, None) is not None
     }
     values.update(given)
-    if values.get("method") in METHOD_MODES:
-        values["mode"] = METHOD_MODES[values["method"]]
     return RunManifest(**values)
 
 
@@ -350,7 +340,7 @@ COMMANDS = (
     ("fit-penalty", "minimal-degree penalty polynomials", cmd_fit_penalty,
      "peptide separation p0 r2_tol out", {}, {}),
     ("build", "assemble a problem instance", cmd_build,
-     "peptide matrix lattice mode out", {}, {}),
+     "peptide matrix lattice mode out", {"mode": {"default": MODE_POLYFIT}}, {}),
     ("search", "exhaustive conformational search", cmd_search,
      "peptide matrix lattice k nn_level workers out", {}, {}),
     ("vqe", "CVaR variational optimization", cmd_solve,
@@ -387,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                 options = {"action": "store_true"}
             elif default is not MISSING:
                 options = {"default": default}
-                if not isinstance(default, str):
+                if not isinstance(default, (str, type(None))):
                     options["type"] = type(default)
             options.update(FLAGS.get(flag, {}), **overrides.get(flag, {}))
             p.add_argument("--" + flag.replace("_", "-"), **options)

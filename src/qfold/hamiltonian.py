@@ -40,7 +40,7 @@ from .lattice import (
     inverse_label,
     n_config_bits,
 )
-from .pb import PBPolynomial, value_table
+from .pb import PBPolynomial, table_support, value_table
 from .scoring import EnergyMatrix, epsilon_table, validate_peptide
 
 MODE_POLYFIT = "polyfit"
@@ -387,7 +387,9 @@ def assemble(
 
     Dense mode composes one fitted overlap penalty per pair at separation
     >= 3 into the objective (``fits`` maps separation to fit; omitted fits
-    are computed here at the configured P0).  Constrained mode instead emits
+    are computed here at the configured P0); it raises ``DegreeOverflowError``
+    up front when a pair's distance has more than ``pb.MAX_TABLE_VARS``
+    variables, which happens from N = 9.  Constrained mode instead emits
     ``2 - D_mn`` constraint polynomials for every pair at separation >= 2.
     """
     if mode not in MODES:
@@ -413,12 +415,13 @@ def assemble(
         # imported here: constrained-mode runs never load the penalty fits
         from . import polyfit as pf
 
+        dense_pairs = [(m, n) for m, n in layout.pairs if n - m >= 3]
+        for pair in dense_pairs:
+            table_support(distances[pair])  # fail before composing any penalty
         if fits is None:
             fits = pf.fit_family(layout.n_beads, p0=penalties.p0)
-        for m, n in layout.pairs:
+        for m, n in dense_pairs:
             s = n - m
-            if s < 3:
-                continue
             if s not in fits:
                 raise EncodingError(f"no penalty fit for separation {s}")
             objective = objective + pf.build_olap_penalty(fits[s], distances[m, n])

@@ -16,9 +16,9 @@ variable count is not limited to machine word size.
 
 Dense value tables over a chosen variable subset are available through the
 zeta transform (coefficients to values) and its Moebius inverse; composing a
-scalar polynomial with a pseudo-Boolean inner polynomial is a pointwise
+scalar function with a pseudo-Boolean inner polynomial is a pointwise
 operation on the value table, which is far cheaper than expanding powers
-symbolically when the inner support is small.
+symbolically.
 """
 
 from __future__ import annotations
@@ -289,9 +289,7 @@ def value_table(poly: PBPolynomial, on_vars=None) -> np.ndarray:
     return table
 
 
-def from_value_table(
-    table: np.ndarray, on_vars, n_vars: int, term_ceiling: int | None = None
-) -> PBPolynomial:
+def from_value_table(table: np.ndarray, on_vars, n_vars: int) -> PBPolynomial:
     """Inverse of :func:`value_table`: recover the multilinear polynomial."""
     on_vars = list(on_vars)
     v = len(on_vars)
@@ -300,7 +298,6 @@ def from_value_table(
     coeffs = table.astype(float, copy=True)
     _mobius_inplace(coeffs, v)
     keep = np.flatnonzero(np.abs(coeffs) >= COEFF_EPS)
-    _check_ceiling(keep.size, term_ceiling)
     terms = {}
     for local in keep:
         mask = 0
@@ -314,46 +311,31 @@ def from_value_table(
 
 
 # ---------------------------------------------------------------------------
-# scalar composition
+# pointwise composition
 # ---------------------------------------------------------------------------
 
-#: Largest inner support tabulated densely by compose_scalar_poly.
+#: Widest support compose_pointwise tabulates: 2^22 float64 values, 32 MiB.
 MAX_TABLE_VARS = 22
 
 
-def compose_scalar_poly(
-    outer_coeffs,
-    inner: PBPolynomial,
-    term_ceiling: int | None = None,
-    max_table_vars: int = MAX_TABLE_VARS,
-) -> PBPolynomial:
-    """Substitute a pseudo-Boolean polynomial into a scalar polynomial.
+def table_support(poly: PBPolynomial) -> list:
+    """``poly``'s support, when it is narrow enough to tabulate densely."""
+    support = poly.support()
+    if len(support) > MAX_TABLE_VARS:
+        raise DegreeOverflowError(
+            f"support of {len(support)} variables exceeds the "
+            f"{MAX_TABLE_VARS}-variable value table"
+        )
+    return support
 
-    ``outer_coeffs`` are monomial coefficients low to high, so the result is
 
-        P(inner) = c_0 + c_1 * inner + c_2 * inner^2 + ...
+def compose_pointwise(outer, inner: PBPolynomial) -> PBPolynomial:
+    """Substitute a pseudo-Boolean polynomial into a scalar function.
 
-    reduced to multilinear canonical form.  When the inner support has at
-    most ``max_table_vars`` variables the composition runs on the dense value
-    table (apply P pointwise, transform back); otherwise it falls back to
-    Horner's scheme on the sparse representation.  Extended-precision outer
-    coefficients (np.longdouble) are honoured on the table route, which
-    matters for high-degree penalty fits; the final polynomial is float64.
+    ``outer`` maps an array of values elementwise.  It is applied to the
+    value table of ``inner`` over its support, and the Moebius transform
+    recovers the multilinear form of ``outer(inner)``, exact up to rounding
+    whatever ``outer`` is.
     """
-    outer = np.asarray(outer_coeffs)
-    if outer.size == 0:
-        return PBPolynomial.zero(inner.n_vars)
-    if outer.dtype not in (np.float64, np.longdouble):
-        outer = outer.astype(float)
-    support = inner.support()
-    if len(support) <= max_table_vars:
-        table = value_table(inner, support).astype(outer.dtype)
-        # imported here: only penalty composition needs NumPy's polynomials
-        from numpy.polynomial import polynomial as npoly
-
-        composed = npoly.polyval(table, outer).astype(float)
-        return from_value_table(composed, support, inner.n_vars, term_ceiling)
-    result = PBPolynomial.constant(float(outer[-1]), inner.n_vars)
-    for c in outer[:-1][::-1]:
-        result = result.product(inner, term_ceiling) + float(c)
-    return result
+    support = table_support(inner)
+    return from_value_table(outer(value_table(inner, support)), support, inner.n_vars)

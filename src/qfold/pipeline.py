@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -75,12 +75,16 @@ def check_finite_positive(name: str, value, what: str) -> None:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce one pipeline run."""
+    """Everything needed to reproduce one pipeline run.
+
+    ``mode`` defaults to the encoding the method optimizes (polyfit for a
+    search); a mode given explicitly must agree with the method.
+    """
 
     peptide: str
     lattice: str = FCC
     method: str = "search"
-    mode: str = MODE_POLYFIT
+    mode: str | None = None
     matrix: str = "mj1996"
     k: int = 10
     nn_level: int = 1
@@ -102,6 +106,9 @@ class RunManifest:
             raise QfoldError(f"unknown lattice {self.lattice!r}")
         if self.method not in METHODS:
             raise QfoldError(f"unknown method {self.method!r}")
+        if self.mode is None:
+            # frozen: set once, before anything reads the mode
+            object.__setattr__(self, "mode", METHOD_MODES.get(self.method, MODE_POLYFIT))
         if self.mode not in MODES:
             raise QfoldError(f"unknown mode {self.mode!r}")
         if self.method in METHOD_MODES:
@@ -140,8 +147,10 @@ class RunManifest:
         if "peptide" not in doc:
             raise ParseError("manifest lacks the peptide key")
         for f in fields(cls):
-            value = doc.get(f.name, f.default)
-            expected = str if f.name == "peptide" else type(f.default)
+            if f.name not in doc:
+                continue
+            value = doc[f.name]
+            expected = str if f.default in (MISSING, None) else type(f.default)
             if expected is float:
                 expected = (int, float)
             # bool is a subclass of int: true must not pass as a count

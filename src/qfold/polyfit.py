@@ -12,6 +12,10 @@ incrementing until the coefficient of determination reaches ``r2_tol``.  At
 degree ``#points - 1`` the fit becomes interpolation, which bounds the loop.
 Fits depend only on the separation (and ``P0``), so one fit per separation is
 shared by all pairs at that separation.
+
+A fit is composed with a pair's squared-distance polynomial pointwise: the
+Chebyshev series is evaluated in float64 on the distance's value table and
+the result transformed back to multilinear form.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
 from .exceptions import EncodingError
-from .pb import PBPolynomial, compose_scalar_poly
+from .pb import PBPolynomial, compose_pointwise
 
 #: Default collision penalty height at D = 0.
 DEFAULT_P0 = 50.0
@@ -30,8 +34,8 @@ DEFAULT_P0 = 50.0
 #: Default coefficient-of-determination threshold.
 DEFAULT_R2_TOL = 0.999
 
-#: Default starting degree for the escalation loop.
-DEFAULT_D0 = 2
+#: Degree the escalation loop starts from.
+START_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -58,14 +62,11 @@ class PenaltyTarget:
 
 @dataclass(frozen=True)
 class ChebyshevFit:
-    """A fitted penalty polynomial in both bases.
+    """A fitted penalty polynomial as a Chebyshev series.
 
-    Both coefficient sets live on the mapped variable ``t = d / s^2 - 1``,
-    which keeps every achievable squared distance inside ``[-1, 1]``: a
-    monomial form in raw ``d`` loses all significance beyond degree ~20.
-    The basis conversion itself is carried out and stored in extended
-    precision because the converted coefficients cancel over ~10 digits at
-    the highest degrees.
+    The coefficients live on the mapped variable ``t = d / s^2 - 1``, which
+    keeps every achievable squared distance inside ``[-1, 1]``, where the
+    series is well conditioned at every degree the loop reaches.
     """
 
     separation: int
@@ -73,7 +74,6 @@ class ChebyshevFit:
     degree: int
     r2: float
     coeffs_cheb: tuple
-    coeffs_mono: tuple  # np.longdouble entries, monomial in t, low to high
 
     @property
     def d_max(self) -> int:
@@ -83,37 +83,23 @@ class ChebyshevFit:
         return np.asarray(d, dtype=float) / self.separation**2 - 1.0
 
     def evaluate(self, d):
-        """Evaluate in the Chebyshev basis (numerically preferred)."""
+        """The penalty at squared distance(s) ``d``."""
         return ncheb.chebval(self._map(d), np.asarray(self.coeffs_cheb))
 
-    def evaluate_mono(self, d):
-        """Evaluate the monomial form (extended precision, float64 result)."""
-        t = np.asarray(d, dtype=np.longdouble) / self.separation**2 - 1.0
-        val = np.polynomial.polynomial.polyval(
-            t, np.asarray(self.coeffs_mono, dtype=np.longdouble)
-        )
-        return val.astype(float)
 
-
-def fit_penalty(
-    target: PenaltyTarget,
-    r2_tol: float = DEFAULT_R2_TOL,
-    d0: int = DEFAULT_D0,
-) -> ChebyshevFit:
+def fit_penalty(target: PenaltyTarget, r2_tol: float = DEFAULT_R2_TOL) -> ChebyshevFit:
     """Fit the overlap penalty for one separation.
 
-    Degrees are tried from ``d0`` upward, one at a time, until the fit's R^2
-    reaches ``r2_tol``; the loop is capped at ``#points - 1`` where least
-    squares interpolates the targets exactly.
+    Degrees are tried from ``START_DEGREE`` upward, one at a time, until the
+    fit's R^2 reaches ``r2_tol``; the loop is capped at ``#points - 1`` where
+    least squares interpolates the targets exactly.
     """
-    if d0 < 0:
-        raise EncodingError(f"starting degree must be >= 0, got {d0}")
     d_vals, f_vals = target.points()
     t_vals = d_vals / target.separation**2 - 1.0
     n_points = d_vals.size
     ss_tot = float(((f_vals - f_vals.mean()) ** 2).sum())
 
-    degree = min(d0, n_points - 1)
+    degree = min(START_DEGREE, n_points - 1)
     while True:
         coeffs = ncheb.chebfit(t_vals, f_vals, degree)
         resid = f_vals - ncheb.chebval(t_vals, coeffs)
@@ -122,14 +108,12 @@ def fit_penalty(
             break
         degree += 1
 
-    mono_t = ncheb.cheb2poly(coeffs.astype(np.longdouble))
     return ChebyshevFit(
         separation=target.separation,
         p0=target.p0,
         degree=degree,
         r2=r2,
         coeffs_cheb=tuple(float(c) for c in coeffs),
-        coeffs_mono=tuple(mono_t),
     )
 
 
@@ -146,25 +130,21 @@ def fit_family(
     n_beads: int,
     p0: float = DEFAULT_P0,
     r2_tol: float = DEFAULT_R2_TOL,
-    d0: int = DEFAULT_D0,
 ) -> dict:
     """One shared fit per required separation of an ``n_beads`` chain."""
     return {
-        s: fit_penalty(PenaltyTarget(s, p0), r2_tol=r2_tol, d0=d0)
+        s: fit_penalty(PenaltyTarget(s, p0), r2_tol=r2_tol)
         for s in required_separations(n_beads)
     }
 
 
-def build_olap_penalty(
-    fit: ChebyshevFit, dist_poly: PBPolynomial, term_ceiling: int | None = None
-) -> PBPolynomial:
+def build_olap_penalty(fit: ChebyshevFit, dist_poly: PBPolynomial) -> PBPolynomial:
     """Compose the fitted penalty with a squared-distance polynomial.
 
-    The distance polynomial is first mapped to the fit variable
-    ``t = d / s^2 - 1`` so the stored monomial form applies directly.
+    Raises ``DegreeOverflowError`` when the distance's support is wider than
+    ``pb.MAX_TABLE_VARS``.
     """
-    inner_t = dist_poly * (1.0 / fit.separation**2) - 1.0
-    return compose_scalar_poly(fit.coeffs_mono, inner_t, term_ceiling=term_ceiling)
+    return compose_pointwise(fit.evaluate, dist_poly)
 
 
 def fit_report(fits: dict) -> str:

@@ -332,11 +332,9 @@ def test_xyz_bond_lengths():
             assert np.linalg.norm(step) == pytest.approx(BOND_ANGSTROMS, abs=1e-6)
 
 
-def test_xyz_round_trip_bytes(tmp_path):
+def test_xyz_round_trip_bytes():
     seq = turns_from_string("093", "fcc")
-    path = tmp_path / "fold.xyz"
-    text = write_xyz(seq, "KLVF", path=path, comment="ground fold")
-    assert path.read_text() == text
+    text = write_xyz(seq, "KLVF", comment="ground fold")
     peptide, coords, comment = parse_xyz(text)
     assert comment == "ground fold"
     assert xyz_text(peptide, coords, comment) == text
@@ -362,11 +360,9 @@ def test_xyz_errors():
 # --- topobj ---
 
 
-def test_topobj_round_trip_bytes(tmp_path):
+def test_topobj_round_trip_bytes():
     topk = search(SearchConfig("fcc", "KLVF", MJ, k=5))
-    path = tmp_path / "folds.topobj"
-    text = write_topobj(topk, path=path, lattice="fcc", peptide="KLVF")
-    assert path.read_text() == text
+    text = write_topobj(topk, lattice="fcc", peptide="KLVF")
     document = parse_topobj(text)
     assert document.lattice == "fcc"
     assert document.peptide == "KLVF"
@@ -443,7 +439,7 @@ def test_topobj_parse_errors():
 
 def test_report_single_entry():
     ensemble = decode_samples(shots_of({"0" * 9: 4}), LAYOUT4, klvf_energy)
-    text = energy_probability_report(ensemble)
+    text, _ = energy_probability_report(ensemble)
     lines = text.splitlines()
     assert lines[0].split("\t") == [
         "energy",
@@ -463,7 +459,7 @@ def test_report_single_entry():
     assert fields[6] == "ok"
 
 
-def test_report_orders_by_energy_and_marks_ground(tmp_path):
+def test_report_orders_by_energy_and_marks_ground():
     shots = shots_of(
         {
             "000000" + "000": 5,
@@ -472,10 +468,7 @@ def test_report_orders_by_energy_and_marks_ground(tmp_path):
         }
     )
     ensemble = decode_samples(shots, LAYOUT4, klvf_energy)
-    json_path = tmp_path / "report.json"
-    text = energy_probability_report(
-        ensemble, e_star=-13.13, peptide="KLVF", json_path=json_path
-    )
+    text, doc = energy_probability_report(ensemble, e_star=-13.13, peptide="KLVF")
     lines = text.splitlines()[1:]
     assert len(lines) == 3
     first = lines[0].split("\t")
@@ -491,7 +484,7 @@ def test_report_orders_by_energy_and_marks_ground(tmp_path):
     assert cumulative == sorted(cumulative)
     assert cumulative[-1] == pytest.approx(1.0)
 
-    payload = json.loads(json_path.read_text())
+    payload = json.loads(doc)
     assert payload["e_star"] == -13.13
     assert [row["turns"] for row in payload["rows"]] == ["093", "000", "00x"]
     assert payload["rows"][0]["ground"] is True
@@ -501,16 +494,15 @@ def test_report_orders_by_energy_and_marks_ground(tmp_path):
 def test_report_flags_composites():
     shots = shots_of({"000011" + "000": 1})
     ensemble = decode_samples(shots, LAYOUT4, klvf_energy)
-    text = energy_probability_report(ensemble)
+    text, _ = energy_probability_report(ensemble)
     assert text.splitlines()[1].split("\t")[6] == "backtrack"
 
 
-def test_report_uses_ensemble_e_star(tmp_path):
+def test_report_uses_ensemble_e_star():
     shots = shots_of({"011111" + "000": 1})
     ensemble = decode_samples(shots, LAYOUT4, klvf_energy, e_star=-13.13)
-    path = tmp_path / "report.tsv"
-    text = energy_probability_report(ensemble, path=path)
-    assert path.read_text() == text
+    text, doc = energy_probability_report(ensemble)
+    assert json.loads(doc)["e_star"] == -13.13
     assert text.splitlines()[1].split("\t")[5] == "*"
 
 
@@ -543,7 +535,7 @@ def _per_entry_reference(shots, peptide, masses):
 
 
 @pytest.mark.parametrize("peptide", ["KLVFF", "KLVFFA"])
-def test_decode_and_report_match_the_per_entry_path(tmp_path, peptide):
+def test_decode_and_report_match_the_per_entry_path(peptide):
     layout = EncodingLayout(len(peptide))
     rng = np.random.default_rng(len(peptide))
     counts = collections.Counter(
@@ -558,8 +550,8 @@ def test_decode_and_report_match_the_per_entry_path(tmp_path, peptide):
     )
     for flag in ("redundant", "backtrack", "overlap"):
         assert any(getattr(e, flag) for e in ensemble.entries), flag
-    energy_probability_report(ensemble, peptide=peptide, json_path=tmp_path / "r.json")
-    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    _, doc = energy_probability_report(ensemble, peptide=peptide)
+    rows = json.loads(doc)["rows"]
     got = {}
     for entry, row in zip(sorted(ensemble.entries, key=_report_order), rows):
         assert row["turns"] == entry.turn_string

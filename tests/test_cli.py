@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -94,6 +95,24 @@ def test_fit_penalty_rejects_short_separation(capsys):
     assert "separation" in err
 
 
+def test_fits_json_reproduces_the_fit_report(tmp_path, capsys):
+    code, out, _ = run_cli(["fit-penalty", "--peptide", "KLVFFAG", "--out", str(tmp_path)],
+                           capsys)
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:-1]]
+    doc = json.loads((tmp_path / "fits.json").read_text())
+    assert sorted(doc, key=int) == [row[0] for row in rows] == ["3", "4", "5", "6"]
+    for sep, degree, r2, at_zero, rest in rows:
+        fit = doc[sep]
+        s = int(sep)
+        t = np.arange(0, 2 * s * s + 1, 2) / (s * s) - 1.0
+        values = np.polynomial.chebyshev.chebval(t, fit["coeffs_cheb"])
+        assert len(fit["coeffs_cheb"]) == int(degree) + 1 == fit["degree"] + 1
+        assert f"{fit['r2']:.6f}" == r2
+        assert f"{values[0]:.4f}" == at_zero
+        assert f"{np.abs(values[1:]).max():.4f}" == rest
+
+
 def test_build_writes_loadable_instance(tmp_path, capsys):
     code, out, _ = run_cli(
         ["build", "--peptide", "KLVF", "--mode", "vqec", "--out", str(tmp_path)],
@@ -105,6 +124,15 @@ def test_build_writes_loadable_instance(tmp_path, capsys):
     assert instance.mode == "vqec"
     assert instance.peptide == "KLVF"
     assert len(instance.constraints) == 3
+
+
+def test_polyfit_build_past_the_value_table_exits_2_at_once(capsys):
+    # from N = 9 a pair's squared distance spans more than pb.MAX_TABLE_VARS
+    start = time.perf_counter()
+    code, _, err = run_cli(["build", "--peptide", "KLVFFAGNL", "--mode", "polyfit"], capsys)
+    assert code == 2
+    assert err.startswith("error: DegreeOverflowError:")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_build_rejects_tet(capsys):
@@ -253,6 +281,18 @@ def test_manifest_validation():
         RunManifest(peptide="KLVF", method="vqe", mode="vqec")
     with pytest.raises(QfoldError):
         RunManifest(peptide="KLXF")
+
+
+def test_manifest_mode_follows_its_method():
+    assert RunManifest(peptide="KLVF", method="vqec").mode == "vqec"
+    assert RunManifest(peptide="KLVF", method="vqe").mode == "polyfit"
+    assert RunManifest(peptide="KLVF").mode == "polyfit"
+    assert RunManifest(peptide="KLVF", method="vqec") == RunManifest(
+        peptide="KLVF", method="vqec", mode="vqec"
+    )
+    assert RunManifest.from_json('{"peptide": "KLVF", "method": "vqec"}').mode == "vqec"
+    with pytest.raises(ParseError):
+        RunManifest.from_json('{"peptide": "KLVF", "mode": null}')
 
 
 @pytest.mark.parametrize(

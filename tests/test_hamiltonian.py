@@ -334,6 +334,51 @@ def test_valid_saw_invariant(mj):
             assert abs(poly.evaluate(mask)) <= 2.5
 
 
+def pauli_z_term_count(poly):
+    """Terms of ``poly`` once every q_i is written as (1 - Z_i) / 2."""
+    table = np.zeros(1 << poly.n_vars)
+    table[np.fromiter(poly.terms, dtype=np.int64)] = list(poly.terms.values())
+    for i in range(poly.n_vars):
+        view = table.reshape(-1, 2, 1 << i)
+        view[:, 0, :] += view[:, 1, :] / 2
+        view[:, 1, :] /= -2
+    return int(np.count_nonzero(np.abs(table) >= pb.COEFF_EPS))
+
+
+def test_pauli_term_counts_match_the_reference(mj):
+    # criterion 6 counts 0/1 monomials (18877 polyfit, 2890 vqec); the
+    # reference counts Pauli Z strings of the same Hamiltonians
+    layout = ham.EncodingLayout(6)
+    counts = [
+        pauli_z_term_count(ham.assemble(mode, layout, "KLVFFA", mj).objective)
+        for mode in ("polyfit", "vqec")
+    ]
+    assert counts == [18133, 2199]
+
+
+def test_eight_beads_fill_the_value_table_and_nine_overflow():
+    # polyfit builds compose each pair's penalty on a dense value table
+    for n_beads, widest in ((8, pb.MAX_TABLE_VARS), (9, pb.MAX_TABLE_VARS + 4)):
+        distances = ham.pair_distance_polys(ham.EncodingLayout(n_beads))
+        assert max(len(d.support()) for d in distances.values()) == widest
+
+
+@pytest.mark.parametrize("n_beads", [4, 5])
+def test_composed_penalties_equal_the_fit_at_the_geometric_distance(n_beads):
+    lay = ham.EncodingLayout(n_beads)
+    fits = polyfit.fit_family(n_beads)
+    decodable = decodable_masks(n_beads)
+    masks = np.array([mask for mask, _ in decodable])
+    coords = lat.fcc_coords([seq.turns for _, seq in decodable])
+    for m, n in lay.pairs:
+        if n - m < 3:
+            continue
+        penalty = polyfit.build_olap_penalty(fits[n - m], ham.distance_poly(lay, m, n))
+        values = pb.value_table(penalty, range(lay.n_config_bits))[masks]
+        squared = ((coords[:, n] - coords[:, m]) ** 2).sum(axis=1)
+        np.testing.assert_allclose(values, fits[n - m].evaluate(squared), rtol=0, atol=1e-9)
+
+
 def test_ground_truth_equivalence_n4(mj):
     # minimum of the dense objective (ancillas optimal) over valid
     # configurations equals the oracle minimum within the fit residual,

@@ -154,23 +154,28 @@ def test_value_table_rejects_missing_variable():
 @given(polys(max_terms=4), st.lists(st.integers(-2, 2), min_size=1, max_size=4))
 @settings(max_examples=60)
 def test_compose_matches_pointwise(p, outer):
-    composed = pb.compose_scalar_poly(outer, p)
+    composed = pb.compose_pointwise(lambda v: np.polynomial.polynomial.polyval(v, outer), p)
     for mask in range(1 << p.n_vars):
         direct = sum(c * p.evaluate(mask) ** k for k, c in enumerate(outer))
         assert composed.evaluate(mask) == pytest.approx(direct, abs=1e-8)
 
 
-@given(polys(max_terms=4), st.lists(st.integers(-2, 2), min_size=1, max_size=4))
-@settings(max_examples=40)
-def test_compose_table_and_horner_routes_agree(p, outer):
-    table_route = pb.compose_scalar_poly(outer, p)
-    horner_route = pb.compose_scalar_poly(outer, p, max_table_vars=-1)
-    assert table_route.allclose(horner_route, tol=1e-8)
-
-
 def test_compose_empty_outer_is_zero():
     p = PBPolynomial.variable(0, 2)
-    assert pb.compose_scalar_poly([], p).terms == {}
+    assert pb.compose_pointwise(np.zeros_like, p).terms == {}
+
+
+def test_compose_rejects_support_wider_than_the_table():
+    n = pb.MAX_TABLE_VARS + 1
+    wide = PBPolynomial.from_terms([([i], 1.0) for i in range(n)], n)
+
+    def never(values):
+        raise AssertionError("composed a support wider than the table")
+
+    with pytest.raises(DegreeOverflowError):
+        pb.compose_pointwise(never, wide)
+    narrow = PBPolynomial.from_terms([([i], 1.0) for i in range(n - 1)], n)
+    assert pb.table_support(narrow) == list(range(n - 1))
 
 
 def test_term_ceiling_enforced():

@@ -66,11 +66,8 @@ def test_run_writes_nothing_and_serialises_to_the_pipeline_files(
     else:
         assert solution.trace.to_json_lines() == written("trace.jsonl")
     assert result.shots.to_text() == written("shots.tsv")
-    report = energy_probability_report(
-        result.ensemble, peptide="KLVF", json_path=tmp_path / "report.json"
-    )
-    assert report == written("report.tsv")
-    assert (tmp_path / "report.json").read_text() == written("report.json")
+    report = energy_probability_report(result.ensemble, peptide="KLVF")
+    assert report == (written("report.tsv"), written("report.json"))
 
 
 def test_single_vqec_run_reports_the_summed_violation():

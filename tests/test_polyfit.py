@@ -52,21 +52,10 @@ def test_fit_quality(s):
     assert np.abs(vals[1:]).max() <= 2.5
 
 
-@pytest.mark.parametrize("s", range(2, 12))
-def test_representations_agree_pointwise(s):
-    fit = polyfit.fit_penalty(polyfit.PenaltyTarget(s))
-    d, _ = polyfit.PenaltyTarget(s).points()
-    ref = fit.evaluate(d)
-    mono = fit.evaluate_mono(d)
-    rel = np.abs(ref - mono) / np.maximum(1.0, np.abs(ref))
-    assert rel.max() <= 1e-8
-
-
 def test_fit_is_deterministic():
     a = polyfit.fit_penalty(polyfit.PenaltyTarget(5))
     b = polyfit.fit_penalty(polyfit.PenaltyTarget(5))
     assert a.coeffs_cheb == b.coeffs_cheb
-    assert all(x == y for x, y in zip(a.coeffs_mono, b.coeffs_mono))
 
 
 def test_custom_p0():
