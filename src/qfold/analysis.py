@@ -104,11 +104,12 @@ class DecodedEnsemble:
 def decode_samples(shots: ShotTable, layout: EncodingLayout, energy_fn, e_star=None):
     """Aggregate a shot table into turn-sequence entries.
 
-    ``energy_fn`` maps a decodable configuration's squared-distance matrix,
-    as nested lists, to its geometric energy (``search.squared_distance_scorer``);
-    entries whose configuration contains a redundant codeword carry no
-    energy.  Each distinct configuration is decoded once, and its entry
-    keeps the coordinates.  Entries come back sorted by descending
+    ``energy_fn`` maps a ``(D, N, N)`` stack of squared-distance matrices to
+    their geometric energies (``search.squared_distance_scorer``); it is
+    called once, on every decodable configuration.  Entries whose
+    configuration contains a redundant codeword carry no energy.  Each
+    distinct configuration is decoded once, and its entry keeps the
+    coordinates.  Entries come back sorted by descending
     probability with ties broken by turn string, so ``ensemble.modal`` is
     the modal sequence.
     """
@@ -132,13 +133,13 @@ def decode_samples(shots: ShotTable, layout: EncodingLayout, energy_fn, e_star=N
     backtracks = (coincide & np.eye(layout.n_beads, k=2, dtype=bool)).any(axis=(1, 2))
     far = np.triu(np.ones((layout.n_beads,) * 2, dtype=bool), 3)
     overlaps = (coincide & far).any(axis=(1, 2))
-    decoded = zip(coords, squared.tolist(), backtracks.tolist(), overlaps.tolist())
+    energies = energy_fn(squared).tolist()
+    decoded = zip(coords, energies, backtracks.tolist(), overlaps.tolist())
     entries = []
     for seq, count in zip(seqs, per_config.values()):
         probability = count / shots.shots
         if seq.is_decodable:
-            chain, rows, backtrack, overlap = next(decoded)
-            energy = float(energy_fn(rows))
+            chain, energy, backtrack, overlap = next(decoded)
             entries.append(
                 DecodedEntry(seq, probability, energy, False, backtrack, overlap, chain)
             )

@@ -37,10 +37,6 @@ class DivergenceError(QfoldError, RuntimeError):
     """Optimizer objective exceeded the divergence ceiling."""
 
 
-class BudgetExceededError(QfoldError, RuntimeError):
-    """Exhaustive enumeration ran past its wall-clock budget."""
-
-
 class EmptyStructureError(QfoldError, ValueError):
     """Geometry statistic requested over zero beads."""
 

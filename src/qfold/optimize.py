@@ -23,7 +23,10 @@ Two protocols over the same simulator:
   ``sim.block_columns(n)`` trajectories (restarts, or every grid point's
   restarts) in lockstep: per iteration one ``evolve_block`` of the current
   angles, one sweep and one ``evolve_block`` of the perturbed angles, with
-  each column's arithmetic the same bits as running it alone.
+  each column's arithmetic the same bits as running it alone.  A single
+  run is the one-point grid: ``run_vqec_pdp`` and ``grid_search`` both
+  seed, run and rank restarts through ``_ranked_runs``, feasible runs
+  first (``GridEntry.sort_key``).
 
 Expectations never materialize the full 2^n objective diagonal unless the
 CVaR path demands it: the objective splits into a configuration-bit base
@@ -37,16 +40,11 @@ import functools
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    BudgetExceededError,
-    DivergenceError,
-    EncodingError,
-)
+from .exceptions import DivergenceError, EncodingError
 from .hamiltonian import MODE_POLYFIT, MODE_VQEC, InstanceTables, ProblemInstance
 from .sim import (
     Ansatz,
@@ -206,7 +204,6 @@ class CvarVqeConfig:
     full_window_sweep: bool = False
     seed: int = 0
     snapshot_every: int = 50
-    max_seconds: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -229,7 +226,6 @@ class VqecConfig:
     seed: int = 0
     snapshot_every: int = 10
     divergence_ceiling: float = 1.0e5
-    max_seconds: float | None = None
 
     def __post_init__(self):
         if self.nu <= 0.0 or self.mu <= 0.0:
@@ -283,17 +279,6 @@ class OptTrace:
                 row["params"] = list(snapshot_at[i])
             lines.append(json.dumps(row))
         return "\n".join(lines) + "\n"
-
-
-class _Budget:
-    def __init__(self, max_seconds):
-        self.deadline = None
-        if max_seconds is not None:
-            self.deadline = time.monotonic() + max_seconds
-
-    def check(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceededError("optimization exceeded its wall budget")
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +592,6 @@ def run_cvar_vqe(
     if engine is None:
         engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
-    budget = _Budget(cfg.max_seconds)
     starts = []
     for restart in range(cfg.restarts):
         if cfg.full_window_sweep:
@@ -626,7 +610,6 @@ def run_cvar_vqe(
         results = [None] * len(runs)
         asked = {j: next(run) for j, run in enumerate(runs)}
         while asked:
-            budget.check()
             live = list(asked)
             block = np.array([asked[j] for j in live]).T
             probs = probabilities(evolve_block(ansatz, block))
@@ -665,12 +648,8 @@ class _Run:
     evaluations: int = 0
     rows: list = field(default_factory=list)
 
-    @property
-    def lagrangian(self) -> float:
-        return float(self.f_final[0] + self.duals @ self.f_final[1:])
 
-
-def _pdp_block(engine, ansatz, starts, steps, cfg, budget, drop_diverged):
+def _pdp_block(engine, ansatz, starts, steps, cfg):
     """Advance the trajectories ``starts[j]`` at ``steps[j] = (nu, mu)`` in lockstep.
 
     The angles are one ``(P, B)`` block.  An iteration is one
@@ -679,8 +658,7 @@ def _pdp_block(engine, ansatz, starts, steps, cfg, budget, drop_diverged):
     column, and one ``evolve_block`` of the perturbed angles.  Every step is
     elementwise or a per-column reduction, so a trajectory's iterates are
     the same bits at any block width.  A column whose Lagrangian leaves the
-    divergence ceiling raises ``DivergenceError``, or with ``drop_diverged``
-    leaves the block.
+    divergence ceiling is flagged as diverged and leaves the block.
     """
     runs = [_Run() for _ in starts]
     live = list(range(len(starts)))
@@ -689,8 +667,6 @@ def _pdp_block(engine, ansatz, starts, steps, cfg, budget, drop_diverged):
     duals = np.zeros((len(starts), engine.n_constraints))
     per_iteration = 2 * ansatz.n_params + 2
     for _ in range(cfg.max_iterations):
-        if budget is not None:
-            budget.check()
         states = evolve_block(ansatz, theta)
         f_here = engine.f_vector(probabilities(states))
         # one dot per contiguous row, as in f_vector, so that no column's
@@ -699,11 +675,6 @@ def _pdp_block(engine, ansatz, starts, steps, cfg, budget, drop_diverged):
         ceiling = cfg.divergence_ceiling
         bad = [not math.isfinite(v) or abs(v) > ceiling for v in lagrangian]
         if any(bad):
-            if not drop_diverged:
-                value = lagrangian[bad.index(True)]
-                raise DivergenceError(
-                    f"lagrangian {value!r} exceeded ceiling {ceiling}"
-                )
             keep = np.logical_not(bad)
             for j in np.flatnonzero(bad):
                 runs[live[j]].diverged = True
@@ -749,9 +720,7 @@ def _pdp_block(engine, ansatz, starts, steps, cfg, budget, drop_diverged):
     return runs
 
 
-def _pdp_runs(
-    engine, ansatz, starts, steps, cfg, budget=None, trace=None, drop_diverged=False
-):
+def _pdp_runs(engine, ansatz, starts, steps, cfg, trace=None):
     """The primal-dual driver: one run per row of ``starts`` and ``steps``.
 
     Runs go through ``_pdp_block`` in blocks of ``block_columns(n)``
@@ -765,10 +734,8 @@ def _pdp_runs(
     width = block_columns(ansatz.n_qubits)
     runs = []
     for first in range(0, len(starts), width):
-        runs += _pdp_block(
-            engine, ansatz, starts[first : first + width], steps[first : first + width],
-            cfg, budget, drop_diverged,
-        )
+        block = slice(first, first + width)
+        runs += _pdp_block(engine, ansatz, starts[block], steps[block], cfg)
     if trace is not None:
         for run in runs:
             for objective, theta, lagrangian, duals in run.rows:
@@ -783,40 +750,13 @@ def _pdp_runs(
     return runs
 
 
-def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace, budget=None):
-    """One seeded run; returns (theta, duals, final F vector)."""
-    (run,) = _pdp_runs(engine, ansatz, [theta0], [(nu, mu)], cfg, budget, trace)
+def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace):
+    """One seeded run; returns (theta, duals, final F vector), or raises
+    ``DivergenceError`` if it diverged."""
+    (run,) = _pdp_runs(engine, ansatz, [theta0], [(nu, mu)], cfg, trace)
+    if run.diverged:
+        raise DivergenceError(f"lagrangian exceeded ceiling {cfg.divergence_ceiling}")
     return run.theta, run.duals, run.f_final
-
-
-def run_vqec_pdp(
-    instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig, engine=None
-):
-    """Multistart primal-dual runs at (cfg.nu, cfg.mu).
-
-    Returns (best params, final duals, trace); best means lowest final
-    Lagrangian objective across restarts.  ``engine`` is the instance's
-    ``ExpectationEngine``, built here if None.
-    """
-    if instance.mode != MODE_VQEC:
-        raise EncodingError("the primal-dual loop drives the constrained mode only")
-    if engine is None:
-        engine = ExpectationEngine(instance)
-    rng = np.random.default_rng(cfg.seed)
-    starts = rng.uniform(0.0, TWO_PI, (cfg.restarts, ansatz.n_params))
-    trace = OptTrace()
-    runs = _pdp_runs(
-        engine, ansatz, starts, [(cfg.nu, cfg.mu)] * cfg.restarts, cfg,
-        _Budget(cfg.max_seconds), trace,
-    )
-    best = min(runs, key=lambda run: run.lagrangian)
-    trace.snapshots.append((len(trace.objectives), tuple(map(float, best.theta))))
-    return best.theta, best.duals, trace
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter grid search
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -876,27 +816,24 @@ class GridReport:
         return "\n".join(e.to_json() for e in self.entries) + "\n"
 
 
-def grid_search(
-    instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig, engine=None
-) -> GridReport:
-    """Sweep (nu, mu) over the configured grids with shared restarts.
+def _ranked_runs(instance, ansatz, cfg, engine, points, trace=None) -> GridReport:
+    """The VQEC driver: ``cfg.restarts`` seeded restarts at each (nu, mu) of
+    ``points``, one ``GridEntry`` per run, ranked by ``GridEntry.sort_key``.
 
-    Every grid point sees the same seeded initial angles, so rows are
-    comparable and the ranking is independent of execution order.  Runs
-    that trip the divergence ceiling are kept, flagged, and ranked last.
-    ``engine`` is the instance's ``ExpectationEngine``, built here if None.
+    Every point sees the same seeded initial angles, so rows are comparable
+    and the ranking is independent of execution order.  Runs that trip the
+    divergence ceiling are kept, flagged, and ranked last.  With ``trace``,
+    every run's iterations are recorded in it.
     """
     if instance.mode != MODE_VQEC:
-        raise EncodingError("grid search drives the constrained mode only")
+        raise EncodingError("the primal-dual loop drives the constrained mode only")
     if engine is None:
         engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(0.0, TWO_PI, (cfg.restarts, ansatz.n_params))
-    points = list(itertools.product(cfg.nu_grid, cfg.mu_grid))
     runs = _pdp_runs(
         engine, ansatz, np.tile(starts, (len(points), 1)),
-        np.repeat(np.array(points, dtype=float), cfg.restarts, axis=0),
-        cfg, drop_diverged=True,
+        np.repeat(np.array(points, dtype=float), cfg.restarts, axis=0), cfg, trace,
     )
     entries = []
     for i, run in enumerate(runs):
@@ -912,7 +849,7 @@ def grid_search(
                 mu=float(mu),
                 restart=restart,
                 objective=float(f_final[0]),
-                lagrangian=run.lagrangian,
+                lagrangian=float(f_final[0] + run.duals @ f_final[1:]),
                 violation=constraint_violation(f_final),
                 ground_probability=run.ground_probability,
                 diverged=False,
@@ -925,3 +862,36 @@ def grid_search(
         entries=tuple(entries),
         circuit_evaluations=sum(run.evaluations for run in runs),
     )
+
+
+def run_vqec_pdp(
+    instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig, engine=None
+):
+    """Multistart primal-dual runs at (cfg.nu, cfg.mu): the one-point grid.
+
+    Returns (best params, final duals, trace).  Restarts rank as grid
+    entries do: feasible runs first, then the lowest final Lagrangian.  A
+    restart that diverges ranks last, and ``DivergenceError`` is raised only
+    when every restart diverged.  ``engine`` is the instance's
+    ``ExpectationEngine``, built here if None.
+    """
+    trace = OptTrace()
+    best = _ranked_runs(instance, ansatz, cfg, engine, [(cfg.nu, cfg.mu)], trace).best
+    if best.diverged:
+        ceiling = cfg.divergence_ceiling
+        raise DivergenceError(f"every restart exceeded the ceiling {ceiling}")
+    trace.snapshots.append((len(trace.objectives), best.params))
+    return np.array(best.params), np.array(best.duals), trace
+
+
+def grid_search(
+    instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig, engine=None
+) -> GridReport:
+    """Sweep (nu, mu) over the configured grids with shared restarts.
+
+    Every grid point's restarts run and rank as one ``run_vqec_pdp`` does,
+    so a one-point grid's best is that run's pick.  ``engine`` is the
+    instance's ``ExpectationEngine``, built here if None.
+    """
+    points = list(itertools.product(cfg.nu_grid, cfg.mu_grid))
+    return _ranked_runs(instance, ansatz, cfg, engine, points)

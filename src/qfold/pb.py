@@ -32,14 +32,15 @@ from .exceptions import DegreeOverflowError, EncodingError
 #: Coefficients with |c| below this are dropped during canonicalization.
 COEFF_EPS = 1e-12
 
-#: Default ceiling on the number of terms any single operation may produce.
+#: Ceiling on the number of terms any single operation may produce.
 TERM_CEILING = 5_000_000
 
 
-def _check_ceiling(count: int, ceiling: int | None):
-    limit = TERM_CEILING if ceiling is None else ceiling
-    if count > limit:
-        raise DegreeOverflowError(f"operation would produce {count} terms (> {limit})")
+def _check_ceiling(count: int):
+    if count > TERM_CEILING:
+        raise DegreeOverflowError(
+            f"operation would produce {count} terms (> {TERM_CEILING})"
+        )
 
 
 class PBPolynomial:
@@ -184,18 +185,18 @@ class PBPolynomial:
 
     __rmul__ = __mul__
 
-    def product(self, other: "PBPolynomial", term_ceiling: int | None = None):
+    def product(self, other: "PBPolynomial"):
         """Multilinear product; masks combine by OR, q_i^2 collapses to q_i."""
         if self.n_vars != other.n_vars:
             raise EncodingError("variable counts differ")
-        _check_ceiling(len(self.terms) * len(other.terms), term_ceiling)
+        _check_ceiling(len(self.terms) * len(other.terms))
         terms: dict[int, float] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mask = m1 | m2
                 terms[mask] = terms.get(mask, 0.0) + c1 * c2
         out = PBPolynomial(self.n_vars, terms)
-        _check_ceiling(out.term_count(), term_ceiling)
+        _check_ceiling(out.term_count())
         return out
 
     # -- evaluation ---------------------------------------------------------

@@ -11,7 +11,8 @@ distances to the earlier beads, and a prefix whose new bead overlaps is
 dropped with its subtree (whose sequences still count as visited).  Prefixes
 are expanded breadth-first until one stands for at most ``chunk`` sequences;
 blocks of that frontier are grown to full length, and leaf energies add the
-pair terms in the scalar scorer's order.  Workers take contiguous spans of
+pair terms in the order ``squared_distance_scorer`` adds them, from the same
+shell-code table.  Workers take contiguous spans of
 the frontier and keep private top-K lists; the final merge uses the
 deterministic (energy, turn string) order, so results are bit-identical for
 any worker count and chunk size.
@@ -20,12 +21,11 @@ any worker count and chunk size.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BudgetExceededError, EncodingError
+from .exceptions import EncodingError
 from .lattice import (
     FCC,
     FCC_VECTORS,
@@ -40,6 +40,8 @@ from .lattice import (
 )
 from .scoring import EnergyMatrix, pair_energy, validate_peptide
 
+# the energy an overlapping pair adds; the search drops any sequence at or above it
+COLLISION_PENALTY = 10000.0
 
 # ---------------------------------------------------------------------------
 # configuration and result types
@@ -53,9 +55,7 @@ class SearchConfig:
     matrix: EnergyMatrix
     k: int = 100
     nn_level: int = 1
-    collision_penalty: float = 10000.0
     workers: int = 1
-    max_seconds: float | None = None
     chunk: int = 8192
 
     def __post_init__(self):
@@ -66,8 +66,6 @@ class SearchConfig:
             raise EncodingError("k must be >= 1")
         if self.nn_level not in (1, 2):
             raise EncodingError("nn_level must be 1 or 2")
-        if self.collision_penalty <= 0:
-            raise EncodingError("collision_penalty must be positive")
         if self.workers < 1 or self.chunk < 1:
             raise EncodingError("workers and chunk must be >= 1")
 
@@ -133,55 +131,50 @@ def _pair_rules(peptide: str, config: SearchConfig):
     return rules
 
 
+def _scoring_tables(rules, lattice: str):
+    """The shell code of each squared distance 0..12, 12 standing for any
+    larger: 0 (no contact), 1 (first shell), 2 (second shell) or 3 (overlap);
+    and one row per pair rule of its energy at each code."""
+    d2, shell = np.arange(13), 2 if lattice == FCC else 1
+    codes = np.select([d2 == 0, d2 == shell, d2 == 2 * shell], [3, 1, 2])
+    table = np.array([(0.0, e1, e2, COLLISION_PENALTY) for *_, e1, e2 in rules])
+    return codes.astype(np.int8), table.reshape(-1, 4)
+
+
 def squared_distance_scorer(peptide: str, config: SearchConfig):
     """``squared -> energy`` for one peptide, with the pair rules built once.
 
-    ``squared`` is a conformation's ``squared_distance_matrix`` (an array
-    or nested lists); overlaps add the collision penalty.  FCC scores pairs
-    j - i >= 2 at d^2 = 2 (and d^2 = 4 at nn_level 2); tetrahedral chains
-    score pairs j - i >= 5, odd separations at d^2 = 1 and (at nn_level 2)
-    d^2 = 2 contacts.  Terms add in ``_pair_rules`` order.
+    ``squared`` is one conformation's ``squared_distance_matrix``, scored
+    as a float, or a ``(..., N, N)`` stack of them, scored as an array.
+    Overlaps add ``COLLISION_PENALTY``.  FCC scores pairs j - i >= 2 at
+    d^2 = 2 (and d^2 = 4 at nn_level 2); tetrahedral chains score pairs
+    j - i >= 5, odd separations at d^2 = 1 and (at nn_level 2) d^2 = 2
+    contacts.  Terms add in ``_pair_rules`` order, for each conformation
+    of a stack alike.
     """
     rules = _pair_rules(peptide, config)
+    first, last = np.array([r[:2] for r in rules], dtype=np.intp).reshape(-1, 2).T
+    codes, table = _scoring_tables(rules, config.lattice)
     n_beads = len(peptide)
-    shell1 = 2 if config.lattice == FCC else 1
 
-    def score(squared) -> float:
-        if len(squared) != n_beads:
+    def score(squared):
+        if squared.shape[-2:] != (n_beads, n_beads):
             raise EncodingError("conformation length differs from peptide length")
-        if isinstance(squared, np.ndarray):
-            squared = squared.tolist()
-        energy = 0.0
-        for i, j, e1, e2 in rules:
-            d2 = squared[i][j]
-            if d2 == 0:
-                energy += config.collision_penalty
-            elif d2 == shell1 and e1 != 0.0:
-                energy += e1
-            elif d2 == 2 * shell1 and e2 != 0.0:
-                energy += e2
-        return energy
-
-    return score
-
-
-def conformation_scorer(peptide: str, config: SearchConfig):
-    """``conf -> energy``: ``squared_distance_scorer`` of a conformation.
-
-    ``conf`` is either a TurnSequence or an integer coordinate array.
-    """
-    score_squared = squared_distance_scorer(peptide, config)
-
-    def score(conf) -> float:
-        coords = conf if isinstance(conf, np.ndarray) else coords_from_turns(conf)
-        return score_squared(squared_distance_matrix(coords, config.lattice))
+        code = codes[np.minimum(squared[..., first, last], 12)]
+        energy = np.zeros(code.shape[:-1])
+        for row in range(len(rules)):
+            energy += table[row, code[..., row]]
+        return float(energy) if squared.ndim == 2 else energy
 
     return score
 
 
 def conformation_energy(conf, peptide: str, config: SearchConfig) -> float:
-    """Score one conformation (``conformation_scorer``, built for one call)."""
-    return conformation_scorer(peptide, config)(conf)
+    """Score one conformation, a TurnSequence or an integer coordinate array
+    (``squared_distance_scorer``, built for one call)."""
+    coords = conf if isinstance(conf, np.ndarray) else coords_from_turns(conf)
+    squared = squared_distance_matrix(coords, config.lattice)
+    return squared_distance_scorer(peptide, config)(squared)
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +210,13 @@ class _Tree:
         self.offset = [
             2 if fcc else 3 + (t + 1 - np.arange(t)[:, None]) % 2 for t in range(n - 1)
         ]
-        d2, shell = (np.arange(13), 2) if fcc else (np.arange(13) // 4, 1)
-        self.code = np.select([d2 == 0, d2 == shell, d2 == 2 * shell], [3, 1, 2])
-        self.code = self.code.astype(np.int8)
-        # a pair that cannot score only ever adds an exact 0.0, so it is left out
+        # a pair that cannot score only ever adds an exact 0.0 (a leaf with an
+        # overlap is dropped), so it is left out
         rules = [r for r in _pair_rules(config.peptide, config) if r[2] or r[3]]
         self.pairs = [(i, j) for i, j, _, _ in rules]
-        self.table = np.array([(0.0, *r[2:], 0.0) for r in rules]).reshape(-1, 4)
+        self.code, self.table = _scoring_tables(rules, config.lattice)
+        if not fcc:
+            self.code = self.code[np.arange(13) // 4]
         # per bead j: the code rows of the pairs (i, j) and their beads i
         first, last = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
         self.ending = [(np.flatnonzero(last == j), first[last == j]) for j in range(n)]
@@ -261,8 +254,8 @@ class _Tree:
 
     def leaves(self, prefixes):
         """Non-overlap flags and energies of every full-length extension,
-        shape (labels, M).  Pair terms add in ``_pair_rules`` order, as the
-        scalar scorer adds them."""
+        shape (labels, M).  Pair terms add in ``_pair_rules`` order, as
+        ``squared_distance_scorer`` adds them."""
         last = self.n_beads - 1
         near = self.place(prefixes, last - 1)
         energy = np.zeros(near.shape[1:])
@@ -289,21 +282,17 @@ def _sweep_span(config: SearchConfig, prefixes, turn: int):
     to full length one turn at a time.
     """
     tree, k = _Tree(config), config.k
-    budget = np.inf if config.max_seconds is None else config.max_seconds
-    deadline = time.monotonic() + budget
     best = np.empty(0), np.empty((tree.n_beads - 1, 0), dtype=np.int8)
     visited = 0
     step = max(1, config.chunk // tree.below[turn])
     for lo in range(0, prefixes[0].shape[1], step):
-        if time.monotonic() > deadline:
-            raise BudgetExceededError(f"search exceeded {budget} s wall budget")
         block = tuple(a[..., lo : lo + step] for a in prefixes)
         for t in range(turn + 1, tree.n_beads - 2):
             block, dropped = tree.grow(block, t)
             visited += dropped
         ok, energy = tree.leaves(block)
         visited += tree.options[-1] * ok.shape[1]
-        keep = ok & (energy < config.collision_penalty)
+        keep = ok & (energy < COLLISION_PENALTY)
         if best[0].size == k:
             keep &= energy <= best[0][-1]
         option, parent = np.nonzero(keep)

@@ -363,9 +363,6 @@ class ShotTable:
         if sum(self.counts.values()) != self.shots:
             raise EncodingError("shot counts do not sum to the shot total")
 
-    def frequencies(self) -> dict:
-        return {bits: c / self.shots for bits, c in self.counts.items()}
-
     def to_text(self) -> str:
         lines = [f"{bits}\t{count}" for bits, count in sorted(self.counts.items())]
         return "\n".join(lines) + "\n"

@@ -3,16 +3,13 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qfold import optimize
-from qfold.exceptions import (
-    BudgetExceededError,
-    DivergenceError,
-    EncodingError,
-)
+from qfold.exceptions import DivergenceError, EncodingError
 from qfold.hamiltonian import EncodingLayout, assemble
 from qfold.optimize import (
     CvarVqeConfig,
@@ -307,12 +304,6 @@ def test_cvar_vqe_budget_raised_to_cobyla_minimum():
     assert trace_5.snapshots == trace_29.snapshots
 
 
-def test_cvar_vqe_budget():
-    cfg = CvarVqeConfig(restarts=1, max_iterations=5, max_seconds=0.0)
-    with pytest.raises(BudgetExceededError):
-        run_cvar_vqe(POLYFIT, ANSATZ, cfg)
-
-
 def cobyla_values(x0, objective, maxfev):
     """Drive ``_cobyla`` on ``objective``; returns (points asked, its result)."""
     run = _cobyla(np.asarray(x0, dtype=float), maxfev)
@@ -512,6 +503,50 @@ def test_pdp_divergence_ceiling():
         run_vqec_pdp(VQEC, ANSATZ, cfg)
 
 
+def test_pdp_single_run_keeps_the_best_surviving_restart():
+    # at this seed a ceiling of 40 drops restarts 0 and 3 mid-run and lets
+    # 1, 2 and 4 finish feasible; a ceiling of 30 drops every restart
+    cfg = VqecConfig(
+        nu=0.1, mu=1.0, restarts=5, max_iterations=8, seed=4, divergence_ceiling=40.0
+    )
+    params, duals, _ = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    engine = ExpectationEngine(VQEC)
+    starts = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (5, ANSATZ.n_params))
+    survivors = []
+    for start in starts:
+        try:
+            theta, d, f = _pdp_run(engine, ANSATZ, start, cfg.nu, cfg.mu, cfg, OptTrace())
+        except DivergenceError:
+            continue
+        infeasible = optimize.constraint_violation(f) > optimize.FEASIBLE_TOL
+        survivors.append(((infeasible, float(f[0] + d @ f[1:])), theta, d))
+    assert 0 < len(survivors) < 5
+    _, theta, d = min(survivors, key=lambda survivor: survivor[0])
+    assert np.array_equal(params, theta)
+    assert np.array_equal(duals, d)
+    with pytest.raises(DivergenceError):
+        run_vqec_pdp(VQEC, ANSATZ, replace(cfg, divergence_ceiling=30.0))
+
+
+def test_pdp_single_run_ranks_feasible_restarts_first():
+    # FMFG's lowest final Lagrangian (24.59, restart 4) violates a constraint
+    # by 0.039; the run takes feasible restart 3 (30.48), as a grid point does
+    instance = assemble("vqec", LAYOUT, "FMFG", MJ)
+    cfg = VqecConfig(
+        nu=0.1, mu=1.0, nu_grid=(0.1,), mu_grid=(1.0,), restarts=5, max_iterations=5,
+        seed=4,
+    )
+    params, duals, _ = run_vqec_pdp(instance, ANSATZ, cfg)
+    report = grid_search(instance, ANSATZ, cfg)
+    lowest = min(report.entries, key=lambda entry: entry.lagrangian)
+    assert lowest.violation > optimize.FEASIBLE_TOL
+    best = report.best
+    assert (best.restart, best.violation) == (3, 0.0)
+    assert best.lagrangian == pytest.approx(30.480566, abs=1e-6)
+    assert np.array_equal(params, best.params)
+    assert np.array_equal(duals, best.duals)
+
+
 def test_pdp_evaluation_count():
     # logical circuit evaluations, the paper's cost model, whatever the
     # simulator ran: 2P + 2 per iteration plus one final state per restart
@@ -694,8 +729,8 @@ def test_grid_single_point_matches_multistart_driver():
     report = grid_search(VQEC, ANSATZ, cfg)
     params, duals, _ = run_vqec_pdp(VQEC, ANSATZ, cfg)
     best = report.best
-    assert np.array(best.params) == pytest.approx(np.asarray(params), abs=1e-12)
-    assert np.array(best.duals) == pytest.approx(np.asarray(duals), abs=1e-12)
+    assert np.array_equal(best.params, params)
+    assert np.array_equal(best.duals, duals)
 
 
 def test_grid_ranking_deterministic_and_order_free():

@@ -178,12 +178,13 @@ def test_compose_rejects_support_wider_than_the_table():
     assert pb.table_support(narrow) == list(range(n - 1))
 
 
-def test_term_ceiling_enforced():
+def test_term_ceiling_enforced(monkeypatch):
     # product of two 8-variable "all vars" sums explodes past a tiny ceiling
+    monkeypatch.setattr(pb, "TERM_CEILING", 5)
     n = 8
     a = PBPolynomial.from_terms([([i], 1.0) for i in range(n)], n)
     with pytest.raises(DegreeOverflowError):
-        a.product(a, term_ceiling=5)
+        a.product(a)
 
 
 def test_mismatched_widths_rejected():

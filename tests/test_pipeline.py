@@ -1,5 +1,6 @@
 """The in-memory pipeline: its results, and the files the CLI writes from them."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import qfold
 from qfold import pipeline
 from qfold.analysis import energy_probability_report, write_topobj
-from qfold.cli import run_pipeline
+from qfold.cli import main, run_pipeline
 from qfold.optimize import ExpectationEngine, constraint_violation
 from qfold.pipeline import RunManifest, read_params
 from qfold.sim import probabilities
@@ -107,3 +108,23 @@ def test_traced_pipeline_records_every_layer(tmp_path, method, extra_spans):
         "cli.pipeline", "optimize.run", "optimize.engine", "hamiltonian.assemble",
         "sim.sample", "analysis.decode", "analysis.report", *extra_spans,
     }
+
+
+@pytest.mark.parametrize(
+    "method, peptide, flags",
+    [("search", "KLVFF", []), ("vqec", "KLVF", ["--restarts", "1", "--iterations", "2"])],
+)
+def test_benchmark_output_checks_pass(tmp_path, capsys, method, peptide, flags):
+    # the benchmark re-checks each run's files with perfbench/checks.py, which
+    # imports qfold names: a renamed one must fail here, not only there
+    path = ROOT / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--method", method, "--peptide", peptide, *flags,
+            "--shots", "64", "--out", str(out)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    failures, _ = checks.check_invocation(method, peptide, 64, out, stdout)
+    assert failures == []

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qfold.exceptions import BudgetExceededError, EncodingError
+from qfold.exceptions import EncodingError
 from qfold.lattice import (
     FCC_VECTORS,
     SECOND_TURN_LABELS,
@@ -16,18 +16,20 @@ from qfold.lattice import (
     TurnSequence,
     coords_from_turns,
     pack_configuration,
+    squared_distance_matrix,
     turns_from_string,
     unpack_configuration,
 )
 from qfold.scoring import RESIDUES, epsilon_table, load_matrix
 from qfold.search import (
+    COLLISION_PENALTY,
     ConformerRecord,
     SearchConfig,
     TopK,
     conformation_energy,
-    conformation_scorer,
     enumeration_size,
     search,
+    squared_distance_scorer,
 )
 from util import reference_conformation_energy, reference_search
 
@@ -149,7 +151,6 @@ def test_enumeration_size_errors():
         dict(lattice="hex"),
         dict(k=0),
         dict(nn_level=3),
-        dict(collision_penalty=0.0),
         dict(workers=0),
         dict(chunk=0),
         dict(peptide="KLXF"),
@@ -174,7 +175,7 @@ def test_overlap_adds_collision_penalty():
     turns = turns_from_string("097", "fcc")
     cfg = config(peptide="GGGG", matrix=load_matrix("hp"))
     energy = conformation_energy(turns, "GGGG", cfg)
-    assert energy >= cfg.collision_penalty
+    assert energy >= COLLISION_PENALTY
 
 
 def test_energy_accepts_coordinate_array():
@@ -207,7 +208,8 @@ def test_energy_matches_oracle_everywhere_tet():
 @pytest.mark.parametrize("matrix_name", ["mj1996", "hp"])
 def test_scorer_equals_former_scalar_scorer(lattice, matrix_name):
     # random turn labels, backtracks and overlaps included; energies are
-    # compared with ==, for turn sequences and for coordinate arrays
+    # compared with ==, for turn sequences, coordinate arrays and squared
+    # distance matrices, one at a time and as one (40, N, N) stack
     rng = np.random.default_rng(len(lattice) + len(matrix_name))
     labels = 12 if lattice == "fcc" else 4
     overlaps = 0
@@ -220,14 +222,20 @@ def test_scorer_equals_former_scalar_scorer(lattice, matrix_name):
                 matrix=load_matrix(matrix_name),
                 nn_level=nn_level,
             )
-            score = conformation_scorer(peptide, cfg)
+            score = squared_distance_scorer(peptide, cfg)
+            stack, wants = [], []
             for _ in range(40):
                 seq = TurnSequence(lattice, tuple(rng.integers(0, labels, n_beads - 1)))
+                coords = coords_from_turns(seq)
+                squared = squared_distance_matrix(coords, lattice)
                 want = reference_conformation_energy(seq, peptide, cfg)
-                overlaps += want >= cfg.collision_penalty
-                assert score(seq) == want
-                assert score(coords_from_turns(seq)) == want
+                overlaps += want >= COLLISION_PENALTY
+                assert score(squared) == want
                 assert conformation_energy(seq, peptide, cfg) == want
+                assert conformation_energy(coords, peptide, cfg) == want
+                stack.append(squared)
+                wants.append(want)
+            assert np.array_equal(score(np.stack(stack)), wants)
     assert overlaps > 0
 
 
@@ -404,10 +412,3 @@ def test_tet_record_bits_are_turn_string():
             rec.energy, abs=1e-9
         )
 
-
-# --- wall budget ---
-
-
-def test_budget_exceeded():
-    with pytest.raises(BudgetExceededError):
-        search(config(peptide="KLVFFA", max_seconds=0.0))

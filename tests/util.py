@@ -3,13 +3,12 @@
 import heapq
 import json
 import math
-import time
 
 import numpy as np
 from hypothesis import strategies as st
 
 from qfold import lattice as lat
-from qfold.exceptions import BudgetExceededError, EncodingError
+from qfold.exceptions import EncodingError
 from qfold.lattice import (
     FCC,
     FCC_VECTORS,
@@ -18,7 +17,7 @@ from qfold.lattice import (
     TET_VECTORS,
     TurnSequence,
 )
-from qfold.search import SearchConfig, _pair_rules, enumeration_size
+from qfold.search import COLLISION_PENALTY, SearchConfig, _pair_rules, enumeration_size
 
 
 # any JSON document, NaN and the infinities included, for parser fuzzing
@@ -85,7 +84,7 @@ def reference_conformation_energy(conf, peptide: str, config: SearchConfig) -> f
     for i, j, e1, e2 in _pair_rules(peptide, config):
         d2 = lat.pair_squared_distance(coords, i, j, config.lattice)
         if d2 == 0:
-            energy += config.collision_penalty
+            energy += COLLISION_PENALTY
         elif d2 == shell1 and e1 != 0.0:
             energy += e1
         elif d2 == 2 * shell1 and e2 != 0.0:
@@ -210,7 +209,7 @@ def _energies_for_coords(coords: np.ndarray, rules, config: SearchConfig):
         hit = d2 == 0
         collided |= hit
         contrib = np.zeros(m)
-        contrib[hit] = config.collision_penalty
+        contrib[hit] = COLLISION_PENALTY
         if e1 != 0.0:
             contrib[d2 == shell1] = e1
         if e2 != 0.0:
@@ -227,21 +226,14 @@ def _sweep_span(config: SearchConfig, n_beads: int, start: int, stop: int):
     """Worker kernel: best k (energy, turn string) pairs in [start, stop)."""
     rules = _pair_rules(config.peptide, config)
     best: list = []  # max-heap via negated sort key
-    deadline = None
-    if config.max_seconds is not None:
-        deadline = time.monotonic() + config.max_seconds
     for lo in range(start, stop, config.chunk):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                f"search exceeded {config.max_seconds} s wall budget"
-            )
         hi = min(lo + config.chunk, stop)
         indices = np.arange(lo, hi, dtype=np.int64)
         labels = _labels_for_indices(indices, n_beads, config.lattice)
         coords = _coords_for_labels(labels, config.lattice)
         energies, collided = _energies_for_coords(coords, rules, config)
         cutoff = best[0][0] if len(best) >= config.k else None
-        valid = ~collided & (energies < config.collision_penalty)
+        valid = ~collided & (energies < COLLISION_PENALTY)
         if cutoff is not None:
             valid &= energies <= -cutoff[0]
         for row in np.flatnonzero(valid):
