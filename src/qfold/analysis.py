@@ -224,13 +224,10 @@ def xyz_text(peptide: str, coords_angstrom, comment: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_xyz(conf, peptide: str, lattice=None, comment=None) -> str:
+def write_xyz(seq: TurnSequence, peptide: str) -> str:
     """The XYZ text of a chain."""
-    coords = scaled_coords(conf, lattice)
-    if comment is None:
-        kind = conf.lattice if isinstance(conf, TurnSequence) else lattice
-        comment = f"{kind} lattice chain, bonds {BOND_ANGSTROMS} A"
-    return xyz_text(peptide, coords, comment)
+    comment = f"{seq.lattice} lattice chain, bonds {BOND_ANGSTROMS} A"
+    return xyz_text(peptide, scaled_coords(seq), comment)
 
 
 def parse_xyz(text: str):
@@ -410,24 +407,21 @@ def _entry_flags(entry: DecodedEntry) -> str:
 
 
 def energy_probability_report(
-    ensemble: DecodedEnsemble,
-    e_star: float | None = None,
-    peptide: str | None = None,
-    masses=None,
+    ensemble: DecodedEnsemble, peptide: str | None = None
 ) -> tuple:
     """The ``report.tsv`` and ``report.json`` texts of an ensemble.
 
     The TSV holds tab-delimited rows sorted by energy with a cumulative
-    column; the JSON holds the same rows as objects, next to ``e_star``.
+    column; the JSON holds the same rows as objects, next to the ensemble's
+    ``e_star``.
 
     Rows whose energy matches ``e_star`` within 1e-9 are marked as ground.
     Undecodable entries sort last with blank energy and radius columns.
-    Masses for the radius of gyration come from ``masses``, else from the
-    bundled residue-mass table when ``peptide`` is given, else unit masses.
+    Masses for the radius of gyration come from the bundled residue-mass
+    table when ``peptide`` is given, else they are unit masses.
     """
-    if e_star is None:
-        e_star = ensemble.e_star
-    if masses is None and peptide is not None:
+    e_star, masses = ensemble.e_star, None
+    if peptide is not None:
         table = load_masses()
         masses = np.array([table[r] for r in peptide])
     scored = [e for e in ensemble.entries if e.energy is not None]

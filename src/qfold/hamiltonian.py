@@ -386,11 +386,13 @@ def assemble(
     """Build the full problem instance for one peptide.
 
     Dense mode composes one fitted overlap penalty per pair at separation
-    >= 3 into the objective (``fits`` maps separation to fit; omitted fits
-    are computed here at the configured P0); it raises ``DegreeOverflowError``
-    up front when a pair's distance has more than ``pb.MAX_TABLE_VARS``
-    variables, which happens from N = 9.  Constrained mode instead emits
-    ``2 - D_mn`` constraint polynomials for every pair at separation >= 2.
+    >= 3 into the objective (``fits`` maps separation to fit, each at
+    ``penalties.p0``; omitted fits are computed here at that P0).  Up front
+    it raises ``EncodingError`` for a missing fit or one at another P0, and
+    ``DegreeOverflowError`` when a pair's distance has more than
+    ``pb.MAX_TABLE_VARS`` variables, which happens from N = 9.  Constrained
+    mode instead emits ``2 - D_mn`` constraint polynomials for every pair at
+    separation >= 2.
     """
     if mode not in MODES:
         raise EncodingError(f"mode must be one of {MODES}, got {mode!r}")
@@ -420,11 +422,16 @@ def assemble(
             table_support(distances[pair])  # fail before composing any penalty
         if fits is None:
             fits = pf.fit_family(layout.n_beads, p0=penalties.p0)
-        for m, n in dense_pairs:
-            s = n - m
+        for s in sorted({n - m for m, n in dense_pairs}):
             if s not in fits:
                 raise EncodingError(f"no penalty fit for separation {s}")
-            objective = objective + pf.build_olap_penalty(fits[s], distances[m, n])
+            if fits[s].p0 != penalties.p0:
+                raise EncodingError(
+                    f"the separation-{s} fit has p0 {fits[s].p0}, "
+                    f"the penalties {penalties.p0}"
+                )
+        for m, n in dense_pairs:
+            objective = objective + pf.build_olap_penalty(fits[n - m], distances[m, n])
     else:
         constraints = [2.0 - distances[pair] for pair in layout.pairs]
 
@@ -457,8 +464,7 @@ class InstanceTables:
     def __init__(self, instance: ProblemInstance):
         layout = instance.layout
         self.instance = instance
-        self.n_config = layout.n_config_bits
-        config_vars = list(range(self.n_config))
+        config_vars = list(range(layout.n_config_bits))
         ancilla_mask = 0
         for m, n in layout.pairs:
             ancilla_mask |= 1 << layout.ancilla_index(m, n)
@@ -492,15 +498,6 @@ class InstanceTables:
         for table in self.pair_tables.values():
             energies += np.minimum(table, 0.0)
         return energies
-
-    def energy_of_assignment(self, mask: int) -> float:
-        """Objective value at a full assignment (config bits + ancillas)."""
-        config = mask & ((1 << self.n_config) - 1)
-        total = float(self.base_table[config])
-        for idx, table in self.pair_tables.items():
-            if (mask >> idx) & 1:
-                total += float(table[config])
-        return total
 
     def full_diagonal(self) -> np.ndarray:
         """Dense objective diagonal over all qubits (small instances only)."""

@@ -104,47 +104,6 @@ TET_VECTORS = np.array(
 )
 
 
-def tet_abs_from_rel(rel, parents=None):
-    """Convert relative tetrahedral turns to absolute turn labels.
-
-    The first bond is pinned to absolute label 0.  Bond ``k + 1`` carries a
-    relative turn ``rel[k]`` in ``{0, 1, 2}`` against its parent bond
-    (``parents[k]``, the previous bond for a linear chain), giving
-
-        abs[k + 1] = (rel[k] + abs[parents[k]] + 1) mod 4.
-
-    Relative turn 3 would reproduce the parent's absolute label, which the
-    alternating bond signs turn into an immediate backtrack; it is therefore
-    outside the domain.
-
-    Parameters
-    ----------
-    rel : sequence of int
-        Relative turns, one per bond after the first.  May be empty.
-    parents : sequence of int, optional
-        Index of the parent bond for each entry of ``rel``.  Defaults to the
-        linear chain ``parents[k] = k``.
-
-    Returns
-    -------
-    list of int
-        Absolute turn labels, length ``len(rel) + 1``, starting with 0.
-    """
-    rel = list(rel)
-    if parents is None:
-        parents = list(range(len(rel)))
-    if len(parents) != len(rel):
-        raise EncodingError(
-            f"parents has length {len(parents)}, expected {len(rel)}"
-        )
-    abs_turns = [0]
-    for k, r in enumerate(rel):
-        if r not in (0, 1, 2):
-            raise EncodingError(f"relative turn {r!r} at bond {k + 1} not in {{0,1,2}}")
-        abs_turns.append((r + abs_turns[parents[k]] + 1) % 4)
-    return abs_turns
-
-
 # ---------------------------------------------------------------------------
 # turn sequences
 # ---------------------------------------------------------------------------
@@ -217,19 +176,6 @@ def n_config_bits(n_beads: int) -> int:
     if n_beads < 3:
         raise EncodingError(f"need at least 3 beads, got {n_beads}")
     return 4 * n_beads - 10
-
-
-def decode_turn(code: str):
-    """Map a 4-bit codeword to its turn label, or ``None`` if redundant.
-
-    Parameters
-    ----------
-    code : str
-        Exactly four characters, each '0' or '1'.
-    """
-    if len(code) != 4 or any(c not in "01" for c in code):
-        raise EncodingError(f"codeword must be four binary characters, got {code!r}")
-    return _CODEWORD_TO_LABEL.get(code)
 
 
 def encode_turn(label: int) -> str:

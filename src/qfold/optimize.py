@@ -3,8 +3,9 @@
 Two protocols over the same simulator:
 
 * CVaR-VQE: derivative-free minimization of the conditional value at risk
-  of the exact energy distribution, with multistart initialization from a
-  configurable angle window.  The minimizer is COBYLA, Powell's
+  of the exact energy distribution, from multiple starts, each drawn
+  uniformly from ``CvarVqeConfig.init_window`` ([3*pi/2, 2*pi] unless a
+  caller sets it).  The minimizer is COBYLA, Powell's
   linear-approximation trust region, kept here as ``_cobyla``: an ask/tell
   generator that follows PRIMA's decision rules for a problem without
   constraints, and re-checks its simplex inverse only where the simplex
@@ -60,12 +61,8 @@ DEFAULT_NU_GRID = (0.01, 0.05, 0.1, 0.2, 0.5)
 DEFAULT_MU_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 # the constraint_violation up to which a run counts as feasible
 FEASIBLE_TOL = 1e-6
-QUADRANTS = (
-    (0.0, math.pi / 2.0),
-    (math.pi / 2.0, math.pi),
-    (math.pi, 3.0 * math.pi / 2.0),
-    (3.0 * math.pi / 2.0, TWO_PI),
-)
+# a primal-dual run whose Lagrangian leaves [-ceiling, ceiling] has diverged
+DIVERGENCE_CEILING = 1.0e5
 
 
 def constraint_violation(f) -> float:
@@ -201,7 +198,6 @@ class CvarVqeConfig:
     max_iterations: int = 200
     restarts: int = 20
     init_window: tuple = (3.0 * math.pi / 2.0, TWO_PI)
-    full_window_sweep: bool = False
     seed: int = 0
     snapshot_every: int = 50
 
@@ -225,7 +221,6 @@ class VqecConfig:
     max_iterations: int = 50
     seed: int = 0
     snapshot_every: int = 10
-    divergence_ceiling: float = 1.0e5
 
     def __post_init__(self):
         if self.nu <= 0.0 or self.mu <= 0.0:
@@ -236,8 +231,6 @@ class VqecConfig:
             raise EncodingError("grid step sizes must be positive")
         if self.restarts < 1 or self.max_iterations < 1:
             raise EncodingError("restarts and max_iterations must be >= 1")
-        if self.divergence_ceiling <= 0.0:
-            raise EncodingError("divergence ceiling must be positive")
 
 
 @dataclass
@@ -592,13 +585,8 @@ def run_cvar_vqe(
     if engine is None:
         engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
-    starts = []
-    for restart in range(cfg.restarts):
-        if cfg.full_window_sweep:
-            lo, hi = QUADRANTS[restart % 4]
-        else:
-            lo, hi = cfg.init_window
-        starts.append(rng.uniform(lo, hi, ansatz.n_params))
+    starts = [rng.uniform(*cfg.init_window, ansatz.n_params)
+              for _ in range(cfg.restarts)]
     maxfev = cobyla_budget(cfg, ansatz)
     width = block_columns(ansatz.n_qubits)
     trace = OptTrace()
@@ -672,8 +660,7 @@ def _pdp_block(engine, ansatz, starts, steps, cfg):
         # one dot per contiguous row, as in f_vector, so that no column's
         # value depends on its neighbours
         lagrangian = [float(f[0] + d @ f[1:]) for f, d in zip(f_here, duals)]
-        ceiling = cfg.divergence_ceiling
-        bad = [not math.isfinite(v) or abs(v) > ceiling for v in lagrangian]
+        bad = [not math.isfinite(v) or abs(v) > DIVERGENCE_CEILING for v in lagrangian]
         if any(bad):
             keep = np.logical_not(bad)
             for j in np.flatnonzero(bad):
@@ -755,7 +742,7 @@ def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace):
     ``DivergenceError`` if it diverged."""
     (run,) = _pdp_runs(engine, ansatz, [theta0], [(nu, mu)], cfg, trace)
     if run.diverged:
-        raise DivergenceError(f"lagrangian exceeded ceiling {cfg.divergence_ceiling}")
+        raise DivergenceError(f"lagrangian exceeded ceiling {DIVERGENCE_CEILING}")
     return run.theta, run.duals, run.f_final
 
 
@@ -878,8 +865,7 @@ def run_vqec_pdp(
     trace = OptTrace()
     best = _ranked_runs(instance, ansatz, cfg, engine, [(cfg.nu, cfg.mu)], trace).best
     if best.diverged:
-        ceiling = cfg.divergence_ceiling
-        raise DivergenceError(f"every restart exceeded the ceiling {ceiling}")
+        raise DivergenceError(f"every restart exceeded the ceiling {DIVERGENCE_CEILING}")
     trace.snapshots.append((len(trace.objectives), best.params))
     return np.array(best.params), np.array(best.duals), trace
 

@@ -113,14 +113,6 @@ class PBPolynomial:
             union |= m
         return _mask_bits(union)
 
-    def stats(self) -> dict:
-        return {
-            "term_count": self.term_count(),
-            "degree": self.degree(),
-            "n_vars": self.n_vars,
-            "support_size": len(self.support()),
-        }
-
     def terms_as_lists(self) -> list:
         """Serializable form: sorted [(variable indices, coefficient), ...]."""
         return [[_mask_bits(mask), self.terms[mask]] for mask in sorted(self.terms)]
@@ -140,14 +132,6 @@ class PBPolynomial:
 
     def __hash__(self):
         return hash((self.n_vars, frozenset(self.terms.items())))
-
-    def allclose(self, other: "PBPolynomial", tol: float = 1e-9) -> bool:
-        if self.n_vars != other.n_vars:
-            return False
-        for mask in self.terms.keys() | other.terms.keys():
-            if abs(self.terms.get(mask, 0.0) - other.terms.get(mask, 0.0)) > tol:
-                return False
-        return True
 
     # -- ring operations ----------------------------------------------------
 

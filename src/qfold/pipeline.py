@@ -50,7 +50,9 @@ ORACLE_SIZE_CAP = 10_000_000
 METHOD_MODES = {"vqe": MODE_POLYFIT, "vqec": MODE_VQEC}
 METHODS = ("search", *METHOD_MODES)
 
-# the least value of each integer field of a manifest
+# the least value of each integer field of a manifest; the greatest is
+# MANIFEST_COUNT_MAX, the largest count NumPy takes (int64)
+MANIFEST_COUNT_MAX = 2**63 - 1
 MANIFEST_COUNT_MINIMA = {
     "k": 1,
     "restarts": 1,
@@ -123,8 +125,8 @@ class RunManifest:
         for name in ("nu", "mu"):
             check_finite_positive(name, getattr(self, name), "step size")
         for name, least in MANIFEST_COUNT_MINIMA.items():
-            if getattr(self, name) < least:
-                raise QfoldError(f"{name} must be >= {least}")
+            if not least <= getattr(self, name) <= MANIFEST_COUNT_MAX:
+                raise QfoldError(f"{name} must lie in [{least}, {MANIFEST_COUNT_MAX}]")
         if self.nn_level not in (1, 2):
             raise QfoldError("nn_level must be 1 or 2")
         validate_peptide(self.peptide)

@@ -128,10 +128,8 @@ def load_matrix(source: str | Path) -> EnergyMatrix:
     return EnergyMatrix(name=Path(source).stem, values=values)
 
 
-def load_masses(unit: bool = False) -> dict:
-    """Residue masses in daltons; ``unit=True`` returns all-ones."""
-    if unit:
-        return {r: 1.0 for r in RESIDUES}
+def load_masses() -> dict:
+    """Residue masses in daltons."""
     path = data_dir() / "residue_masses.csv"
     masses = {}
     for raw in path.read_text().splitlines():

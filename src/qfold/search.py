@@ -2,25 +2,29 @@
 
 Enumerates every non-backtracking turn sequence (FCC: second turn restricted
 to its four symmetry-unique labels, later turns excluding the inverse of
-their predecessor, 4 * 11^(N-3) sequences; tetrahedral: relative turns,
-3^(N-3) sequences), scores each self-avoiding one, and keeps the K lowest.
+their predecessor, 4 * 11^(N-3) sequences; tetrahedral: absolute labels 0..3
+with the first two bonds pinned to 0 and 1 and each later bond excluding its
+predecessor's label, 3^(N-3) sequences), scores each self-avoiding one, and
+keeps the K lowest.
 
 The sweep places one bead per level of the turn tree.  A prefix keeps its
 coordinates and one shell code per scoring pair, so a new bead costs only its
 distances to the earlier beads, and a prefix whose new bead overlaps is
 dropped with its subtree (whose sequences still count as visited).  Prefixes
-are expanded breadth-first until one stands for at most ``chunk`` sequences;
+are expanded breadth-first until one stands for at most ``CHUNK`` sequences;
 blocks of that frontier are grown to full length, and leaf energies add the
 pair terms in the order ``squared_distance_scorer`` adds them, from the same
 shell-code table.  Workers take contiguous spans of
 the frontier and keep private top-K lists; the final merge uses the
 deterministic (energy, turn string) order, so results are bit-identical for
-any worker count and chunk size.
+any worker count and chunk size.  The frontier is split into at most
+``workers`` spans, and at most one process per span and usable CPU runs them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,9 @@ from .scoring import EnergyMatrix, pair_energy, validate_peptide
 # the energy an overlapping pair adds; the search drops any sequence at or above it
 COLLISION_PENALTY = 10000.0
 
+# sequences below one block of prefixes, grown to full length together
+CHUNK = 8192
+
 # ---------------------------------------------------------------------------
 # configuration and result types
 # ---------------------------------------------------------------------------
@@ -56,7 +63,6 @@ class SearchConfig:
     k: int = 100
     nn_level: int = 1
     workers: int = 1
-    chunk: int = 8192
 
     def __post_init__(self):
         if self.lattice not in LATTICES:
@@ -66,8 +72,8 @@ class SearchConfig:
             raise EncodingError("k must be >= 1")
         if self.nn_level not in (1, 2):
             raise EncodingError("nn_level must be 1 or 2")
-        if self.workers < 1 or self.chunk < 1:
-            raise EncodingError("workers and chunk must be >= 1")
+        if self.workers < 1:
+            raise EncodingError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -274,7 +280,7 @@ def _best(energy: np.ndarray, labels: np.ndarray, k: int):
     return energy[order], labels[:, order]
 
 
-def _sweep_span(config: SearchConfig, prefixes, turn: int):
+def _sweep_span(config: SearchConfig, prefixes, turn: int, chunk: int):
     """Worker kernel: the best k leaves below prefixes ending at ``turn``.
 
     Returns their energies and label columns, plus the number of sequences
@@ -284,7 +290,7 @@ def _sweep_span(config: SearchConfig, prefixes, turn: int):
     tree, k = _Tree(config), config.k
     best = np.empty(0), np.empty((tree.n_beads - 1, 0), dtype=np.int8)
     visited = 0
-    step = max(1, config.chunk // tree.below[turn])
+    step = max(1, chunk // tree.below[turn])
     for lo in range(0, prefixes[0].shape[1], step):
         block = tuple(a[..., lo : lo + step] for a in prefixes)
         for t in range(turn + 1, tree.n_beads - 2):
@@ -317,23 +323,28 @@ def search(config: SearchConfig) -> TopK:
     n_beads = len(validate_peptide(config.peptide))
     if n_beads < 3:
         raise EncodingError("need at least 3 beads")
-    tree = _Tree(config)
+    tree, chunk = _Tree(config), CHUNK
     prefixes, turn, visited = tree.root(), 0, 0
-    while turn < n_beads - 3 and tree.below[turn] > config.chunk:
+    while turn < n_beads - 3 and tree.below[turn] > chunk:
         turn += 1
         prefixes, dropped = tree.grow(prefixes, turn)
         visited += dropped
 
     n_spans = min(config.workers, prefixes[0].shape[1])
     if n_spans == 1:
-        results = [_sweep_span(config, prefixes, turn)]
+        results = [_sweep_span(config, prefixes, turn, chunk)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         spans = list(zip(*(np.array_split(a, n_spans, axis=-1) for a in prefixes)))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a forked pool starts all its processes at the first submit, so it
+        # gets no more than one per span and per usable CPU
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        processes = min(n_spans, len(cpus) if cpus else os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(
-                pool.map(_sweep_span, [config] * n_spans, spans, [turn] * n_spans)
+                pool.map(_sweep_span, [config] * n_spans, spans,
+                         [turn] * n_spans, [chunk] * n_spans)
             )
 
     visited += sum(count for _, count in results)

@@ -334,10 +334,11 @@ def test_xyz_bond_lengths():
 
 def test_xyz_round_trip_bytes():
     seq = turns_from_string("093", "fcc")
-    text = write_xyz(seq, "KLVF", comment="ground fold")
-    peptide, coords, comment = parse_xyz(text)
-    assert comment == "ground fold"
-    assert xyz_text(peptide, coords, comment) == text
+    written = xyz_text("KLVF", scaled_coords(seq), "ground fold")
+    for text in (write_xyz(seq, "KLVF"), written):
+        peptide, coords, comment = parse_xyz(text)
+        assert comment == text.splitlines()[1]
+        assert xyz_text(peptide, coords, comment) == text
 
 
 def test_xyz_errors():
@@ -467,8 +468,8 @@ def test_report_orders_by_energy_and_marks_ground():
             "000010" + "000": 2,
         }
     )
-    ensemble = decode_samples(shots, LAYOUT4, klvf_energy)
-    text, doc = energy_probability_report(ensemble, e_star=-13.13, peptide="KLVF")
+    ensemble = decode_samples(shots, LAYOUT4, klvf_energy, e_star=-13.13)
+    text, doc = energy_probability_report(ensemble, peptide="KLVF")
     lines = text.splitlines()[1:]
     assert len(lines) == 3
     first = lines[0].split("\t")
@@ -583,7 +584,7 @@ TOPOBJ_TEXTS = [
 ]
 XYZ_TEXTS = [
     write_xyz(turns_from_string("0931", "fcc"), "KLVFF"),
-    write_xyz(np.array([[0, 0, 0], [1, 1, 1]]), "KL", lattice="tet", comment="two"),
+    xyz_text("KL", scaled_coords(np.array([[0, 0, 0], [1, 1, 1]]), "tet"), "two"),
 ]
 tokens = (
     st.text(max_size=6)

@@ -377,7 +377,13 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
      ["vqec", "--peptide", "KLVF", "--mu", "inf", "--restarts", "1", "--iterations", "2"],
      ["vqec", "--peptide", "KLVF", "--nu", "nan", "--restarts", "1", "--iterations", "2"],
      ["vqe", "--peptide", "KLVF", "--seed", "-1"],
-     ["search", "--peptide", "KLVF", "--workers", "0"]],
+     ["search", "--peptide", "KLVF", "--workers", "0"],
+     # counts past int64, which NumPy cannot take
+     [*PIPELINE, "--method", "vqec", "--restarts", "1", "--iterations", "1",
+      "--shots", str(10**20)],
+     ["sample", "--peptide", "KLVF", "--shots", str(10**20)],
+     ["vqec", "--peptide", "KLVF", "--restarts", "1", "--iterations", "1",
+      "--layers", str(10**20)]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"

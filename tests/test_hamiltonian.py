@@ -241,6 +241,15 @@ def test_assemble_polyfit_shape(mj):
         ham.assemble("anneal", ham.EncodingLayout(4), "KLVF", mj)
 
 
+def test_assemble_rejects_fits_at_another_p0(mj):
+    # the instance would record p0 = 20 while its objective is the p0 = 50 one
+    fits = polyfit.fit_family(5, p0=50.0)
+    with pytest.raises(EncodingError, match="p0"):
+        ham.assemble(
+            "polyfit", ham.EncodingLayout(5), "KLVFF", mj, ham.Penalties(p0=20.0), fits
+        )
+
+
 def test_assemble_term_counts_klvffa(mj):
     # counts on the canonical multilinear form with the fixed prefix
     # substituted away; the dense construction must stay >= 5x larger
@@ -417,7 +426,7 @@ def test_instance_tables_match_brute_force(mj):
     # spot-check individual assignments
     rng = np.random.default_rng(7)
     for mask in rng.integers(0, 1 << inst.n_qubits, size=20):
-        assert tables.energy_of_assignment(int(mask)) == pytest.approx(
+        assert full.flat[mask] == pytest.approx(
             inst.objective.evaluate(int(mask)), abs=1e-9
         )
 

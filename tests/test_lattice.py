@@ -44,24 +44,21 @@ def test_inverse_label_flips_low_bit_and_negates_vector():
 
 
 def test_decode_turn_examples():
-    assert lat.decode_turn("0000") == 0
-    assert lat.decode_turn("1011") == 10
-    assert lat.decode_turn("0010") is None
-    assert lat.decode_turn("0001") is None
-    with pytest.raises(EncodingError):
-        lat.decode_turn("012")
-    with pytest.raises(EncodingError):
-        lat.decode_turn("01a0")
+    assert lat.FCC_CODEWORDS.index("0000") == 0
+    assert lat.FCC_CODEWORDS.index("1011") == 10
+    assert {"0010", "0001"} <= lat.REDUNDANT_CODEWORDS
 
 
 def test_encode_decode_roundtrip():
     for label in range(12):
-        assert lat.decode_turn(lat.encode_turn(label)) == label
+        assert lat.FCC_CODEWORDS.index(lat.encode_turn(label)) == label
+    with pytest.raises(EncodingError):
+        lat.encode_turn(12)
 
 
 def test_second_turn_labels_come_from_prefix_codewords():
     for bits, label in zip(("00", "01", "10", "11"), lat.SECOND_TURN_LABELS):
-        assert lat.decode_turn(bits + "00") == label
+        assert lat.FCC_CODEWORDS.index(bits + "00") == label
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +167,6 @@ def test_fcc_pair_distance_bounds_and_parity(seq):
 # ---------------------------------------------------------------------------
 # geometry: tetrahedral
 # ---------------------------------------------------------------------------
-
-
-def test_tet_abs_from_rel_base_and_chain():
-    assert lat.tet_abs_from_rel([]) == [0]
-    assert lat.tet_abs_from_rel([0]) == [0, 1]
-    assert lat.tet_abs_from_rel([0, 1, 2]) == [0, 1, 3, 2]
-    with pytest.raises(EncodingError):
-        lat.tet_abs_from_rel([3])
-    with pytest.raises(EncodingError):
-        lat.tet_abs_from_rel([0, 1], parents=[0])
-
-
-def test_tet_rel_never_backtracks():
-    # abs[k+1] == abs[k] is the backtrack; rel in {0,1,2} cannot produce it
-    for rels in itertools.product((0, 1, 2), repeat=4):
-        abs_turns = lat.tet_abs_from_rel(rels)
-        for a, b in zip(abs_turns, abs_turns[1:]):
-            assert a != b
 
 
 def test_tet_repeating_label_backtracks():

@@ -3,7 +3,6 @@
 import json
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,8 +225,6 @@ def test_config_validation():
         VqecConfig(nu_grid=())
     with pytest.raises(EncodingError):
         VqecConfig(mu_grid=(0.1, -0.5))
-    with pytest.raises(EncodingError):
-        VqecConfig(divergence_ceiling=0.0)
 
 
 def test_trace_best_so_far_monotone():
@@ -277,14 +274,6 @@ def test_cvar_vqe_recovers_ground():
     assert engine.modal_config(probs) in set(engine.ground_configs.tolist())
     assert trace.best_so_far[-1] == pytest.approx(engine.ground_energy, abs=0.05)
     assert len(trace.objectives) <= 20 * 81
-
-
-def test_cvar_vqe_full_window_sweep_runs():
-    cfg = CvarVqeConfig(
-        restarts=4, max_iterations=10, seed=5, full_window_sweep=True
-    )
-    params, _ = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
-    assert params.shape == (ANSATZ.n_params,)
 
 
 def test_cvar_vqe_budget_raised_to_cobyla_minimum():
@@ -417,7 +406,7 @@ def test_cvar_vqe_lockstep_equals_single_restarts(monkeypatch):
     configs = (
         CvarVqeConfig(
             restarts=5, max_iterations=40, seed=2, snapshot_every=1,
-            full_window_sweep=True,
+            init_window=(0.0, TWO_PI),
         ),
         CvarVqeConfig(restarts=65, max_iterations=29, seed=6, snapshot_every=7),
     )
@@ -495,20 +484,18 @@ def test_pdp_deterministic():
     assert a[2].objectives == b[2].objectives
 
 
-def test_pdp_divergence_ceiling():
-    cfg = VqecConfig(
-        nu=0.1, mu=1.0, restarts=1, max_iterations=3, seed=0, divergence_ceiling=1e-6
-    )
+def test_pdp_divergence_ceiling(monkeypatch):
+    monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 1e-6)
+    cfg = VqecConfig(nu=0.1, mu=1.0, restarts=1, max_iterations=3, seed=0)
     with pytest.raises(DivergenceError):
         run_vqec_pdp(VQEC, ANSATZ, cfg)
 
 
-def test_pdp_single_run_keeps_the_best_surviving_restart():
+def test_pdp_single_run_keeps_the_best_surviving_restart(monkeypatch):
     # at this seed a ceiling of 40 drops restarts 0 and 3 mid-run and lets
     # 1, 2 and 4 finish feasible; a ceiling of 30 drops every restart
-    cfg = VqecConfig(
-        nu=0.1, mu=1.0, restarts=5, max_iterations=8, seed=4, divergence_ceiling=40.0
-    )
+    monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 40.0)
+    cfg = VqecConfig(nu=0.1, mu=1.0, restarts=5, max_iterations=8, seed=4)
     params, duals, _ = run_vqec_pdp(VQEC, ANSATZ, cfg)
     engine = ExpectationEngine(VQEC)
     starts = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (5, ANSATZ.n_params))
@@ -524,8 +511,9 @@ def test_pdp_single_run_keeps_the_best_surviving_restart():
     _, theta, d = min(survivors, key=lambda survivor: survivor[0])
     assert np.array_equal(params, theta)
     assert np.array_equal(duals, d)
+    monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 30.0)
     with pytest.raises(DivergenceError):
-        run_vqec_pdp(VQEC, ANSATZ, replace(cfg, divergence_ceiling=30.0))
+        run_vqec_pdp(VQEC, ANSATZ, cfg)
 
 
 def test_pdp_single_run_ranks_feasible_restarts_first():
@@ -647,7 +635,7 @@ def trace_rows(trace, first, count):
     ]
 
 
-def test_pdp_block_columns_equal_single_runs():
+def test_pdp_block_columns_equal_single_runs(monkeypatch):
     # restarts and grid entries run as one block; each column must be the
     # same bits as its trajectory run alone, including around a column
     # that diverges and leaves the block
@@ -671,9 +659,10 @@ def test_pdp_block_columns_equal_single_runs():
 
     # |Lagrangian| starts at 20-26 on these restarts and peaks at 32-55:
     # a ceiling of 40 drops some columns mid-run and lets the others finish
+    monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 40.0)
     grid_cfg = VqecConfig(
         nu_grid=(0.05, 0.1), mu_grid=(0.5, 1.0), restarts=3, max_iterations=iterations,
-        seed=cfg.seed, divergence_ceiling=40.0,
+        seed=cfg.seed,
     )
     report = grid_search(VQEC, ANSATZ, grid_cfg)
     assert any(e.diverged for e in report.entries)

@@ -71,6 +71,13 @@ def test_run_writes_nothing_and_serialises_to_the_pipeline_files(
     assert report == (written("report.tsv"), written("report.json"))
 
 
+def test_pipeline_fits_and_assembles_at_the_manifest_p0():
+    manifest = RunManifest(peptide="KLVFF", method="vqe", p0=20.0)
+    fits = pipeline.fit_penalties(manifest)
+    instance = pipeline.build_instance(manifest, fits)
+    assert {fit.p0 for fit in fits.values()} == {instance.penalties.p0} == {20.0}
+
+
 def test_single_vqec_run_reports_the_summed_violation():
     # one definition of infeasibility for single runs and grid entries
     assert constraint_violation(np.array([-3.0, 0.25, -1.0, 0.5])) == 0.75

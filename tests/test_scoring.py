@@ -102,7 +102,6 @@ def test_masses():
     assert masses["G"] == pytest.approx(57.0519)
     assert masses["W"] == pytest.approx(186.2132)
     assert set(masses) == set(scoring.RESIDUES)
-    assert all(v == 1.0 for v in scoring.load_masses(unit=True).values())
 
 
 def test_qfold_data_override(tmp_path, monkeypatch):

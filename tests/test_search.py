@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qfold import search as search_module
 from qfold.exceptions import EncodingError
 from qfold.lattice import (
     FCC_VECTORS,
@@ -152,7 +153,6 @@ def test_enumeration_size_errors():
         dict(k=0),
         dict(nn_level=3),
         dict(workers=0),
-        dict(chunk=0),
         dict(peptide="KLXF"),
     ],
 )
@@ -315,27 +315,64 @@ def same_topk(a: TopK, b: TopK) -> bool:
     )
 
 
-def test_worker_count_invariance():
+def test_worker_count_invariance(monkeypatch):
     ref = search(config(peptide="GNLVS", k=25))
     assert same_topk(ref, search(config(peptide="GNLVS", k=25, workers=3)))
-    assert same_topk(ref, search(config(peptide="GNLVS", k=25, workers=2, chunk=13)))
+    monkeypatch.setattr(search_module, "CHUNK", 13)
+    assert same_topk(ref, search(config(peptide="GNLVS", k=25, workers=2)))
 
 
-def test_chunk_invariance():
+def test_chunk_invariance(monkeypatch):
     ref = search(config(peptide="GNLVS", k=25))
-    assert same_topk(ref, search(config(peptide="GNLVS", k=25, chunk=7)))
-    assert same_topk(ref, search(config(peptide="GNLVS", k=25, chunk=484)))
+    for chunk in (7, 484):
+        monkeypatch.setattr(search_module, "CHUNK", chunk)
+        assert same_topk(ref, search(config(peptide="GNLVS", k=25)))
 
 
 @pytest.mark.parametrize("lattice", ["fcc", "tet"])
 @pytest.mark.parametrize("chunk", [1, 7, 11, 121, 10**6])
-def test_split_boundary_invariance(lattice, chunk):
+def test_split_boundary_invariance(monkeypatch, lattice, chunk):
     # N=7: the block and worker splits fall inside the turn tree
     base = dict(lattice=lattice, peptide="KLVFFAE", nn_level=2, k=40)
     ref = search(config(**base))
     assert ref.visited == enumeration_size(lattice, 7)
+    monkeypatch.setattr(search_module, "CHUNK", chunk)
     for workers in (1, 2, 3):
-        assert same_topk(ref, search(config(**base, chunk=chunk, workers=workers)))
+        assert same_topk(ref, search(config(**base, workers=workers)))
+
+
+class RecordingPool:
+    """A process pool stand-in that runs its map in this process and records
+    the pool size it was asked for."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, processes", [(10**6, 2, 2), (10**6, 10**4, 43), (3, 10**4, 3)]
+)
+def test_pool_size_is_capped_by_spans_and_cpus(monkeypatch, workers, cpus, processes):
+    # KLVFFAE's frontier holds 43 prefixes; no real pool is started
+    import concurrent.futures
+
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search_module.os, "sched_getaffinity", lambda pid: range(cpus))
+    ref = search(config(peptide="KLVFFAE", k=25))
+    assert same_topk(ref, search(config(peptide="KLVFFAE", k=25, workers=workers)))
+    assert RecordingPool.sizes == [processes]
 
 
 @pytest.mark.parametrize("lattice", ["fcc", "tet"])

@@ -17,7 +17,13 @@ from qfold.lattice import (
     TET_VECTORS,
     TurnSequence,
 )
-from qfold.search import COLLISION_PENALTY, SearchConfig, _pair_rules, enumeration_size
+from qfold.search import (
+    CHUNK,
+    COLLISION_PENALTY,
+    SearchConfig,
+    _pair_rules,
+    enumeration_size,
+)
 
 
 # any JSON document, NaN and the infinities included, for parser fuzzing
@@ -226,8 +232,8 @@ def _sweep_span(config: SearchConfig, n_beads: int, start: int, stop: int):
     """Worker kernel: best k (energy, turn string) pairs in [start, stop)."""
     rules = _pair_rules(config.peptide, config)
     best: list = []  # max-heap via negated sort key
-    for lo in range(start, stop, config.chunk):
-        hi = min(lo + config.chunk, stop)
+    for lo in range(start, stop, CHUNK):
+        hi = min(lo + CHUNK, stop)
         indices = np.arange(lo, hi, dtype=np.int64)
         labels = _labels_for_indices(indices, n_beads, config.lattice)
         coords = _coords_for_labels(labels, config.lattice)
@@ -281,7 +287,6 @@ def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
     from scipy.optimize import minimize
 
     from qfold.optimize import (
-        QUADRANTS,
         ExpectationEngine,
         OptTrace,
         cobyla_budget,
@@ -301,12 +306,8 @@ def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
 
     best_params = None
     best_value = math.inf
-    for restart in range(cfg.restarts):
-        if cfg.full_window_sweep:
-            lo, hi = QUADRANTS[restart % 4]
-        else:
-            lo, hi = cfg.init_window
-        x0 = rng.uniform(lo, hi, ansatz.n_params)
+    for _ in range(cfg.restarts):
+        x0 = rng.uniform(*cfg.init_window, ansatz.n_params)
         result = minimize(
             objective,
             x0,
