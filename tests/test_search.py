@@ -153,6 +153,7 @@ def test_enumeration_size_errors():
         dict(k=0),
         dict(nn_level=3),
         dict(workers=0),
+        dict(nn_level=0),
         dict(peptide="KLXF"),
     ],
 )
