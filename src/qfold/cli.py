@@ -128,10 +128,12 @@ def _emit_topk(topk, manifest, out) -> None:
 
 
 def _emit_solution(solution, manifest, out) -> None:
-    if solution.grid is not None:
-        best = solution.grid.best
+    report = solution.report
+    grid = report if manifest.grid else None  # vqe ignores the grid flag
+    if grid is not None:
+        best = grid.best
         print(
-            f"grid_points={len(solution.grid.entries) // manifest.restarts} "
+            f"grid_points={len(grid.entries) // manifest.restarts} "
             f"best_nu={best.nu} best_mu={best.mu} restart={best.restart}"
         )
     summary = solution.summary
@@ -140,16 +142,15 @@ def _emit_solution(solution, manifest, out) -> None:
         f" modal={summary['modal_turns']} "
         f"ground_probability={summary['ground_probability']:.6f}"
     )
-    if solution.method == "vqec":
-        evaluations = (solution.trace or solution.grid).circuit_evaluations
-        line += f" circuit_evaluations={evaluations}"
+    if report is not None:
+        line += f" circuit_evaluations={report.circuit_evaluations}"
     print(line)
     if out is not None:
         _write(out, "params.json", solution.to_json())
         if solution.trace is not None:
             _write(out, "trace.jsonl", solution.trace.to_json_lines())
-        if solution.grid is not None:
-            _write(out, "grid.jsonl", solution.grid.to_json_lines())
+        if grid is not None:
+            _write(out, "grid.jsonl", grid.to_json_lines())
 
 
 def _emit_shots(table: ShotTable, manifest, out) -> None:

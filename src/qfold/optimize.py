@@ -18,7 +18,7 @@ Two protocols over the same simulator:
   current angles, perturbs primal and dual variables, then applies the
   update step with the perturbed weights.  Cost per iteration is 2P + 2
   logical circuit evaluations, the paper's parameter-shift count, which
-  ``OptTrace.circuit_evaluations`` reports.  The simulator needs only the
+  ``GridReport.circuit_evaluations`` reports.  The simulator needs only the
   two products ``jac @ w``, and both come from one ``sim.adjoint_gradients``
   sweep.  One driver, ``_pdp_runs``, advances up to
   ``sim.block_columns(n)`` trajectories (restarts, or every grid point's
@@ -27,7 +27,8 @@ Two protocols over the same simulator:
   each column's arithmetic the same bits as running it alone.  A single
   run is the one-point grid: ``run_vqec_pdp`` and ``grid_search`` both
   seed, run and rank restarts through ``_ranked_runs``, feasible runs
-  first (``GridEntry.sort_key``).
+  first (``GridEntry.sort_key``), and both return that ``GridReport``; a
+  single run's report also carries its ``OptTrace``.
 
 Expectations never materialize the full 2^n objective diagonal unless the
 CVaR path demands it: the objective splits into a configuration-bit base
@@ -242,10 +243,6 @@ class OptTrace:
     snapshots: list = field(default_factory=list)
     lagrangians: list = field(default_factory=list)
     duals: list = field(default_factory=list)
-    # logical circuit evaluations, the paper's cost: one per CVaR objective,
-    # 2P + 2 per primal-dual iteration and one per final state, whatever
-    # the simulator ran to get them
-    circuit_evaluations: int = 0
 
     def record(self, objective, params=None, every=0, lagrangian=None, dual=None):
         index = len(self.objectives)
@@ -614,7 +611,6 @@ def run_cvar_vqe(
                 trace.record(objective, params=point, every=cfg.snapshot_every)
             if value < best_value:
                 best_params, best_value = params, value
-    trace.circuit_evaluations = len(trace.objectives)
     trace.snapshots.append((len(trace.objectives), tuple(map(float, best_params))))
     return best_params, trace
 
@@ -713,8 +709,7 @@ def _pdp_runs(engine, ansatz, starts, steps, cfg, trace=None):
     Runs go through ``_pdp_block`` in blocks of ``block_columns(n)``
     trajectories (64 up to 10 qubits, 32 up to 12, one from 13), in row
     order.  With ``trace``, each run's iterations are recorded in it one run
-    after the other, and its logical circuit evaluations are added to the
-    trace's count.
+    after the other.
     """
     if ansatz.n_qubits != engine.n_vars:
         raise EncodingError("ansatz width does not match the instance")
@@ -733,7 +728,6 @@ def _pdp_runs(engine, ansatz, starts, steps, cfg, trace=None):
                     lagrangian=lagrangian,
                     dual=duals,
                 )
-            trace.circuit_evaluations += run.evaluations
     return runs
 
 
@@ -792,8 +786,13 @@ class GridEntry:
 
 @dataclass(frozen=True)
 class GridReport:
+    """Ranked VQEC runs, best first, with a single run's ``trace`` (None for a
+    grid).  ``circuit_evaluations`` is the paper's cost, whatever the simulator
+    ran: 2P + 2 logical circuit evaluations per iteration, one per final state."""
+
     entries: tuple
     circuit_evaluations: int = 0
+    trace: OptTrace | None = None
 
     @property
     def best(self) -> GridEntry:
@@ -809,8 +808,9 @@ def _ranked_runs(instance, ansatz, cfg, engine, points, trace=None) -> GridRepor
 
     Every point sees the same seeded initial angles, so rows are comparable
     and the ranking is independent of execution order.  Runs that trip the
-    divergence ceiling are kept, flagged, and ranked last.  With ``trace``,
-    every run's iterations are recorded in it.
+    divergence ceiling are kept, flagged, and ranked last; if all did,
+    ``DivergenceError`` is raised.  With ``trace``, every run's iterations
+    and then the best run's final angles are recorded in it.
     """
     if instance.mode != MODE_VQEC:
         raise EncodingError("the primal-dual loop drives the constrained mode only")
@@ -845,29 +845,25 @@ def _ranked_runs(instance, ansatz, cfg, engine, points, trace=None) -> GridRepor
             )
         )
     entries.sort(key=GridEntry.sort_key)
-    return GridReport(
-        entries=tuple(entries),
-        circuit_evaluations=sum(run.evaluations for run in runs),
-    )
+    if entries[0].diverged:
+        raise DivergenceError(f"every run exceeded the ceiling {DIVERGENCE_CEILING}")
+    if trace is not None:
+        trace.snapshots.append((len(trace.objectives), entries[0].params))
+    return GridReport(tuple(entries), sum(run.evaluations for run in runs), trace)
 
 
 def run_vqec_pdp(
     instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig, engine=None
-):
+) -> GridReport:
     """Multistart primal-dual runs at (cfg.nu, cfg.mu): the one-point grid.
 
-    Returns (best params, final duals, trace).  Restarts rank as grid
-    entries do: feasible runs first, then the lowest final Lagrangian.  A
-    restart that diverges ranks last, and ``DivergenceError`` is raised only
-    when every restart diverged.  ``engine`` is the instance's
-    ``ExpectationEngine``, built here if None.
+    Returns the ranked ``GridReport``, with the run's ``OptTrace`` as its
+    ``trace``.  Restarts rank as grid entries do, feasible runs first, then
+    the lowest final Lagrangian; a diverged restart ranks last, and
+    ``DivergenceError`` is raised only when all diverged.  ``engine`` is the
+    instance's ``ExpectationEngine``, built here if None.
     """
-    trace = OptTrace()
-    best = _ranked_runs(instance, ansatz, cfg, engine, [(cfg.nu, cfg.mu)], trace).best
-    if best.diverged:
-        raise DivergenceError(f"every restart exceeded the ceiling {DIVERGENCE_CEILING}")
-    trace.snapshots.append((len(trace.objectives), best.params))
-    return np.array(best.params), np.array(best.duals), trace
+    return _ranked_runs(instance, ansatz, cfg, engine, [(cfg.nu, cfg.mu)], OptTrace())
 
 
 def grid_search(
@@ -876,8 +872,8 @@ def grid_search(
     """Sweep (nu, mu) over the configured grids with shared restarts.
 
     Every grid point's restarts run and rank as one ``run_vqec_pdp`` does,
-    so a one-point grid's best is that run's pick.  ``engine`` is the
-    instance's ``ExpectationEngine``, built here if None.
+    so a one-point grid's best is that run's pick; the report has no trace.
+    ``engine`` is the instance's ``ExpectationEngine``, built here if None.
     """
     points = list(itertools.product(cfg.nu_grid, cfg.mu_grid))
     return _ranked_runs(instance, ansatz, cfg, engine, points)

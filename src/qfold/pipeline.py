@@ -33,7 +33,6 @@ from .optimize import (
     GridReport,
     OptTrace,
     VqecConfig,
-    constraint_violation,
     grid_search,
     run_cvar_vqe,
     run_vqec_pdp,
@@ -129,7 +128,14 @@ class RunManifest:
                 raise QfoldError(f"{name} must lie in [{least}, {MANIFEST_COUNT_MAX}]")
         if self.nn_level not in (1, 2):
             raise QfoldError("nn_level must be 1 or 2")
-        validate_peptide(self.peptide)
+        n_beads = len(validate_peptide(self.peptide))
+        # NumPy addresses the float64 start angles only within
+        # MANIFEST_COUNT_MAX bytes; chains under 3 beads fail at assembly
+        if self.method in METHOD_MODES and n_beads >= 3:
+            n_params = EncodingLayout(n_beads).total_qubits * (self.layers + 1)
+            if 8 * self.restarts * n_params > MANIFEST_COUNT_MAX:
+                raise QfoldError(f"{self.restarts} restarts x {n_params} start angles "
+                                 f"exceed {MANIFEST_COUNT_MAX} bytes")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -172,10 +178,11 @@ class RunManifest:
 
 @dataclass(frozen=True)
 class Solution:
-    """The chosen angles and their final state, with the optimizer's ``trace``
-    or the step-size ``grid`` report.  ``final`` is the objective (vqe), or
-    the Lagrangian and ``constraint_violation`` (vqec), at those angles, and
-    ``summary`` the modal fold and ground probability of ``state``."""
+    """The chosen angles and their final state, the optimizer's ``trace`` (None
+    for a grid) and a vqec run's ranked ``report``, which counts its circuit
+    evaluations.  ``final`` is the objective (vqe), or the best entry's
+    Lagrangian and ``constraint_violation`` (vqec), and ``summary`` the modal
+    fold and ground probability of ``state``."""
 
     method: str
     mode: str
@@ -184,7 +191,7 @@ class Solution:
     params: np.ndarray
     duals: np.ndarray | None
     trace: OptTrace | None
-    grid: GridReport | None
+    report: GridReport | None
     state: np.ndarray
     final: dict
     summary: dict
@@ -315,26 +322,18 @@ def solve(manifest: RunManifest, instance: ProblemInstance) -> Solution:
     """Optimize on one engine, then evolve the chosen angles once."""
     ansatz, cfg = solver(manifest, instance.n_qubits)
     engine = ExpectationEngine(instance)
-    duals = trace = grid = None
     if manifest.method == "vqe":
         params, trace = run_cvar_vqe(instance, ansatz, cfg, engine)
-    elif manifest.grid:
-        grid = grid_search(instance, ansatz, cfg, engine)
-        params, duals = np.array(grid.best.params), np.array(grid.best.duals)
+        duals = report = None
+        final = {"objective": trace.best_so_far[-1]}
     else:
-        params, duals, trace = run_vqec_pdp(instance, ansatz, cfg, engine)
+        optimizer = grid_search if manifest.grid else run_vqec_pdp
+        report = optimizer(instance, ansatz, cfg, engine)
+        best, trace = report.best, report.trace
+        params, duals = np.array(best.params), np.array(best.duals)
+        final = {"lagrangian": best.lagrangian, "violation": best.violation}
     state = evolve(ansatz, params)
     probs = probabilities(state)
-    if manifest.method == "vqe":
-        final = {"objective": trace.best_so_far[-1]}
-    elif grid is not None:
-        final = {"lagrangian": grid.best.lagrangian, "violation": grid.best.violation}
-    else:
-        f = engine.f_vector(probs)
-        final = {
-            "lagrangian": float(f[0] + duals @ f[1:]),
-            "violation": constraint_violation(f),
-        }
     modal = engine.modal_config(probs)
     bits = bitstring_of(modal, instance.layout.n_config_bits)
     summary = {
@@ -345,7 +344,7 @@ def solve(manifest: RunManifest, instance: ProblemInstance) -> Solution:
     }
     return Solution(
         manifest.method, instance.mode, instance.peptide, ansatz, params, duals,
-        trace, grid, state, final, summary,
+        trace, report, state, final, summary,
     )
 
 

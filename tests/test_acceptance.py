@@ -276,11 +276,11 @@ def test_criterion_09_vqec_recovery_and_duals():
     trace_cfg = VqecConfig(
         nu=0.1, mu=1.0, restarts=2, max_iterations=10, seed=3, snapshot_every=1
     )
-    _, final_duals, trace = run_vqec_pdp(instance, ansatz, trace_cfg)
-    assert trace.duals
-    for row in trace.duals:
+    single = run_vqec_pdp(instance, ansatz, trace_cfg)
+    assert single.trace.duals
+    for row in single.trace.duals:
         assert all(value >= 0.0 for value in row)
-    assert all(value >= 0.0 for value in final_duals)
+    assert all(value >= 0.0 for value in single.best.duals)
 
     # step-size grid: the ranked-best point must put its modal mass on the
     # ground conformation
@@ -312,7 +312,7 @@ def test_criterion_09_n6_soft_target():
     instance = assemble("vqec", EncodingLayout(6), "KLVFFA", MJ)
     ansatz = Ansatz(instance.n_qubits, layers=2)
     cfg = VqecConfig(nu=0.01, mu=0.5, restarts=1, max_iterations=50, seed=0)
-    params, _, _ = run_vqec_pdp(instance, ansatz, cfg)
+    params = np.array(run_vqec_pdp(instance, ansatz, cfg).best.params)
     engine = ExpectationEngine(instance)
     probs = probabilities(evolve(ansatz, params))
     ground_probability = engine.ground_probability(probs)

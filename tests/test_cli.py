@@ -383,7 +383,13 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
       "--shots", str(10**20)],
      ["sample", "--peptide", "KLVF", "--shots", str(10**20)],
      ["vqec", "--peptide", "KLVF", "--restarts", "1", "--iterations", "1",
-      "--layers", str(10**20)]],
+      "--layers", str(10**20)],
+     # counts within int64 whose start angles NumPy cannot address
+     ["vqec", "--peptide", "KLVF", "--restarts", "1", "--iterations", "1",
+      "--layers", str(2**63 - 1)],
+     ["vqec", "--peptide", "KLVF", "--restarts", "1", "--iterations", "1",
+      "--layers", "341606371735362065"],
+     ["vqec", "--peptide", "KLVF", "--restarts", str(2**62), "--iterations", "1"]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"

@@ -365,7 +365,6 @@ def test_cvar_vqe_stops_on_final_radius_before_the_budget():
     cfg = CvarVqeConfig(restarts=2, max_iterations=1500, seed=0)
     params, trace = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
     assert len(trace.objectives) < cfg.restarts * cobyla_budget(cfg, ANSATZ)
-    assert trace.circuit_evaluations == len(trace.objectives)
     engine = ExpectationEngine(POLYFIT)
     assert trace.best_so_far[-1] == pytest.approx(engine.ground_energy, abs=0.05)
 
@@ -419,7 +418,6 @@ def test_cvar_vqe_lockstep_equals_single_restarts(monkeypatch):
         assert trace.snapshots == alone.snapshots
         assert np.array_equal(params, alone_params)
         assert trace.best_so_far[-1] == alone.best_so_far[-1]
-        assert trace.circuit_evaluations == len(trace.objectives)
 
 
 # --- PDP mechanics ---
@@ -466,11 +464,12 @@ def test_pdp_duals_nonnegative_and_angles_projected():
     cfg = VqecConfig(
         nu=0.1, mu=2.0, restarts=2, max_iterations=8, seed=3, snapshot_every=1
     )
-    params, duals, trace = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    report = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    trace = report.trace
     assert len(trace.duals) == 2 * 8
     for row in trace.duals:
         assert all(v >= 0.0 for v in row)
-    assert all(v >= 0.0 for v in duals)
+    assert all(v >= 0.0 for v in report.best.duals)
     for _, snapshot in trace.snapshots:
         assert all(0.0 <= v <= TWO_PI for v in snapshot)
 
@@ -479,16 +478,20 @@ def test_pdp_deterministic():
     cfg = VqecConfig(nu=0.05, mu=0.5, restarts=2, max_iterations=6, seed=7)
     a = run_vqec_pdp(VQEC, ANSATZ, cfg)
     b = run_vqec_pdp(VQEC, ANSATZ, cfg)
-    assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1], b[1])
-    assert a[2].objectives == b[2].objectives
+    assert a.entries == b.entries
+    assert a.trace.objectives == b.trace.objectives
 
 
 def test_pdp_divergence_ceiling(monkeypatch):
     monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 1e-6)
-    cfg = VqecConfig(nu=0.1, mu=1.0, restarts=1, max_iterations=3, seed=0)
+    cfg = VqecConfig(
+        nu=0.1, mu=1.0, nu_grid=(0.1, 0.2), mu_grid=(1.0,), restarts=1, max_iterations=3,
+        seed=0,
+    )
     with pytest.raises(DivergenceError):
         run_vqec_pdp(VQEC, ANSATZ, cfg)
+    with pytest.raises(DivergenceError):
+        grid_search(VQEC, ANSATZ, cfg)
 
 
 def test_pdp_single_run_keeps_the_best_surviving_restart(monkeypatch):
@@ -496,7 +499,7 @@ def test_pdp_single_run_keeps_the_best_surviving_restart(monkeypatch):
     # 1, 2 and 4 finish feasible; a ceiling of 30 drops every restart
     monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 40.0)
     cfg = VqecConfig(nu=0.1, mu=1.0, restarts=5, max_iterations=8, seed=4)
-    params, duals, _ = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    best = run_vqec_pdp(VQEC, ANSATZ, cfg).best
     engine = ExpectationEngine(VQEC)
     starts = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (5, ANSATZ.n_params))
     survivors = []
@@ -509,8 +512,8 @@ def test_pdp_single_run_keeps_the_best_surviving_restart(monkeypatch):
         survivors.append(((infeasible, float(f[0] + d @ f[1:])), theta, d))
     assert 0 < len(survivors) < 5
     _, theta, d = min(survivors, key=lambda survivor: survivor[0])
-    assert np.array_equal(params, theta)
-    assert np.array_equal(duals, d)
+    assert np.array_equal(best.params, theta)
+    assert np.array_equal(best.duals, d)
     monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 30.0)
     with pytest.raises(DivergenceError):
         run_vqec_pdp(VQEC, ANSATZ, cfg)
@@ -524,15 +527,15 @@ def test_pdp_single_run_ranks_feasible_restarts_first():
         nu=0.1, mu=1.0, nu_grid=(0.1,), mu_grid=(1.0,), restarts=5, max_iterations=5,
         seed=4,
     )
-    params, duals, _ = run_vqec_pdp(instance, ANSATZ, cfg)
+    single = run_vqec_pdp(instance, ANSATZ, cfg).best
     report = grid_search(instance, ANSATZ, cfg)
     lowest = min(report.entries, key=lambda entry: entry.lagrangian)
     assert lowest.violation > optimize.FEASIBLE_TOL
     best = report.best
     assert (best.restart, best.violation) == (3, 0.0)
     assert best.lagrangian == pytest.approx(30.480566, abs=1e-6)
-    assert np.array_equal(params, best.params)
-    assert np.array_equal(duals, best.duals)
+    assert np.array_equal(single.params, best.params)
+    assert np.array_equal(single.duals, best.duals)
 
 
 def test_pdp_evaluation_count():
@@ -540,10 +543,10 @@ def test_pdp_evaluation_count():
     # simulator ran: 2P + 2 per iteration plus one final state per restart
     iterations = 3
     cfg = VqecConfig(nu=0.05, mu=0.5, restarts=1, max_iterations=iterations, seed=1)
-    _, _, trace = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    single = run_vqec_pdp(VQEC, ANSATZ, cfg)
     per_iteration = 2 * ANSATZ.n_params + 2
     final_metrics = 1
-    assert trace.circuit_evaluations == iterations * per_iteration + final_metrics
+    assert single.circuit_evaluations == iterations * per_iteration + final_metrics
     grid_cfg = VqecConfig(
         nu_grid=(0.05,), mu_grid=(0.5, 1.0), restarts=2, max_iterations=iterations,
         seed=1,
@@ -643,7 +646,8 @@ def test_pdp_block_columns_equal_single_runs(monkeypatch):
     cfg = VqecConfig(
         nu=0.1, mu=1.0, restarts=5, max_iterations=iterations, seed=4, snapshot_every=1
     )
-    params, duals, trace = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    report = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    trace, best = report.trace, report.best
     engine = ExpectationEngine(VQEC)
     starts = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (5, ANSATZ.n_params))
     singles = []
@@ -654,7 +658,8 @@ def test_pdp_block_columns_equal_single_runs(monkeypatch):
         block_rows = trace_rows(trace, restart * iterations, iterations)
         assert block_rows == trace_rows(single, 0, iterations)
     assert any(
-        np.array_equal(params, t) and np.array_equal(duals, d) for t, d, _ in singles
+        np.array_equal(best.params, t) and np.array_equal(best.duals, d)
+        for t, d, _ in singles
     )
 
     # |Lagrangian| starts at 20-26 on these restarts and peaks at 32-55:
@@ -681,7 +686,7 @@ def test_pdp_block_columns_equal_single_runs(monkeypatch):
 
 def test_pdp_recovers_ground():
     cfg = VqecConfig(nu=0.01, mu=0.5, restarts=3, max_iterations=150, seed=0)
-    params, duals, trace = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    params = np.array(run_vqec_pdp(VQEC, ANSATZ, cfg).best.params)
     engine = ExpectationEngine(VQEC)
     probs = probabilities(evolve(ANSATZ, params))
     assert engine.modal_config(probs) in set(engine.ground_configs.tolist())
@@ -716,10 +721,10 @@ def test_grid_single_point_matches_multistart_driver():
         restarts=2, max_iterations=10, seed=9,
     )
     report = grid_search(VQEC, ANSATZ, cfg)
-    params, duals, _ = run_vqec_pdp(VQEC, ANSATZ, cfg)
-    best = report.best
-    assert np.array_equal(best.params, params)
-    assert np.array_equal(best.duals, duals)
+    single = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    # the same ranked runs; only the single run keeps a trace
+    assert single.entries == report.entries
+    assert report.trace is None and single.trace.objectives
 
 
 def test_grid_ranking_deterministic_and_order_free():

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import qfold
-from qfold import pipeline
+from qfold import optimize, pipeline
 from qfold.analysis import energy_probability_report, write_topobj
 from qfold.cli import main, run_pipeline
+from qfold.exceptions import DivergenceError
 from qfold.optimize import ExpectationEngine, constraint_violation
 from qfold.pipeline import RunManifest, read_params
 from qfold.sim import probabilities
@@ -63,9 +64,10 @@ def test_run_writes_nothing_and_serialises_to_the_pipeline_files(
     assert layers == manifest.layers
     if manifest.grid:
         assert solution.trace is None
-        assert solution.grid.to_json_lines() == written("grid.jsonl")
+        assert solution.report.to_json_lines() == written("grid.jsonl")
     else:
         assert solution.trace.to_json_lines() == written("trace.jsonl")
+        assert not (out / "grid.jsonl").exists()
     assert result.shots.to_text() == written("shots.tsv")
     report = energy_probability_report(result.ensemble, peptide="KLVF")
     assert report == (written("report.tsv"), written("report.json"))
@@ -82,15 +84,33 @@ def test_single_vqec_run_reports_the_summed_violation():
     # one definition of infeasibility for single runs and grid entries
     assert constraint_violation(np.array([-3.0, 0.25, -1.0, 0.5])) == 0.75
     assert constraint_violation(np.array([7.0])) == 0.0
-    # a run that ends with two constraints violated, where sum and max differ
-    manifest = RunManifest(peptide="KLVFF", method="vqec", mode="vqec", restarts=1,
-                           iterations=1, nu=0.5, mu=5.0, seed=2)
+    # the ranked best entry's values are those of the final state, bit for
+    # bit: KLVFF ends with two constraints violated, where sum and max
+    # differ; KLVF's best is the last column of a three-column block
+    for peptide, restarts in (("KLVFF", 1), ("KLVF", 3)):
+        manifest = RunManifest(peptide=peptide, method="vqec", mode="vqec",
+                               restarts=restarts, iterations=1, nu=0.5, mu=5.0, seed=2)
+        instance = pipeline.build_instance(manifest, None)
+        solution = pipeline.solve(manifest, instance)
+        f = ExpectationEngine(instance).f_vector(probabilities(solution.state))
+        if peptide == "KLVFF":
+            assert (f[1:] > 0).sum() >= 2
+        else:
+            assert solution.report.best.restart == 2
+        final = solution.final
+        assert final["violation"] == constraint_violation(f)
+        assert final["lagrangian"] == float(f[0] + solution.duals @ f[1:])
+        assert json.loads(solution.to_json())["violation"] == constraint_violation(f)
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_vqec_runs_that_all_diverge_raise(monkeypatch, grid):
+    monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 1e-6)
+    manifest = RunManifest(peptide="KLVF", method="vqec", grid=grid, restarts=1,
+                           iterations=3)
     instance = pipeline.build_instance(manifest, None)
-    solution = pipeline.solve(manifest, instance)
-    f = ExpectationEngine(instance).f_vector(probabilities(solution.state))
-    assert (f[1:] > 0).sum() >= 2
-    assert solution.final["violation"] == constraint_violation(f)
-    assert json.loads(solution.to_json())["violation"] == constraint_violation(f)
+    with pytest.raises(DivergenceError):
+        pipeline.solve(manifest, instance)
 
 
 @pytest.mark.parametrize(
@@ -119,7 +139,8 @@ def test_traced_pipeline_records_every_layer(tmp_path, method, extra_spans):
 
 @pytest.mark.parametrize(
     "method, peptide, flags",
-    [("search", "KLVFF", []), ("vqec", "KLVF", ["--restarts", "1", "--iterations", "2"])],
+    [("search", "KLVFF", []), ("vqec", "KLVF", ["--restarts", "1", "--iterations", "2"]),
+     ("vqe", "KLVF", ["--restarts", "2", "--iterations", "30"])],
 )
 def test_benchmark_output_checks_pass(tmp_path, capsys, method, peptide, flags):
     # the benchmark re-checks each run's files with perfbench/checks.py, which

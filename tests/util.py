@@ -299,7 +299,6 @@ def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
 
     def objective(params):
         probs = probabilities(evolve(ansatz, params))
-        trace.circuit_evaluations += 1
         value = engine.cvar_objective(probs, cfg.alpha)
         trace.record(value, params=params, every=cfg.snapshot_every)
         return value
