@@ -42,7 +42,8 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,6 +65,9 @@ DEFAULT_MU_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 FEASIBLE_TOL = 1e-6
 # a primal-dual run whose Lagrangian leaves [-ceiling, ceiling] has diverged
 DIVERGENCE_CEILING = 1.0e5
+# trace.jsonl prints the angles of one row in this many
+CVAR_PARAMS_EVERY = 50
+VQEC_PARAMS_EVERY = 10
 
 
 def constraint_violation(f) -> float:
@@ -200,7 +204,6 @@ class CvarVqeConfig:
     restarts: int = 20
     init_window: tuple = (3.0 * math.pi / 2.0, TWO_PI)
     seed: int = 0
-    snapshot_every: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -221,52 +224,48 @@ class VqecConfig:
     restarts: int = 20
     max_iterations: int = 50
     seed: int = 0
-    snapshot_every: int = 10
 
     def __post_init__(self):
-        if self.nu <= 0.0 or self.mu <= 0.0:
-            raise EncodingError("step sizes must be positive")
         if not self.nu_grid or not self.mu_grid:
             raise EncodingError("step-size grids must be non-empty")
-        if any(v <= 0.0 for v in self.nu_grid) or any(v <= 0.0 for v in self.mu_grid):
-            raise EncodingError("grid step sizes must be positive")
+        # comparisons reject NaN, inf and integers beyond every float alike
+        steps = (self.nu, self.mu, *self.nu_grid, *self.mu_grid)
+        if not all(0.0 < v <= sys.float_info.max for v in steps):
+            raise EncodingError("step sizes must be finite and positive")
         if self.restarts < 1 or self.max_iterations < 1:
             raise EncodingError("restarts and max_iterations must be >= 1")
 
 
 @dataclass
 class OptTrace:
-    """Evaluation-by-evaluation record of one optimization run."""
+    """One row per step, restart after restart: ``(objective, params)`` for a
+    CVaR evaluation, ``(objective, params, lagrangian, duals)`` for a
+    primal-dual iteration, with the angles and duals after its update.
+    ``to_json_lines`` prints ``params`` on every ``every``-th row."""
 
-    objectives: list = field(default_factory=list)
-    best_so_far: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
-    lagrangians: list = field(default_factory=list)
-    duals: list = field(default_factory=list)
+    every: int
+    rows: list = field(default_factory=list)
 
-    def record(self, objective, params=None, every=0, lagrangian=None, dual=None):
-        index = len(self.objectives)
-        self.objectives.append(float(objective))
-        best = self.best_so_far[-1] if self.best_so_far else math.inf
-        self.best_so_far.append(min(best, float(objective)))
-        if lagrangian is not None:
-            self.lagrangians.append(float(lagrangian))
-        if dual is not None:
-            self.duals.append(tuple(float(v) for v in dual))
-        if params is not None and every and index % every == 0:
-            self.snapshots.append((index, tuple(float(v) for v in params)))
+    @property
+    def objectives(self) -> list:
+        return [row[0] for row in self.rows]
+
+    @property
+    def best(self) -> float:
+        """The last row's ``best`` in ``to_json_lines``; inf with no rows."""
+        return functools.reduce(min, self.objectives, math.inf)
 
     def to_json_lines(self) -> str:
-        snapshot_at = dict(self.snapshots)
-        lines = []
-        for i, objective in enumerate(self.objectives):
-            row = {"i": i, "objective": objective, "best": self.best_so_far[i]}
-            if i < len(self.lagrangians):
-                row["lagrangian"] = self.lagrangians[i]
-            if i < len(self.duals):
-                row["duals"] = list(self.duals[i])
-            if i in snapshot_at:
-                row["params"] = list(snapshot_at[i])
+        """One JSON row per row; ``best`` is the running minimum of
+        ``objective`` over every row so far, whichever restart it is in."""
+        lines, best = [], math.inf
+        for i, (objective, params, *pdp) in enumerate(self.rows):
+            best = min(best, objective)
+            row = {"i": i, "objective": objective, "best": best}
+            if pdp:
+                row["lagrangian"], row["duals"] = pdp[0], [float(v) for v in pdp[1]]
+            if i % self.every == 0:
+                row["params"] = [float(v) for v in params]
             lines.append(json.dumps(row))
         return "\n".join(lines) + "\n"
 
@@ -586,7 +585,7 @@ def run_cvar_vqe(
               for _ in range(cfg.restarts)]
     maxfev = cobyla_budget(cfg, ansatz)
     width = block_columns(ansatz.n_qubits)
-    trace = OptTrace()
+    trace = OptTrace(CVAR_PARAMS_EVERY)
     best_params = None
     best_value = math.inf
     for first in range(0, cfg.restarts, width):
@@ -607,11 +606,9 @@ def run_cvar_vqe(
                     results[j] = stop.value
                     del asked[j]
         for run_rows, (params, value) in zip(rows, results):
-            for objective, point in run_rows:
-                trace.record(objective, params=point, every=cfg.snapshot_every)
+            trace.rows += run_rows
             if value < best_value:
                 best_params, best_value = params, value
-    trace.snapshots.append((len(trace.objectives), tuple(map(float, best_params))))
     return best_params, trace
 
 
@@ -620,21 +617,8 @@ def run_cvar_vqe(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Run:
-    """One primal-dual trajectory: its final iterate, or that it diverged."""
-
-    theta: np.ndarray | None = None
-    duals: np.ndarray | None = None
-    f_final: np.ndarray | None = None
-    ground_probability: float = 0.0
-    diverged: bool = False
-    evaluations: int = 0
-    rows: list = field(default_factory=list)
-
-
-def _pdp_block(engine, ansatz, starts, steps, cfg):
-    """Advance the trajectories ``starts[j]`` at ``steps[j] = (nu, mu)`` in lockstep.
+def _pdp_block(engine, ansatz, starts, keys, cfg):
+    """Advance the runs ``starts[j]`` at ``keys[j] = (nu, mu, restart)`` in lockstep.
 
     The angles are one ``(P, B)`` block.  An iteration is one
     ``evolve_block`` of the current angles, ``f_vector`` and two co-states
@@ -642,12 +626,17 @@ def _pdp_block(engine, ansatz, starts, steps, cfg):
     column, and one ``evolve_block`` of the perturbed angles.  Every step is
     elementwise or a per-column reduction, so a trajectory's iterates are
     the same bits at any block width.  A column whose Lagrangian leaves the
-    divergence ceiling is flagged as diverged and leaves the block.
+    divergence ceiling leaves the block.  Returns each run's ``GridEntry``
+    (diverged, or from its final iterate), each run's ``OptTrace`` rows and
+    the block's logical circuit evaluations.
     """
-    runs = [_Run() for _ in starts]
+    inf = math.inf
+    entries = [GridEntry(*key, inf, inf, inf, 0.0, True) for key in keys]
+    rows = [[] for _ in keys]
+    evaluations = 0
     live = list(range(len(starts)))
     theta = np.array(starts, dtype=float).T
-    steps = np.array(steps, dtype=float)
+    steps = np.array([key[:2] for key in keys], dtype=float)
     duals = np.zeros((len(starts), engine.n_constraints))
     per_iteration = 2 * ansatz.n_params + 2
     for _ in range(cfg.max_iterations):
@@ -659,11 +648,9 @@ def _pdp_block(engine, ansatz, starts, steps, cfg):
         bad = [not math.isfinite(v) or abs(v) > DIVERGENCE_CEILING for v in lagrangian]
         if any(bad):
             keep = np.logical_not(bad)
-            for j in np.flatnonzero(bad):
-                runs[live[j]].diverged = True
             live = [c for c, k in zip(live, keep) if k]
             if not live:
-                return runs
+                return entries, rows, evaluations
             theta, states = theta[:, keep], states[:, keep]
             f_here, duals, steps = f_here[keep], duals[keep], steps[keep]
             lagrangian = [v for v, k in zip(lagrangian, keep) if k]
@@ -683,61 +670,48 @@ def _pdp_block(engine, ansatz, starts, steps, cfg):
         f_pert = engine.f_vector(probabilities(evolve_block(ansatz, theta_pert)))
         duals = np.maximum(duals + mu[:, None] * f_pert[:, 1:], 0.0)
         theta = theta_next
+        evaluations += per_iteration * len(live)
         for j, c in enumerate(live):
-            runs[c].evaluations += per_iteration
-            runs[c].rows.append(
-                (f_here[j, 0], theta[:, j].copy(), lagrangian[j], duals[j].copy())
+            rows[c].append(
+                (float(f_here[j, 0]), theta[:, j].copy(), lagrangian[j], duals[j].copy())
             )
 
     probs = probabilities(evolve_block(ansatz, theta))
     f_final = engine.f_vector(probs)
     for j, c in enumerate(live):
-        run = runs[c]
-        run.theta = theta[:, j].copy()
-        run.duals = duals[j].copy()
-        run.f_final = f_final[j].copy()
-        run.ground_probability = engine.ground_probability(
-            np.ascontiguousarray(probs[:, j])
+        f = f_final[j]
+        entries[c] = GridEntry(
+            *keys[c],
+            objective=float(f[0]),
+            lagrangian=float(f[0] + duals[j] @ f[1:]),
+            violation=constraint_violation(f),
+            ground_probability=engine.ground_probability(
+                np.ascontiguousarray(probs[:, j])
+            ),
+            diverged=False,
+            params=tuple(map(float, theta[:, j])),
+            duals=tuple(map(float, duals[j])),
         )
-        run.evaluations += 1
-    return runs
+    return entries, rows, evaluations + len(live)
 
 
-def _pdp_runs(engine, ansatz, starts, steps, cfg, trace=None):
-    """The primal-dual driver: one run per row of ``starts`` and ``steps``.
+def _pdp_runs(engine, ansatz, starts, keys, cfg):
+    """The primal-dual driver: one run per row of ``starts`` and ``keys``.
 
     Runs go through ``_pdp_block`` in blocks of ``block_columns(n)``
     trajectories (64 up to 10 qubits, 32 up to 12, one from 13), in row
-    order.  With ``trace``, each run's iterations are recorded in it one run
-    after the other.
+    order, and the blocks' ``(entries, rows, evaluations)`` are joined.
     """
     if ansatz.n_qubits != engine.n_vars:
         raise EncodingError("ansatz width does not match the instance")
     width = block_columns(ansatz.n_qubits)
-    runs = []
-    for first in range(0, len(starts), width):
-        block = slice(first, first + width)
-        runs += _pdp_block(engine, ansatz, starts[block], steps[block], cfg)
-    if trace is not None:
-        for run in runs:
-            for objective, theta, lagrangian, duals in run.rows:
-                trace.record(
-                    objective,
-                    params=theta,
-                    every=cfg.snapshot_every,
-                    lagrangian=lagrangian,
-                    dual=duals,
-                )
-    return runs
-
-
-def _pdp_run(engine, ansatz, theta0, nu, mu, cfg, trace):
-    """One seeded run; returns (theta, duals, final F vector), or raises
-    ``DivergenceError`` if it diverged."""
-    (run,) = _pdp_runs(engine, ansatz, [theta0], [(nu, mu)], cfg, trace)
-    if run.diverged:
-        raise DivergenceError(f"lagrangian exceeded ceiling {DIVERGENCE_CEILING}")
-    return run.theta, run.duals, run.f_final
+    blocks = [
+        _pdp_block(engine, ansatz, starts[i : i + width], keys[i : i + width], cfg)
+        for i in range(0, len(starts), width)
+    ]
+    entries, rows, evaluations = zip(*blocks)
+    chain = itertools.chain.from_iterable
+    return list(chain(entries)), list(chain(rows)), sum(evaluations)
 
 
 @dataclass(frozen=True)
@@ -768,27 +742,16 @@ class GridEntry:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "nu": self.nu,
-                "mu": self.mu,
-                "restart": self.restart,
-                "objective": self.objective,
-                "lagrangian": self.lagrangian,
-                "violation": self.violation,
-                "ground_probability": self.ground_probability,
-                "diverged": self.diverged,
-                "params": list(self.params),
-                "duals": list(self.duals),
-            }
-        )
+        # the field order is the key order of grid.jsonl
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
 class GridReport:
     """Ranked VQEC runs, best first, with a single run's ``trace`` (None for a
     grid).  ``circuit_evaluations`` is the paper's cost, whatever the simulator
-    ran: 2P + 2 logical circuit evaluations per iteration, one per final state."""
+    ran: 2P + 2 logical circuit evaluations per iteration, one per final state.
+    ``best`` is the chosen run; the trace holds every restart's iterations."""
 
     entries: tuple
     circuit_evaluations: int = 0
@@ -802,15 +765,15 @@ class GridReport:
         return "\n".join(e.to_json() for e in self.entries) + "\n"
 
 
-def _ranked_runs(instance, ansatz, cfg, engine, points, trace=None) -> GridReport:
+def _ranked_runs(instance, ansatz, cfg, engine, points, traced=False) -> GridReport:
     """The VQEC driver: ``cfg.restarts`` seeded restarts at each (nu, mu) of
     ``points``, one ``GridEntry`` per run, ranked by ``GridEntry.sort_key``.
 
     Every point sees the same seeded initial angles, so rows are comparable
     and the ranking is independent of execution order.  Runs that trip the
     divergence ceiling are kept, flagged, and ranked last; if all did,
-    ``DivergenceError`` is raised.  With ``trace``, every run's iterations
-    and then the best run's final angles are recorded in it.
+    ``DivergenceError`` is raised.  ``traced`` keeps every run's iterations,
+    run after run, as the report's ``OptTrace``.
     """
     if instance.mode != MODE_VQEC:
         raise EncodingError("the primal-dual loop drives the constrained mode only")
@@ -818,38 +781,15 @@ def _ranked_runs(instance, ansatz, cfg, engine, points, trace=None) -> GridRepor
         engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(0.0, TWO_PI, (cfg.restarts, ansatz.n_params))
-    runs = _pdp_runs(
-        engine, ansatz, np.tile(starts, (len(points), 1)),
-        np.repeat(np.array(points, dtype=float), cfg.restarts, axis=0), cfg, trace,
+    keys = [(float(nu), float(mu), r) for nu, mu in points for r in range(cfg.restarts)]
+    entries, rows, evaluations = _pdp_runs(
+        engine, ansatz, np.tile(starts, (len(points), 1)), keys, cfg
     )
-    entries = []
-    for i, run in enumerate(runs):
-        (nu, mu), restart = points[i // cfg.restarts], i % cfg.restarts
-        if run.diverged:
-            inf = math.inf
-            entries.append(GridEntry(float(nu), float(mu), restart, inf, inf, inf, 0.0, True))
-            continue
-        f_final = run.f_final
-        entries.append(
-            GridEntry(
-                nu=float(nu),
-                mu=float(mu),
-                restart=restart,
-                objective=float(f_final[0]),
-                lagrangian=float(f_final[0] + run.duals @ f_final[1:]),
-                violation=constraint_violation(f_final),
-                ground_probability=run.ground_probability,
-                diverged=False,
-                params=tuple(map(float, run.theta)),
-                duals=tuple(map(float, run.duals)),
-            )
-        )
     entries.sort(key=GridEntry.sort_key)
     if entries[0].diverged:
         raise DivergenceError(f"every run exceeded the ceiling {DIVERGENCE_CEILING}")
-    if trace is not None:
-        trace.snapshots.append((len(trace.objectives), entries[0].params))
-    return GridReport(tuple(entries), sum(run.evaluations for run in runs), trace)
+    trace = OptTrace(VQEC_PARAMS_EVERY, list(itertools.chain(*rows))) if traced else None
+    return GridReport(tuple(entries), evaluations, trace)
 
 
 def run_vqec_pdp(
@@ -863,7 +803,7 @@ def run_vqec_pdp(
     ``DivergenceError`` is raised only when all diverged.  ``engine`` is the
     instance's ``ExpectationEngine``, built here if None.
     """
-    return _ranked_runs(instance, ansatz, cfg, engine, [(cfg.nu, cfg.mu)], OptTrace())
+    return _ranked_runs(instance, ansatz, cfg, engine, [(cfg.nu, cfg.mu)], traced=True)
 
 
 def grid_search(

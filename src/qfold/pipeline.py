@@ -325,7 +325,7 @@ def solve(manifest: RunManifest, instance: ProblemInstance) -> Solution:
     if manifest.method == "vqe":
         params, trace = run_cvar_vqe(instance, ansatz, cfg, engine)
         duals = report = None
-        final = {"objective": trace.best_so_far[-1]}
+        final = {"objective": trace.best}
     else:
         optimizer = grid_search if manifest.grid else run_vqec_pdp
         report = optimizer(instance, ansatz, cfg, engine)

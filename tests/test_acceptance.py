@@ -6,10 +6,11 @@ enumeration, closed-form geometry, dense linear algebra) or are frozen from
 the spec'd protocol; tolerances are pinned inline.
 
 Criterion 9's 6-bead soft target needs about 10 minutes of statevector time
-on a 2-core box (50 primal-dual iterations on 24 qubits; measured at 564 s
-and 820 MB peak RSS, and one iteration alone at 7-8 s), so that measurement
-only runs when QFOLD_RUN_SLOW=1 is exported; everything else completes in
-minutes.
+on a 2-core box (50 primal-dual iterations on 24 qubits; measured at 565 s
+and 833 MB peak RSS at commit 9cbbe66, 11.3 s per iteration on average,
+where a KLVFFA pipeline's first iterations cost about 7.4 s each), so that
+measurement only runs when QFOLD_RUN_SLOW=1 is exported; everything else
+completes in minutes.
 """
 
 import math
@@ -36,8 +37,7 @@ from qfold.optimize import (
     CvarVqeConfig,
     ExpectationEngine,
     VqecConfig,
-    _pdp_run,
-    OptTrace,
+    _pdp_runs,
     grid_search,
     run_cvar_vqe,
     run_vqec_pdp,
@@ -262,7 +262,8 @@ def test_criterion_09_vqec_recovery_and_duals():
     assert all(value < 0.0 for value in f0[1:])
     nu, mu = 0.05, 0.4
     pgd_cfg = VqecConfig(nu=nu, mu=mu, restarts=1, max_iterations=1, seed=0)
-    theta1, duals1, _ = _pdp_run(engine, ansatz, theta0, nu, mu, pgd_cfg, OptTrace())
+    (entry,), _, _ = _pdp_runs(engine, ansatz, [theta0], [(nu, mu, 0)], pgd_cfg)
+    theta1, duals1 = np.array(entry.params), np.array(entry.duals)
     grad = parameter_shift_gradient(
         ansatz,
         theta0,
@@ -273,13 +274,11 @@ def test_criterion_09_vqec_recovery_and_duals():
     assert np.array_equal(duals1, np.zeros(len(instance.constraints)))
 
     # dual nonnegativity along a full trace
-    trace_cfg = VqecConfig(
-        nu=0.1, mu=1.0, restarts=2, max_iterations=10, seed=3, snapshot_every=1
-    )
+    trace_cfg = VqecConfig(nu=0.1, mu=1.0, restarts=2, max_iterations=10, seed=3)
     single = run_vqec_pdp(instance, ansatz, trace_cfg)
-    assert single.trace.duals
-    for row in single.trace.duals:
-        assert all(value >= 0.0 for value in row)
+    assert single.trace.rows
+    for _, _, _, duals in single.trace.rows:
+        assert all(value >= 0.0 for value in duals)
     assert all(value >= 0.0 for value in single.best.duals)
 
     # step-size grid: the ranked-best point must put its modal mass on the

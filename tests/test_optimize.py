@@ -17,7 +17,7 @@ from qfold.optimize import (
     OptTrace,
     VqecConfig,
     _cobyla,
-    _pdp_run,
+    _pdp_runs,
     cobyla_budget,
     grid_search,
     run_cvar_vqe,
@@ -37,6 +37,7 @@ from qfold.sim import (
     probabilities,
 )
 from util import (
+    plain_rows,
     reference_cvar_objective,
     reference_f_vector,
     reference_run_cvar_vqe,
@@ -225,26 +226,43 @@ def test_config_validation():
         VqecConfig(nu_grid=())
     with pytest.raises(EncodingError):
         VqecConfig(mu_grid=(0.1, -0.5))
+    # non-finite steps: inf used to run to angles at 2*pi, NaN to a
+    # DivergenceError that named the ceiling
+    for bad in (math.inf, math.nan, -math.inf):
+        for name in ("nu", "mu"):
+            with pytest.raises(EncodingError):
+                VqecConfig(**{name: bad})
+        for name in ("nu_grid", "mu_grid"):
+            with pytest.raises(EncodingError):
+                VqecConfig(**{name: (0.1, bad)})
 
 
 def test_trace_best_so_far_monotone():
-    trace = OptTrace()
-    for value in (5.0, 3.0, 4.0, 2.5, 2.6):
-        trace.record(value)
-    assert trace.best_so_far == [5.0, 3.0, 3.0, 2.5, 2.5]
-    assert all(x >= y for x, y in zip(trace.best_so_far, trace.best_so_far[1:]))
+    values = (5.0, 3.0, 4.0, 2.5, 2.6)
+    trace = OptTrace(every=50, rows=[(v, np.zeros(2)) for v in values])
+    best = [json.loads(line)["best"] for line in trace.to_json_lines().splitlines()]
+    assert best == [5.0, 3.0, 3.0, 2.5, 2.5]
+    assert all(x >= y for x, y in zip(best, best[1:]))
+    assert trace.best == 2.5 and trace.objectives == list(values)
+    assert OptTrace(every=50).best == math.inf
 
 
 def test_trace_json_lines():
-    trace = OptTrace()
-    trace.record(1.0, params=[0.1, 0.2], every=1, lagrangian=2.0, dual=[0.0, 0.3])
-    trace.record(0.5)
+    trace = OptTrace(every=2, rows=[
+        (1.0, np.array([0.1, 0.2]), 2.0, np.array([0.0, 0.3])),
+        (0.5, np.array([0.3, 0.4]), 1.5, np.array([0.1, 0.3])),
+        (0.7, np.array([0.5, 0.6]), 0.9, np.array([0.2, 0.3])),
+    ])
     rows = [json.loads(line) for line in trace.to_json_lines().splitlines()]
-    assert rows[0]["objective"] == 1.0
-    assert rows[0]["lagrangian"] == 2.0
-    assert rows[0]["duals"] == [0.0, 0.3]
-    assert rows[0]["params"] == [0.1, 0.2]
-    assert rows[1] == {"i": 1, "objective": 0.5, "best": 0.5}
+    assert rows[0] == {"i": 0, "objective": 1.0, "best": 1.0, "lagrangian": 2.0,
+                       "duals": [0.0, 0.3], "params": [0.1, 0.2]}
+    assert rows[1] == {"i": 1, "objective": 0.5, "best": 0.5, "lagrangian": 1.5,
+                       "duals": [0.1, 0.3]}
+    assert rows[2]["params"] == [0.5, 0.6] and rows[2]["best"] == 0.5
+    cvar = OptTrace(every=1, rows=[(0.5, np.array([0.1]))])
+    assert json.loads(cvar.to_json_lines()) == {
+        "i": 0, "objective": 0.5, "best": 0.5, "params": [0.1]
+    }
 
 
 # --- CVaR-VQE ---
@@ -272,7 +290,7 @@ def test_cvar_vqe_recovers_ground():
     engine = ExpectationEngine(POLYFIT)
     probs = probabilities(evolve(ANSATZ, params))
     assert engine.modal_config(probs) in set(engine.ground_configs.tolist())
-    assert trace.best_so_far[-1] == pytest.approx(engine.ground_energy, abs=0.05)
+    assert trace.best == pytest.approx(engine.ground_energy, abs=0.05)
     assert len(trace.objectives) <= 20 * 81
 
 
@@ -289,8 +307,7 @@ def test_cvar_vqe_budget_raised_to_cobyla_minimum():
         POLYFIT, ANSATZ, CvarVqeConfig(restarts=2, max_iterations=29, seed=3)
     )
     assert np.array_equal(params_5, params_29)
-    assert trace_5.objectives == trace_29.objectives
-    assert trace_5.snapshots == trace_29.snapshots
+    assert plain_rows(trace_5.rows) == plain_rows(trace_29.rows)
 
 
 def cobyla_values(x0, objective, maxfev):
@@ -307,15 +324,13 @@ def cobyla_values(x0, objective, maxfev):
 def test_cobyla_initial_simplex_equals_scipy():
     # the first P + 1 points are x0 and x0 + e_j with PRIMA's pole swaps,
     # and their values, bit for bit
-    cfg = CvarVqeConfig(restarts=3, max_iterations=40, seed=11, snapshot_every=1)
+    cfg = CvarVqeConfig(restarts=3, max_iterations=40, seed=11)
     _, ours = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
     _, theirs = reference_run_cvar_vqe(POLYFIT, ANSATZ, cfg)
-    assert len(ours.objectives) == len(theirs.objectives) == 3 * 40
+    assert len(ours.rows) == len(theirs.rows) == 3 * 40
     for restart in range(3):
-        rows = range(restart * 40, restart * 40 + ANSATZ.n_params + 1)
-        for i in rows:
-            assert ours.snapshots[i] == theirs.snapshots[i]
-            assert ours.objectives[i] == theirs.objectives[i]
+        rows = slice(restart * 40, restart * 40 + ANSATZ.n_params + 1)
+        assert plain_rows(ours.rows[rows]) == plain_rows(theirs.rows[rows])
 
 
 @pytest.mark.parametrize("seed", [0, 11])
@@ -324,7 +339,7 @@ def test_cvar_vqe_best_equals_scipy_on_klvf(seed):
     cfg = CvarVqeConfig(alpha=0.1, restarts=20, max_iterations=80, seed=seed)
     _, ours = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
     _, theirs = reference_run_cvar_vqe(POLYFIT, ANSATZ, cfg)
-    assert ours.best_so_far[-1] == pytest.approx(theirs.best_so_far[-1], abs=1e-9)
+    assert ours.best == pytest.approx(theirs.best, abs=1e-9)
 
 
 def test_cvar_vqe_best_equals_scipy_on_drawn_peptides():
@@ -335,9 +350,7 @@ def test_cvar_vqe_best_equals_scipy_on_drawn_peptides():
         cfg = CvarVqeConfig(restarts=3, max_iterations=60, seed=k)
         _, ours = run_cvar_vqe(instance, ANSATZ, cfg)
         _, theirs = reference_run_cvar_vqe(instance, ANSATZ, cfg)
-        assert ours.best_so_far[-1] == pytest.approx(
-            theirs.best_so_far[-1], abs=1e-9
-        ), peptide
+        assert ours.best == pytest.approx(theirs.best, abs=1e-9), peptide
 
 
 @pytest.mark.parametrize("n", [5, 12])
@@ -366,7 +379,7 @@ def test_cvar_vqe_stops_on_final_radius_before_the_budget():
     params, trace = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
     assert len(trace.objectives) < cfg.restarts * cobyla_budget(cfg, ANSATZ)
     engine = ExpectationEngine(POLYFIT)
-    assert trace.best_so_far[-1] == pytest.approx(engine.ground_energy, abs=0.05)
+    assert trace.best == pytest.approx(engine.ground_energy, abs=0.05)
 
 
 # the -inf case overflows the linear model's gradient, as it does in PRIMA
@@ -404,23 +417,28 @@ def test_cvar_vqe_lockstep_equals_single_restarts(monkeypatch):
     assert block_columns(ANSATZ.n_qubits) == 64
     configs = (
         CvarVqeConfig(
-            restarts=5, max_iterations=40, seed=2, snapshot_every=1,
-            init_window=(0.0, TWO_PI),
+            restarts=5, max_iterations=40, seed=2, init_window=(0.0, TWO_PI),
         ),
-        CvarVqeConfig(restarts=65, max_iterations=29, seed=6, snapshot_every=7),
+        CvarVqeConfig(restarts=65, max_iterations=29, seed=6),
     )
     for cfg in configs:
         params, trace = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
         with monkeypatch.context() as patch:
             patch.setattr(optimize, "block_columns", lambda n_qubits: 1)
             alone_params, alone = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
-        assert np.array_equal(trace.objectives, alone.objectives)
-        assert trace.snapshots == alone.snapshots
+        assert plain_rows(trace.rows) == plain_rows(alone.rows)
         assert np.array_equal(params, alone_params)
-        assert trace.best_so_far[-1] == alone.best_so_far[-1]
+        assert trace.best == alone.best
 
 
 # --- PDP mechanics ---
+
+
+def pdp_alone(engine, ansatz, theta0, key, cfg):
+    """One trajectory from ``theta0`` at ``key = (nu, mu, restart)`` through
+    the primal-dual driver: its ``GridEntry`` and its trace rows."""
+    (entry,), (rows,), _ = _pdp_runs(engine, ansatz, [theta0], [key], cfg)
+    return entry, rows
 
 
 def test_pdp_rejects_wrong_mode():
@@ -446,7 +464,7 @@ def test_pdp_inactive_constraints_reduce_to_projected_descent():
 
     nu, mu = 0.05, 0.4
     cfg = VqecConfig(nu=nu, mu=mu, restarts=1, max_iterations=1, seed=0)
-    theta1, duals1, _ = _pdp_run(engine, ANSATZ, theta0, nu, mu, cfg, OptTrace())
+    entry, _ = pdp_alone(engine, ANSATZ, theta0, (nu, mu, 0), cfg)
 
     from qfold.sim import parameter_shift_gradient
 
@@ -456,22 +474,20 @@ def test_pdp_inactive_constraints_reduce_to_projected_descent():
         lambda state: engine.objective_expectation(probabilities(state)),
     )
     want = np.clip(theta0 - mu * grad, 0.0, TWO_PI)
-    assert theta1 == pytest.approx(want, abs=1e-12)
-    assert np.array_equal(duals1, np.zeros(len(VQEC.constraints)))
+    assert np.array(entry.params) == pytest.approx(want, abs=1e-12)
+    assert np.array_equal(entry.duals, np.zeros(len(VQEC.constraints)))
 
 
 def test_pdp_duals_nonnegative_and_angles_projected():
-    cfg = VqecConfig(
-        nu=0.1, mu=2.0, restarts=2, max_iterations=8, seed=3, snapshot_every=1
-    )
+    cfg = VqecConfig(nu=0.1, mu=2.0, restarts=2, max_iterations=8, seed=3)
     report = run_vqec_pdp(VQEC, ANSATZ, cfg)
     trace = report.trace
-    assert len(trace.duals) == 2 * 8
-    for row in trace.duals:
-        assert all(v >= 0.0 for v in row)
+    assert len(trace.rows) == 2 * 8
+    for _, theta, _, duals in trace.rows:
+        assert all(v >= 0.0 for v in duals)
+        assert all(0.0 <= v <= TWO_PI for v in theta)
     assert all(v >= 0.0 for v in report.best.duals)
-    for _, snapshot in trace.snapshots:
-        assert all(0.0 <= v <= TWO_PI for v in snapshot)
+    assert all(0.0 <= v <= TWO_PI for v in report.best.params)
 
 
 def test_pdp_deterministic():
@@ -503,17 +519,13 @@ def test_pdp_single_run_keeps_the_best_surviving_restart(monkeypatch):
     engine = ExpectationEngine(VQEC)
     starts = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (5, ANSATZ.n_params))
     survivors = []
-    for start in starts:
-        try:
-            theta, d, f = _pdp_run(engine, ANSATZ, start, cfg.nu, cfg.mu, cfg, OptTrace())
-        except DivergenceError:
-            continue
-        infeasible = optimize.constraint_violation(f) > optimize.FEASIBLE_TOL
-        survivors.append(((infeasible, float(f[0] + d @ f[1:])), theta, d))
+    for restart, start in enumerate(starts):
+        entry, _ = pdp_alone(engine, ANSATZ, start, (cfg.nu, cfg.mu, restart), cfg)
+        if not entry.diverged:
+            survivors.append(entry)
     assert 0 < len(survivors) < 5
-    _, theta, d = min(survivors, key=lambda survivor: survivor[0])
-    assert np.array_equal(best.params, theta)
-    assert np.array_equal(best.duals, d)
+    tol = optimize.FEASIBLE_TOL
+    assert best == min(survivors, key=lambda e: (e.violation > tol, e.lagrangian))
     monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 30.0)
     with pytest.raises(DivergenceError):
         run_vqec_pdp(VQEC, ANSATZ, cfg)
@@ -623,19 +635,15 @@ def test_pdp_iteration_agrees_with_shift_jacobian_step(n_beads):
     engine = ExpectationEngine(instance)
     cfg = VqecConfig(nu=0.1, mu=1.0, restarts=1, max_iterations=1, seed=0)
     theta0 = rng.uniform(0.0, TWO_PI, ansatz.n_params)
-    got = _pdp_run(engine, ansatz, theta0, cfg.nu, cfg.mu, cfg, OptTrace())
+    entry, _ = pdp_alone(engine, ansatz, theta0, (cfg.nu, cfg.mu, 0), cfg)
+    theta = np.array(entry.params)
+    f_final = engine.f_vector(probabilities(evolve(ansatz, theta)))
+    got = (theta, np.array(entry.duals), f_final)
     want = reference_pdp(engine, ansatz, theta0, cfg.nu, cfg.mu, cfg.max_iterations)
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-10
+    assert entry.objective == f_final[0]
     assert not np.array_equal(got[0], theta0)
-
-
-def trace_rows(trace, first, count):
-    snapshot_at = dict(trace.snapshots)
-    return [
-        (trace.objectives[i], trace.lagrangians[i], trace.duals[i], snapshot_at[i])
-        for i in range(first, first + count)
-    ]
 
 
 def test_pdp_block_columns_equal_single_runs(monkeypatch):
@@ -643,24 +651,19 @@ def test_pdp_block_columns_equal_single_runs(monkeypatch):
     # same bits as its trajectory run alone, including around a column
     # that diverges and leaves the block
     iterations = 8
-    cfg = VqecConfig(
-        nu=0.1, mu=1.0, restarts=5, max_iterations=iterations, seed=4, snapshot_every=1
-    )
+    cfg = VqecConfig(nu=0.1, mu=1.0, restarts=5, max_iterations=iterations, seed=4)
     report = run_vqec_pdp(VQEC, ANSATZ, cfg)
-    trace, best = report.trace, report.best
+    trace = report.trace
     engine = ExpectationEngine(VQEC)
     starts = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (5, ANSATZ.n_params))
     singles = []
     for restart, start in enumerate(starts):
-        single = OptTrace()
-        run = _pdp_run(engine, ANSATZ, start, cfg.nu, cfg.mu, cfg, single)
-        singles.append(run)
-        block_rows = trace_rows(trace, restart * iterations, iterations)
-        assert block_rows == trace_rows(single, 0, iterations)
-    assert any(
-        np.array_equal(best.params, t) and np.array_equal(best.duals, d)
-        for t, d, _ in singles
-    )
+        entry, rows = pdp_alone(engine, ANSATZ, start, (cfg.nu, cfg.mu, restart), cfg)
+        singles.append(entry)
+        block_rows = trace.rows[restart * iterations : (restart + 1) * iterations]
+        assert len(rows) == iterations
+        assert plain_rows(block_rows) == plain_rows(rows)
+    assert sorted(singles, key=GridEntry.sort_key) == list(report.entries)
 
     # |Lagrangian| starts at 20-26 on these restarts and peaks at 32-55:
     # a ceiling of 40 drops some columns mid-run and lets the others finish
@@ -673,15 +676,13 @@ def test_pdp_block_columns_equal_single_runs(monkeypatch):
     assert any(e.diverged for e in report.entries)
     assert any(not e.diverged for e in report.entries)
     for entry in report.entries:
-        args = (engine, ANSATZ, starts[entry.restart], entry.nu, entry.mu, grid_cfg)
+        key = (entry.nu, entry.mu, entry.restart)
+        single, _ = pdp_alone(engine, ANSATZ, starts[entry.restart], key, grid_cfg)
+        assert single == entry
         if entry.diverged:
-            with pytest.raises(DivergenceError):
-                _pdp_run(*args, OptTrace())
             continue
-        theta, d, f = _pdp_run(*args, OptTrace())
-        assert np.array_equal(entry.params, theta)
-        assert np.array_equal(entry.duals, d)
-        assert entry.lagrangian == float(f[0] + d @ f[1:])
+        f = engine.f_vector(probabilities(evolve(ANSATZ, np.array(entry.params))))
+        assert entry.lagrangian == float(f[0] + np.array(entry.duals) @ f[1:])
 
 
 def test_pdp_recovers_ground():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,6 +72,44 @@ def test_run_writes_nothing_and_serialises_to_the_pipeline_files(
     assert result.shots.to_text() == written("shots.tsv")
     report = energy_probability_report(result.ensemble, peptide="KLVF")
     assert report == (written("report.tsv"), written("report.json"))
+
+
+@pytest.mark.parametrize("method, every", [("vqe", 50), ("vqec", 10)])
+def test_trace_jsonl_has_one_row_per_step(tmp_path, capsys, monkeypatch, method, every):
+    # the writer alone holds the cadence of the angles: every 50th CVaR
+    # evaluation, every 10th primal-dual iteration, counted across restarts
+    columns = []
+    evolve_block = optimize.evolve_block
+
+    def counted(ansatz, theta):
+        columns.append(theta.shape[1])
+        return evolve_block(ansatz, theta)
+
+    monkeypatch.setattr(optimize, "evolve_block", counted)
+    restarts, iterations = (2, 60) if method == "vqe" else (2, 23)
+    code = main(["pipeline", "--peptide", "KLVF", "--method", method,
+                 "--restarts", str(restarts), "--iterations", str(iterations),
+                 "--shots", "64", "--seed", "1", "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    text = (tmp_path / "trace.jsonl").read_text()
+    rows = [json.loads(line) for line in text.splitlines()]
+    if method == "vqe":
+        # one evolved column per CVaR evaluation
+        assert len(rows) == sum(columns)
+    else:
+        # two evolved columns per iteration, and one final state per restart
+        assert len(rows) == restarts * iterations
+        assert sum(columns) == 2 * len(rows) + restarts
+        assert all({"lagrangian", "duals"} <= row.keys() for row in rows)
+    assert [row["i"] for row in rows] == list(range(len(rows)))
+    printed = [row["i"] for row in rows if "params" in row]
+    assert printed == list(range(0, len(rows), every)) and len(printed) >= 3
+    assert all(len(row["params"]) == 27 for row in rows if "params" in row)
+    best = math.inf
+    for row in rows:
+        best = min(best, row["objective"])
+        assert row["best"] == best
 
 
 def test_pipeline_fits_and_assembles_at_the_manifest_p0():

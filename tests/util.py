@@ -287,6 +287,7 @@ def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
     from scipy.optimize import minimize
 
     from qfold.optimize import (
+        CVAR_PARAMS_EVERY,
         ExpectationEngine,
         OptTrace,
         cobyla_budget,
@@ -295,12 +296,12 @@ def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
 
     engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
-    trace = OptTrace()
+    trace = OptTrace(CVAR_PARAMS_EVERY)
 
     def objective(params):
         probs = probabilities(evolve(ansatz, params))
         value = engine.cvar_objective(probs, cfg.alpha)
-        trace.record(value, params=params, every=cfg.snapshot_every)
+        trace.rows.append((float(value), np.array(params, dtype=float)))
         return value
 
     best_params = None
@@ -318,5 +319,13 @@ def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
         if result.fun < best_value:
             best_value = float(result.fun)
             best_params = np.asarray(result.x, dtype=float)
-    trace.snapshots.append((len(trace.objectives), tuple(map(float, best_params))))
     return best_params, trace
+
+
+def plain_rows(rows):
+    """``OptTrace`` rows with their arrays as lists, so that rows compare
+    with ``==``."""
+    return [
+        tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in row)
+        for row in rows
+    ]
