@@ -117,6 +117,7 @@ def _emit_instance(instance, manifest, out) -> None:
 
 def _emit_topk(topk, manifest, out) -> None:
     print(f"visited={topk.visited} kept={len(topk.records)}")
+    print(f"pruned={topk.pruned}")
     for record in topk.records:
         print(f"energy={record.energy:.6f} turns={record.turn_string}")
     if out is not None:

@@ -617,7 +617,7 @@ def run_cvar_vqe(
 # ---------------------------------------------------------------------------
 
 
-def _pdp_block(engine, ansatz, starts, keys, cfg):
+def _pdp_block(engine, ansatz, starts, keys, cfg, traced):
     """Advance the runs ``starts[j]`` at ``keys[j] = (nu, mu, restart)`` in lockstep.
 
     The angles are one ``(P, B)`` block.  An iteration is one
@@ -627,8 +627,8 @@ def _pdp_block(engine, ansatz, starts, keys, cfg):
     elementwise or a per-column reduction, so a trajectory's iterates are
     the same bits at any block width.  A column whose Lagrangian leaves the
     divergence ceiling leaves the block.  Returns each run's ``GridEntry``
-    (diverged, or from its final iterate), each run's ``OptTrace`` rows and
-    the block's logical circuit evaluations.
+    (diverged, or from its final iterate), each run's ``OptTrace`` rows
+    (empty unless ``traced``) and the block's logical circuit evaluations.
     """
     inf = math.inf
     entries = [GridEntry(*key, inf, inf, inf, 0.0, True) for key in keys]
@@ -671,7 +671,7 @@ def _pdp_block(engine, ansatz, starts, keys, cfg):
         duals = np.maximum(duals + mu[:, None] * f_pert[:, 1:], 0.0)
         theta = theta_next
         evaluations += per_iteration * len(live)
-        for j, c in enumerate(live):
+        for j, c in enumerate(live if traced else ()):
             rows[c].append(
                 (float(f_here[j, 0]), theta[:, j].copy(), lagrangian[j], duals[j].copy())
             )
@@ -695,18 +695,21 @@ def _pdp_block(engine, ansatz, starts, keys, cfg):
     return entries, rows, evaluations + len(live)
 
 
-def _pdp_runs(engine, ansatz, starts, keys, cfg):
+def _pdp_runs(engine, ansatz, starts, keys, cfg, traced=False):
     """The primal-dual driver: one run per row of ``starts`` and ``keys``.
 
     Runs go through ``_pdp_block`` in blocks of ``block_columns(n)``
     trajectories (64 up to 10 qubits, 32 up to 12, one from 13), in row
-    order, and the blocks' ``(entries, rows, evaluations)`` are joined.
+    order, and the blocks' ``(entries, rows, evaluations)`` are joined;
+    each run's rows stay empty unless ``traced``.
     """
     if ansatz.n_qubits != engine.n_vars:
         raise EncodingError("ansatz width does not match the instance")
     width = block_columns(ansatz.n_qubits)
     blocks = [
-        _pdp_block(engine, ansatz, starts[i : i + width], keys[i : i + width], cfg)
+        _pdp_block(
+            engine, ansatz, starts[i : i + width], keys[i : i + width], cfg, traced
+        )
         for i in range(0, len(starts), width)
     ]
     entries, rows, evaluations = zip(*blocks)
@@ -783,7 +786,7 @@ def _ranked_runs(instance, ansatz, cfg, engine, points, traced=False) -> GridRep
     starts = rng.uniform(0.0, TWO_PI, (cfg.restarts, ansatz.n_params))
     keys = [(float(nu), float(mu), r) for nu, mu in points for r in range(cfg.restarts)]
     entries, rows, evaluations = _pdp_runs(
-        engine, ansatz, np.tile(starts, (len(points), 1)), keys, cfg
+        engine, ansatz, np.tile(starts, (len(points), 1)), keys, cfg, traced
     )
     entries.sort(key=GridEntry.sort_key)
     if entries[0].diverged:

@@ -283,15 +283,14 @@ def from_value_table(table: np.ndarray, on_vars, n_vars: int) -> PBPolynomial:
     coeffs = table.astype(float, copy=True)
     _mobius_inplace(coeffs, v)
     keep = np.flatnonzero(np.abs(coeffs) >= COEFF_EPS)
-    terms = {}
-    for local in keep:
-        mask = 0
-        m = int(local)
-        while m:
-            low = m & -m
-            mask |= 1 << on_vars[low.bit_length() - 1]
-            m ^= low
-        terms[mask] = float(coeffs[local])
+    # the global mask of a local index ORs one looked-up mask per byte of it
+    masks = np.zeros(keep.size, dtype=object)
+    for shift in range(0, v, 8):
+        lookup = [0]
+        for var in on_vars[shift : shift + 8]:
+            lookup += [mask | 1 << var for mask in lookup]
+        masks |= np.array(lookup, dtype=object)[keep >> shift & 255]
+    terms = dict(zip(masks.tolist(), coeffs[keep].tolist()))
     return PBPolynomial(n_vars, terms, _canonical=True)
 
 

@@ -8,17 +8,32 @@ predecessor's label, 3^(N-3) sequences), scores each self-avoiding one, and
 keeps the K lowest.
 
 The sweep places one bead per level of the turn tree.  A prefix keeps its
-coordinates and one shell code per scoring pair, so a new bead costs only its
-distances to the earlier beads, and a prefix whose new bead overlaps is
-dropped with its subtree (whose sequences still count as visited).  Prefixes
-are expanded breadth-first until one stands for at most ``CHUNK`` sequences;
+coordinates, one shell code per scoring pair and the energy of its placed
+pairs, so a new bead costs only its distances to the earlier beads, and a
+prefix whose new bead overlaps is dropped with its subtree.  Prefixes are
+expanded breadth-first until one stands for at most ``CHUNK`` sequences;
 blocks of that frontier are grown to full length, and leaf energies add the
 pair terms in the order ``squared_distance_scorer`` adds them, from the same
-shell-code table.  Workers take contiguous spans of
-the frontier and keep private top-K lists; the final merge uses the
-deterministic (energy, turn string) order, so results are bit-identical for
-any worker count and chunk size.  The frontier is split into at most
-``workers`` spans, and at most one process per span and usable CPU runs them.
+shell-code table.
+
+A prefix's bound is its energy plus, for every pair with a bead still to
+place, that pair's most negative table entry; no extension scores below it.
+Once K leaves are kept, a prefix whose bound exceeds the K-th energy by
+more than a rounding margin (1e-9 times one plus the table's absolute sum:
+the bound adds the terms in another order than the leaves do) is dropped
+with its subtree, on the frontier and after each turn; ties at the cut-off
+survive, so the records are those of the full sweep.  Each span takes its
+frontier in stable order of bound, so the cut-off tightens early, and sizes
+its blocks by the sequences that survived in the block before.  Dropped
+subtrees, overlapping or pruned, still count in ``visited``, which is
+always the enumeration size; pruned ones also count in ``pruned``.
+
+Workers take contiguous spans of the frontier and keep private top-K lists;
+the final merge uses the deterministic (energy, turn string) order, so
+records are bit-identical for any worker count and chunk size.  ``pruned``
+is not: each span tightens its own cut-off.  The frontier is split into at
+most ``workers`` spans, and at most one process per span and usable CPU
+runs them.
 """
 
 from __future__ import annotations
@@ -90,9 +105,14 @@ class ConformerRecord:
 
 @dataclass(frozen=True)
 class TopK:
+    """``visited`` counts every sequence of the enumeration; ``pruned`` counts
+    those the energy bound dropped unscored, which depends on the spans and
+    blocks the sweep ran."""
+
     k: int
     records: tuple
     visited: int
+    pruned: int
 
 
 def enumeration_size(lattice: str, n_beads: int) -> int:
@@ -191,13 +211,17 @@ def conformation_energy(conf, peptide: str, config: SearchConfig) -> float:
 class _Tree:
     """The search tree of one config: bond vectors, scoring pairs, subtree sizes.
 
-    A block of M prefixes ending at turn t (beads 0..t+1 placed) is three
+    A block of M prefixes ending at turn t (beads 0..t+1 placed) is four
     arrays, prefix axis last: turn labels (N-1, M) int8, bead coordinates
-    (N, 3, M) int16 and one shell code per scoring pair (R, M) int8.  A code
-    is 0 (no contact), 1 (first shell), 2 (second shell) or 3 (overlap).
+    (N, 3, M) int16, one shell code per scoring pair (R, M) int8 and the
+    energy of the pairs placed so far (M,) float64.  A code is 0 (no
+    contact), 1 (first shell), 2 (second shell) or 3 (overlap).
     Turns from 2 on try every bond label: the one that backtracks lands on
     bead t-1, so the overlap test drops it with the other overlaps.
     ``below[t]`` counts the sequences that extend a prefix ending at turn t.
+    ``rest[b]`` sums, over the pairs with a bead past b, the pair's lowest
+    table entry, so a prefix placed up to bead b has no extension below its
+    energy plus ``rest[b]`` (its bound), up to ``margin``.
     """
 
     def __init__(self, config: SearchConfig):
@@ -227,12 +251,18 @@ class _Tree:
         first, last = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
         self.ending = [(np.flatnonzero(last == j), first[last == j]) for j in range(n)]
         self.below = [math.prod(self.options[t + 1 :]) for t in range(n - 1)]
+        lowest = self.table.min(axis=1)
+        self.rest = [float(lowest[last > b].sum()) for b in range(n)]
+        # a bound and a leaf energy add the same terms in other orders, so
+        # they round apart by about R * 2**-53 times the terms' absolute sum
+        self.margin = 1e-9 * (1.0 + np.abs(self.table[:, :3]).sum())
 
     def root(self):
         labels = np.zeros((self.n_beads - 1, 1), dtype=np.int8)
         coords = np.zeros((self.n_beads, 3, 1), dtype=np.int16)
         coords[1, :, 0] = self.steps[0][0]
-        return labels, coords, np.zeros((len(self.pairs), 1), dtype=np.int8)
+        codes = np.zeros((len(self.pairs), 1), dtype=np.int8)
+        return labels, coords, codes, np.zeros(1)
 
     def place(self, prefixes, t: int) -> np.ndarray:
         """Codes of bead t+1 against beads 0..t-1, shape (t, labels of turn t, M)."""
@@ -242,21 +272,31 @@ class _Tree:
         square += ((r * r).sum(axis=1) + self.offset[t])[:, None, :]
         return self.code[np.minimum(square, 12, out=square).astype(np.intp)]
 
-    def grow(self, prefixes, t: int):
-        """Extend every prefix by turn t, dropping each child that overlaps.
+    def grow(self, prefixes, t: int, cutoff: float = math.inf):
+        """Extend every prefix by turn t, dropping each child that overlaps
+        or whose bound exceeds ``cutoff``.
 
-        Every extension of an overlapping prefix overlaps too; the dropped
-        subtrees' sequences are returned as a count.
+        Every extension of an overlapping prefix overlaps too, and none of a
+        dropped child's is below its bound.  Returns the children, the
+        sequences below every dropped child and those below the children
+        dropped by the bound alone.
         """
         near = self.place(prefixes, t)
         option, parent = np.nonzero((near != 3).all(axis=0))
-        labels, coords, codes = (a[..., parent] for a in prefixes)
+        rows, beads = self.ending[t + 1]
+        new = near[beads[:, None], option, parent]
+        energy = prefixes[3][parent] + self.table[rows[:, None], new].sum(axis=0)
+        alive = energy + self.rest[t + 1] <= cutoff
+        bounded = parent.size
+        option, parent, energy = option[alive], parent[alive], energy[alive]
+        labels, coords, codes = (a[..., parent] for a in prefixes[:3])
         labels[t] = self.labels[t][option]
         coords[t + 1] = coords[t] + self.steps[t][labels[t]].T
-        rows, beads = self.ending[t + 1]
-        codes[rows] = near[beads[:, None], option, parent]
+        codes[rows] = new[:, alive]
+        below = self.below[t]
         dropped = self.options[t] * near.shape[2] - parent.size
-        return (labels, coords, codes), dropped * self.below[t]
+        pruned = bounded - parent.size
+        return (labels, coords, codes, energy), dropped * below, pruned * below
 
     def leaves(self, prefixes):
         """Non-overlap flags and energies of every full-length extension,
@@ -283,21 +323,33 @@ def _best(energy: np.ndarray, labels: np.ndarray, k: int):
 def _sweep_span(config: SearchConfig, prefixes, turn: int, chunk: int):
     """Worker kernel: the best k leaves below prefixes ending at ``turn``.
 
-    Returns their energies and label columns, plus the number of sequences
-    visited.  Blocks of prefixes worth at most ``chunk`` sequences are grown
-    to full length one turn at a time.
+    Returns their energies and label columns, plus the numbers of sequences
+    visited and pruned.  The prefixes are taken in order of their bounds,
+    and blocks of them are grown to full length one turn at a time.  Once
+    k leaves are kept, every prefix whose bound exceeds the k-th energy by
+    more than the rounding margin is dropped, on the frontier and after each
+    turn.  A block holds prefixes worth about ``chunk`` surviving sequences:
+    the first one is sized by its full subtrees, each later one by the
+    survivors per prefix of the one before, at most twice as many prefixes.
     """
     tree, k = _Tree(config), config.k
+    order = np.argsort(prefixes[3], kind="stable")
+    prefixes = tuple(a[..., order] for a in prefixes)
+    bounds = prefixes[3] + tree.rest[turn + 1]
     best = np.empty(0), np.empty((tree.n_beads - 1, 0), dtype=np.int8)
-    visited = 0
+    visited = pruned = lo = 0
+    cutoff, end = math.inf, bounds.size
     step = max(1, chunk // tree.below[turn])
-    for lo in range(0, prefixes[0].shape[1], step):
-        block = tuple(a[..., lo : lo + step] for a in prefixes)
+    while lo < end:
+        hi = min(lo + step, end)
+        block = tuple(a[..., lo:hi] for a in prefixes)
         for t in range(turn + 1, tree.n_beads - 2):
-            block, dropped = tree.grow(block, t)
+            block, dropped, cut = tree.grow(block, t, cutoff)
             visited += dropped
+            pruned += cut
         ok, energy = tree.leaves(block)
-        visited += tree.options[-1] * ok.shape[1]
+        work = tree.options[-1] * ok.shape[1]
+        visited += work
         keep = ok & (energy < COLLISION_PENALTY)
         if best[0].size == k:
             keep &= energy <= best[0][-1]
@@ -309,7 +361,14 @@ def _sweep_span(config: SearchConfig, prefixes, turn: int, chunk: int):
         labels = block[0][:, parent]
         labels[-1] = tree.labels[-1][option]
         best = _best(np.concatenate([best[0], e]), np.hstack([best[1], labels]), k)
-    return best, visited
+        if best[0].size == k:
+            cutoff = best[0][-1] + tree.margin
+            end = int(np.searchsorted(bounds, cutoff, side="right"))
+        step = max(1, min(2 * (hi - lo), (hi - lo) * chunk // max(work, 1)))
+        lo = hi
+    # the frontier from lo on is above the cut-off
+    skipped = (bounds.size - lo) * tree.below[turn]
+    return best, visited + skipped, pruned + skipped
 
 
 def search(config: SearchConfig) -> TopK:
@@ -327,7 +386,7 @@ def search(config: SearchConfig) -> TopK:
     prefixes, turn, visited = tree.root(), 0, 0
     while turn < n_beads - 3 and tree.below[turn] > chunk:
         turn += 1
-        prefixes, dropped = tree.grow(prefixes, turn)
+        prefixes, dropped, _ = tree.grow(prefixes, turn)
         visited += dropped
 
     n_spans = min(config.workers, prefixes[0].shape[1])
@@ -347,10 +406,10 @@ def search(config: SearchConfig) -> TopK:
                          [turn] * n_spans, [chunk] * n_spans)
             )
 
-    visited += sum(count for _, count in results)
+    visited += sum(count for _, count, _ in results)
     energies, labels = _best(
-        np.concatenate([e for (e, _), _ in results]),
-        np.hstack([rows for (_, rows), _ in results]),
+        np.concatenate([e for (e, _), _, _ in results]),
+        np.hstack([rows for (_, rows), _, _ in results]),
         config.k,
     )
     records = []
@@ -358,4 +417,5 @@ def search(config: SearchConfig) -> TopK:
         seq = TurnSequence(config.lattice, tuple(row.tolist()))
         bits = pack_configuration(seq) if config.lattice == FCC else seq.to_string()
         records.append(ConformerRecord(float(e), seq, bits, coords_from_turns(seq)))
-    return TopK(k=config.k, records=tuple(records), visited=visited)
+    pruned = sum(count for _, _, count in results)
+    return TopK(k=config.k, records=tuple(records), visited=visited, pruned=pruned)

@@ -156,7 +156,7 @@ def test_search_writes_artifacts(tmp_path, capsys):
         ["search", "--peptide", "KLVF", "--k", "3", "--out", str(tmp_path)], capsys
     )
     assert code == 0
-    assert "visited=44" in out
+    assert out.splitlines()[:2] == ["visited=44 kept=3", "pruned=0"]
     document = parse_topobj((tmp_path / "folds.topobj").read_text())
     assert document.records[0].turn_string == "093"
     assert document.records[0].energy == pytest.approx(-13.13)

@@ -436,8 +436,11 @@ def test_cvar_vqe_lockstep_equals_single_restarts(monkeypatch):
 
 def pdp_alone(engine, ansatz, theta0, key, cfg):
     """One trajectory from ``theta0`` at ``key = (nu, mu, restart)`` through
-    the primal-dual driver: its ``GridEntry`` and its trace rows."""
-    (entry,), (rows,), _ = _pdp_runs(engine, ansatz, [theta0], [key], cfg)
+    the primal-dual driver: its ``GridEntry`` and its trace rows.  Run
+    untraced, it gives the same entry and keeps no rows."""
+    (entry,), (rows,), _ = _pdp_runs(engine, ansatz, [theta0], [key], cfg, traced=True)
+    (untraced,), (no_rows,), _ = _pdp_runs(engine, ansatz, [theta0], [key], cfg)
+    assert untraced == entry and no_rows == []
     return entry, rows
 
 

@@ -147,6 +147,39 @@ def test_table_roundtrip(p):
     assert_same_function(back, p)
 
 
+def bitwise_from_value_table(table, on_vars, n_vars):
+    """The former ``from_value_table``: each global mask built one bit at a time."""
+    coeffs = table.astype(float, copy=True)
+    pb._mobius_inplace(coeffs, len(on_vars))
+    terms = {}
+    for local in np.flatnonzero(np.abs(coeffs) >= pb.COEFF_EPS):
+        mask, m = 0, int(local)
+        while m:
+            low = m & -m
+            mask |= 1 << on_vars[low.bit_length() - 1]
+            m ^= low
+        terms[mask] = float(coeffs[local])
+    return terms
+
+
+@pytest.mark.parametrize("v", [1, 8, 9, 17])
+def test_from_value_table_equals_bitwise_map(v):
+    # unsorted variables up to 199, past a machine word; a sparse polynomial,
+    # so some table indices drop; the same terms in the same order
+    rng = np.random.default_rng(v)
+    on_vars = [int(x) for x in rng.choice(200, v, replace=False)]
+    terms = [
+        (rng.choice(on_vars, rng.integers(0, v + 1), replace=False).tolist(), int(c))
+        for c in rng.integers(-3, 4, 4 * v)
+    ]
+    table = pb.value_table(PBPolynomial.from_terms(terms, 200), on_vars)
+    got = pb.from_value_table(table, on_vars, 200).terms
+    want = bitwise_from_value_table(table, on_vars, 200)
+    assert list(got.items()) == list(want.items())
+    assert 0 < len(got) < len(table) or v == 1
+    assert any(mask >> 63 for mask in got) or v < 8
+
+
 def test_value_table_rejects_missing_variable():
     p = PBPolynomial.variable(2, 4)
     with pytest.raises(EncodingError):

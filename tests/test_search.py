@@ -331,11 +331,15 @@ def test_chunk_invariance(monkeypatch):
 
 
 @pytest.mark.parametrize("lattice", ["fcc", "tet"])
-@pytest.mark.parametrize("chunk", [1, 7, 11, 121, 10**6])
+@pytest.mark.parametrize("chunk", [1, 7, 11, 13, 121, 10**6])
 def test_split_boundary_invariance(monkeypatch, lattice, chunk):
-    # N=7: the block and worker splits fall inside the turn tree
+    # N=7: the block and worker splits fall inside the turn tree, where the
+    # blocks after the first prune; every split gives the unpruned odometer
+    # sweep's records
     base = dict(lattice=lattice, peptide="KLVFFAE", nn_level=2, k=40)
     ref = search(config(**base))
+    want, visited = reference_search(config(**base))
+    assert_same_records(ref, want, visited, lattice)
     assert ref.visited == enumeration_size(lattice, 7)
     monkeypatch.setattr(search_module, "CHUNK", chunk)
     for workers in (1, 2, 3):
@@ -378,10 +382,13 @@ def test_pool_size_is_capped_by_spans_and_cpus(monkeypatch, workers, cpus, proce
 
 @pytest.mark.parametrize("lattice", ["fcc", "tet"])
 def test_visited_is_enumeration_size(lattice):
+    # pruned subtrees count once each: from N=7 on, an FCC frontier takes
+    # more than one block, and the blocks after the first prune
     for n_beads in range(3, 9):
         peptide = "KLVFFAEG"[:n_beads]
         top = search(config(lattice=lattice, peptide=peptide, k=1))
         assert top.visited == enumeration_size(lattice, n_beads)
+        assert (top.pruned > 0) == (lattice == "fcc" and n_beads >= 7)
 
 
 # --- the prefix sweep against the former odometer sweep ---
@@ -415,9 +422,50 @@ def test_search_equals_odometer_sweep(lattice, matrix_name, nn_level):
 
 
 def test_search_equals_odometer_sweep_n8():
-    cfg = SearchConfig("fcc", "MCMPKHHR", MJ, k=25, nn_level=2)
-    want, visited = reference_search(cfg)
-    assert_same_records(search(cfg), want, visited, "fcc")
+    # the HP cases' 10th and 11th energies tie; in LGGGGGGL only the end
+    # pair scores, so every prefix's bound equals the cut-off, -1, and no
+    # prefix may be pruned: each must compete on its turn strings
+    hp = load_matrix("hp")
+    for cfg in (
+        SearchConfig("fcc", "MCMPKHHR", MJ, k=25, nn_level=2),
+        SearchConfig("fcc", "MCMPKHHR", MJ, k=1),
+        SearchConfig("fcc", "LLLLLLLL", hp, k=10),
+        SearchConfig("fcc", "LGGGGGGL", hp, k=10),
+    ):
+        want, visited = reference_search(replace(cfg, k=cfg.k + 1))
+        if cfg.matrix is hp:
+            assert want[cfg.k - 1][0] == want[cfg.k][0]
+        for workers in (1, 2):
+            top = search(replace(cfg, workers=workers))
+            assert type(top.pruned) is int
+            assert (top.pruned > 0) == (cfg.peptide != "LGGGGGGL")
+            assert_same_records(top, want[: cfg.k], visited, "fcc")
+
+
+@pytest.mark.parametrize("lattice", ["fcc", "tet"])
+@pytest.mark.parametrize("nn_level", [1, 2])
+def test_prefix_bound_is_admissible(lattice, nn_level):
+    # every prefix of N=6 sequences, at every turn: its bound is at or below
+    # its best self-avoiding completion, scored by the plain-recursion oracle
+    cfg = config(lattice=lattice, peptide="MCMPKH", nn_level=nn_level)
+    enum = recursive_fcc_turns if lattice == "fcc" else recursive_tet_turns
+    best = {}
+    for turns in enum(6):
+        energy, collided = oracle_energy(turns, "MCMPKH", lattice, nn_level)
+        if collided:
+            continue
+        for t in range(len(turns)):
+            best[turns[: t + 1]] = min(best.get(turns[: t + 1], math.inf), energy)
+    tree = search_module._Tree(cfg)
+    assert 0 < tree.margin < 1e-6
+    prefixes, checked = tree.root(), 0
+    for t in range(1, 5):
+        prefixes, _, _ = tree.grow(prefixes, t)
+        for labels, energy in zip(prefixes[0].T, prefixes[3]):
+            key = tuple(labels[: t + 1].tolist())
+            assert energy + tree.rest[t + 1] <= best.get(key, math.inf) + tree.margin
+            checked += key in best
+    assert checked > 0
 
 
 def test_prefix_of_larger_k():
