@@ -21,7 +21,7 @@ from dataclasses import MISSING, fields, replace
 from . import pipeline
 from .analysis import energy_probability_report, write_topobj, write_xyz
 from .exceptions import QfoldError
-from .hamiltonian import MODE_POLYFIT, MODES
+from .hamiltonian import MODE_POLYFIT, MODES, EncodingLayout
 from .lattice import FCC, LATTICES
 from .optimize import cobyla_budget
 from .pipeline import METHOD_MODES, METHODS, RunManifest, check_finite_positive
@@ -36,14 +36,13 @@ from .sim import ShotTable
 def resource_counts(n_beads: int) -> dict:
     """Qubit budget for an N-bead chain, slack-free versus slack encodings.
 
-    The slack-free budget is 4N-10 configuration qubits plus one ancilla per
-    non-bonded pair.  The slack alternative replaces the ancillas with one
-    integer register per pair, ceil(log2(2(j-i)^2 - 1)) bits wide.
+    The slack-free budget is the ``EncodingLayout`` the Hamiltonian is built
+    on: 4N-10 configuration qubits plus one ancilla per non-bonded pair.  The
+    slack alternative replaces the ancillas with one integer register per
+    pair, ceil(log2(2(j-i)^2 - 1)) bits wide.
     """
-    if n_beads < 3:
-        raise QfoldError("resource accounting needs at least 3 beads")
-    config = 4 * n_beads - 10
-    ancilla = (n_beads - 1) * (n_beads - 2) // 2
+    layout = EncodingLayout(n_beads)
+    config, ancilla = layout.n_config_bits, layout.n_ancillas
     slack_bits = 0
     for sep in range(2, n_beads):
         width = math.ceil(math.log2(2 * sep * sep - 1))
@@ -224,17 +223,16 @@ def _manifest(args, **given) -> RunManifest:
 
 def cmd_fit_penalty(args) -> int:
     check_finite_positive("p0", args.p0, "penalty height")
+    from .polyfit import PenaltyTarget, fit_family, fit_penalty
+
     if args.separation is not None:
         if args.separation < 3:
             raise QfoldError("penalty fits start at bead separation 3")
-        n_beads = args.separation + 1
+        target = PenaltyTarget(args.separation, args.p0)
+        fits = {args.separation: fit_penalty(target, r2_tol=args.r2_tol)}
     else:
         n_beads = len(validate_peptide(args.peptide))
-    from .polyfit import fit_family
-
-    fits = fit_family(n_beads, p0=args.p0, r2_tol=args.r2_tol)
-    if args.separation is not None:
-        fits = {args.separation: fits[args.separation]}
+        fits = fit_family(n_beads, p0=args.p0, r2_tol=args.r2_tol)
     _emit_fits(fits, None, args.out)
     return 0
 

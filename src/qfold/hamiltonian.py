@@ -19,8 +19,10 @@ In the constrained mode the overlap physics moves out of the objective into
 explicit constraint polynomials ``2 - D_mn`` for every pair at separation
 >= 2 (bonded neighbours satisfy ``D = 2`` identically and are omitted).
 
-Qubit layout: configuration bits 0 .. 4N-11 first (turn 1 prefix bits q0 q1,
-then 4-bit groups per turn), ancillas after them in lexicographic pair order.
+Qubit layout (``EncodingLayout``): configuration bits 0 .. 4N-11 first, turn
+``j`` on ``lattice.turn_bits(j)`` holding ``lattice.turn_words(j)``; then
+ancilla ``a`` of the lexicographic pair order on qubit ``4N - 10 + a``.  Every
+term loops over turns 1 .. N-2 through one indicator, ``indicator_poly``.
 """
 
 from __future__ import annotations
@@ -32,14 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import EncodingError, ParseError, QfoldError
-from .lattice import (
-    FCC_CODEWORDS,
-    FCC_VECTORS,
-    REDUNDANT_CODEWORDS,
-    SECOND_TURN_LABELS,
-    inverse_label,
-    n_config_bits,
-)
+from .lattice import FCC_VECTORS, inverse_label, n_config_bits, turn_bits, turn_words
 from .pb import PBPolynomial, table_support, value_table
 from .scoring import EnergyMatrix, epsilon_table, validate_peptide
 
@@ -57,7 +52,8 @@ INSTANCE_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class EncodingLayout:
-    """Variable indexing for an N-bead chain."""
+    """Variable indexing for an N-bead chain: the configuration bits, then
+    one ancilla per interaction pair."""
 
     n_beads: int
 
@@ -83,21 +79,17 @@ class EncodingLayout:
     def total_qubits(self) -> int:
         return self.n_config_bits + self.n_ancillas
 
-    def ancilla_index(self, m: int, n: int) -> int:
-        try:
-            offset = self.pairs.index((m, n))
-        except ValueError:
-            raise EncodingError(f"({m}, {n}) is not an interaction pair") from None
-        return self.n_config_bits + offset
+    def ancilla_qubit(self, a: int) -> int:
+        """Qubit of ancilla ``a``, the ancilla of ``pairs[a]``."""
+        if not 0 <= a < self.n_ancillas:
+            raise EncodingError(f"ancilla {a} out of range 0..{self.n_ancillas - 1}")
+        return self.n_config_bits + a
 
-    def group_qubits(self, j: int) -> tuple:
-        """Qubits of turn group j >= 2 (turn 1 lives on the prefix bits 0, 1)."""
-        if not 2 <= j <= self.n_beads - 2:
-            raise EncodingError(
-                f"turn index {j} out of range 2..{self.n_beads - 2}"
-            )
-        phi = 4 * (j - 2)
-        return tuple(phi + 2 + i for i in range(4))
+    def turn_qubits(self, j: int) -> range:
+        """Qubits of turn ``j``, 1 <= j <= N-2 (``lattice.turn_bits``)."""
+        if not 1 <= j <= self.n_beads - 2:
+            raise EncodingError(f"turn index {j} out of range 1..{self.n_beads - 2}")
+        return turn_bits(j)
 
 
 @dataclass(frozen=True)
@@ -121,21 +113,18 @@ def _literal_product(qubits, code: str, n_vars: int) -> PBPolynomial:
     return poly
 
 
-def indicator_poly(layout: EncodingLayout, j: int, code: str) -> PBPolynomial:
-    """Indicator of turn group ``j`` holding the 4-bit word ``code``.
+def indicator_poly(layout: EncodingLayout, j: int, word: str) -> PBPolynomial:
+    """Indicator of turn ``j`` holding ``word`` on its qubits.
 
-    Evaluates to 1 exactly on assignments whose group bits equal ``code``.
+    Evaluates to 1 exactly on assignments whose turn-``j`` bits equal
+    ``word``, which has one character per qubit: two for turn 1, four after.
     """
-    if len(code) != 4 or any(c not in "01" for c in code):
-        raise EncodingError(f"codeword must be four binary characters, got {code!r}")
-    return _literal_product(layout.group_qubits(j), code, layout.total_qubits)
-
-
-def second_turn_indicator(layout: EncodingLayout, prefix: str) -> PBPolynomial:
-    """Indicator of the two turn-1 prefix bits q0 q1 equalling ``prefix``."""
-    if len(prefix) != 2 or any(c not in "01" for c in prefix):
-        raise EncodingError(f"prefix must be two binary characters, got {prefix!r}")
-    return _literal_product((0, 1), prefix, layout.total_qubits)
+    qubits = layout.turn_qubits(j)
+    if len(word) != len(qubits) or word.strip("01"):
+        raise EncodingError(
+            f"turn {j} words are {len(qubits)} binary characters, got {word!r}"
+        )
+    return _literal_product(qubits, word, layout.total_qubits)
 
 
 def _step_polys(layout: EncodingLayout, j: int) -> tuple:
@@ -145,18 +134,11 @@ def _step_polys(layout: EncodingLayout, j: int) -> tuple:
         return tuple(
             PBPolynomial.constant(float(FCC_VECTORS[0][c]), n_vars) for c in range(3)
         )
-    if j == 1:
-        out = [PBPolynomial.zero(n_vars) for _ in range(3)]
-        for k, label in enumerate(SECOND_TURN_LABELS):
-            ind = second_turn_indicator(layout, f"{k:02b}")
-            for c in range(3):
-                v = float(FCC_VECTORS[label][c])
-                if v:
-                    out[c] = out[c] + ind * v
-        return tuple(out)
     out = [PBPolynomial.zero(n_vars) for _ in range(3)]
-    for label, code in enumerate(FCC_CODEWORDS):
-        ind = indicator_poly(layout, j, code)
+    for word, label in turn_words(j).items():
+        if label is None:
+            continue
+        ind = indicator_poly(layout, j, word)
         for c in range(3):
             v = float(FCC_VECTORS[label][c])
             if v:
@@ -180,9 +162,8 @@ def _bead_positions(layout: EncodingLayout, count: int) -> list:
 def position_polys(layout: EncodingLayout, m: int) -> tuple:
     """Coordinates of bead ``m`` as polynomials (x_m, y_m, z_m).
 
-    Bead 0 sits at the origin; bead 1 adds only the fixed first turn; later
-    beads accumulate the turn-1 prefix terms and one sum of direction
-    indicators per 4-bit group.
+    Bead 0 sits at the origin; bead 1 adds only the fixed first turn; each
+    later bead adds one sum of direction indicators of its turn.
     """
     if not 0 <= m < layout.n_beads:
         raise EncodingError(f"bead index {m} out of range 0..{layout.n_beads - 1}")
@@ -225,32 +206,27 @@ def pair_distance_polys(layout: EncodingLayout) -> dict:
 def build_h_back(layout: EncodingLayout, lam_back: float = 50.0) -> PBPolynomial:
     """Backtrack penalty: each turn followed by its inverse costs lam_back.
 
-    Turn 1 lives on two prefix bits, so its four reversal events are written
-    explicitly (prefix indicator times the inverse-direction indicator of
-    turn 2); all later consecutive turn pairs come from the double sum over
-    full 4-bit groups.
+    For every consecutive pair of turns, the indicator of each direction
+    word of the first times that of its inverse label's word on the second.
     """
-    n_vars = layout.total_qubits
-    total = PBPolynomial.zero(n_vars)
-    if layout.n_beads >= 4:
-        for k, label in enumerate(SECOND_TURN_LABELS):
-            prefix = second_turn_indicator(layout, f"{k:02b}")
-            back = indicator_poly(layout, 2, FCC_CODEWORDS[inverse_label(label)])
-            total = total + prefix * back
-    for j in range(2, layout.n_beads - 2):
-        for label in range(12):
-            here = indicator_poly(layout, j, FCC_CODEWORDS[label])
-            there = indicator_poly(layout, j + 1, FCC_CODEWORDS[inverse_label(label)])
-            total = total + here * there
+    total = PBPolynomial.zero(layout.total_qubits)
+    for j in range(1, layout.n_beads - 2):
+        following = {label: word for word, label in turn_words(j + 1).items()}
+        for word, label in turn_words(j).items():
+            if label is not None:
+                here = indicator_poly(layout, j, word)
+                back = following[inverse_label(label)]
+                total = total + here * indicator_poly(layout, j + 1, back)
     return total * lam_back
 
 
 def build_h_redun(layout: EncodingLayout, lam_redun: float = 50.0) -> PBPolynomial:
-    """Penalty on the four codewords that address no direction."""
+    """Penalty on the words that address no direction."""
     total = PBPolynomial.zero(layout.total_qubits)
-    for j in range(2, layout.n_beads - 1):
-        for code in sorted(REDUNDANT_CODEWORDS):
-            total = total + indicator_poly(layout, j, code)
+    for j in range(1, layout.n_beads - 1):
+        for word, label in turn_words(j).items():
+            if label is None:
+                total = total + indicator_poly(layout, j, word)
     return total * lam_redun
 
 
@@ -272,8 +248,8 @@ def build_h_int(
     eps = epsilon_table(matrix, peptide)
     n_vars = layout.total_qubits
     total = PBPolynomial.zero(n_vars)
-    for m, n in layout.pairs:
-        ancilla = PBPolynomial.variable(layout.ancilla_index(m, n), n_vars)
+    for a, (m, n) in enumerate(layout.pairs):
+        ancilla = PBPolynomial.variable(layout.ancilla_qubit(a), n_vars)
         gap = 3.0 - distances[m, n]
         total = total + ancilla * gap * float(eps[m, n])
     return total
@@ -455,28 +431,28 @@ class InstanceTables:
     """Dense per-configuration tables exploiting the ancilla structure.
 
     Every ancilla appears only in its own linear term, so the objective
-    splits as ``base(c) + sum_mn a_mn * pair_mn(c)`` with all tables indexed
-    by the configuration bits alone.  This keeps large instances (24 qubits)
-    out of full 2^n territory and gives the exact ancilla-optimal energy per
-    configuration in closed form.
+    splits as ``base(c) + sum_a q_a * pair_a(c)`` with all tables indexed by
+    the configuration bits alone: ``base_table``, ``pair_tables[a]`` for
+    ancilla ``a`` in pair order, and one ``constraint_tables`` entry per
+    constraint.  This keeps large instances (24 qubits) out of full 2^n
+    territory and gives the exact ancilla-optimal energy per configuration
+    in closed form.
     """
 
     def __init__(self, instance: ProblemInstance):
         layout = instance.layout
-        self.instance = instance
-        config_vars = list(range(layout.n_config_bits))
-        ancilla_mask = 0
-        for m, n in layout.pairs:
-            ancilla_mask |= 1 << layout.ancilla_index(m, n)
+        config_vars = range(layout.n_config_bits)
+        ancilla_of = {1 << layout.ancilla_qubit(a): a for a in range(layout.n_ancillas)}
+        ancilla_mask = sum(ancilla_of)
 
         base = {}
-        per_pair = {layout.ancilla_index(m, n): {} for m, n in layout.pairs}
+        per_ancilla = [{} for _ in ancilla_of]
         for mask, coeff in instance.objective.terms.items():
             hit = mask & ancilla_mask
             if hit == 0:
                 base[mask] = coeff
-            elif hit.bit_count() == 1:
-                per_pair[hit.bit_length() - 1][mask ^ hit] = coeff
+            elif hit in ancilla_of:
+                per_ancilla[ancilla_of[hit]][mask ^ hit] = coeff
             else:
                 raise EncodingError("objective couples ancillas; tables do not apply")
 
@@ -484,10 +460,10 @@ class InstanceTables:
         self.base_table = value_table(
             PBPolynomial(n_vars, base, _canonical=True), config_vars
         )
-        self.pair_tables = {
-            idx: value_table(PBPolynomial(n_vars, terms, _canonical=True), config_vars)
-            for idx, terms in per_pair.items()
-        }
+        self.pair_tables = [
+            value_table(PBPolynomial(n_vars, terms, _canonical=True), config_vars)
+            for terms in per_ancilla
+        ]
         self.constraint_tables = [
             value_table(c, config_vars) for c in instance.constraints
         ]
@@ -495,11 +471,6 @@ class InstanceTables:
     def ancilla_optimal_energies(self) -> np.ndarray:
         """Exact min over ancillas of the objective, per configuration."""
         energies = self.base_table.copy()
-        for table in self.pair_tables.values():
+        for table in self.pair_tables:
             energies += np.minimum(table, 0.0)
         return energies
-
-    def full_diagonal(self) -> np.ndarray:
-        """Dense objective diagonal over all qubits (small instances only)."""
-        n = self.instance.n_qubits
-        return value_table(self.instance.objective, list(range(n)))

@@ -5,12 +5,12 @@ selecting the lattice vector that joins consecutive beads.
 
 On the FCC lattice the twelve nearest-neighbour directions are addressed by the
 labels ``0..b`` (hex).  Each label owns a unique 4-bit codeword; the four
-codewords that address no direction are *redundant* and are penalised at the
-Hamiltonian level rather than forbidden structurally.  A configuration
-bitstring packs the turn sequence with a fixed prefix: turn 0 is pinned to
-label ``0`` and consumes no bits, turn 1 is restricted to codewords of the form
-``q0 q1 0 0`` (two free bits), and every later turn consumes a full 4-bit
-group, for ``4 N - 10`` configuration bits in total.
+words that address no direction are *redundant* and are penalised at the
+Hamiltonian level rather than forbidden structurally.  Qubit layout: turn 0 is
+pinned to label ``0`` and holds no bits; ``turn_bits`` places turn 1 on
+``q0 q1`` (the codewords ``q0 q1 0 0``) and turn ``j >= 2`` on
+``q_{4j-6} .. q_{4j-3}``, ``4 N - 10`` configuration bits in all, and
+``turn_words`` gives each turn's words and their labels.
 
 On the tetrahedral (diamond) lattice each bead has four neighbours.  Bond
 vectors alternate in sign along the chain, so a single absolute turn label in
@@ -24,7 +24,9 @@ Bit conventions used everywhere in this package: character ``i`` of a bitstring
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,17 +72,34 @@ FCC_CODEWORDS = (
     "1000", "0100", "1011", "0111",
 )
 
-#: The four codewords that address no direction.
-REDUNDANT_CODEWORDS = frozenset({"0010", "0001", "1101", "1110"})
-
 #: Hex digits used when rendering FCC turn labels as text.
 TURN_CHARS = "0123456789ab"
 
-#: Turn-1 labels selected by the two free prefix bits q0 q1 = 00, 01, 10, 11.
-SECOND_TURN_LABELS = (0, 9, 8, 2)
-
 _CODEWORD_TO_LABEL = {code: label for label, code in enumerate(FCC_CODEWORDS)}
 _CHAR_TO_LABEL = {c: i for i, c in enumerate(TURN_CHARS)}
+
+
+def turn_bits(j: int) -> range:
+    """Configuration bits of turn ``j >= 1``: ``q0 q1`` for turn 1, then
+    ``q_{4j-6} .. q_{4j-3}``."""
+    if j < 1:
+        raise EncodingError(f"turn {j} holds no configuration bits")
+    return range(max(4 * j - 6, 0), 4 * j - 2)
+
+
+@functools.cache
+def turn_words(j: int) -> MappingProxyType:
+    """Label of every word turn ``j >= 1`` may hold, in binary order; None
+    marks a redundant word.  A turn on ``w < 4`` bits holds the codewords
+    whose last ``4 - w`` bits are 0, written by their first ``w``."""
+    width = len(turn_bits(j))
+    codes = (f"{k:04b}" for k in range(16))
+    words = {c[:width]: _CODEWORD_TO_LABEL.get(c) for c in codes if "1" not in c[width:]}
+    return MappingProxyType(words)
+
+
+#: Turn-1 labels selected by the two free prefix bits q0 q1 = 00, 01, 10, 11.
+SECOND_TURN_LABELS = tuple(turn_words(1).values())
 
 
 def inverse_label(label: int) -> int:
@@ -175,7 +194,7 @@ def n_config_bits(n_beads: int) -> int:
     """Number of configuration bits for an FCC chain: ``4 N - 10``."""
     if n_beads < 3:
         raise EncodingError(f"need at least 3 beads, got {n_beads}")
-    return 4 * n_beads - 10
+    return turn_bits(n_beads - 2).stop
 
 
 def encode_turn(label: int) -> str:
@@ -189,9 +208,8 @@ def unpack_configuration(bits: str, n_beads: int) -> TurnSequence:
     """Decode a configuration bitstring into a turn sequence.
 
     Character ``i`` of ``bits`` is variable ``q_i``.  Turn 0 is label 0 by
-    construction; turn 1 is decoded from ``q0 q1 0 0``; turn ``j >= 2`` is
-    decoded from the group ``q_{4j-6} .. q_{4j-3}``.  Groups matching a
-    redundant codeword yield ``None`` in that slot.
+    construction; turn ``j >= 1`` is the label of the word on its
+    ``turn_bits``.  Redundant words yield ``None`` in that slot.
 
     Raises
     ------
@@ -206,12 +224,11 @@ def unpack_configuration(bits: str, n_beads: int) -> TurnSequence:
         )
     if bits.strip("01"):
         raise EncodingError("configuration bits must be '0'/'1'")
-    # the groups are checked binary words now, so they index the codeword table
+    # the words are checked binary now, so each is a key of its turn's map
     turns = [0]
-    if n_beads >= 3:
-        turns.append(_CODEWORD_TO_LABEL.get(bits[0:2] + "00"))
-    for j in range(2, n_beads - 1):
-        turns.append(_CODEWORD_TO_LABEL.get(bits[4 * j - 6 : 4 * j - 2]))
+    for j in range(1, n_beads - 1):
+        span = turn_bits(j)
+        turns.append(turn_words(j)[bits[span.start : span.stop]])
     return TurnSequence(FCC, tuple(turns))
 
 
@@ -224,13 +241,14 @@ def pack_configuration(seq: TurnSequence) -> str:
         raise EncodingError("need at least two turns (three beads)")
     if turns[0] != 0:
         raise EncodingError("turn 0 must be label 0")
-    if turns[1] not in SECOND_TURN_LABELS:
-        raise EncodingError(f"turn 1 label {turns[1]} not reachable from prefix bits")
-    bits = [encode_turn(turns[1])[0:2]]
-    for j, t in enumerate(turns[2:], start=2):
+    bits = []
+    for j, t in enumerate(turns[1:], start=1):
         if t is None:
             raise EncodingError(f"turn {j} is redundant; cannot pack")
-        bits.append(encode_turn(t))
+        word = encode_turn(t)[: len(turn_bits(j))]
+        if turn_words(j).get(word) != t:
+            raise EncodingError(f"turn {j} label {t} not reachable from its bits")
+        bits.append(word)
     return "".join(bits)
 
 

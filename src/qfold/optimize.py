@@ -85,19 +85,23 @@ def constraint_violation(f) -> float:
 
 
 class ExpectationEngine:
-    """Exact diagonal expectations over configuration-space marginals."""
+    """Exact diagonal expectations over configuration-space marginals.
+
+    A state is a grid of ``2^A`` ancilla rows by ``2^C`` configuration
+    columns, ancilla ``a`` on bit ``a`` of the row, weighed against the
+    ``InstanceTables``; ``_diagonal`` spreads the tables over the grid.
+    """
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
         self.tables = InstanceTables(instance)
         self.n_vars = instance.n_qubits
         self.n_config = instance.layout.n_config_bits
-        self.n_ancillas = self.n_vars - self.n_config
+        self.n_ancillas = instance.layout.n_ancillas
         rows = np.arange(1 << self.n_ancillas)
-        self._row_masks = {
-            idx: ((rows >> (idx - self.n_config)) & 1).astype(bool)
-            for idx in self.tables.pair_tables
-        }
+        self._row_masks = [
+            ((rows >> a) & 1).astype(bool) for a in range(self.n_ancillas)
+        ]
         optimal = self.tables.ancilla_optimal_energies()
         feasible = np.ones(optimal.shape[0], dtype=bool)
         for table in self.tables.constraint_tables:
@@ -132,8 +136,8 @@ class ExpectationEngine:
         grid = probs.reshape(1 << self.n_ancillas, 1 << self.n_config, -1)
         marginals = np.ascontiguousarray(grid.sum(axis=0).T)
         pairs = [
-            (np.ascontiguousarray(grid[self._row_masks[idx]].sum(axis=0).T), table)
-            for idx, table in self.tables.pair_tables.items()
+            (np.ascontiguousarray(grid[rows].sum(axis=0).T), table)
+            for rows, table in zip(self._row_masks, self.tables.pair_tables)
         ]
         out = np.empty((marginals.shape[0], 1 + self.n_constraints))
         for col, marginal in enumerate(marginals):
@@ -151,23 +155,31 @@ class ExpectationEngine:
         F_0 is the objective and F_1.. the constraints, as in ``f_vector``.
         Takes one state and one weight vector, or a ``(2^n, B)`` block of
         states and one weight row per column.  D_w is built in the result
-        buffer from the configuration tables: row 0 of the (ancilla,
-        configuration) grid is the weighted base and constraint tables, and
-        each ancilla doubles the rows filled so far by adding its pair
-        table.  Every step is elementwise, so a column's result does not
-        depend on the others.
+        buffer by ``_diagonal``.
         """
         weights = np.asarray(weights, dtype=float)
-        weights = weights.reshape(-1, 1 + self.n_constraints).T
-        out = np.empty(state.shape)
+        out = self._diagonal(weights.reshape(-1, 1 + self.n_constraints).T, state.shape)
+        out *= state
+        return out
+
+    def _diagonal(self, weights: np.ndarray, shape) -> np.ndarray:
+        """``sum_m weights[m, b] F_m`` in column ``b`` of a new ``shape`` array.
+
+        ``shape`` is ``2^n`` or ``(2^n, B)``.  Row 0 of the (ancilla,
+        configuration) grid is the weighted base and constraint tables, and
+        ancilla ``a`` doubles the rows filled so far by adding its weighted
+        pair table.  ``weights`` has a row for the objective, then one per
+        constraint; the objective's row alone gives the objective's diagonal.
+        Every step is elementwise, so a column does not depend on the others.
+        """
+        out = np.empty(shape)
         grid = out.reshape(1 << self.n_ancillas, 1 << self.n_config, -1)
         np.multiply(self.tables.base_table[:, None], weights[0], out=grid[0])
         for weight, table in zip(weights[1:], self.tables.constraint_tables):
             grid[0] += weight * table[:, None]
-        for j in range(self.n_ancillas):
-            pair = weights[0] * self.tables.pair_tables[self.n_config + j][:, None]
-            np.add(grid[: 1 << j], pair, out=grid[1 << j : 2 << j])
-        out *= state
+        for a, table in enumerate(self.tables.pair_tables):
+            pair = weights[0] * table[:, None]
+            np.add(grid[: 1 << a], pair, out=grid[1 << a : 2 << a])
         return out
 
     def cvar_objective(self, probs: np.ndarray, alpha: float):
@@ -179,7 +191,7 @@ class ExpectationEngine:
         ``sorted_cvar`` call; every value is the bits of its column alone.
         """
         if self._sorted_diag is None:
-            diag = self.tables.full_diagonal()
+            diag = self._diagonal(np.ones((1, 1)), 1 << self.n_vars)
             self._sort_order = np.argsort(diag, kind="stable")
             self._sorted_diag = diag[self._sort_order]
         rows = np.take(probs.T, self._sort_order, axis=-1)

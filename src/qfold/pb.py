@@ -244,15 +244,13 @@ def _mobius_inplace(table: np.ndarray, v: int):
         view[:, 1, :] -= view[:, 0, :]
 
 
-def value_table(poly: PBPolynomial, on_vars=None) -> np.ndarray:
+def value_table(poly: PBPolynomial, on_vars) -> np.ndarray:
     """Values of ``poly`` on all assignments of ``on_vars``.
 
     Entry ``k`` of the result is the value at the assignment where local bit
     ``j`` of ``k`` sets variable ``on_vars[j]`` (variables outside ``on_vars``
     must not appear in the polynomial).
     """
-    if on_vars is None:
-        on_vars = poly.support()
     on_vars = list(on_vars)
     pos = {var: j for j, var in enumerate(on_vars)}
     v = len(on_vars)

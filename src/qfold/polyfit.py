@@ -75,10 +75,6 @@ class ChebyshevFit:
     r2: float
     coeffs_cheb: tuple
 
-    @property
-    def d_max(self) -> int:
-        return 2 * self.separation**2
-
     def _map(self, d):
         return np.asarray(d, dtype=float) / self.separation**2 - 1.0
 

@@ -18,6 +18,7 @@ from qfold.exceptions import ParseError, QfoldError
 from qfold.hamiltonian import ProblemInstance
 from qfold.optimize import CvarVqeConfig, VqecConfig
 from qfold.pipeline import read_params
+from qfold.polyfit import PenaltyTarget, fit_penalty, fit_report
 from qfold.scoring import load_matrix
 from qfold.search import SearchConfig
 from qfold.analysis import parse_topobj, parse_xyz
@@ -87,6 +88,28 @@ def test_fit_penalty_single_separation(tmp_path, capsys):
     assert set(doc) == {"3"}
     assert doc["3"]["r2"] >= 0.999
     assert abs(doc["3"]["p0"] - 50.0) < 1e-12
+
+
+@pytest.mark.parametrize("separation", [3, 12])
+def test_fit_penalty_separation_is_that_one_fit(tmp_path, capsys, separation):
+    code, out, _ = run_cli(
+        ["fit-penalty", "--separation", str(separation), "--r2-tol", "0.99",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    fit = fit_penalty(PenaltyTarget(separation, 50.0), 0.99)
+    path = tmp_path / "fits.json"
+    assert out == fit_report({separation: fit}) + f"wrote {path}\n"
+    doc = {
+        str(separation): {
+            "degree": fit.degree,
+            "r2": fit.r2,
+            "p0": fit.p0,
+            "coeffs_cheb": list(fit.coeffs_cheb),
+        }
+    }
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_fit_penalty_rejects_short_separation(capsys):

@@ -19,12 +19,15 @@ from qfold import lattice as lat
 from qfold import pb, polyfit, scoring
 from qfold.exceptions import EncodingError, ParseError
 from util import (
+    REFERENCE_LABELS,
     bits_to_mask,
     decodable_masks,
     geometric_fcc_energy,
     json_values,
     mask_to_bits,
     mutated_json,
+    objective_diagonal,
+    reference_turn_word,
 )
 
 
@@ -51,20 +54,21 @@ def test_layout_counts():
 def test_layout_pairs_lexicographic():
     lay = ham.EncodingLayout(5)
     assert lay.pairs == ((0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4))
-    assert lay.ancilla_index(0, 2) == lay.n_config_bits
-    assert lay.ancilla_index(2, 4) == lay.total_qubits - 1
-    with pytest.raises(EncodingError):
-        lay.ancilla_index(0, 1)
+    assert lay.ancilla_qubit(0) == lay.n_config_bits
+    assert lay.ancilla_qubit(5) == lay.total_qubits - 1
+    for a in (-1, 6):
+        with pytest.raises(EncodingError):
+            lay.ancilla_qubit(a)
 
 
-def test_group_qubits():
+def test_turn_qubits():
     lay = ham.EncodingLayout(6)
-    assert lay.group_qubits(2) == (2, 3, 4, 5)
-    assert lay.group_qubits(4) == (10, 11, 12, 13)
-    with pytest.raises(EncodingError):
-        lay.group_qubits(5)
-    with pytest.raises(EncodingError):
-        lay.group_qubits(1)
+    assert tuple(lay.turn_qubits(1)) == (0, 1)
+    assert tuple(lay.turn_qubits(2)) == (2, 3, 4, 5)
+    assert tuple(lay.turn_qubits(4)) == (10, 11, 12, 13)
+    for j in (0, 5):
+        with pytest.raises(EncodingError):
+            lay.turn_qubits(j)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +97,36 @@ def test_indicators_partition_unity():
 
 def test_indicator_errors():
     lay = ham.EncodingLayout(4)
-    with pytest.raises(EncodingError):
-        ham.indicator_poly(lay, 3, "0000")
-    with pytest.raises(EncodingError):
-        ham.indicator_poly(lay, 2, "012")
+    assert ham.indicator_poly(lay, 1, "10").evaluate(bits_to_mask("10")) == 1.0
+    for j, word in ((0, "0000"), (3, "0000"), (1, "0000"), (2, "00"), (2, "012")):
+        with pytest.raises(EncodingError):
+            ham.indicator_poly(lay, j, word)
+
+
+@pytest.mark.parametrize("n_beads", [4, 5])
+def test_turn_indicators_match_an_independent_decoder(n_beads):
+    # over every configuration, each word's indicator is 1 exactly where the
+    # hand-restated decoder reads that word, and the word's label is the one
+    # that decoder gives (None for the redundant words)
+    lay = ham.EncodingLayout(n_beads)
+    nb = lay.n_config_bits
+    masks = range(1 << nb)
+    turns = [
+        lat.unpack_configuration(mask_to_bits(mask, nb), n_beads).turns for mask in masks
+    ]
+    for j in range(1, n_beads - 1):
+        read = [reference_turn_word(mask, j) for mask in masks]
+        assert [t[j] for t in turns] == [REFERENCE_LABELS.get(word) for word in read]
+        words = lat.turn_words(j)
+        assert len(words) == 1 << len(lay.turn_qubits(j))
+        cover = np.zeros(1 << nb)
+        for word, label in words.items():
+            code = word.ljust(4, "0")  # a turn-1 word stands for word + "00"
+            table = pb.value_table(ham.indicator_poly(lay, j, word), range(nb))
+            np.testing.assert_array_equal(table, [float(r == code) for r in read])
+            assert label == REFERENCE_LABELS.get(code)
+            cover += table
+        np.testing.assert_array_equal(cover, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +226,7 @@ def test_h_int_sign_structure(mj):
     lay = ham.EncodingLayout(4)
     hi = ham.build_h_int(lay, mj, "KLVF", ham.pair_distance_polys(lay))
     eps = scoring.epsilon_table(mj, "KLVF")
-    a03 = lay.ancilla_index(0, 3)
+    a03 = lay.ancilla_qubit(lay.pairs.index((0, 3)))
     # straight chain: D_{0,3} = 18, every other pair far too; switch a_{0,3} on
     mask = 1 << a03
     assert hi.evaluate(mask) == pytest.approx(eps[0, 3] * (3 - 18))
@@ -206,7 +236,7 @@ def test_h_int_sign_structure(mj):
     for mask, seq in decodable_masks(4):
         coords = lat.coords_from_turns(seq)
         if lat.pair_squared_distance(coords, 0, 2, lat.FCC) == 2:
-            a02 = lay.ancilla_index(0, 2)
+            a02 = lay.ancilla_qubit(lay.pairs.index((0, 2)))
             assert hi.evaluate(mask | (1 << a02)) == pytest.approx(eps[0, 2])
             break
     else:
@@ -267,8 +297,8 @@ def _per_pair_reference(mode, layout, peptide, matrix):
     eps = scoring.epsilon_table(matrix, peptide)
     objective = ham.build_h_back(layout) + ham.build_h_redun(layout)
     h_int = pb.PBPolynomial.zero(n_vars)
-    for m, n in layout.pairs:
-        ancilla = pb.PBPolynomial.variable(layout.ancilla_index(m, n), n_vars)
+    for a, (m, n) in enumerate(layout.pairs):
+        ancilla = pb.PBPolynomial.variable(layout.ancilla_qubit(a), n_vars)
         h_int = h_int + ancilla * (3.0 - ham.distance_poly(layout, m, n)) * float(eps[m, n])
     objective = objective + h_int
     if mode == "vqec":
@@ -419,7 +449,7 @@ def test_instance_tables_match_brute_force(mj):
     inst = ham.assemble("polyfit", ham.EncodingLayout(4), "KLVF", mj)
     tables = ham.InstanceTables(inst)
     nb = inst.layout.n_config_bits
-    full = tables.full_diagonal().reshape(-1, 1 << nb)
+    full = objective_diagonal(inst).reshape(-1, 1 << nb)
     np.testing.assert_allclose(
         full.min(axis=0), tables.ancilla_optimal_energies(), atol=1e-9
     )
@@ -433,7 +463,7 @@ def test_instance_tables_match_brute_force(mj):
 
 def test_instance_tables_reject_coupled_ancillas(mj):
     inst = ham.assemble("polyfit", ham.EncodingLayout(4), "KLVF", mj)
-    a, b = inst.layout.ancilla_index(0, 2), inst.layout.ancilla_index(0, 3)
+    a, b = inst.layout.ancilla_qubit(0), inst.layout.ancilla_qubit(1)
     coupled = inst.objective + pb.PBPolynomial.from_terms(
         [([a, b], 1.0)], inst.objective.n_vars
     )

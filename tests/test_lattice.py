@@ -20,9 +20,10 @@ from qfold.exceptions import EncodingError
 
 
 def test_codeword_table_is_a_bijection_over_16():
-    all_codes = set(lat.FCC_CODEWORDS) | set(lat.REDUNDANT_CODEWORDS)
+    redundant = {word for word, label in lat.turn_words(2).items() if label is None}
+    all_codes = set(lat.FCC_CODEWORDS) | redundant
     assert len(lat.FCC_CODEWORDS) == 12
-    assert len(lat.REDUNDANT_CODEWORDS) == 4
+    assert redundant == {"0010", "0001", "1101", "1110"}
     assert len(all_codes) == 16
     assert all_codes == {"".join(b) for b in itertools.product("01", repeat=4)}
 
@@ -46,7 +47,8 @@ def test_inverse_label_flips_low_bit_and_negates_vector():
 def test_decode_turn_examples():
     assert lat.FCC_CODEWORDS.index("0000") == 0
     assert lat.FCC_CODEWORDS.index("1011") == 10
-    assert {"0010", "0001"} <= lat.REDUNDANT_CODEWORDS
+    assert lat.turn_words(2)["0010"] is None
+    assert lat.turn_words(3)["0001"] is None
 
 
 def test_encode_decode_roundtrip():

@@ -37,6 +37,7 @@ from qfold.sim import (
     probabilities,
 )
 from util import (
+    objective_diagonal,
     plain_rows,
     reference_cvar_objective,
     reference_f_vector,
@@ -62,7 +63,7 @@ def random_state(seed, n_qubits):
 
 def test_objective_expectation_matches_full_diagonal():
     engine = ExpectationEngine(POLYFIT)
-    diag = engine.tables.full_diagonal()
+    diag = objective_diagonal(engine.instance)
     for seed in range(4):
         state = random_state(seed, POLYFIT.n_qubits)
         split = engine.objective_expectation(probabilities(state))
@@ -113,7 +114,7 @@ def test_f_vector_block_rows_equal_single_vectors():
 
 def test_cvar_objective_matches_reference():
     engine = ExpectationEngine(POLYFIT)
-    diag = engine.tables.full_diagonal()
+    diag = objective_diagonal(engine.instance)
     for seed in range(3):
         probs = probabilities(random_state(seed + 20, POLYFIT.n_qubits))
         for alpha in (0.1, 0.37, 1.0):
@@ -586,10 +587,22 @@ def test_costate_is_weighted_full_diagonal_times_state():
     rng = np.random.default_rng(8)
     objective_only = [1.0] + [0.0] * len(constraints)
     for weights in (objective_only, rng.uniform(0.0, 3.0, 1 + len(constraints))):
-        diag = weights[0] * engine.tables.full_diagonal()
+        diag = weights[0] * objective_diagonal(engine.instance)
         for w, table in zip(weights[1:], constraints):
             diag = diag + w * table
         assert np.abs(engine.costate(state, weights) - diag * state).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mode, peptide",
+    [("polyfit", "KLVF"), ("vqec", "GNLV"), ("polyfit", "GNLVS"), ("vqec", "KLVFF")],
+)
+def test_objective_diagonal_is_the_tabulated_objective_bit_for_bit(mode, peptide):
+    # the CVaR path's diagonal comes from the co-state's table doubling
+    instance = assemble(mode, EncodingLayout(len(peptide)), peptide, MJ)
+    engine = ExpectationEngine(instance)
+    diag = engine._diagonal(np.ones((1, 1)), 1 << engine.n_vars)
+    assert np.array_equal(diag, objective_diagonal(instance))
 
 
 @pytest.mark.parametrize("seed", range(2))

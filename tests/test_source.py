@@ -32,6 +32,12 @@ TEST_REFERENCES = {
     # one pair's distance polynomial, built alone: the reference for the
     # shared-position pair_distance_polys
     "distance_poly",
+    # ProblemInstance.from_json: the reader the tests check instance.json
+    # with (RunManifest.from_json shares the name)
+    "from_json",
+    # PBPolynomial.evaluate: the scalar reference for the polynomial tests
+    # (ChebyshevFit.evaluate shares the name)
+    "evaluate",
 }
 
 
@@ -61,7 +67,9 @@ def _references(tree):
 
 def test_every_public_name_is_reached_outside_the_tests():
     # a public name is reached when the package, the benchmark or the
-    # acceptance tests reference it anywhere but inside its own definition
+    # acceptance tests reference it anywhere but inside its own definition.
+    # The guard matches names only, not the object a name is bound to: a
+    # method passes when any other definition of its name is referenced
     sources = sorted(SRC.glob("*.py"))
     readers = sources + sorted((ROOT / "perfbench").glob("*.py"))
     readers.append(ROOT / "tests" / "test_acceptance.py")

@@ -17,6 +17,7 @@ from qfold.lattice import (
     TET_VECTORS,
     TurnSequence,
 )
+from qfold.pb import value_table
 from qfold.search import (
     CHUNK,
     COLLISION_PENALTY,
@@ -98,6 +99,24 @@ def reference_conformation_energy(conf, peptide: str, config: SearchConfig) -> f
     return energy
 
 
+# the twelve direction codewords, restated from the encoding's table by hand;
+# character i of a word is the i-th qubit of its turn, and the other four
+# words are redundant
+REFERENCE_LABELS = {
+    "0000": 0, "0011": 1, "1100": 2, "1111": 3, "1001": 4, "0101": 5,
+    "1010": 6, "0110": 7, "1000": 8, "0100": 9, "1011": 10, "0111": 11,
+}
+
+
+def reference_turn_word(mask: int, j: int) -> str:
+    """Turn ``j``'s 4-bit codeword in a configuration mask: turn 1 reads
+    q0 q1 and fixes the last two bits to 0, turn j >= 2 reads
+    q_{4j-6} .. q_{4j-3}."""
+    if j == 1:
+        return mask_to_bits(mask, 2) + "00"
+    return mask_to_bits(mask >> (4 * j - 6), 4)
+
+
 def decodable_masks(n_beads):
     """All configuration assignments that decode without redundant groups."""
     nb = lat.n_config_bits(n_beads)
@@ -114,8 +133,8 @@ def reference_f_vector(engine, probs):
     grid = probs.reshape(1 << engine.n_ancillas, 1 << engine.n_config)
     marginal = grid.sum(axis=0)
     total = float(marginal @ engine.tables.base_table)
-    for idx, table in engine.tables.pair_tables.items():
-        total += float(grid[engine._row_masks[idx]].sum(axis=0) @ table)
+    for rows, table in zip(engine._row_masks, engine.tables.pair_tables):
+        total += float(grid[rows].sum(axis=0) @ table)
     out = np.empty(1 + engine.n_constraints)
     out[0] = total
     for m, table in enumerate(engine.tables.constraint_tables, start=1):
@@ -146,9 +165,14 @@ def reference_cvar(energies, probs, alpha):
     return reference_sorted_cvar(energies[order], probs[order], alpha)
 
 
+def objective_diagonal(instance):
+    """The objective's value on every basis state, tabulated over all qubits."""
+    return value_table(instance.objective, range(instance.n_qubits))
+
+
 def reference_cvar_objective(engine, probs, alpha):
     """The former ``ExpectationEngine.cvar_objective``: every state kept."""
-    diag = engine.tables.full_diagonal()
+    diag = objective_diagonal(engine.instance)
     order = np.argsort(diag, kind="stable")
     return reference_sorted_cvar(diag[order], probs[order], alpha)
 
