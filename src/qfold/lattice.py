@@ -141,10 +141,6 @@ class TurnSequence:
     turns: tuple
 
     @property
-    def n_beads(self) -> int:
-        return len(self.turns) + 1
-
-    @property
     def redundant_positions(self) -> tuple:
         """Turn indices whose 4-bit group decoded to a redundant codeword."""
         return tuple(j for j, t in enumerate(self.turns) if t is None)

@@ -23,12 +23,14 @@ Two protocols over the same simulator:
   sweep.  One driver, ``_pdp_runs``, advances up to
   ``sim.block_columns(n)`` trajectories (restarts, or every grid point's
   restarts) in lockstep: per iteration one ``evolve_block`` of the current
-  angles, one sweep and one ``evolve_block`` of the perturbed angles, with
-  each column's arithmetic the same bits as running it alone.  A single
-  run is the one-point grid: ``run_vqec_pdp`` and ``grid_search`` both
-  seed, run and rank restarts through ``_ranked_runs``, feasible runs
-  first (``GridEntry.sort_key``), and both return that ``GridReport``; a
-  single run's report also carries its ``OptTrace``.
+  angles, one sweep and one ``evolve_block`` of the perturbed angles.  A
+  trajectory is one row of every block, as in ``sim`` (``f_vector`` rows
+  and co-state weights are ``(B, 1 + M)``), and the same bits as running
+  it alone.  A single run is the one-point grid: ``run_vqec_pdp`` and
+  ``grid_search`` both seed, run and rank restarts through
+  ``_ranked_runs``, feasible runs first (``GridEntry.sort_key``), and both
+  return that ``GridReport``; a single run's report also carries its
+  ``OptTrace``.
 
 Expectations never materialize the full 2^n objective diagonal unless the
 CVaR path demands it: the objective splits into a configuration-bit base
@@ -98,10 +100,6 @@ class ExpectationEngine:
         self.n_vars = instance.n_qubits
         self.n_config = instance.layout.n_config_bits
         self.n_ancillas = instance.layout.n_ancillas
-        rows = np.arange(1 << self.n_ancillas)
-        self._row_masks = [
-            ((rows >> a) & 1).astype(bool) for a in range(self.n_ancillas)
-        ]
         optimal = self.tables.ancilla_optimal_energies()
         feasible = np.ones(optimal.shape[0], dtype=bool)
         for table in self.tables.constraint_tables:
@@ -119,6 +117,13 @@ class ExpectationEngine:
     def n_constraints(self) -> int:
         return len(self.tables.constraint_tables)
 
+    def _grid(self, block: np.ndarray) -> np.ndarray:
+        # a (B, 2^A, 2^C) view of a vector or (B, 2^n) block; a block with
+        # another last axis would be reshaped silently into other rows
+        if block.shape[-1] != 1 << self.n_vars:
+            raise EncodingError(f"expected 2^{self.n_vars} entries per row: {block.shape}")
+        return block.reshape(-1, 1 << self.n_ancillas, 1 << self.n_config)
+
     def config_marginal(self, probs: np.ndarray) -> np.ndarray:
         return probs.reshape(1 << self.n_ancillas, 1 << self.n_config).sum(axis=0)
 
@@ -128,73 +133,78 @@ class ExpectationEngine:
     def f_vector(self, probs: np.ndarray) -> np.ndarray:
         """[objective expectation, constraint expectations...].
 
-        Takes one probability vector, or a ``(2^n, B)`` block of them and
-        returns one row per column.  The marginals of a block are summed in
-        one pass; the dot products run column by column, so every row is
-        bit-identical to the one-vector result.
+        Takes one probability vector, or a ``(B, 2^n)`` block of them and
+        returns one row per block row.  Ancilla a's partial marginal is read
+        through a view that splits the grid row index at bit a.  Marginals
+        are summed in one pass per block; the dot products run row by row,
+        so every row is bit-identical to the one-vector result.
         """
-        grid = probs.reshape(1 << self.n_ancillas, 1 << self.n_config, -1)
-        marginals = np.ascontiguousarray(grid.sum(axis=0).T)
-        pairs = [
-            (np.ascontiguousarray(grid[rows].sum(axis=0).T), table)
-            for rows, table in zip(self._row_masks, self.tables.pair_tables)
+        grid = self._grid(probs)
+        width, config = grid.shape[0], 1 << self.n_config
+        marginals = grid.sum(axis=1)
+        partials = [
+            grid.reshape(width, -1, 2, 1 << a, config)[:, :, 1].sum(axis=(1, 2))
+            for a in range(self.n_ancillas)
         ]
-        out = np.empty((marginals.shape[0], 1 + self.n_constraints))
-        for col, marginal in enumerate(marginals):
+        out = np.empty((width, 1 + self.n_constraints))
+        for row, marginal in enumerate(marginals):
             total = float(marginal.dot(self.tables.base_table))
-            for partial, table in pairs:
-                total += float(partial[col].dot(table))
-            out[col, 0] = total
+            for partial, table in zip(partials, self.tables.pair_tables):
+                total += float(partial[row].dot(table))
+            out[row, 0] = total
             for m, table in enumerate(self.tables.constraint_tables, start=1):
-                out[col, m] = float(marginal.dot(table))
+                out[row, m] = float(marginal.dot(table))
         return out if probs.ndim == 2 else out[0]
 
     def costate(self, state: np.ndarray, weights) -> np.ndarray:
         """``D_w * state`` for the weighted diagonal D_w = sum_m w_m F_m.
 
         F_0 is the objective and F_1.. the constraints, as in ``f_vector``.
-        Takes one state and one weight vector, or a ``(2^n, B)`` block of
-        states and one weight row per column.  D_w is built in the result
-        buffer by ``_diagonal``.
+        Takes one state and one weight vector, or a ``(B, 2^n)`` block of
+        states and their ``(B, 1 + M)`` weight rows.  D_w is built in the
+        result buffer by ``_diagonal``, which checks the state's shape.
         """
         weights = np.asarray(weights, dtype=float)
-        out = self._diagonal(weights.reshape(-1, 1 + self.n_constraints).T, state.shape)
+        out = self._diagonal(weights.reshape(-1, 1 + self.n_constraints), state.shape)
         out *= state
         return out
 
     def _diagonal(self, weights: np.ndarray, shape) -> np.ndarray:
-        """``sum_m weights[m, b] F_m`` in column ``b`` of a new ``shape`` array.
+        """``sum_m weights[b, m] F_m`` in row ``b`` of a new ``shape`` array.
 
-        ``shape`` is ``2^n`` or ``(2^n, B)``.  Row 0 of the (ancilla,
-        configuration) grid is the weighted base and constraint tables, and
-        ancilla ``a`` doubles the rows filled so far by adding its weighted
-        pair table.  ``weights`` has a row for the objective, then one per
-        constraint; the objective's row alone gives the objective's diagonal.
-        Every step is elementwise, so a column does not depend on the others.
+        ``shape`` is ``2^n`` or ``(B, 2^n)``, and ``weights`` has one row
+        per block row: a column for the objective, then one per constraint;
+        the objective's column alone gives the objective's diagonal.  Row 0
+        of each (ancilla, configuration) grid is the weighted base and
+        constraint tables, and ancilla ``a`` doubles the rows filled so far
+        by adding its weighted pair table.  Every step is elementwise, so a
+        block row does not depend on the others.
         """
         out = np.empty(shape)
-        grid = out.reshape(1 << self.n_ancillas, 1 << self.n_config, -1)
-        np.multiply(self.tables.base_table[:, None], weights[0], out=grid[0])
-        for weight, table in zip(weights[1:], self.tables.constraint_tables):
-            grid[0] += weight * table[:, None]
+        grid = self._grid(out)
+        objective = weights[:, :1]
+        np.multiply(self.tables.base_table, objective, out=grid[:, 0])
+        for weight, table in zip(weights[:, 1:].T, self.tables.constraint_tables):
+            grid[:, 0] += weight[:, None] * table
         for a, table in enumerate(self.tables.pair_tables):
-            pair = weights[0] * table[:, None]
-            np.add(grid[: 1 << a], pair, out=grid[1 << a : 2 << a])
+            pair = (objective * table)[:, None]
+            np.add(grid[:, : 1 << a], pair, out=grid[:, 1 << a : 2 << a])
         return out
 
     def cvar_objective(self, probs: np.ndarray, alpha: float):
         """Tail mean over the exact full-basis energy distribution.
 
-        Takes one probability vector, or a ``(2^n, B)`` block of them and
-        returns one value per column.  The block is gathered into the sorted
-        diagonal's order once, as ``(B, 2^n)`` rows, for one
-        ``sorted_cvar`` call; every value is the bits of its column alone.
+        Takes one probability vector, or a ``(B, 2^n)`` block of them and
+        returns one value per row.  The block is gathered into the sorted
+        diagonal's order once for one ``sorted_cvar`` call; every value is
+        the bits of its row alone.
         """
+        self._grid(probs)  # the shape check
         if self._sorted_diag is None:
             diag = self._diagonal(np.ones((1, 1)), 1 << self.n_vars)
             self._sort_order = np.argsort(diag, kind="stable")
             self._sorted_diag = diag[self._sort_order]
-        rows = np.take(probs.T, self._sort_order, axis=-1)
+        rows = np.take(probs, self._sort_order, axis=-1)
         return sorted_cvar(self._sorted_diag, rows, alpha)
 
     def ground_probability(self, probs: np.ndarray) -> float:
@@ -580,11 +590,11 @@ def run_cvar_vqe(
 
     Each restart is one ``_cobyla`` run from its seeded start.  Restarts
     advance in lockstep, ``block_columns(n)`` at a time: a tick evolves the
-    point every live run asks for as one ``evolve_block`` and tells each
-    run its CVaR.  A column is the same bits as its circuit run alone, so
-    each restart's run does not depend on the others.  Trace rows are
-    recorded restart after restart; the best restart has the lowest
-    value, the first on a tie.
+    point every live run asks for as one row of an ``evolve_block`` and
+    tells each run its CVaR.  A row is the same bits as its circuit run
+    alone, so each restart's run does not depend on the others.  Trace
+    rows are recorded restart after restart; the best restart has the
+    lowest value, the first on a tie.
     """
     if instance.mode != MODE_POLYFIT:
         raise EncodingError("CVaR-VQE drives the fused-penalty objective only")
@@ -607,7 +617,7 @@ def run_cvar_vqe(
         asked = {j: next(run) for j, run in enumerate(runs)}
         while asked:
             live = list(asked)
-            block = np.array([asked[j] for j in live]).T
+            block = np.array([asked[j] for j in live])
             probs = probabilities(evolve_block(ansatz, block))
             for j, value in zip(live, engine.cvar_objective(probs, cfg.alpha)):
                 value = float(value)
@@ -632,44 +642,43 @@ def run_cvar_vqe(
 def _pdp_block(engine, ansatz, starts, keys, cfg, traced):
     """Advance the runs ``starts[j]`` at ``keys[j] = (nu, mu, restart)`` in lockstep.
 
-    The angles are one ``(P, B)`` block.  An iteration is one
+    Every per-run array has one row per live run.  An iteration is one
     ``evolve_block`` of the current angles, ``f_vector`` and two co-states
-    per column, one adjoint sweep for both ``jac @ w`` products of every
-    column, and one ``evolve_block`` of the perturbed angles.  Every step is
-    elementwise or a per-column reduction, so a trajectory's iterates are
-    the same bits at any block width.  A column whose Lagrangian leaves the
-    divergence ceiling leaves the block.  Returns each run's ``GridEntry``
-    (diverged, or from its final iterate), each run's ``OptTrace`` rows
-    (empty unless ``traced``) and the block's logical circuit evaluations.
+    per row, one adjoint sweep for both ``jac @ w`` products of every row,
+    and one ``evolve_block`` of the perturbed angles.  Every step is
+    elementwise or a per-row reduction, so a trajectory's iterates are the
+    same bits at any block width.  A run whose Lagrangian leaves the
+    divergence ceiling leaves the block, its row dropped from every array.
+    Returns each run's ``GridEntry`` (diverged, or from its final iterate),
+    each run's ``OptTrace`` rows (empty unless ``traced``) and the block's
+    logical circuit evaluations.
     """
     inf = math.inf
     entries = [GridEntry(*key, inf, inf, inf, 0.0, True) for key in keys]
     rows = [[] for _ in keys]
     evaluations = 0
-    live = list(range(len(starts)))
-    theta = np.array(starts, dtype=float).T
+    live = np.arange(len(starts))
+    theta = np.array(starts, dtype=float)
     steps = np.array([key[:2] for key in keys], dtype=float)
     duals = np.zeros((len(starts), engine.n_constraints))
     per_iteration = 2 * ansatz.n_params + 2
     for _ in range(cfg.max_iterations):
         states = evolve_block(ansatz, theta)
         f_here = engine.f_vector(probabilities(states))
-        # one dot per contiguous row, as in f_vector, so that no column's
+        # one dot per contiguous row, as in f_vector, so that no row's
         # value depends on its neighbours
-        lagrangian = [float(f[0] + d @ f[1:]) for f, d in zip(f_here, duals)]
-        bad = [not math.isfinite(v) or abs(v) > DIVERGENCE_CEILING for v in lagrangian]
-        if any(bad):
-            keep = np.logical_not(bad)
-            live = [c for c, k in zip(live, keep) if k]
-            if not live:
+        lagrangian = np.array([float(f[0] + d @ f[1:]) for f, d in zip(f_here, duals)])
+        keep = np.abs(lagrangian) <= DIVERGENCE_CEILING
+        if not keep.all():
+            if not keep.any():
                 return entries, rows, evaluations
-            theta, states = theta[:, keep], states[:, keep]
-            f_here, duals, steps = f_here[keep], duals[keep], steps[keep]
-            lagrangian = [v for v, k in zip(lagrangian, keep) if k]
-        nu, mu = steps[:, 0], steps[:, 1]
+            live, theta, states, f_here, duals, steps, lagrangian = (
+                a[keep] for a in (live, theta, states, f_here, duals, steps, lagrangian)
+            )
+        nu, mu = steps[:, :1], steps[:, 1:]
 
         ones = np.ones((len(live), 1))
-        duals_pert = np.maximum(duals + nu[:, None] * f_here[:, 1:], 0.0)
+        duals_pert = np.maximum(duals + nu * f_here[:, 1:], 0.0)
         # the sweep consumes the co-states: at 24 qubits each is 128 MiB
         step, step_pert = adjoint_gradients(
             ansatz,
@@ -680,13 +689,12 @@ def _pdp_block(engine, ansatz, starts, keys, cfg, traced):
         theta_pert = np.clip(theta - nu * step, 0.0, TWO_PI)
         theta_next = np.clip(theta - mu * step_pert, 0.0, TWO_PI)
         f_pert = engine.f_vector(probabilities(evolve_block(ansatz, theta_pert)))
-        duals = np.maximum(duals + mu[:, None] * f_pert[:, 1:], 0.0)
+        duals = np.maximum(duals + mu * f_pert[:, 1:], 0.0)
         theta = theta_next
         evaluations += per_iteration * len(live)
         for j, c in enumerate(live if traced else ()):
-            rows[c].append(
-                (float(f_here[j, 0]), theta[:, j].copy(), lagrangian[j], duals[j].copy())
-            )
+            rows[c].append((float(f_here[j, 0]), theta[j].copy(), float(lagrangian[j]),
+                            duals[j].copy()))
 
     probs = probabilities(evolve_block(ansatz, theta))
     f_final = engine.f_vector(probs)
@@ -697,11 +705,9 @@ def _pdp_block(engine, ansatz, starts, keys, cfg, traced):
             objective=float(f[0]),
             lagrangian=float(f[0] + duals[j] @ f[1:]),
             violation=constraint_violation(f),
-            ground_probability=engine.ground_probability(
-                np.ascontiguousarray(probs[:, j])
-            ),
+            ground_probability=engine.ground_probability(probs[j]),
             diverged=False,
-            params=tuple(map(float, theta[:, j])),
+            params=tuple(map(float, theta[j])),
             duals=tuple(map(float, duals[j])),
         )
     return entries, rows, evaluations + len(live)

@@ -6,21 +6,21 @@ is real-orthogonal, so amplitudes are stored as a plain float64 array of
 length ``2 ** n_qubits``; bit ``i`` of the basis index is qubit ``q_i``,
 matching character ``i`` of the bitstring convention used everywhere else.
 
-``evolve_block`` runs a block of parameter vectors and returns a
-``(2^n, B)`` array; ``evolve`` is its one-column case.  Inside, the state
-is ``(B, 2^n)``, batch axis first.  A rotation layer is the product of
+A block of B circuits is rows: ``(B, n_params)`` angles, and ``(B, 2^n)``
+states, probabilities and co-states.  ``evolve_block`` runs one, and
+``evolve`` is its one-row case.  A rotation layer is the product of
 Ry(theta_q) over all qubits, and the kernel applies it in groups of at most
 ``GROUP_QUBITS`` = 5 qubits of adjacent index bits, qubit 0's group first.
 A group of g qubits is one 2^g x 2^g Kronecker block.  Per call, each
-layer and column gets its groups' 2^g products of half-angle cosines and
+layer and row gets its groups' 2^g products of half-angle cosines and
 sines (``_layer_products``), and each block is one gather from those
 products and their negatives (``_layer_blocks``); the first layer needs
 only the products, which are its blocks' first columns.  The kernel
-applies a block as one matrix product per column: the group is read from
+applies a block as one matrix product per row: the group is read from
 the bottom index bits and written to the top ones, so after the last
 group the index is back in natural order.  The CNOT chain between layers
-is one cached gather (``_chain_gather``).  Each column's products have the
-same shape whatever B is, so column j equals ``evolve`` of that column bit
+is one cached gather (``_chain_gather``).  Each row's products have the
+same shape whatever B is, so row j equals ``evolve`` of that row bit
 for bit.  Fusing a group sums each amplitude in another order than a
 gate-by-gate loop, so the two agree to rounding, not bit for bit.
 
@@ -57,7 +57,7 @@ from .exceptions import (
 )
 
 HALF_PI = math.pi / 2.0
-# most qubits in one Kronecker block: a 32 x 32 matrix per layer and column
+# most qubits in one Kronecker block: a 32 x 32 matrix per layer and row
 GROUP_QUBITS = 5
 
 
@@ -140,9 +140,9 @@ def _check_params(ansatz: Ansatz, params) -> np.ndarray:
 
 def _check_block(ansatz: Ansatz, block) -> np.ndarray:
     block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[0] != ansatz.n_params or block.shape[1] < 1:
+    if block.ndim != 2 or block.shape[1] != ansatz.n_params or block.shape[0] < 1:
         raise ParamLengthError(
-            f"expected a ({ansatz.n_params}, B >= 1) angle block, "
+            f"expected a (B >= 1, {ansatz.n_params}) angle block, "
             f"got shape {block.shape}"
         )
     return block
@@ -171,16 +171,16 @@ def _kron_gather(size: int) -> np.ndarray:
 def _layer_products(n_qubits: int, block: np.ndarray) -> list:
     """The 2^g cos/sin products of every rotation layer, one array per group.
 
-    The group of qubits lo .. lo + g - 1 gets a ``(layers + 1, B, 2^g)``
-    array: entry k multiplies, for each qubit q of the group, cos(theta_q /
-    2) where bit q - lo of k is clear and sin(theta_q / 2) where it is set,
-    qubit lo first and each later factor on the left.  Entry k is column 0
-    of the group's Kronecker block, row k.  Groups are listed from qubit 0
-    up.
+    For a ``(B, n_params)`` block, qubits lo .. lo + g - 1 get a ``(layers
+    + 1, B, 2^g)`` array: entry k multiplies, for each qubit q of the group,
+    cos(theta_q / 2) where bit q - lo of k is clear and sin(theta_q / 2)
+    where it is set, qubit lo first and each later factor on the left.
+    Entry k is column 0 of the group's Kronecker block, row k.  Groups are
+    listed from qubit 0 up.
     """
     n = n_qubits
-    half = block.reshape(-1, n, block.shape[1]).transpose(0, 2, 1) / 2.0
-    # (layer, column, qubit, cos or sin)
+    half = block.reshape(block.shape[0], -1, n).transpose(1, 0, 2) / 2.0
+    # (layer, row, qubit, cos or sin)
     factors = np.stack((np.cos(half), np.sin(half)), axis=-1)
     products = []
     lo = 0
@@ -201,7 +201,7 @@ def _layer_blocks(products: list) -> list:
 
     The group of qubits lo .. lo + g - 1 gets an ``(L, B, 2^g, 2^g)``
     array for the L layers of its products, holding Ry(theta_{lo+g-1}) x
-    ... x Ry(theta_lo) per layer and column: qubit lo is the lowest bit of
+    ... x Ry(theta_lo) per layer and row: qubit lo is the lowest bit of
     the group's index.  Each block is
     one gather from its products and their negatives (``_kron_gather``);
     negation is exact, so every entry is the bits of the explicit Kronecker
@@ -216,17 +216,16 @@ def _layer_blocks(products: list) -> list:
 
 
 def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
-    """Run the circuit once per column of an ``(n_params, B)`` angle block.
+    """Run the circuit once per row of a ``(B, n_params)`` angle block.
 
-    Returns the ``(2^n, B)`` amplitudes, a transposed view of the
-    ``(B, 2^n)`` state the kernel works on, so each column is contiguous;
-    column j equals ``evolve(ansatz, block[:, j])`` bit for bit.  Each group
-    of a rotation layer is one matrix product per column, of one shape
-    whatever B is (module docstring).
+    Returns the C-contiguous ``(B, 2^n)`` amplitudes the kernel works on;
+    row j equals ``evolve(ansatz, block[j])`` bit for bit.  Each group of a
+    rotation layer is one matrix product per row, of one shape whatever B
+    is (module docstring).
     """
     block = _check_block(ansatz, block)
     n = ansatz.n_qubits
-    width = block.shape[1]
+    width = block.shape[0]
     products = _layer_products(n, block)
     # the first layer turns |0> into the product of its blocks' first
     # columns, which are its groups' products; the other layers need blocks
@@ -234,8 +233,8 @@ def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
     state = products[-1][0]
     for prod in products[-2::-1]:
         state = (state[:, :, None] * prod[0, :, None, :]).reshape(width, -1)
-    # the layer loop writes into state and spare as C-contiguous (B, 2^n)
-    state = np.ascontiguousarray(state)
+    # state is a C-contiguous (B, 2^n) array, a product or one group's
+    # first-layer rows, and the layer loop writes into it and spare
     spare = np.empty_like(state)
     chain = _chain_gather(n)
     for layer in range(1, ansatz.layers + 1):
@@ -251,24 +250,24 @@ def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
                 out=spare.reshape(width, dim, -1),
             )
             state, spare = spare, state
-    return state.T
+    return state
 
 
 def evolve(ansatz: Ansatz, params) -> np.ndarray:
     """Run the circuit from the all-zeros state; returns the amplitudes."""
     params = _check_params(ansatz, params)
-    return evolve_block(ansatz, params[:, None]).reshape(-1)
+    return evolve_block(ansatz, params[None]).reshape(-1)
 
 
 def block_columns(n_qubits: int) -> int:
-    """Columns run together as one block at this width.
+    """Circuits run together as one block, one row each, at this width.
 
     This is the chunk width of the parameter-shift Jacobian and the number
     of restarts or primal-dual trajectories ``optimize`` advances in
-    lockstep.  A column costs the same matrix products at any block width,
+    lockstep.  A row costs the same matrix products at any block width,
     so a block saves only NumPy's per-call overhead, which pays while
     states are small.  From 13 qubits wider blocks measured no faster per
-    column than one circuit at a time, so circuits run one at a time
+    circuit than one circuit at a time, so circuits run one at a time
     (crossover table in CHANGES.md).
     """
     if n_qubits <= 10:
@@ -413,14 +412,14 @@ def sample(state: np.ndarray, shots: int, seed) -> ShotTable:
 def parameter_shift_jacobian(ansatz: Ansatz, params, block_objective, with_value=False):
     """Exact Jacobian of an objective of ``evolve(ansatz, params)``.
 
-    ``block_objective`` maps a ``(2^n, b)`` block of states to b values
+    ``block_objective`` maps a ``(b, 2^n)`` block of state rows to b values
     (floats or 1-d arrays); the block is only valid during the call.  Row p
     of the result is ``0.5 * (value at params + pi/2 e_p - value at
     params - pi/2 e_p)``; with ``with_value`` it returns ``(value,
     jacobian)``.
 
     The 2P shifted circuits, preceded by the unshifted one when asked, run
-    through ``evolve_block`` in chunks of ``block_columns(n)`` columns, so
+    through ``evolve_block`` in chunks of ``block_columns(n)`` rows, so
     every value is the bits of a single ``evolve``.  It costs 2P (+ 1)
     circuits against the adjoint sweep's few, and stays as the reference
     ``adjoint_gradients`` is tested against.
@@ -428,14 +427,14 @@ def parameter_shift_jacobian(ansatz: Ansatz, params, block_objective, with_value
     params = _check_params(ansatz, params)
     n_params = ansatz.n_params
     first = 1 if with_value else 0
-    block = np.repeat(params[:, None], first + 2 * n_params, axis=1)
-    rows = np.arange(n_params)
-    block[rows, first + 2 * rows] = params + HALF_PI
-    block[rows, first + 2 * rows + 1] = params - HALF_PI
+    block = np.repeat(params[None], first + 2 * n_params, axis=0)
+    shifted = np.arange(n_params)
+    block[first + 2 * shifted, shifted] = params + HALF_PI
+    block[first + 2 * shifted + 1, shifted] = params - HALF_PI
     step = block_columns(ansatz.n_qubits)
     values = []
-    for c in range(0, block.shape[1], step):
-        values += list(block_objective(evolve_block(ansatz, block[:, c : c + step])))
+    for r in range(0, block.shape[0], step):
+        values += list(block_objective(evolve_block(ansatz, block[r : r + step])))
     values = np.array(values, dtype=float)
     jac = 0.5 * (values[first::2] - values[first + 1 :: 2])
     return (values[0], jac) if with_value else jac
@@ -449,7 +448,7 @@ def parameter_shift_gradient(ansatz: Ansatz, params, objective) -> np.ndarray:
     """
 
     def block_objective(states):
-        return [objective(np.ascontiguousarray(col)) for col in states.T]
+        return [objective(state) for state in states]
 
     return parameter_shift_jacobian(ansatz, params, block_objective)
 
@@ -457,53 +456,52 @@ def parameter_shift_gradient(ansatz: Ansatz, params, objective) -> np.ndarray:
 def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     """Gradients of diagonal expectations by one backward sweep.
 
-    ``params`` is one angle vector or an ``(n_params, B)`` block, and
+    ``params`` is one angle vector or a ``(B, n_params)`` block, and
     ``state`` is ``evolve`` (or ``evolve_block``) of it.  Each co-state is
-    ``D_w * state`` for a real diagonal D_w in natural index order, column
-    by column.  The result is ``(W, n_params)`` for W co-states, or ``(W,
-    n_params, B)`` for a block: row w (of column b) is the gradient of
+    ``D_w * state`` for a real diagonal D_w in natural index order, row by
+    row.  The result is ``(W, n_params)`` for W co-states, or ``(W, B,
+    n_params)`` for a block: entry w (of row b) is the gradient of
     <psi|D_w|psi>, and for D_w = sum_m w_m D_m it equals
     ``parameter_shift_jacobian(...) @ w`` to rounding.
 
     The sweep walks the rotation layers backward over psi and the
     co-states, each as ``(B, 2^n)``.  psi is copied.  The co-states are
-    consumed: where a co-state's ``(B, 2^n)`` view is C-contiguous (always
-    for one column) the sweep runs in its buffer, which ends up holding
-    scratch values, so a caller that still needs one passes a copy.  The
-    rotations of a layer commute, and Ry(pi)_q commutes with Ry(theta_q),
-    so every gate's gradient d<psi|D_w|psi>/d theta_q = <lambda| Ry(pi)_q
-    |psi> may be read anywhere inside its layer.  The groups come off in reverse order, each
-    from the top index bits.  One matrix product per column and co-state
-    gives the group's overlap matrix C = sum psi lambda^T over the other
-    index bits, a cached sign table turns C into the group's g gradients
+    consumed: where a co-state is C-contiguous the sweep runs in its
+    buffer, which ends up holding scratch values, so a caller that still
+    needs one passes a copy.  The rotations of a layer commute, and
+    Ry(pi)_q commutes with Ry(theta_q), so every gate's gradient
+    d<psi|D_w|psi>/d theta_q = <lambda| Ry(pi)_q |psi> may be read anywhere
+    inside its layer.  The groups come off in reverse order, each from the
+    top index bits.  One matrix product per row and co-state gives the
+    group's overlap matrix C = sum psi lambda^T over the other index bits,
+    a cached sign table turns C into the group's g gradients
     (``_ry_pi_table``), and one more product undoes the group with its
     transposed Kronecker block.  The CNOT chain is undone by a scatter
-    through the cached gather.  Every product has the same shape for
-    every column, so a column's gradients are the same bits whatever the
-    other columns hold.  Besides its inputs the sweep holds two states per
-    column, the copy of psi and one spare, when every co-state is swept in
-    place, and one more per co-state it has to copy.
+    through the cached gather.  Every product has the same shape for every
+    row, so a row's gradients are the same bits whatever the other rows
+    hold.  Besides its inputs the sweep holds two states per row, the copy
+    of psi and one spare, when every co-state is swept in place, and one
+    more per co-state it has to copy.
     """
     params = np.asarray(params, dtype=float)
     single = params.ndim == 1
-    block = _check_block(ansatz, params[:, None] if single else params)
+    block = _check_block(ansatz, params[None] if single else params)
     n = ansatz.n_qubits
-    width = block.shape[1]
-    shape = (1 << n,) if single else (1 << n, width)
-    arrays = [np.asarray(a, dtype=float) for a in (state, *costates)]
+    width = block.shape[0]
+    shape = (1 << n,) if single else (width, 1 << n)
+    # psi is copied; a co-state is swept in place where it is C-contiguous
+    # and overlaps no other co-state, else in a copy
+    arrays = [np.array(state, dtype=float, order="C")]
+    for lam in costates:
+        lam = np.asarray(lam, dtype=float, order="C")
+        shared = any(np.may_share_memory(lam, a) for a in arrays[1:])
+        arrays.append(lam.copy() if shared else lam)
     if any(a.shape != shape for a in arrays):
-        raise EncodingError("state and co-states must hold 2^n amplitudes per column")
-    # psi is copied to (B, 2^n); a co-state is swept in place where that
-    # view is C-contiguous and overlaps no other co-state, else copied too
-    views = [a.reshape(1 << n, width).T for a in arrays]
-    arrays = [np.array(views[0], order="C")]
-    for view in views[1:]:
-        shared = any(np.may_share_memory(view, a) for a in arrays[1:])
-        arrays.append(np.array(view, order="C") if shared else np.ascontiguousarray(view))
+        raise EncodingError("state and co-states must hold 2^n amplitudes per row")
     spare = np.empty_like(arrays[0])
     chain = _chain_gather(n)
     blocks = _layer_blocks(_layer_products(n, block))
-    grads = np.empty((len(costates), ansatz.n_params, width))
+    grads = np.empty((len(costates), width, ansatz.n_params))
     for layer in reversed(range(ansatz.layers + 1)):
         hi = n
         for kron in reversed(blocks):
@@ -516,7 +514,7 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
             for w, lam in enumerate(lams):
                 overlap = np.matmul(psi, lam.transpose(0, 2, 1))
                 gates = np.matmul(overlap.reshape(width, 1, -1), _ry_pi_table(size))
-                grads[w, layer * n + lo : layer * n + hi] = gates[:, 0].T
+                grads[w, :, layer * n + lo : layer * n + hi] = gates[:, 0]
             if not (layer or lo):
                 # the first gates of the circuit: nothing left to undo
                 break
@@ -531,10 +529,10 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
         if layer:
             for i, a in enumerate(arrays):
                 # the chain made new[x] = old[chain[x]]: scatter back; a
-                # flat scatter is the faster one for a single column
+                # flat scatter is the faster one for a single row
                 if width == 1:
                     spare.reshape(-1)[chain] = a.reshape(-1)
                 else:
                     spare[:, chain] = a
                 arrays[i], spare = spare, a
-    return grads[:, :, 0] if single else grads
+    return grads[:, 0] if single else grads

@@ -424,6 +424,27 @@ def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [["pipeline"], ["fit-penalty"], ["build"],
+     ["sample", "--peptide", "KLVF", "--params", "missing.json"]],
+    ids=["pipeline-no-input", "fit-penalty-no-input", "build-no-peptide",
+         "sample-missing-params"],
+)
+def test_missing_inputs_exit_2_before_writing(tmp_path, capsys, flags):
+    # the first three end in parser.error's SystemExit(2), the last in the
+    # OSError of opening a params file that is not there
+    out = tmp_path / "run"
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    try:
+        code = main([*flags, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "text",
     ["{not json", '{"layers": 2}', "[1, 2]", '{"params": ["a", "b"]}',
      '{"params": [0.1], "layers": "x"}', '{"params": [NaN]}', '{"params": [true]}',

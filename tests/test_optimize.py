@@ -103,13 +103,41 @@ def test_f_vector_block_rows_equal_single_vectors():
     engine = ExpectationEngine(VQEC)
     ansatz = Ansatz(VQEC.n_qubits, layers=2)
     rng = np.random.default_rng(5)
-    block = rng.uniform(0.0, TWO_PI, (ansatz.n_params, 6))
+    block = rng.uniform(0.0, TWO_PI, (ansatz.n_params, 6)).T
     probs = probabilities(evolve_block(ansatz, block))
     rows = engine.f_vector(probs)
     assert rows.shape == (6, 1 + engine.n_constraints)
     for j in range(6):
-        single = engine.f_vector(np.ascontiguousarray(probs[:, j]))
+        single = engine.f_vector(probs[j])
         assert np.array_equal(rows[j], single)
+
+
+@pytest.mark.parametrize("n_beads", [4, 5])
+def test_f_vector_view_rows_equal_the_mask_reference(n_beads):
+    # ancilla partial marginals read through the engine's reshaped view,
+    # against tests/util's boolean row masks, at 9 and 16 qubits
+    instance, ansatz, rng = random_vqec(n_beads, 20 + n_beads)
+    engine = ExpectationEngine(instance)
+    block = rng.uniform(0.0, TWO_PI, (ansatz.n_params, 3)).T
+    probs = probabilities(evolve_block(ansatz, block))
+    rows = engine.f_vector(probs)
+    for j in range(3):
+        assert np.array_equal(rows[j], reference_f_vector(engine, probs[j]))
+
+
+def test_engine_block_methods_reject_a_transposed_block():
+    # a stale (2^n, B) block would otherwise be reshaped into wrong rows
+    engine = ExpectationEngine(VQEC)
+    rng = np.random.default_rng(12)
+    block = rng.uniform(0.0, TWO_PI, (ANSATZ.n_params, 3)).T
+    states = evolve_block(ANSATZ, block)
+    weights = np.ones((3, 1 + engine.n_constraints))
+    with pytest.raises(EncodingError):
+        engine.f_vector(probabilities(states).T)
+    with pytest.raises(EncodingError):
+        engine.costate(states.T, weights)
+    with pytest.raises(EncodingError):
+        engine.cvar_objective(probabilities(states).T, 0.1)
 
 
 def test_cvar_objective_matches_reference():
@@ -141,13 +169,13 @@ def test_cvar_objective_block_columns_equal_single_vectors():
     engine = ExpectationEngine(POLYFIT)
     ansatz = Ansatz(POLYFIT.n_qubits, layers=2)
     rng = np.random.default_rng(6)
-    block = rng.uniform(0.0, TWO_PI, (ansatz.n_params, 7))
+    block = rng.uniform(0.0, TWO_PI, (ansatz.n_params, 7)).T
     probs = probabilities(evolve_block(ansatz, block))
     for alpha in (1.0, 0.1, 0.37):
         values = engine.cvar_objective(probs, alpha)
         assert values.shape == (7,)
         for j in range(7):
-            column = np.ascontiguousarray(probs[:, j])
+            column = probs[j]
             assert values[j] == engine.cvar_objective(column, alpha)
             assert values[j] == reference_cvar_objective(engine, column, alpha)
 

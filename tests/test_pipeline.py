@@ -82,7 +82,7 @@ def test_trace_jsonl_has_one_row_per_step(tmp_path, capsys, monkeypatch, method,
     evolve_block = optimize.evolve_block
 
     def counted(ansatz, theta):
-        columns.append(theta.shape[1])
+        columns.append(theta.shape[0])
         return evolve_block(ansatz, theta)
 
     monkeypatch.setattr(optimize, "evolve_block", counted)

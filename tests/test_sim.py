@@ -480,11 +480,11 @@ def test_probabilities_sum_to_one():
 def test_evolve_block_columns_equal_evolve(n, layers):
     ansatz = Ansatz(n, layers=layers)
     rng = np.random.default_rng(100 * n + layers)
-    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, 5))
+    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, 5)).T
     states = evolve_block(ansatz, block)
-    assert states.shape == (1 << n, 5)
+    assert states.shape == (5, 1 << n)
     for j in range(5):
-        assert np.array_equal(states[:, j], evolve(ansatz, block[:, j]))
+        assert np.array_equal(states[j], evolve(ansatz, block[j]))
 
 
 def test_evolve_block_rejects_bad_shapes():
@@ -492,9 +492,9 @@ def test_evolve_block_rejects_bad_shapes():
     with pytest.raises(ParamLengthError):
         evolve_block(ansatz, np.zeros(6))
     with pytest.raises(ParamLengthError):
-        evolve_block(ansatz, np.zeros((5, 2)))
+        evolve_block(ansatz, np.zeros((2, 5)))
     with pytest.raises(ParamLengthError):
-        evolve_block(ansatz, np.zeros((6, 0)))
+        evolve_block(ansatz, np.zeros((0, 6)))
 
 
 def test_block_columns_fall_back_to_single_circuits():
@@ -545,7 +545,7 @@ def test_jacobian_equals_inline_loop_on_random_diagonal(n, layers):
         return probabilities(state) @ diag
 
     def block_objective(states):
-        return [f_of_state(np.ascontiguousarray(col)) for col in states.T]
+        return [f_of_state(state) for state in states]
 
     assert_jacobian_equals_inline_loop(ansatz, theta, block_objective, f_of_state)
 
@@ -588,7 +588,7 @@ def assert_adjoint_equals_jacobian_products(ansatz, seed):
     theta = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_params)
     diags = rng.normal(size=(1 << ansatz.n_qubits, 3))
     jac = parameter_shift_jacobian(
-        ansatz, theta, lambda states: probabilities(states).T @ diags
+        ansatz, theta, lambda states: probabilities(states) @ diags
     )
     # the objective alone (inactive duals), then positive duals on the rest
     weights = [np.array([1.0, 0.0, 0.0]), np.array([1.0, *rng.uniform(0.1, 3.0, 2)])]
@@ -623,18 +623,18 @@ def test_adjoint_gradients_block_columns_equal_single_sweeps(n):
     # gradients are the bits of its own sweep
     ansatz = Ansatz(n, layers=2)
     rng = np.random.default_rng(n)
-    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, 4))
+    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, 4)).T
     diags = rng.normal(size=(1 << n, 2))
     states = evolve_block(ansatz, block)
     grads = adjoint_gradients(
-        ansatz, block, states, [diags[:, [m]] * states for m in range(2)]
+        ansatz, block, states, [diags[:, m] * states for m in range(2)]
     )
-    assert grads.shape == (2, ansatz.n_params, 4)
+    assert grads.shape == (2, 4, ansatz.n_params)
     for b in range(4):
-        state = np.ascontiguousarray(states[:, b])
+        state = states[b]
         costates = [diags[:, m] * state for m in range(2)]
         assert np.array_equal(
-            grads[:, :, b], adjoint_gradients(ansatz, block[:, b], state, costates)
+            grads[:, b], adjoint_gradients(ansatz, block[b], state, costates)
         )
 
 
@@ -679,12 +679,12 @@ def test_adjoint_gradients_reject_wrong_widths():
         adjoint_gradients(ansatz, theta[:-1], evolve(ansatz, theta), [])
     with pytest.raises(EncodingError):
         adjoint_gradients(ansatz, theta, evolve(ansatz, theta), [np.zeros(4)])
-    block = np.zeros((ansatz.n_params, 2))
+    block = np.zeros((2, ansatz.n_params))
     states = evolve_block(ansatz, block)
     with pytest.raises(ParamLengthError):
-        adjoint_gradients(ansatz, block[:-1], states, [states])
+        adjoint_gradients(ansatz, block[:, :-1], states, [states])
     with pytest.raises(EncodingError):
-        adjoint_gradients(ansatz, block, states, [states[:, :1]])
+        adjoint_gradients(ansatz, block, states, [states[:1]])
 
 
 # --- layer kernel: the per-gate loop and the dense oracle, to rounding ---
@@ -711,8 +711,10 @@ def ref_cnot_chain(state, n):
 
 
 def ref_evolve_block(ansatz, block):
-    # the gate loop in the natural layout, one swap per CNOT
+    # the gate loop in the natural layout, one swap per CNOT, on the angle
+    # rows of block as columns
     n = ansatz.n_qubits
+    block = block.T
     half = block / 2.0
     cos = np.cos(half)
     sin = np.sin(half)
@@ -726,7 +728,7 @@ def ref_evolve_block(ansatz, block):
             ref_cnot_chain(state, n)
         for q in range(n):
             ref_apply_ry(state, q, cos[layer * n + q], sin[layer * n + q])
-    return state
+    return state.T
 
 
 # fused Kronecker blocks sum each amplitude in another order than the gate
@@ -737,7 +739,7 @@ def ref_evolve_block(ansatz, block):
 def test_evolve_block_equals_natural_layout_loop(n, layers, width):
     ansatz = Ansatz(n, layers=layers)
     rng = np.random.default_rng(1000 * n + 10 * layers + width)
-    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width))
+    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width)).T
     got = evolve_block(ansatz, block)
     assert np.abs(got - ref_evolve_block(ansatz, block)).max() <= 1e-12
 
@@ -749,11 +751,11 @@ def test_evolve_block_equals_natural_layout_loop(n, layers, width):
 def test_layer_kernel_matches_dense_oracle(n, layers, width):
     ansatz = Ansatz(n, layers=layers)
     rng = np.random.default_rng(100 * n + 10 * layers + width)
-    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width))
+    block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width)).T
     got = evolve_block(ansatz, block)
-    assert got.shape == (1 << n, width)
+    assert got.shape == (width, 1 << n)
     for j in range(width):
-        assert np.abs(got[:, j] - dense_evolve(ansatz, block[:, j])).max() <= 1e-12
+        assert np.abs(got[j] - dense_evolve(ansatz, block[j])).max() <= 1e-12
 
 
 def kron_chain(cos, sin):
@@ -771,10 +773,10 @@ def test_layer_blocks_equal_kron_chain_bit_for_bit(n):
     for layers in range(4):
         for width in (1, 3, 64):
             ansatz = Ansatz(n, layers=layers)
-            block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width))
-            # the kernel's half angles, (layer, column, qubit), and their
+            block = rng.uniform(0.0, 2.0 * math.pi, (ansatz.n_params, width)).T
+            # the kernel's half angles, (layer, row, qubit), and their
             # cosines and sines, taken as the kernel takes them
-            half = block.reshape(-1, n, width).transpose(0, 2, 1) / 2.0
+            half = block.reshape(width, -1, n).transpose(1, 0, 2) / 2.0
             cos, sin = np.cos(half), np.sin(half)
             products = sim._layer_products(n, block)
             blocks = sim._layer_blocks(products)

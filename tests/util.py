@@ -129,12 +129,15 @@ def decodable_masks(n_beads):
 
 
 def reference_f_vector(engine, probs):
-    """The expectation engine's former one-vector F evaluation."""
+    """The expectation engine's former one-vector F evaluation: ancilla a's
+    partial marginal sums the grid rows a boolean mask of bit a picks."""
     grid = probs.reshape(1 << engine.n_ancillas, 1 << engine.n_config)
     marginal = grid.sum(axis=0)
     total = float(marginal @ engine.tables.base_table)
-    for rows, table in zip(engine._row_masks, engine.tables.pair_tables):
-        total += float(grid[rows].sum(axis=0) @ table)
+    rows = np.arange(1 << engine.n_ancillas)
+    for a, table in enumerate(engine.tables.pair_tables):
+        mask = ((rows >> a) & 1).astype(bool)
+        total += float(grid[mask].sum(axis=0) @ table)
     out = np.empty(1 + engine.n_constraints)
     out[0] = total
     for m, table in enumerate(engine.tables.constraint_tables, start=1):
