@@ -211,7 +211,9 @@ def _run_stages(manifest: RunManifest, out, *emitted: str) -> int:
 
 def _manifest(args, **given) -> RunManifest:
     """The manifest of a subcommand's flags; a field without a flag keeps
-    its default."""
+    its default.  ``--workers`` is no manifest field: only 1 passes."""
+    if getattr(args, "workers", 1) != 1:
+        raise QfoldError("--workers must be 1: the search runs in one process")
     values = {
         f.name: getattr(args, f.name)
         for f in fields(RunManifest)
@@ -329,6 +331,12 @@ FLAGS = {
         "help": "compute the reference energy by exhaustive search",
     },
     "out": {"help": "output directory"},
+    "workers": {
+        "type": int,
+        "default": 1,
+        "help": "accepts only 1 and is ignored: the search runs in one process; "
+        "the flag stays because scripts pass it, perfbench's search-8 among them",
+    },
 }
 
 FCC_ONLY = {"lattice": {"choices": (FCC,)}}

@@ -60,7 +60,6 @@ MANIFEST_COUNT_MINIMA = {
     "layers": 0,
     "shots": 1,
     "seed": 0,
-    "workers": 1,
 }
 
 
@@ -100,7 +99,6 @@ class RunManifest:
     layers: int = 2
     shots: int = 1024
     seed: int = 0
-    workers: int = 1
     out: str = "."
 
     def __post_init__(self):
@@ -149,6 +147,11 @@ class RunManifest:
             raise ParseError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("manifest must be a JSON object")
+        # manifests written while the search could fork carry "workers": 1
+        if "workers" in doc:
+            workers = doc.pop("workers")
+            if type(workers) is not int or workers != 1:
+                raise ParseError("manifest key 'workers' is retired; only the value 1 is read")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -287,7 +290,7 @@ def stages(manifest: RunManifest):
 def search_folds(manifest: RunManifest) -> TopK:
     peptide, matrix = validate_peptide(manifest.peptide), load_matrix(manifest.matrix)
     return search(SearchConfig(manifest.lattice, peptide, matrix, k=manifest.k,
-                               nn_level=manifest.nn_level, workers=manifest.workers))
+                               nn_level=manifest.nn_level))
 
 
 def fit_penalties(manifest: RunManifest) -> dict | None:

@@ -22,24 +22,17 @@ Once K leaves are kept, a prefix whose bound exceeds the K-th energy by
 more than a rounding margin (1e-9 times one plus the table's absolute sum:
 the bound adds the terms in another order than the leaves do) is dropped
 with its subtree, on the frontier and after each turn; ties at the cut-off
-survive, so the records are those of the full sweep.  Each span takes its
+survive, so the records are those of the full sweep, in (energy, turn
+string) order, bit-identical for any chunk size.  The sweep takes the
 frontier in stable order of bound, so the cut-off tightens early, and sizes
 its blocks by the sequences that survived in the block before.  Dropped
 subtrees, overlapping or pruned, still count in ``visited``, which is
 always the enumeration size; pruned ones also count in ``pruned``.
-
-Workers take contiguous spans of the frontier and keep private top-K lists;
-the final merge uses the deterministic (energy, turn string) order, so
-records are bit-identical for any worker count and chunk size.  ``pruned``
-is not: each span tightens its own cut-off.  The frontier is split into at
-most ``workers`` spans, and at most one process per span and usable CPU
-runs them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +70,6 @@ class SearchConfig:
     matrix: EnergyMatrix
     k: int = 100
     nn_level: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if self.lattice not in LATTICES:
@@ -87,8 +79,6 @@ class SearchConfig:
             raise EncodingError("k must be >= 1")
         if self.nn_level not in (1, 2):
             raise EncodingError("nn_level must be 1 or 2")
-        if self.workers < 1:
-            raise EncodingError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,8 +96,8 @@ class ConformerRecord:
 @dataclass(frozen=True)
 class TopK:
     """``visited`` counts every sequence of the enumeration; ``pruned`` counts
-    those the energy bound dropped unscored, which depends on the spans and
-    blocks the sweep ran."""
+    those the energy bound dropped unscored, which depends only on the config
+    and ``CHUNK``, so every rerun gives the same count."""
 
     k: int
     records: tuple
@@ -320,8 +310,8 @@ def _best(energy: np.ndarray, labels: np.ndarray, k: int):
     return energy[order], labels[:, order]
 
 
-def _sweep_span(config: SearchConfig, prefixes, turn: int, chunk: int):
-    """Worker kernel: the best k leaves below prefixes ending at ``turn``.
+def _sweep(tree: _Tree, prefixes, turn: int, k: int, chunk: int):
+    """The best k leaves below prefixes ending at ``turn``.
 
     Returns their energies and label columns, plus the numbers of sequences
     visited and pruned.  The prefixes are taken in order of their bounds,
@@ -332,7 +322,6 @@ def _sweep_span(config: SearchConfig, prefixes, turn: int, chunk: int):
     the first one is sized by its full subtrees, each later one by the
     survivors per prefix of the one before, at most twice as many prefixes.
     """
-    tree, k = _Tree(config), config.k
     order = np.argsort(prefixes[3], kind="stable")
     prefixes = tuple(a[..., order] for a in prefixes)
     bounds = prefixes[3] + tree.rest[turn + 1]
@@ -368,7 +357,7 @@ def _sweep_span(config: SearchConfig, prefixes, turn: int, chunk: int):
         lo = hi
     # the frontier from lo on is above the cut-off
     skipped = (bounds.size - lo) * tree.below[turn]
-    return best, visited + skipped, pruned + skipped
+    return *best, visited + skipped, pruned + skipped
 
 
 def search(config: SearchConfig) -> TopK:
@@ -389,33 +378,10 @@ def search(config: SearchConfig) -> TopK:
         prefixes, dropped, _ = tree.grow(prefixes, turn)
         visited += dropped
 
-    n_spans = min(config.workers, prefixes[0].shape[1])
-    if n_spans == 1:
-        results = [_sweep_span(config, prefixes, turn, chunk)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        spans = list(zip(*(np.array_split(a, n_spans, axis=-1) for a in prefixes)))
-        # a forked pool starts all its processes at the first submit, so it
-        # gets no more than one per span and per usable CPU
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-        processes = min(n_spans, len(cpus) if cpus else os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(
-                pool.map(_sweep_span, [config] * n_spans, spans,
-                         [turn] * n_spans, [chunk] * n_spans)
-            )
-
-    visited += sum(count for _, count, _ in results)
-    energies, labels = _best(
-        np.concatenate([e for (e, _), _, _ in results]),
-        np.hstack([rows for (_, rows), _, _ in results]),
-        config.k,
-    )
+    energies, labels, swept, pruned = _sweep(tree, prefixes, turn, config.k, chunk)
     records = []
     for e, row in zip(energies, labels.T):
         seq = TurnSequence(config.lattice, tuple(row.tolist()))
         bits = pack_configuration(seq) if config.lattice == FCC else seq.to_string()
         records.append(ConformerRecord(float(e), seq, bits, coords_from_turns(seq)))
-    pruned = sum(count for _, _, count in results)
-    return TopK(k=config.k, records=tuple(records), visited=visited, pruned=pruned)
+    return TopK(k=config.k, records=tuple(records), visited=visited + swept, pruned=pruned)

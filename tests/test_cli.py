@@ -368,7 +368,7 @@ def test_manifest_json_round_trips_or_raises_parse_error(text):
 
 BAD_NUMBERS = [
     ("shots", 0), ("restarts", 0), ("iterations", 0), ("layers", -1), ("k", 0),
-    ("workers", 0), ("seed", -1), ("nn_level", 3), ("alpha", 0.0), ("alpha", 1.5),
+    ("seed", -1), ("nn_level", 3), ("alpha", 0.0), ("alpha", 1.5),
     ("alpha", math.nan), ("nu", 0.0), ("nu", math.inf), ("mu", -0.5), ("mu", 10**400),
 ]
 
@@ -400,7 +400,9 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
      ["vqec", "--peptide", "KLVF", "--mu", "inf", "--restarts", "1", "--iterations", "2"],
      ["vqec", "--peptide", "KLVF", "--nu", "nan", "--restarts", "1", "--iterations", "2"],
      ["vqe", "--peptide", "KLVF", "--seed", "-1"],
+     # the search runs in one process: --workers takes only 1
      ["search", "--peptide", "KLVF", "--workers", "0"],
+     [*PIPELINE, "--method", "search", "--workers", "2"],
      # counts past int64, which NumPy cannot take
      [*PIPELINE, "--method", "vqec", "--restarts", "1", "--iterations", "1",
       "--shots", str(10**20)],
@@ -530,7 +532,7 @@ def test_manifest_numbers_accepted_only_where_every_stage_takes_them(text):
                max_iterations=manifest.iterations, seed=manifest.seed)
     SearchConfig(lattice=manifest.lattice, peptide=manifest.peptide,
                  matrix=load_matrix(manifest.matrix), k=manifest.k,
-                 nn_level=manifest.nn_level, workers=manifest.workers)
+                 nn_level=manifest.nn_level)
     Ansatz(9, layers=manifest.layers)
     assert manifest.shots >= 1 and manifest.seed >= 0
     assert math.isfinite(manifest.nu) and math.isfinite(manifest.mu)
@@ -593,6 +595,58 @@ def test_pipeline_rerun_byte_identical(tmp_path, capsys):
         if name == "manifest.json":
             continue  # differs only in the output-directory field
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_pipeline_workers_1_is_ignored(tmp_path, capsys):
+    runs = {}
+    for name, extra in (("plain", []), ("workers", ["--workers", "1"])):
+        out = tmp_path / name
+        code, stdout, _ = run_cli(
+            ["pipeline", "--peptide", "GNLVS", "--method", "search", "--k", "5",
+             *extra, "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        runs[name] = stdout.replace(str(out), "<out>"), out
+    (plain, a), (workers, b) = runs["plain"], runs["workers"]
+    assert plain == workers
+    for name in ("folds.topobj", "best.xyz"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "workers, accepted",
+    [(1, True), (True, False), (2, False), ("1", False), (0, False), (1.0, False)],
+)
+def test_archived_manifest_workers_key(tmp_path, capsys, workers, accepted):
+    # manifests written while the search could fork carry "workers": 1, which
+    # reruns to the same outputs; any other value is a ParseError, exit 2
+    first, second = tmp_path / "a", tmp_path / "b"
+    code, _, _ = run_cli(
+        ["pipeline", "--peptide", "GNLVS", "--method", "search", "--k", "5",
+         "--out", str(first)],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads((first / "manifest.json").read_text())
+    archived = tmp_path / "archived.json"
+    archived.write_text(json.dumps({**doc, "workers": workers}, indent=2, sort_keys=True))
+    code, _, err = run_cli(
+        ["pipeline", "--manifest", str(archived), "--out", str(second)], capsys
+    )
+    if not accepted:
+        assert code == 2
+        assert err.startswith("error: ParseError:")
+        assert not second.exists()
+        return
+    assert code == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name == "manifest.json":
+            continue  # differs only in the output-directory field
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert json.loads((second / "manifest.json").read_text()) == {**doc, "out": str(second)}
 
 
 def test_pipeline_instance_carries_manifest_p0(tmp_path, capsys):
@@ -692,8 +746,8 @@ def test_console_entry_point():
 
 def test_cli_import_and_vqec_build_leave_scipy_unloaded(tmp_path):
     # only COBYLA needs SciPy, and importing it is most of the start-up time;
-    # only a search with several workers needs the process pool, and only
-    # penalty fitting needs the fit module and NumPy's polynomial package
+    # no search imports a process pool; only penalty fitting needs the fit
+    # module and NumPy's polynomial package
     pool = "concurrent.futures.process"
     script = (
         "import sys\n"

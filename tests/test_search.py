@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qfold import search as search_module
-from qfold.exceptions import EncodingError
+from qfold.exceptions import EncodingError, QfoldError
 from qfold.lattice import (
     FCC_VECTORS,
     SECOND_TURN_LABELS,
@@ -152,13 +152,12 @@ def test_enumeration_size_errors():
         dict(lattice="hex"),
         dict(k=0),
         dict(nn_level=3),
-        dict(workers=0),
         dict(nn_level=0),
         dict(peptide="KLXF"),
     ],
 )
 def test_config_rejects(bad):
-    with pytest.raises((EncodingError, Exception)):
+    with pytest.raises(QfoldError):
         config(**bad)
 
 
@@ -301,7 +300,7 @@ def test_no_collided_or_threshold_records():
                 assert np.any(coords[i] != coords[j])
 
 
-# --- determinism across workers and chunk sizes ---
+# --- determinism across chunk sizes ---
 
 
 def same_topk(a: TopK, b: TopK) -> bool:
@@ -316,16 +315,9 @@ def same_topk(a: TopK, b: TopK) -> bool:
     )
 
 
-def test_worker_count_invariance(monkeypatch):
-    ref = search(config(peptide="GNLVS", k=25))
-    assert same_topk(ref, search(config(peptide="GNLVS", k=25, workers=3)))
-    monkeypatch.setattr(search_module, "CHUNK", 13)
-    assert same_topk(ref, search(config(peptide="GNLVS", k=25, workers=2)))
-
-
 def test_chunk_invariance(monkeypatch):
     ref = search(config(peptide="GNLVS", k=25))
-    for chunk in (7, 484):
+    for chunk in (7, 13, 484):
         monkeypatch.setattr(search_module, "CHUNK", chunk)
         assert same_topk(ref, search(config(peptide="GNLVS", k=25)))
 
@@ -333,7 +325,7 @@ def test_chunk_invariance(monkeypatch):
 @pytest.mark.parametrize("lattice", ["fcc", "tet"])
 @pytest.mark.parametrize("chunk", [1, 7, 11, 13, 121, 10**6])
 def test_split_boundary_invariance(monkeypatch, lattice, chunk):
-    # N=7: the block and worker splits fall inside the turn tree, where the
+    # N=7: the block splits fall inside the turn tree, where the
     # blocks after the first prune; every split gives the unpruned odometer
     # sweep's records
     base = dict(lattice=lattice, peptide="KLVFFAE", nn_level=2, k=40)
@@ -342,42 +334,7 @@ def test_split_boundary_invariance(monkeypatch, lattice, chunk):
     assert_same_records(ref, want, visited, lattice)
     assert ref.visited == enumeration_size(lattice, 7)
     monkeypatch.setattr(search_module, "CHUNK", chunk)
-    for workers in (1, 2, 3):
-        assert same_topk(ref, search(config(**base, workers=workers)))
-
-
-class RecordingPool:
-    """A process pool stand-in that runs its map in this process and records
-    the pool size it was asked for."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize(
-    "workers, cpus, processes", [(10**6, 2, 2), (10**6, 10**4, 43), (3, 10**4, 3)]
-)
-def test_pool_size_is_capped_by_spans_and_cpus(monkeypatch, workers, cpus, processes):
-    # KLVFFAE's frontier holds 43 prefixes; no real pool is started
-    import concurrent.futures
-
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search_module.os, "sched_getaffinity", lambda pid: range(cpus))
-    ref = search(config(peptide="KLVFFAE", k=25))
-    assert same_topk(ref, search(config(peptide="KLVFFAE", k=25, workers=workers)))
-    assert RecordingPool.sizes == [processes]
+    assert same_topk(ref, search(config(**base)))
 
 
 @pytest.mark.parametrize("lattice", ["fcc", "tet"])
@@ -435,11 +392,10 @@ def test_search_equals_odometer_sweep_n8():
         want, visited = reference_search(replace(cfg, k=cfg.k + 1))
         if cfg.matrix is hp:
             assert want[cfg.k - 1][0] == want[cfg.k][0]
-        for workers in (1, 2):
-            top = search(replace(cfg, workers=workers))
-            assert type(top.pruned) is int
-            assert (top.pruned > 0) == (cfg.peptide != "LGGGGGGL")
-            assert_same_records(top, want[: cfg.k], visited, "fcc")
+        top = search(cfg)
+        assert type(top.pruned) is int
+        assert (top.pruned > 0) == (cfg.peptide != "LGGGGGGL")
+        assert_same_records(top, want[: cfg.k], visited, "fcc")
 
 
 @pytest.mark.parametrize("lattice", ["fcc", "tet"])
