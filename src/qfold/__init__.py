@@ -8,7 +8,8 @@ results against classical exhaustive search.
 Submodules
 ----------
 lattice
-    Turn encodings, codeword tables, integer geometry.
+    Turn encodings, codeword tables, the encoding layout and mode names,
+    integer geometry.
 pb
     Multilinear pseudo-Boolean polynomial algebra.
 scoring
@@ -16,7 +17,7 @@ scoring
 polyfit
     Chebyshev penalty fits for the dense (slack-free) overlap terms.
 hamiltonian
-    Encoding layout, indicator/position polynomials, problem assembly.
+    Indicator/position polynomials, problem assembly.
 search
     Classical exhaustive conformation search oracle.
 sim
@@ -26,7 +27,9 @@ optimize
 analysis
     Sample decoding, structural metrics, file formats.
 pipeline
-    Run manifests and the fit, assemble, solve, sample, decode chain.
+    Run manifests and the fit, assemble, solve, sample, decode chain; each
+    stage imports the layers it runs, so a search never loads the simulator,
+    the optimizer or the Hamiltonian.
 cli
     Command-line surface.
 """

@@ -27,15 +27,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import EmptyStructureError, EncodingError, ParseError
-from .hamiltonian import EncodingLayout
 from .lattice import (
     FCC,
     LATTICES,
     TET,
+    EncodingLayout,
     TurnSequence,
     coords_from_turns,
     fcc_coords,
@@ -44,7 +45,9 @@ from .lattice import (
     unpack_configuration,
 )
 from .scoring import load_masses
-from .sim import ShotTable
+
+if TYPE_CHECKING:
+    from .sim import ShotTable
 
 BOND_ANGSTROMS = 3.8
 

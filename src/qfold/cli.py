@@ -21,12 +21,9 @@ from dataclasses import MISSING, fields, replace
 from . import pipeline
 from .analysis import energy_probability_report, write_topobj, write_xyz
 from .exceptions import QfoldError
-from .hamiltonian import MODE_POLYFIT, MODES, EncodingLayout
-from .lattice import FCC, LATTICES
-from .optimize import cobyla_budget
+from .lattice import FCC, LATTICES, MODE_POLYFIT, MODES, EncodingLayout
 from .pipeline import METHOD_MODES, METHODS, RunManifest, check_finite_positive
 from .scoring import validate_peptide
-from .sim import ShotTable
 
 # ---------------------------------------------------------------------------
 # resource accounting
@@ -39,14 +36,22 @@ def resource_counts(n_beads: int) -> dict:
     The slack-free budget is the ``EncodingLayout`` the Hamiltonian is built
     on: 4N-10 configuration qubits plus one ancilla per non-bonded pair.  The
     slack alternative replaces the ancillas with one integer register per
-    pair, ceil(log2(2(j-i)^2 - 1)) bits wide.
+    pair, ceil(log2(2(j-i)^2 - 1)) bits wide.  Both are closed forms, so
+    any N answers at once: the slack bits are summed over the runs of
+    separations that share one width, O(log N) runs.
     """
     layout = EncodingLayout(n_beads)
     config, ancilla = layout.n_config_bits, layout.n_ancillas
     slack_bits = 0
-    for sep in range(2, n_beads):
-        width = math.ceil(math.log2(2 * sep * sep - 1))
-        slack_bits += (n_beads - sep) * width
+    sep = 2
+    while sep < n_beads:
+        # ceil(log2(m)) is (m - 1).bit_length(); the width holds while
+        # 2 s^2 - 2 < 2^width, that is for s^2 <= 2^(width - 1)
+        width = (2 * sep * sep - 2).bit_length()
+        last = min(math.isqrt(1 << (width - 1)), n_beads - 1)
+        # sum of N - s over s = sep .. last
+        slack_bits += width * (last - sep + 1) * (2 * n_beads - sep - last) // 2
+        sep = last + 1
     return {
         "n": n_beads,
         "config": config,
@@ -153,7 +158,7 @@ def _emit_solution(solution, manifest, out) -> None:
             _write(out, "grid.jsonl", grid.to_json_lines())
 
 
-def _emit_shots(table: ShotTable, manifest, out) -> None:
+def _emit_shots(table, manifest, out) -> None:
     print(f"shots={table.shots} distinct={len(table.counts)}")
     if out is not None:
         _write(out, "shots.tsv", table.to_text())
@@ -194,6 +199,8 @@ def _run_stages(manifest: RunManifest, out, *emitted: str) -> int:
         if stage == emitted[-1]:
             break
         if stage == "instance" and manifest.method == "vqe":
+            from .optimize import cobyla_budget
+
             ansatz, cfg = pipeline.solver(manifest, result.n_qubits)
             print(
                 f"cobyla budget: {cobyla_budget(cfg, ansatz)} evaluations per "
@@ -269,6 +276,8 @@ def cmd_analyze(args) -> int:
     shots_path = args.shots_file
     if shots_path is None:
         shots_path = os.path.join(args.out if args.out is not None else ".", "shots.tsv")
+    from .sim import ShotTable
+
     with open(shots_path) as handle:
         table = ShotTable.from_text(handle.read())
     ensemble = pipeline.decode_shots(manifest, table, args.e_star, args.oracle)

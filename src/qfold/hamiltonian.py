@@ -19,77 +19,34 @@ In the constrained mode the overlap physics moves out of the objective into
 explicit constraint polynomials ``2 - D_mn`` for every pair at separation
 >= 2 (bonded neighbours satisfy ``D = 2`` identically and are omitted).
 
-Qubit layout (``EncodingLayout``): configuration bits 0 .. 4N-11 first, turn
-``j`` on ``lattice.turn_bits(j)`` holding ``lattice.turn_words(j)``; then
-ancilla ``a`` of the lexicographic pair order on qubit ``4N - 10 + a``.  Every
-term loops over turns 1 .. N-2 through one indicator, ``indicator_poly``.
+Qubit layout (``lattice.EncodingLayout``): configuration bits 0 .. 4N-11
+first, turn ``j`` on ``lattice.turn_bits(j)`` holding
+``lattice.turn_words(j)``; then ancilla ``a`` of the lexicographic pair order
+on qubit ``4N - 10 + a``.  Every term loops over turns 1 .. N-2 through one
+indicator, ``indicator_poly``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .exceptions import EncodingError, ParseError, QfoldError
-from .lattice import FCC_VECTORS, inverse_label, n_config_bits, turn_bits, turn_words
+from .lattice import (
+    FCC_VECTORS,
+    MODE_POLYFIT,
+    MODE_VQEC,
+    MODES,
+    EncodingLayout,
+    inverse_label,
+    turn_words,
+)
 from .pb import PBPolynomial, table_support, value_table
 from .scoring import EnergyMatrix, epsilon_table, validate_peptide
 
-MODE_POLYFIT = "polyfit"
-MODE_VQEC = "vqec"
-MODES = (MODE_POLYFIT, MODE_VQEC)
-
 INSTANCE_FORMAT_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# layout
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EncodingLayout:
-    """Variable indexing for an N-bead chain: the configuration bits, then
-    one ancilla per interaction pair."""
-
-    n_beads: int
-
-    def __post_init__(self):
-        if self.n_beads < 3:
-            raise EncodingError(f"need at least 3 beads, got {self.n_beads}")
-
-    @property
-    def n_config_bits(self) -> int:
-        return n_config_bits(self.n_beads)
-
-    @cached_property
-    def pairs(self) -> tuple:
-        """Interaction pairs (m, n) with n >= m + 2, lexicographic order."""
-        n = self.n_beads
-        return tuple((m, nn) for m in range(n - 2) for nn in range(m + 2, n))
-
-    @property
-    def n_ancillas(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def total_qubits(self) -> int:
-        return self.n_config_bits + self.n_ancillas
-
-    def ancilla_qubit(self, a: int) -> int:
-        """Qubit of ancilla ``a``, the ancilla of ``pairs[a]``."""
-        if not 0 <= a < self.n_ancillas:
-            raise EncodingError(f"ancilla {a} out of range 0..{self.n_ancillas - 1}")
-        return self.n_config_bits + a
-
-    def turn_qubits(self, j: int) -> range:
-        """Qubits of turn ``j``, 1 <= j <= N-2 (``lattice.turn_bits``)."""
-        if not 1 <= j <= self.n_beads - 2:
-            raise EncodingError(f"turn index {j} out of range 1..{self.n_beads - 2}")
-        return turn_bits(j)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ Hamiltonian level rather than forbidden structurally.  Qubit layout: turn 0 is
 pinned to label ``0`` and holds no bits; ``turn_bits`` places turn 1 on
 ``q0 q1`` (the codewords ``q0 q1 0 0``) and turn ``j >= 2`` on
 ``q_{4j-6} .. q_{4j-3}``, ``4 N - 10`` configuration bits in all, and
-``turn_words`` gives each turn's words and their labels.
+``turn_words`` gives each turn's words and their labels.  ``EncodingLayout``
+adds one ancilla qubit per interaction pair after the configuration bits;
+``MODES`` names the two Hamiltonian encodings built on it.
 
 On the tetrahedral (diamond) lattice each bead has four neighbours.  Bond
 vectors alternate in sign along the chain, so a single absolute turn label in
@@ -191,6 +193,55 @@ def n_config_bits(n_beads: int) -> int:
     if n_beads < 3:
         raise EncodingError(f"need at least 3 beads, got {n_beads}")
     return turn_bits(n_beads - 2).stop
+
+
+#: The two Hamiltonian encodings: fitted overlap penalties, or constraints.
+MODE_POLYFIT = "polyfit"
+MODE_VQEC = "vqec"
+MODES = (MODE_POLYFIT, MODE_VQEC)
+
+
+@dataclass(frozen=True)
+class EncodingLayout:
+    """Variable indexing for an N-bead chain: the configuration bits, then
+    one ancilla per interaction pair."""
+
+    n_beads: int
+
+    def __post_init__(self):
+        if self.n_beads < 3:
+            raise EncodingError(f"need at least 3 beads, got {self.n_beads}")
+
+    @property
+    def n_config_bits(self) -> int:
+        return n_config_bits(self.n_beads)
+
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        """Interaction pairs (m, n) with n >= m + 2, lexicographic order."""
+        n = self.n_beads
+        return tuple((m, nn) for m in range(n - 2) for nn in range(m + 2, n))
+
+    @property
+    def n_ancillas(self) -> int:
+        """``len(pairs)``, counted without building the pairs."""
+        return (self.n_beads - 1) * (self.n_beads - 2) // 2
+
+    @property
+    def total_qubits(self) -> int:
+        return self.n_config_bits + self.n_ancillas
+
+    def ancilla_qubit(self, a: int) -> int:
+        """Qubit of ancilla ``a``, the ancilla of ``pairs[a]``."""
+        if not 0 <= a < self.n_ancillas:
+            raise EncodingError(f"ancilla {a} out of range 0..{self.n_ancillas - 1}")
+        return self.n_config_bits + a
+
+    def turn_qubits(self, j: int) -> range:
+        """Qubits of turn ``j``, 1 <= j <= N-2 (``turn_bits``)."""
+        if not 1 <= j <= self.n_beads - 2:
+            raise EncodingError(f"turn index {j} out of range 1..{self.n_beads - 2}")
+        return turn_bits(j)
 
 
 def encode_turn(label: int) -> str:

@@ -50,7 +50,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .exceptions import DivergenceError, EncodingError
-from .hamiltonian import MODE_POLYFIT, MODE_VQEC, InstanceTables, ProblemInstance
+from .hamiltonian import InstanceTables, ProblemInstance
+from .lattice import MODE_POLYFIT, MODE_VQEC
 from .sim import (
     Ansatz,
     adjoint_gradients,

@@ -23,6 +23,7 @@ symbolically.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -199,13 +200,21 @@ class PBPolynomial:
         return total
 
 
+@functools.cache
+def _byte_bits(k: int) -> tuple:
+    """For each value of byte ``k`` of a mask, the indices of its set bits,
+    ascending: the inverse of ``from_value_table``'s byte lookup."""
+    return tuple([8 * k + i for i in range(8) if byte >> i & 1] for byte in range(256))
+
+
 def _mask_bits(mask: int) -> list:
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of ``mask``, ascending, one lookup per byte."""
     bits = []
+    k = 0
     while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
+        bits += _byte_bits(k)[mask & 255]
+        mask >>= 8
+        k += 1
     return bits
 
 

@@ -3,8 +3,9 @@
 ``stages(manifest)`` yields each stage's result as that stage ends, and
 ``run(manifest)`` collects them; nothing here prints or writes.  The solve
 stage drops its ``ExpectationEngine`` when it returns, so sampling and
-analysis do not hold its tables, and only the stages that fit penalties
-import the penalty-fit module.
+analysis do not hold its tables.  Each stage imports the layers it runs: a
+search loads no Hamiltonian, optimizer or simulator, a build no optimizer or
+simulator, and only the stages that fit penalties load the penalty fits.
 """
 
 from __future__ import annotations
@@ -12,34 +13,28 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .analysis import DecodedEnsemble, decode_samples
 from .exceptions import ParseError, QfoldError
-from .hamiltonian import (
+from .lattice import (
+    FCC,
+    LATTICES,
     MODE_POLYFIT,
     MODE_VQEC,
     MODES,
     EncodingLayout,
-    Penalties,
-    ProblemInstance,
-    assemble,
-)
-from .lattice import FCC, LATTICES, unpack_configuration
-from .optimize import (
-    CvarVqeConfig,
-    ExpectationEngine,
-    GridReport,
-    OptTrace,
-    VqecConfig,
-    grid_search,
-    run_cvar_vqe,
-    run_vqec_pdp,
+    unpack_configuration,
 )
 from .scoring import load_matrix, validate_peptide
 from .search import SearchConfig, TopK, enumeration_size, search, squared_distance_scorer
-from .sim import Ansatz, ShotTable, bitstring_of, evolve, probabilities, sample
+
+if TYPE_CHECKING:
+    from .hamiltonian import ProblemInstance
+    from .optimize import GridReport, OptTrace
+    from .sim import Ansatz, ShotTable
 
 # the oracle runs exhaustive search up to N = 9 (4 * 11^6 = 7,086,244
 # sequences); the pruned k = 1 search took 8-36 ms at N = 8 and 0.04-0.23 s
@@ -282,6 +277,8 @@ def stages(manifest: RunManifest):
     yield "instance", instance
     solution = solve(manifest, instance)
     yield "solution", solution
+    from .sim import sample
+
     shots = sample(solution.state, manifest.shots, manifest.seed)
     yield "shots", shots
     yield "ensemble", decode_shots(manifest, shots, oracle=True)
@@ -303,6 +300,8 @@ def fit_penalties(manifest: RunManifest) -> dict | None:
 
 
 def build_instance(manifest: RunManifest, fits: dict | None) -> ProblemInstance:
+    from .hamiltonian import Penalties, assemble
+
     peptide = validate_peptide(manifest.peptide)
     matrix = load_matrix(manifest.matrix)
     return assemble(
@@ -313,6 +312,9 @@ def build_instance(manifest: RunManifest, fits: dict | None) -> ProblemInstance:
 
 def solver(manifest: RunManifest, n_qubits: int) -> tuple:
     """The ansatz and optimizer config that ``solve`` runs."""
+    from .optimize import CvarVqeConfig, VqecConfig
+    from .sim import Ansatz
+
     runs = dict(restarts=manifest.restarts, max_iterations=manifest.iterations,
                 seed=manifest.seed)
     if manifest.method == "vqe":
@@ -324,6 +326,9 @@ def solver(manifest: RunManifest, n_qubits: int) -> tuple:
 
 def solve(manifest: RunManifest, instance: ProblemInstance) -> Solution:
     """Optimize on one engine, then evolve the chosen angles once."""
+    from .optimize import ExpectationEngine, grid_search, run_cvar_vqe, run_vqec_pdp
+    from .sim import bitstring_of, evolve, probabilities
+
     ansatz, cfg = solver(manifest, instance.n_qubits)
     engine = ExpectationEngine(instance)
     if manifest.method == "vqe":
@@ -357,6 +362,8 @@ def resample(manifest: RunManifest, params_text: str) -> ShotTable:
 
     The text's layer count, where it has one, overrides the manifest's.
     """
+    from .sim import Ansatz, evolve, sample
+
     params, layers = read_params(params_text)
     n_qubits = EncodingLayout(len(validate_peptide(manifest.peptide))).total_qubits
     ansatz = Ansatz(n_qubits, layers=manifest.layers if layers is None else layers)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .exceptions import EncodingError
+from .exceptions import EncodingError, QfoldError
 from .pb import PBPolynomial, compose_pointwise
 
 #: Default collision penalty height at D = 0.
@@ -88,8 +88,11 @@ def fit_penalty(target: PenaltyTarget, r2_tol: float = DEFAULT_R2_TOL) -> Chebys
 
     Degrees are tried from ``START_DEGREE`` upward, one at a time, until the
     fit's R^2 reaches ``r2_tol``; the loop is capped at ``#points - 1`` where
-    least squares interpolates the targets exactly.
+    least squares interpolates the targets exactly.  An ``r2_tol`` outside
+    (0, 1], NaN included, raises ``QfoldError``.
     """
+    if not 0.0 < r2_tol <= 1.0:
+        raise QfoldError(f"r2_tol must lie in (0, 1], got {r2_tol}")
     d_vals, f_vals = target.points()
     t_vals = d_vals / target.separation**2 - 1.0
     n_points = d_vals.size

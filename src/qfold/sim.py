@@ -111,6 +111,22 @@ def _chain_gather(n_qubits: int) -> np.ndarray:
     return gather
 
 
+@functools.lru_cache(maxsize=4)
+def _chain_inverse(n_qubits: int) -> np.ndarray:
+    """Gather undoing the CNOT chain, the inverse of ``_chain_gather``.
+
+    It is the prefix XOR of the index, built in place by doubling: setting
+    bit k flips every prefix bit from k up.  One ``intp`` per amplitude.
+    Left writeable, unlike the gather: ``np.take`` copies a read-only
+    index array on every call, which would cost what the gather saves.
+    """
+    inverse = np.zeros(1 << n_qubits, dtype=np.intp)
+    for k in range(n_qubits):
+        flips = (1 << n_qubits) - (1 << k)
+        np.bitwise_xor(inverse[: 1 << k], flips, out=inverse[1 << k : 2 << k])
+    return inverse
+
+
 @functools.lru_cache(maxsize=GROUP_QUBITS)
 def _ry_pi_table(size: int) -> np.ndarray:
     """``(4^g, g)`` signs turning a group's overlap matrix into g gradients.
@@ -476,8 +492,8 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     group's overlap matrix C = sum psi lambda^T over the other index bits,
     a cached sign table turns C into the group's g gradients
     (``_ry_pi_table``), and one more product undoes the group with its
-    transposed Kronecker block.  The CNOT chain is undone by a scatter
-    through the cached gather.  Every product has the same shape for every
+    transposed Kronecker block.  The CNOT chain is undone by one cached
+    gather (``_chain_inverse``).  Every product has the same shape for every
     row, so a row's gradients are the same bits whatever the other rows
     hold.  Besides its inputs the sweep holds two states per row, the copy
     of psi and one spare, when every co-state is swept in place, and one
@@ -499,7 +515,7 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     if any(a.shape != shape for a in arrays):
         raise EncodingError("state and co-states must hold 2^n amplitudes per row")
     spare = np.empty_like(arrays[0])
-    chain = _chain_gather(n)
+    unchain = _chain_inverse(n)
     blocks = _layer_blocks(_layer_products(n, block))
     grads = np.empty((len(costates), width, ansatz.n_params))
     for layer in reversed(range(ansatz.layers + 1)):
@@ -528,11 +544,6 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
             hi = lo
         if layer:
             for i, a in enumerate(arrays):
-                # the chain made new[x] = old[chain[x]]: scatter back; a
-                # flat scatter is the faster one for a single row
-                if width == 1:
-                    spare.reshape(-1)[chain] = a.reshape(-1)
-                else:
-                    spare[:, chain] = a
+                np.take(a, unchain, axis=-1, out=spare, mode="clip")
                 arrays[i], spare = spare, a
     return grads[:, 0] if single else grads

@@ -28,8 +28,8 @@ from qfold.analysis import (
     xyz_text,
 )
 from qfold.exceptions import EmptyStructureError, EncodingError, ParseError
-from qfold.hamiltonian import EncodingLayout
 from qfold.lattice import (
+    EncodingLayout,
     coords_from_turns,
     pair_squared_distance,
     turns_from_string,

@@ -3,6 +3,7 @@
 import collections
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from qfold.cli import RunManifest, main, resource_counts
 from qfold.exceptions import ParseError, QfoldError
 from qfold.hamiltonian import ProblemInstance
+from qfold.lattice import EncodingLayout
 from qfold.optimize import CvarVqeConfig, VqecConfig
 from qfold.pipeline import read_params
 from qfold.polyfit import PenaltyTarget, fit_penalty, fit_report
@@ -41,6 +43,36 @@ def test_resource_counts_formula():
         assert counts["config"] == 4 * n - 10
         assert counts["ancilla"] == (n - 1) * (n - 2) // 2
         assert counts["total"] == 4 * n - 10 + (n - 1) * (n - 2) // 2
+
+
+def test_resource_counts_match_the_per_separation_sums():
+    # the closed forms against the pair list and the loop over separations
+    for n in [*range(3, 61), 1000, 100_000]:
+        counts = resource_counts(n)
+        if n <= 60:
+            assert counts["ancilla"] == len(EncodingLayout(n).pairs)
+        slack = sum((n - s) * math.ceil(math.log2(2 * s * s - 1)) for s in range(2, n))
+        assert counts["slack_bits"] == slack
+
+
+def test_resources_of_a_huge_chain_need_no_memory_in_n():
+    # a pair list or a loop over separations would grow with N; under the
+    # address-space cap such a regression ends in MemoryError or the timeout.
+    # One BLAS thread: OpenBLAS reserves address space per thread at import
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from qfold.cli import main\n"
+        "raise SystemExit(main(['resources', '--n', '10000000000']))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(
+        "N=10000000000 config=39999999990 ancilla=49999999985000000001 "
+    )
 
 
 def test_resources_n6(capsys):
@@ -251,7 +283,6 @@ def test_vqec_single_point(tmp_path, capsys):
 )
 def test_analyze_oracle_covers_nine_residues(tmp_path, capsys, peptide, covered):
     # N = 9 is 7,086,244 sequences, inside the cap; N = 10 is 11 times that
-    from qfold.hamiltonian import EncodingLayout
     from qfold.scoring import load_matrix
     from qfold.search import SearchConfig, search
 
@@ -414,7 +445,10 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
       "--layers", str(2**63 - 1)],
      ["vqec", "--peptide", "KLVF", "--restarts", "1", "--iterations", "1",
       "--layers", "341606371735362065"],
-     ["vqec", "--peptide", "KLVF", "--restarts", str(2**62), "--iterations", "1"]],
+     ["vqec", "--peptide", "KLVF", "--restarts", str(2**62), "--iterations", "1"],
+     # a fit tolerance outside (0, 1] would fall through to interpolation
+     ["fit-penalty", "--separation", "3", "--r2-tol", "nan"],
+     ["fit-penalty", "--peptide", "KLVF", "--r2-tol", "2"]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -650,7 +684,7 @@ def test_archived_manifest_workers_key(tmp_path, capsys, workers, accepted):
 
 
 def test_pipeline_instance_carries_manifest_p0(tmp_path, capsys):
-    from qfold.hamiltonian import EncodingLayout, Penalties, assemble
+    from qfold.hamiltonian import Penalties, assemble
     from qfold.scoring import load_matrix
 
     manifest = RunManifest(
@@ -675,7 +709,7 @@ def test_pipeline_instance_carries_manifest_p0(tmp_path, capsys):
 def test_pipeline_fits_assembles_and_builds_an_engine_once(
     tmp_path, capsys, monkeypatch, method, fits
 ):
-    from qfold import optimize, pipeline, polyfit
+    from qfold import hamiltonian, optimize, polyfit
 
     calls = collections.Counter()
 
@@ -687,7 +721,7 @@ def test_pipeline_fits_assembles_and_builds_an_engine_once(
         return wrapper
 
     monkeypatch.setattr(polyfit, "fit_family", counted("fit", polyfit.fit_family))
-    monkeypatch.setattr(pipeline, "assemble", counted("assemble", pipeline.assemble))
+    monkeypatch.setattr(hamiltonian, "assemble", counted("assemble", hamiltonian.assemble))
     engine_init = optimize.ExpectationEngine.__init__
     monkeypatch.setattr(
         optimize.ExpectationEngine, "__init__", counted("engine", engine_init)
@@ -708,8 +742,9 @@ def test_pipeline_fits_assembles_and_builds_an_engine_once(
      ["--method", "vqec", "--grid", "--restarts", "1", "--iterations", "2"]],
 )
 def test_pipeline_evolves_the_final_state_once(tmp_path, capsys, monkeypatch, flags):
-    # the summary, the final violation and the shots share one evolution
-    from qfold import pipeline
+    # the summary, the final violation and the shots share one evolution;
+    # the pipeline imports these names from their modules when a stage runs
+    from qfold import optimize, sim
 
     events = []
 
@@ -721,8 +756,10 @@ def test_pipeline_evolves_the_final_state_once(tmp_path, capsys, monkeypatch, fl
 
         return wrapper
 
-    for name in ("run_cvar_vqe", "run_vqec_pdp", "grid_search", "evolve", "sample"):
-        monkeypatch.setattr(pipeline, name, recorded(name, getattr(pipeline, name)))
+    for module, names in ((optimize, ("run_cvar_vqe", "run_vqec_pdp", "grid_search")),
+                          (sim, ("evolve", "sample"))):
+        for name in names:
+            monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     code, _, _ = run_cli(
         ["pipeline", "--peptide", "KLVF", *flags, "--shots", "64", "--out", str(tmp_path)],
         capsys,
@@ -768,6 +805,37 @@ def test_cli_import_and_vqec_build_leave_scipy_unloaded(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "instance.json").exists()
+
+
+# the layers that only the variational methods run
+VARIATIONAL = ("qfold.sim", "qfold.optimize", "qfold.hamiltonian", "qfold.pb", "qfold.polyfit")
+
+
+@pytest.mark.parametrize(
+    "args, unloaded",
+    [(["pipeline", "--method", "search", "--peptide", "KLVFFAGW", "--workers", "1",
+       "--out", "{out}"], VARIATIONAL),
+     (["resources", "--peptide", "KLVFFAGW"], VARIATIONAL),
+     (["build", "--peptide", "KLVF", "--mode", "vqec", "--out", "{out}"],
+      ("qfold.sim", "qfold.optimize"))],
+    ids=["search-pipeline", "resources", "vqec-build"],
+)
+def test_command_loads_only_the_layers_it_runs(tmp_path, args, unloaded):
+    # a fresh process, so that no other test's imports count
+    args = [a.format(out=tmp_path / "run") for a in args]
+    script = (
+        "import sys\n"
+        "from qfold.cli import main\n"
+        f"assert main({args!r}) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qfold'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.splitlines()[-1].split()
+    assert "qfold.cli" in loaded
+    assert [name for name in unloaded if name in loaded] == []
 
 
 def test_vqe_pipeline_leaves_scipy_unloaded(tmp_path):

@@ -9,7 +9,8 @@ import pytest
 
 from qfold import optimize
 from qfold.exceptions import DivergenceError, EncodingError
-from qfold.hamiltonian import EncodingLayout, assemble
+from qfold.hamiltonian import assemble
+from qfold.lattice import EncodingLayout
 from qfold.optimize import (
     CvarVqeConfig,
     ExpectationEngine,

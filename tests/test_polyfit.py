@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qfold import polyfit
-from qfold.exceptions import EncodingError
+from qfold.exceptions import EncodingError, QfoldError
 from qfold.pb import PBPolynomial
 
 EXPECTED_DEGREES = {2: 4, 3: 7, 4: 10, 5: 12, 6: 15, 7: 18, 8: 20, 9: 23, 10: 26, 11: 28}
@@ -61,6 +61,18 @@ def test_fit_is_deterministic():
 def test_custom_p0():
     fit = polyfit.fit_penalty(polyfit.PenaltyTarget(3, p0=10.0))
     assert float(fit.evaluate(0.0)) == pytest.approx(10.0, abs=0.5)
+
+
+@pytest.mark.parametrize("r2_tol", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_fit_rejects_a_tolerance_outside_the_unit_interval(r2_tol):
+    with pytest.raises(QfoldError):
+        polyfit.fit_penalty(polyfit.PenaltyTarget(3), r2_tol=r2_tol)
+
+
+def test_fit_at_tolerance_one_interpolates():
+    target = polyfit.PenaltyTarget(3)
+    fit = polyfit.fit_penalty(target, r2_tol=1.0)
+    assert fit.degree == target.points()[0].size - 1
 
 
 def test_required_separations():

@@ -551,7 +551,8 @@ def test_jacobian_equals_inline_loop_on_random_diagonal(n, layers):
 
 
 def assert_vqec_jacobian_equals_inline_loop(n_beads, seed):
-    from qfold.hamiltonian import EncodingLayout, assemble
+    from qfold.hamiltonian import assemble
+    from qfold.lattice import EncodingLayout
     from qfold.optimize import ExpectationEngine
     from qfold.scoring import RESIDUES, load_matrix
 
@@ -797,6 +798,12 @@ def test_chain_gather_is_a_permutation(n):
     assert gather.shape == (1 << n,)
     assert np.array_equal(np.sort(gather), np.arange(1 << n))
     assert not gather.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_chain_inverse_undoes_the_gather(n):
+    inverse = sim._chain_inverse(n)
+    assert np.array_equal(inverse[sim._chain_gather(n)], np.arange(1 << n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
