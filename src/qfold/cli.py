@@ -2,11 +2,12 @@
 
 Every subcommand is deterministic given its seed, so archived runs reproduce
 byte for byte.  Each one parses its flags into a ``RunManifest``, so every
-run passes the same checks, and runs the stages of ``qfold.pipeline`` it
-needs: ``build`` stops after the instance, ``vqe`` and ``vqec`` after the
-solution, and ``pipeline`` runs them all, writing each stage's artifacts as
-the stage ends, next to a copy of the manifest that produced them.
-``sample`` and ``analyze`` start from the files that an earlier run wrote.
+run passes the same checks and reads the canonical peptide, and runs the
+stages of ``qfold.pipeline`` it needs: ``build`` stops after the instance,
+``vqe`` and ``vqec`` after the solution, and ``pipeline`` runs them all,
+writing each stage's artifacts as the stage ends, next to a copy of the
+manifest that produced them.  ``sample`` and ``analyze`` start from the
+files that an earlier run wrote.
 """
 
 from __future__ import annotations
@@ -125,11 +126,10 @@ def _emit_topk(topk, manifest, out) -> None:
     for record in topk.records:
         print(f"energy={record.energy:.6f} turns={record.turn_string}")
     if out is not None:
-        peptide = validate_peptide(manifest.peptide)
-        text = write_topobj(topk, lattice=manifest.lattice, peptide=peptide)
+        text = write_topobj(topk, lattice=manifest.lattice, peptide=manifest.peptide)
         _write(out, "folds.topobj", text)
         if topk.records:
-            _write(out, "best.xyz", write_xyz(topk.records[0].turns, peptide))
+            _write(out, "best.xyz", write_xyz(topk.records[0].turns, manifest.peptide))
 
 
 def _emit_solution(solution, manifest, out) -> None:
@@ -172,12 +172,11 @@ def _emit_ensemble(ensemble, manifest, out) -> None:
         f"energy={energy_text} valid_probability={ensemble.valid_probability:.6f}"
     )
     if out is not None:
-        peptide = validate_peptide(manifest.peptide)
-        tsv, doc = energy_probability_report(ensemble, peptide=peptide)
+        tsv, doc = energy_probability_report(ensemble, peptide=manifest.peptide)
         _write(out, "report.tsv", tsv)
         _write(out, "report.json", doc)
         if modal.energy is not None:
-            _write(out, "modal.xyz", write_xyz(modal.turns, peptide))
+            _write(out, "modal.xyz", write_xyz(modal.turns, manifest.peptide))
 
 
 EMITTERS = {
@@ -232,6 +231,8 @@ def _manifest(args, **given) -> RunManifest:
 
 def cmd_fit_penalty(args) -> int:
     check_finite_positive("p0", args.p0, "penalty height")
+    if not 0.0 < args.r2_tol <= 1.0:
+        raise QfoldError(f"r2_tol must lie in (0, 1], got {args.r2_tol}")
     from .polyfit import PenaltyTarget, fit_family, fit_penalty
 
     if args.separation is not None:
@@ -372,7 +373,7 @@ COMMANDS = (
     ("analyze", "decode shots into an energy report", cmd_analyze,
      "peptide matrix shots_file nn_level e_star oracle out", {}, {}),
     ("pipeline", "run fit, build, solve, sample, analyze", cmd_pipeline,
-     "peptide matrix manifest lattice method mode k nn_level alpha nu mu grid "
+     "peptide matrix manifest lattice method k nn_level alpha nu mu grid "
      "restarts iterations layers shots seed workers out", {}, {}),
 )
 

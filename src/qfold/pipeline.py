@@ -1,11 +1,13 @@
 """The folding pipeline: fit, assemble, solve, sample and decode, in memory.
 
 ``stages(manifest)`` yields each stage's result as that stage ends, and
-``run(manifest)`` collects them; nothing here prints or writes.  The solve
-stage drops its ``ExpectationEngine`` when it returns, so sampling and
-analysis do not hold its tables.  Each stage imports the layers it runs: a
-search loads no Hamiltonian, optimizer or simulator, a build no optimizer or
-simulator, and only the stages that fit penalties load the penalty fits.
+``run(manifest)`` collects them; nothing here prints or writes.  No stage
+re-derives a run input: the method fixes the encoding (``METHOD_MODES``),
+and a ``RunManifest`` stores the canonical peptide.  The solve stage drops
+its ``ExpectationEngine`` when it returns, so sampling and analysis do not
+hold its tables.  Each stage imports the layers it runs: a search loads no
+Hamiltonian, optimizer or simulator, a build no optimizer or simulator, and
+only the stages that fit penalties load the penalty fits.
 """
 
 from __future__ import annotations
@@ -73,14 +75,13 @@ def check_finite_positive(name: str, value, what: str) -> None:
 class RunManifest:
     """Everything needed to reproduce one pipeline run.
 
-    ``mode`` defaults to the encoding the method optimizes (polyfit for a
-    search); a mode given explicitly must agree with the method.
+    The method fixes the encoding (``METHOD_MODES``), and ``peptide`` is
+    kept canonical: ``validate_peptide``'s uppercase, stripped text.
     """
 
     peptide: str
     lattice: str = FCC
     method: str = "search"
-    mode: str | None = None
     matrix: str = "mj1996"
     k: int = 10
     nn_level: int = 1
@@ -101,17 +102,8 @@ class RunManifest:
             raise QfoldError(f"unknown lattice {self.lattice!r}")
         if self.method not in METHODS:
             raise QfoldError(f"unknown method {self.method!r}")
-        if self.mode is None:
-            # frozen: set once, before anything reads the mode
-            object.__setattr__(self, "mode", METHOD_MODES.get(self.method, MODE_POLYFIT))
-        if self.mode not in MODES:
-            raise QfoldError(f"unknown mode {self.mode!r}")
-        if self.method in METHOD_MODES:
-            encoding = METHOD_MODES[self.method]
-            if self.mode != encoding:
-                raise QfoldError(f"the {self.method} method optimizes the {encoding} encoding")
-            if self.lattice != FCC:
-                raise QfoldError("hamiltonian modes are defined on the fcc lattice only")
+        if self.method in METHOD_MODES and self.lattice != FCC:
+            raise QfoldError("hamiltonian modes are defined on the fcc lattice only")
         check_finite_positive("p0", self.p0, "penalty height")
         if not 0.0 < self.alpha <= 1.0:
             raise QfoldError("alpha must lie in (0, 1]")
@@ -122,11 +114,12 @@ class RunManifest:
                 raise QfoldError(f"{name} must lie in [{least}, {MANIFEST_COUNT_MAX}]")
         if self.nn_level not in (1, 2):
             raise QfoldError("nn_level must be 1 or 2")
-        n_beads = len(validate_peptide(self.peptide))
+        # frozen: the canonical peptide is set once, before anything reads it
+        object.__setattr__(self, "peptide", validate_peptide(self.peptide))
         # NumPy addresses the float64 start angles only within
         # MANIFEST_COUNT_MAX bytes; chains under 3 beads fail at assembly
-        if self.method in METHOD_MODES and n_beads >= 3:
-            n_params = EncodingLayout(n_beads).total_qubits * (self.layers + 1)
+        if self.method in METHOD_MODES and len(self.peptide) >= 3:
+            n_params = EncodingLayout(len(self.peptide)).total_qubits * (self.layers + 1)
             if 8 * self.restarts * n_params > MANIFEST_COUNT_MAX:
                 raise QfoldError(f"{self.restarts} restarts x {n_params} start angles "
                                  f"exceed {MANIFEST_COUNT_MAX} bytes")
@@ -142,11 +135,17 @@ class RunManifest:
             raise ParseError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("manifest must be a JSON object")
-        # manifests written while the search could fork carry "workers": 1
+        # retired keys: "workers": 1 from when the search could fork, and
+        # "mode", which the method now fixes
         if "workers" in doc:
             workers = doc.pop("workers")
             if type(workers) is not int or workers != 1:
                 raise ParseError("manifest key 'workers' is retired; only the value 1 is read")
+        if "mode" in doc:
+            # str(): a method that is no string fails its type check below
+            mode, method = doc.pop("mode"), str(doc.get("method"))
+            if mode not in MODES or mode != METHOD_MODES.get(method, mode):
+                raise ParseError("manifest key 'mode' may only name the method's encoding")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -157,7 +156,7 @@ class RunManifest:
             if f.name not in doc:
                 continue
             value = doc[f.name]
-            expected = str if f.default in (MISSING, None) else type(f.default)
+            expected = str if f.default is MISSING else type(f.default)
             if expected is float:
                 expected = (int, float)
             # bool is a subclass of int: true must not pass as a count
@@ -285,27 +284,26 @@ def stages(manifest: RunManifest):
 
 
 def search_folds(manifest: RunManifest) -> TopK:
-    peptide, matrix = validate_peptide(manifest.peptide), load_matrix(manifest.matrix)
+    peptide, matrix = manifest.peptide, load_matrix(manifest.matrix)
     return search(SearchConfig(manifest.lattice, peptide, matrix, k=manifest.k,
                                nn_level=manifest.nn_level))
 
 
 def fit_penalties(manifest: RunManifest) -> dict | None:
-    """The overlap-penalty fits of a polyfit manifest at its P0, else None."""
-    if manifest.mode != MODE_POLYFIT:
+    """The overlap-penalty fits at P0 where the method optimizes polyfit, else None."""
+    if METHOD_MODES[manifest.method] != MODE_POLYFIT:
         return None
     from .polyfit import fit_family
 
-    return fit_family(len(validate_peptide(manifest.peptide)), p0=manifest.p0)
+    return fit_family(len(manifest.peptide), p0=manifest.p0)
 
 
 def build_instance(manifest: RunManifest, fits: dict | None) -> ProblemInstance:
     from .hamiltonian import Penalties, assemble
 
-    peptide = validate_peptide(manifest.peptide)
-    matrix = load_matrix(manifest.matrix)
+    peptide, matrix = manifest.peptide, load_matrix(manifest.matrix)
     return assemble(
-        manifest.mode, EncodingLayout(len(peptide)), peptide, matrix,
+        METHOD_MODES[manifest.method], EncodingLayout(len(peptide)), peptide, matrix,
         Penalties(p0=manifest.p0), fits,
     )
 
@@ -365,7 +363,7 @@ def resample(manifest: RunManifest, params_text: str) -> ShotTable:
     from .sim import Ansatz, evolve, sample
 
     params, layers = read_params(params_text)
-    n_qubits = EncodingLayout(len(validate_peptide(manifest.peptide))).total_qubits
+    n_qubits = EncodingLayout(len(manifest.peptide)).total_qubits
     ansatz = Ansatz(n_qubits, layers=manifest.layers if layers is None else layers)
     return sample(evolve(ansatz, params), manifest.shots, manifest.seed)
 
@@ -375,7 +373,7 @@ def decode_shots(
 ) -> DecodedEnsemble:
     """Decode ``shots`` against ``e_star``, or with ``oracle`` and no
     ``e_star`` against the exhaustive oracle's minimum where N allows."""
-    peptide, matrix = validate_peptide(manifest.peptide), load_matrix(manifest.matrix)
+    peptide, matrix = manifest.peptide, load_matrix(manifest.matrix)
     config = SearchConfig(FCC, peptide, matrix, nn_level=manifest.nn_level)
     if e_star is None and oracle and enumeration_size(FCC, len(peptide)) <= ORACLE_SIZE_CAP:
         topk = search(replace(config, k=1))

@@ -74,7 +74,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.lattice not in LATTICES:
             raise EncodingError(f"unknown lattice {self.lattice!r}")
-        validate_peptide(self.peptide)
+        # frozen: the canonical peptide is set once, before anything reads it
+        object.__setattr__(self, "peptide", validate_peptide(self.peptide))
         if self.k < 1:
             raise EncodingError("k must be >= 1")
         if self.nn_level not in (1, 2):
@@ -368,7 +369,7 @@ def search(config: SearchConfig) -> TopK:
     collision threshold; energies at or above the threshold are likewise
     excluded.
     """
-    n_beads = len(validate_peptide(config.peptide))
+    n_beads = len(config.peptide)
     if n_beads < 3:
         raise EncodingError("need at least 3 beads")
     tree, chunk = _Tree(config), CHUNK

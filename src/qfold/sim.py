@@ -102,13 +102,11 @@ def _chain_gather(n_qubits: int) -> np.ndarray:
 
     The chain sends basis state x to its prefix XOR (new bit j = XOR of old
     bits 0..j), whose inverse is ``x ^ (x << 1)``, so ``np.take(state,
-    gather, axis=-1)`` is the chained state.  Read-only; one ``intp`` per
-    amplitude.
+    gather, axis=-1)`` is the chained state.  One ``intp`` per amplitude,
+    left writeable: ``np.take`` copies a read-only index array on every call.
     """
     index = np.arange(1 << n_qubits)
-    gather = index ^ ((index << 1) & ((1 << n_qubits) - 1))
-    gather.flags.writeable = False
-    return gather
+    return index ^ ((index << 1) & ((1 << n_qubits) - 1))
 
 
 @functools.lru_cache(maxsize=4)
@@ -116,9 +114,8 @@ def _chain_inverse(n_qubits: int) -> np.ndarray:
     """Gather undoing the CNOT chain, the inverse of ``_chain_gather``.
 
     It is the prefix XOR of the index, built in place by doubling: setting
-    bit k flips every prefix bit from k up.  One ``intp`` per amplitude.
-    Left writeable, unlike the gather: ``np.take`` copies a read-only
-    index array on every call, which would cost what the gather saves.
+    bit k flips every prefix bit from k up.  One ``intp`` per amplitude,
+    left writeable as the gather is.
     """
     inverse = np.zeros(1 << n_qubits, dtype=np.intp)
     for k in range(n_qubits):

@@ -7,14 +7,14 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfold.cli import RunManifest, main, resource_counts
+from qfold.cli import RunManifest, build_parser, main, resource_counts
 from qfold.exceptions import ParseError, QfoldError
 from qfold.hamiltonian import ProblemInstance
 from qfold.lattice import EncodingLayout
@@ -325,28 +325,43 @@ def test_manifest_round_trip():
 
 
 def test_manifest_validation():
-    from qfold.exceptions import QfoldError
-
     with pytest.raises(QfoldError):
         RunManifest(peptide="KLVF", method="anneal")
     with pytest.raises(QfoldError):
         RunManifest(peptide="KLVF", lattice="hex")
     with pytest.raises(QfoldError):
-        RunManifest(peptide="KLVF", method="vqe", mode="vqec")
+        RunManifest(peptide="KLVF", method="vqe", lattice="tet")
     with pytest.raises(QfoldError):
         RunManifest(peptide="KLXF")
+    # the method fixes the encoding: a manifest has no mode to set
+    with pytest.raises(TypeError):
+        RunManifest(peptide="KLVF", mode="vqec")
+    # the peptide is stored canonical, once, where it enters
+    assert RunManifest(peptide=" klvf\n").peptide == "KLVF"
+    assert RunManifest(peptide="klvf") == RunManifest(peptide="KLVF")
 
 
 def test_manifest_mode_follows_its_method():
-    assert RunManifest(peptide="KLVF", method="vqec").mode == "vqec"
-    assert RunManifest(peptide="KLVF", method="vqe").mode == "polyfit"
-    assert RunManifest(peptide="KLVF").mode == "polyfit"
-    assert RunManifest(peptide="KLVF", method="vqec") == RunManifest(
-        peptide="KLVF", method="vqec", mode="vqec"
-    )
-    assert RunManifest.from_json('{"peptide": "KLVF", "method": "vqec"}').mode == "vqec"
-    with pytest.raises(ParseError):
-        RunManifest.from_json('{"peptide": "KLVF", "mode": null}')
+    # archived manifests carry "mode": it is read only where it names the
+    # method's encoding (any encoding for a search) and is not written back
+    for method, mode in [("vqec", "vqec"), ("vqe", "polyfit"), ("search", "polyfit"),
+                         ("search", "vqec"), (None, "polyfit")]:
+        doc = {"peptide": "KLVF", "mode": mode}
+        if method is not None:
+            doc["method"] = method
+        manifest = RunManifest.from_json(json.dumps(doc))
+        assert manifest == RunManifest(peptide="KLVF", method=method or "search")
+        assert "mode" not in json.loads(manifest.to_json())
+    for mode in ["polyfit", "anneal", None, 1, ["vqec"]]:
+        with pytest.raises(ParseError):
+            RunManifest.from_json(json.dumps({"peptide": "KLVF", "method": "vqec",
+                                              "mode": mode}))
+    for text in ['{"peptide": "KLVF", "method": "vqe", "mode": "vqec"}',
+                 '{"peptide": "KLVF", "mode": null}',
+                 '{"peptide": "KLVF", "mode": "anneal"}',
+                 '{"peptide": "KLVF", "method": ["vqe"], "mode": "vqec"}']:
+        with pytest.raises(ParseError):
+            RunManifest.from_json(text)
 
 
 @pytest.mark.parametrize(
@@ -448,7 +463,9 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
      ["vqec", "--peptide", "KLVF", "--restarts", str(2**62), "--iterations", "1"],
      # a fit tolerance outside (0, 1] would fall through to interpolation
      ["fit-penalty", "--separation", "3", "--r2-tol", "nan"],
-     ["fit-penalty", "--peptide", "KLVF", "--r2-tol", "2"]],
+     ["fit-penalty", "--peptide", "KLVF", "--r2-tol", "2"],
+     # a 3-bead chain fits no separation: the flag is checked where it enters
+     ["fit-penalty", "--peptide", "KLV", "--r2-tol", "nan"]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -599,6 +616,32 @@ def test_pipeline_search_matches_oracle(tmp_path, capsys):
     assert first.energy == pytest.approx(-14.29)
     assert first.turn_string == "0936"
     assert first.bits == "0111111010"
+
+
+def test_pipeline_manifest_keeps_the_canonical_peptide(tmp_path, capsys):
+    # the manifest records the peptide as every stage reads it, and no mode:
+    # the method fixes the encoding
+    runs = {}
+    for peptide in ("klvf", "KLVF"):
+        out = tmp_path / peptide
+        code, _, _ = run_cli(
+            ["pipeline", "--method", "search", "--peptide", peptide, "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        runs[peptide] = out
+    doc = json.loads((runs["klvf"] / "manifest.json").read_text())
+    assert doc["peptide"] == "KLVF"
+    assert "mode" not in doc
+    for name in ("folds.topobj", "best.xyz"):
+        assert (runs["klvf"] / name).read_bytes() == (runs["KLVF"] / name).read_bytes()
+
+
+def test_every_pipeline_flag_is_a_manifest_field():
+    # a pipeline run is its manifest: a flag that names no field would be
+    # accepted and then ignored; --manifest and --workers are read apart
+    flags = set(vars(build_parser().parse_args(["pipeline"]))) - {"command", "func"}
+    assert flags <= {f.name for f in fields(RunManifest)} | {"manifest", "workers"}
 
 
 def test_pipeline_rerun_byte_identical(tmp_path, capsys):

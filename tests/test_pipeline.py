@@ -24,10 +24,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 RUNS = {
     "search": dict(method="search", k=3),
-    "vqe": dict(method="vqe", mode="polyfit", restarts=2, iterations=30, shots=300),
-    "vqec": dict(method="vqec", mode="vqec", restarts=2, iterations=5, shots=200, seed=3),
-    "vqec-grid": dict(method="vqec", mode="vqec", grid=True, restarts=1, iterations=2,
-                      shots=64),
+    "vqe": dict(method="vqe", restarts=2, iterations=30, shots=300),
+    "vqec": dict(method="vqec", restarts=2, iterations=5, shots=200, seed=3),
+    "vqec-grid": dict(method="vqec", grid=True, restarts=1, iterations=2, shots=64),
 }
 
 
@@ -127,8 +126,8 @@ def test_single_vqec_run_reports_the_summed_violation():
     # bit: KLVFF ends with two constraints violated, where sum and max
     # differ; KLVF's best is the last column of a three-column block
     for peptide, restarts in (("KLVFF", 1), ("KLVF", 3)):
-        manifest = RunManifest(peptide=peptide, method="vqec", mode="vqec",
-                               restarts=restarts, iterations=1, nu=0.5, mu=5.0, seed=2)
+        manifest = RunManifest(peptide=peptide, method="vqec", restarts=restarts,
+                               iterations=1, nu=0.5, mu=5.0, seed=2)
         instance = pipeline.build_instance(manifest, None)
         solution = pipeline.solve(manifest, instance)
         f = ExpectationEngine(instance).f_vector(probabilities(solution.state))

@@ -288,6 +288,19 @@ def test_visited_counts_complete():
     assert search(config(lattice="tet", peptide="KLVFFA", k=2)).visited == 27
 
 
+def test_config_keeps_the_canonical_peptide():
+    # the tree and the pair rules read the one stored peptide, so padded
+    # lowercase text searches exactly as its canonical form does
+    raw = SearchConfig("fcc", "klvf ", MJ)
+    assert raw.peptide == "KLVF"
+    top, want = search(raw), search(SearchConfig("fcc", "KLVF", MJ))
+    assert top.visited == want.visited == 44
+    assert top.pruned == want.pruned
+    assert [(r.energy, r.turn_string, r.bits) for r in top.records] == [
+        (r.energy, r.turn_string, r.bits) for r in want.records
+    ]
+
+
 def test_no_collided_or_threshold_records():
     top = search(config(peptide="GNLVS", k=484))
     assert len(top.records) < 484
