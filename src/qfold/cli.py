@@ -7,12 +7,16 @@ stages of ``qfold.pipeline`` it needs: ``build`` stops after the instance,
 ``vqe`` and ``vqec`` after the solution, and ``pipeline`` runs them all,
 writing each stage's artifacts as the stage ends, next to a copy of the
 manifest that produced them.  ``sample`` and ``analyze`` start from the
-files that an earlier run wrote.
+files that an earlier run wrote.  Run as the program, ``main`` freezes the
+collector's heap before the command: what is alive then (mostly NumPy's and
+qfold's import-time objects) lives until exit, so no later collection,
+finalization's included, walks it again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -404,6 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; 0 on success, 2 on a ``QfoldError`` or ``OSError``.
+
+    With ``argv`` None (``python -m qfold.cli``, the ``qfold`` script) the
+    process ends with the command, so the heap is frozen once the flags
+    pass their checks.  Callers that pass ``argv`` live on, and a freeze
+    would keep their cyclic garbage until exit, so they keep the collector
+    as it is.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "resources" and args.peptide is None and args.n is None:
@@ -413,6 +425,8 @@ def main(argv=None) -> int:
     if args.command in ("build", "search", "vqe", "vqec", "sample", "analyze"):
         if args.peptide is None:
             parser.error(f"{args.command} needs --peptide")
+    if argv is None:
+        gc.freeze()
     try:
         return args.func(args)
     except QfoldError as exc:

@@ -122,13 +122,13 @@ def enumeration_size(lattice: str, n_beads: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pair_rules(peptide: str, config: SearchConfig):
-    """Per-pair (i, j, first-shell energy, second-shell energy) tuples.
+def _pair_rules(pep: str, config: SearchConfig):
+    """Per-pair (i, j, first-shell energy, second-shell energy) tuples for a
+    validated peptide.
 
     Energies come from scoring.pair_energy so any rescale there propagates.
     A zero second-shell entry disables that shell for the pair.
     """
-    pep = validate_peptide(peptide)
     n = len(pep)
     rules = []
     for i in range(n - 1):
@@ -169,6 +169,7 @@ def squared_distance_scorer(peptide: str, config: SearchConfig):
     contacts.  Terms add in ``_pair_rules`` order, for each conformation
     of a stack alike.
     """
+    peptide = validate_peptide(peptide)
     rules = _pair_rules(peptide, config)
     first, last = np.array([r[:2] for r in rules], dtype=np.intp).reshape(-1, 2).T
     codes, table = _scoring_tables(rules, config.lattice)

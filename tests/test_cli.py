@@ -821,6 +821,29 @@ def test_console_entry_point():
     assert "total=24" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "call, frozen",
+    [("sys.argv = ['qfold', 'resources', '--n', '6']; code = qfold.cli.main()", True),
+     ("code = qfold.cli.main(['resources', '--n', '6'])", False)],
+    ids=["program", "argv"],
+)
+def test_only_the_program_freezes_its_heap(call, frozen):
+    # the program's heap lives until exit, so it is frozen before the
+    # command; a caller passing argv lives on and keeps its collector
+    script = (
+        "import gc, sys\n"
+        "import qfold.cli\n"
+        f"{call}\n"
+        "assert code == 0, code\n"
+        f"assert (gc.get_freeze_count() > 0) is {frozen}, gc.get_freeze_count()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert "total=24" in result.stdout
+
+
 # --- import cost ---
 
 

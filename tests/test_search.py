@@ -186,6 +186,15 @@ def test_energy_accepts_coordinate_array():
     assert by_turns == by_coords
 
 
+@pytest.mark.parametrize("peptide", ["KLVF", "klvf", "KLVF ", " klvf", "\tKLVF\n"])
+def test_energy_scores_the_canonical_peptide(peptide):
+    # the shape check and the pair rules both read the validated peptide
+    turns = TurnSequence("fcc", (0, 9, 3))
+    energy = conformation_energy(turns, peptide, config())
+    assert energy == conformation_energy(turns, "KLVF", config())
+    assert energy == pytest.approx(-13.13)
+
+
 def test_energy_matches_oracle_everywhere_fcc():
     cfg = config(peptide="GNLVS", nn_level=2)
     for turns in recursive_fcc_turns(5):
