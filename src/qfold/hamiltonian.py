@@ -48,12 +48,9 @@ from .scoring import EnergyMatrix, epsilon_table, validate_peptide
 
 INSTANCE_FORMAT_VERSION = 1
 
-
-@dataclass(frozen=True)
-class Penalties:
-    lam_back: float = 50.0
-    lam_redun: float = 50.0
-    p0: float = 50.0
+# the fixed weights of H_back and H_redun; a run sets only the overlap height P0
+LAM_BACK = 50.0
+LAM_REDUN = 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +157,8 @@ def pair_distance_polys(layout: EncodingLayout) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_h_back(layout: EncodingLayout, lam_back: float = 50.0) -> PBPolynomial:
-    """Backtrack penalty: each turn followed by its inverse costs lam_back.
+def build_h_back(layout: EncodingLayout) -> PBPolynomial:
+    """Backtrack penalty: each turn followed by its inverse costs LAM_BACK.
 
     For every consecutive pair of turns, the indicator of each direction
     word of the first times that of its inverse label's word on the second.
@@ -174,17 +171,17 @@ def build_h_back(layout: EncodingLayout, lam_back: float = 50.0) -> PBPolynomial
                 here = indicator_poly(layout, j, word)
                 back = following[inverse_label(label)]
                 total = total + here * indicator_poly(layout, j + 1, back)
-    return total * lam_back
+    return total * LAM_BACK
 
 
-def build_h_redun(layout: EncodingLayout, lam_redun: float = 50.0) -> PBPolynomial:
-    """Penalty on the words that address no direction."""
+def build_h_redun(layout: EncodingLayout) -> PBPolynomial:
+    """Penalty of LAM_REDUN on each word that addresses no direction."""
     total = PBPolynomial.zero(layout.total_qubits)
     for j in range(1, layout.n_beads - 1):
         for word, label in turn_words(j).items():
             if label is None:
                 total = total + indicator_poly(layout, j, word)
-    return total * lam_redun
+    return total * LAM_REDUN
 
 
 def build_h_int(
@@ -195,9 +192,8 @@ def build_h_int(
 ) -> PBPolynomial:
     """Contact reward: Sum_{pairs} q^a_mn * epsilon_mn * (3 - D_mn).
 
-    ``distances`` is ``pair_distance_polys(layout)``.
+    ``peptide`` is validated, and ``distances`` is ``pair_distance_polys(layout)``.
     """
-    peptide = validate_peptide(peptide)
     if len(peptide) != layout.n_beads:
         raise EncodingError(
             f"peptide length {len(peptide)} != layout beads {layout.n_beads}"
@@ -230,7 +226,7 @@ class ProblemInstance:
     mode: str
     peptide: str
     matrix_name: str
-    penalties: Penalties
+    p0: float
     objective: PBPolynomial
     constraints: tuple = field(default_factory=tuple)
 
@@ -245,11 +241,7 @@ class ProblemInstance:
             "peptide": self.peptide,
             "matrix": self.matrix_name,
             "layout": {"n_beads": self.layout.n_beads},
-            "penalties": {
-                "lam_back": self.penalties.lam_back,
-                "lam_redun": self.penalties.lam_redun,
-                "p0": self.penalties.p0,
-            },
+            "penalties": {"lam_back": LAM_BACK, "lam_redun": LAM_REDUN, "p0": self.p0},
             "n_vars": self.objective.n_vars,
             "objective": self.objective.terms_as_lists(),
             "constraints": [c.terms_as_lists() for c in self.constraints],
@@ -261,7 +253,8 @@ class ProblemInstance:
         """Parse ``to_json``'s document.
 
         A document of another format version raises ``EncodingError``; any
-        other malformed document raises ``ParseError``.
+        other malformed document, weights other than ``LAM_BACK`` and
+        ``LAM_REDUN`` among them, raises ``ParseError``.
         """
         try:
             doc = json.loads(text)
@@ -291,12 +284,14 @@ class ProblemInstance:
             weights = [pen[key] for key in ("lam_back", "lam_redun", "p0")]
             if any(type(w) not in (int, float) for w in weights):
                 raise ParseError("penalty weights must be numbers")
+            if weights[:2] != [LAM_BACK, LAM_REDUN]:
+                raise ParseError(f"lam_back and lam_redun are fixed at {LAM_BACK}")
             return cls(
                 layout=layout,
                 mode=doc["mode"],
                 peptide=peptide,
                 matrix_name=doc["matrix"],
-                penalties=Penalties(*map(float, weights)),
+                p0=float(weights[2]),
                 objective=PBPolynomial.from_terms(doc["objective"], n_vars),
                 constraints=tuple(
                     PBPolynomial.from_terms(terms, n_vars) for terms in doc["constraints"]
@@ -313,14 +308,14 @@ def assemble(
     layout: EncodingLayout,
     peptide: str,
     matrix: EnergyMatrix,
-    penalties: Penalties | None = None,
+    p0: float = 50.0,
     fits: dict | None = None,
 ) -> ProblemInstance:
     """Build the full problem instance for one peptide.
 
     Dense mode composes one fitted overlap penalty per pair at separation
     >= 3 into the objective (``fits`` maps separation to fit, each at
-    ``penalties.p0``; omitted fits are computed here at that P0).  Up front
+    ``p0``; omitted fits are computed here at that P0).  Up front
     it raises ``EncodingError`` for a missing fit or one at another P0, and
     ``DegreeOverflowError`` when a pair's distance has more than
     ``pb.MAX_TABLE_VARS`` variables, which happens from N = 9.  Constrained
@@ -334,14 +329,13 @@ def assemble(
         raise EncodingError(
             f"peptide length {len(peptide)} != layout beads {layout.n_beads}"
         )
-    penalties = penalties or Penalties()
     if mode == MODE_VQEC and fits is not None:
         raise EncodingError("penalty fits are a dense-mode input")
 
     distances = pair_distance_polys(layout)
     objective = (
-        build_h_back(layout, penalties.lam_back)
-        + build_h_redun(layout, penalties.lam_redun)
+        build_h_back(layout)
+        + build_h_redun(layout)
         + build_h_int(layout, matrix, peptide, distances)
     )
     constraints: list = []
@@ -354,15 +348,12 @@ def assemble(
         for pair in dense_pairs:
             table_support(distances[pair])  # fail before composing any penalty
         if fits is None:
-            fits = pf.fit_family(layout.n_beads, p0=penalties.p0)
+            fits = pf.fit_family(layout.n_beads, p0=p0)
         for s in sorted({n - m for m, n in dense_pairs}):
             if s not in fits:
                 raise EncodingError(f"no penalty fit for separation {s}")
-            if fits[s].p0 != penalties.p0:
-                raise EncodingError(
-                    f"the separation-{s} fit has p0 {fits[s].p0}, "
-                    f"the penalties {penalties.p0}"
-                )
+            if fits[s].p0 != p0:
+                raise EncodingError(f"the separation-{s} fit has p0 {fits[s].p0}, not {p0}")
         for m, n in dense_pairs:
             objective = objective + pf.build_olap_penalty(fits[n - m], distances[m, n])
     else:
@@ -373,7 +364,7 @@ def assemble(
         mode=mode,
         peptide=peptide,
         matrix_name=matrix.name,
-        penalties=penalties,
+        p0=p0,
         objective=objective,
         constraints=tuple(constraints),
     )

@@ -299,12 +299,12 @@ def fit_penalties(manifest: RunManifest) -> dict | None:
 
 
 def build_instance(manifest: RunManifest, fits: dict | None) -> ProblemInstance:
-    from .hamiltonian import Penalties, assemble
+    from .hamiltonian import assemble
 
     peptide, matrix = manifest.peptide, load_matrix(manifest.matrix)
     return assemble(
         METHOD_MODES[manifest.method], EncodingLayout(len(peptide)), peptide, matrix,
-        Penalties(p0=manifest.p0), fits,
+        manifest.p0, fits,
     )
 
 

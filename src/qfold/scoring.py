@@ -12,10 +12,10 @@ can be addressed by name instead of path:
 
 ``QFOLD_DATA`` overrides the bundled data directory.
 
-Interaction strength falls off with the neighbour shell.  For FCC contacts at
-squared distances 2, 4, 6 the scale factors are 1, 1/sqrt(2), 1/sqrt(3); on
-the tetrahedral lattice the second shell scales by sqrt(3/8), the exact ratio
-of first- to second-shell distances there.
+Interaction strength falls off with the neighbour shell, and two shells are
+scored.  For FCC contacts at squared distances 2 and 4 the scale factors are
+1 and 1/sqrt(2); on the tetrahedral lattice the second shell scales by
+sqrt(3/8), the exact ratio of first- to second-shell distances there.
 """
 
 from __future__ import annotations
@@ -150,32 +150,17 @@ def load_masses() -> dict:
 
 
 def scale_factor(lattice: str, level: int) -> float:
-    """Interaction scale of the given neighbour shell (level 1 is the contact)."""
-    if level < 1:
-        raise MatrixFormatError(f"neighbour level must be >= 1, got {level}")
+    """Interaction scale of neighbour shell 1 (the contact) or 2."""
+    if level not in (1, 2):
+        raise MatrixFormatError(f"neighbour level must be 1 or 2, got {level}")
     if lattice == FCC:
-        if level > 3:
-            raise MatrixFormatError(f"FCC supports levels 1..3, got {level}")
         return 1.0 / math.sqrt(level)
     if lattice == TET:
-        if level > 2:
-            raise MatrixFormatError(f"tetrahedral supports levels 1..2, got {level}")
         return 1.0 if level == 1 else math.sqrt(3.0 / 8.0)
     raise MatrixFormatError(f"unknown lattice {lattice!r}")
 
 
-def pair_energy(
-    matrix: EnergyMatrix, res_a: str, res_b: str, level: int = 1, lattice: str = FCC
-) -> float:
-    """Scaled contact energy between two residues at a neighbour shell."""
-    for r in (res_a, res_b):
-        if r not in _RES_INDEX:
-            raise UnknownResidueError(f"unknown residue code {r!r}")
-    return matrix[res_a, res_b] * scale_factor(lattice, level)
-
-
 def epsilon_table(matrix: EnergyMatrix, peptide: str) -> np.ndarray:
     """(N, N) table of first-shell energies for a validated peptide."""
-    seq = validate_peptide(peptide)
-    idx = np.array([_RES_INDEX[r] for r in seq])
+    idx = np.array([_RES_INDEX[r] for r in peptide])
     return matrix.values[np.ix_(idx, idx)]

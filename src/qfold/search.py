@@ -50,7 +50,7 @@ from .lattice import (
     pack_configuration,
     squared_distance_matrix,
 )
-from .scoring import EnergyMatrix, pair_energy, validate_peptide
+from .scoring import EnergyMatrix, epsilon_table, scale_factor, validate_peptide
 
 # the energy an overlapping pair adds; the search drops any sequence at or above it
 COLLISION_PENALTY = 10000.0
@@ -126,25 +126,21 @@ def _pair_rules(pep: str, config: SearchConfig):
     """Per-pair (i, j, first-shell energy, second-shell energy) tuples for a
     validated peptide.
 
-    Energies come from scoring.pair_energy so any rescale there propagates.
-    A zero second-shell entry disables that shell for the pair.
+    Energies are ``scoring.epsilon_table``'s, the table the Hamiltonian's
+    contact terms read, times ``scoring.scale_factor`` of their shell.  A
+    zero entry disables that shell for the pair.
     """
+    eps = epsilon_table(config.matrix, pep)
+    first, second = (scale_factor(config.lattice, level) for level in (1, 2))
     n = len(pep)
     rules = []
     for i in range(n - 1):
         for j in range(i + 2, n):
-            e1 = e2 = 0.0
-            if config.lattice == FCC:
-                e1 = pair_energy(config.matrix, pep[i], pep[j], 1, FCC)
-                if config.nn_level >= 2:
-                    e2 = pair_energy(config.matrix, pep[i], pep[j], 2, FCC)
-            else:
-                if j - i >= 5:
-                    if (j - i) % 2 == 1:
-                        e1 = pair_energy(config.matrix, pep[i], pep[j], 1, TET)
-                    if config.nn_level >= 2:
-                        e2 = pair_energy(config.matrix, pep[i], pep[j], 2, TET)
-            rules.append((i, j, e1, e2))
+            e, scored = float(eps[i, j]), config.lattice == FCC or j - i >= 5
+            # tetrahedral contacts join odd separations only
+            near = scored and (config.lattice == FCC or (j - i) % 2 == 1)
+            far = scored and config.nn_level == 2
+            rules.append((i, j, e * first if near else 0.0, e * second if far else 0.0))
     return rules
 
 

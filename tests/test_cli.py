@@ -727,7 +727,7 @@ def test_archived_manifest_workers_key(tmp_path, capsys, workers, accepted):
 
 
 def test_pipeline_instance_carries_manifest_p0(tmp_path, capsys):
-    from qfold.hamiltonian import Penalties, assemble
+    from qfold.hamiltonian import assemble
     from qfold.scoring import load_matrix
 
     manifest = RunManifest(
@@ -741,10 +741,8 @@ def test_pipeline_instance_carries_manifest_p0(tmp_path, capsys):
     fits = json.loads((tmp_path / "fits.json").read_text())
     assert {fit["p0"] for fit in fits.values()} == {20.0}
     instance = ProblemInstance.from_json((tmp_path / "instance.json").read_text())
-    assert instance.penalties.p0 == 20.0
-    want = assemble(
-        "polyfit", EncodingLayout(4), "KLVF", load_matrix("mj1996"), Penalties(p0=20.0)
-    )
+    assert instance.p0 == 20.0
+    want = assemble("polyfit", EncodingLayout(4), "KLVF", load_matrix("mj1996"), 20.0)
     assert instance.objective == want.objective
 
 

@@ -191,7 +191,7 @@ def test_distance_matches_geometry_and_bounds():
 
 def test_h_back_values():
     lay = ham.EncodingLayout(4)
-    hb = ham.build_h_back(lay, 50.0)
+    hb = ham.build_h_back(lay)
     assert hb.evaluate(bits_to_mask("000011")) == 50.0  # turns [0, 0, 1]
     assert hb.evaluate(0) == 0.0  # straight chain
     # turn-1 reversal: prefix 01 -> label 9, turn 2 = label 8 (codeword 1000)
@@ -200,7 +200,7 @@ def test_h_back_values():
 
 def test_h_back_zero_on_all_non_backtracking_configs():
     lay = ham.EncodingLayout(5)
-    hb = ham.build_h_back(lay, 50.0)
+    hb = ham.build_h_back(lay)
     for mask, seq in decodable_masks(5):
         backtracks = sum(
             1 for a, b in zip(seq.turns, seq.turns[1:]) if b == lat.inverse_label(a)
@@ -209,13 +209,13 @@ def test_h_back_zero_on_all_non_backtracking_configs():
 
 
 def test_h_back_locality_eight():
-    hb = ham.build_h_back(ham.EncodingLayout(6), 50.0)
+    hb = ham.build_h_back(ham.EncodingLayout(6))
     assert hb.degree() == 8
 
 
 def test_h_redun_counts_redundant_groups():
     lay = ham.EncodingLayout(5)
-    hr = ham.build_h_redun(lay, 50.0)
+    hr = ham.build_h_redun(lay)
     assert hr.evaluate(bits_to_mask("0000100000")) == 50.0  # group 2 holds 0010
     assert hr.evaluate(bits_to_mask("0000100010")) == 100.0  # groups 2 and 3
     for mask, _ in decodable_masks(5):
@@ -269,15 +269,18 @@ def test_assemble_polyfit_shape(mj):
         ham.assemble("vqec", ham.EncodingLayout(4), "KLVF", mj, fits=polyfit.fit_family(4))
     with pytest.raises(EncodingError):
         ham.assemble("anneal", ham.EncodingLayout(4), "KLVF", mj)
+    with pytest.raises(EncodingError, match="layout beads"):
+        ham.assemble("polyfit", ham.EncodingLayout(3), "KLVF", mj)
 
 
 def test_assemble_rejects_fits_at_another_p0(mj):
     # the instance would record p0 = 20 while its objective is the p0 = 50 one
     fits = polyfit.fit_family(5, p0=50.0)
     with pytest.raises(EncodingError, match="p0"):
-        ham.assemble(
-            "polyfit", ham.EncodingLayout(5), "KLVFF", mj, ham.Penalties(p0=20.0), fits
-        )
+        ham.assemble("polyfit", ham.EncodingLayout(5), "KLVFF", mj, 20.0, fits)
+    # the fits of a 4-bead chain lack the 5-bead chain's separation 4
+    with pytest.raises(EncodingError, match="separation 4"):
+        ham.assemble("polyfit", ham.EncodingLayout(5), "KLVFF", mj, 50.0, {3: fits[3]})
 
 
 def test_assemble_term_counts_klvffa(mj):
@@ -353,8 +356,8 @@ def test_valid_saw_invariant(mj):
     # on every valid self-avoiding configuration the structural terms vanish
     # and each composed overlap penalty stays within 5% of P0 of zero
     lay = ham.EncodingLayout(4)
-    hb = ham.build_h_back(lay, 50.0)
-    hr = ham.build_h_redun(lay, 50.0)
+    hb = ham.build_h_back(lay)
+    hr = ham.build_h_redun(lay)
     fits = polyfit.fit_family(4)
     olap = {
         (m, n): polyfit.build_olap_penalty(fits[n - m], ham.distance_poly(lay, m, n))
@@ -472,7 +475,7 @@ def test_instance_tables_reject_coupled_ancillas(mj):
         mode=inst.mode,
         peptide=inst.peptide,
         matrix_name=inst.matrix_name,
-        penalties=inst.penalties,
+        p0=inst.p0,
         objective=coupled,
     )
     with pytest.raises(EncodingError):
@@ -486,11 +489,19 @@ def test_instance_json_roundtrip(mj):
         assert back.mode == inst.mode
         assert back.peptide == inst.peptide
         assert back.layout == inst.layout
-        assert back.penalties == inst.penalties
+        assert back.p0 == inst.p0
         assert back.objective == inst.objective
         assert back.constraints == inst.constraints
     with pytest.raises(EncodingError):
         ham.ProblemInstance.from_json('{"version": 99}')
+    # a layout of another length than the peptide, and a weight no writer sets
+    for path, value, message in [(("layout", "n_beads"), 5, "n_beads"),
+                                 (("penalties", "lam_back"), 40.0, "fixed"),
+                                 (("penalties", "lam_redun"), 50.5, "fixed")]:
+        doc = json.loads(inst.to_json())
+        doc[path[0]][path[1]] = value
+        with pytest.raises(ParseError, match=message):
+            ham.ProblemInstance.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("text", ["", "[]", '{"version": 1}', "{", "NaN"])

@@ -217,6 +217,10 @@ def test_turn_string_roundtrip():
     assert lat.turns_from_string(seq.to_string(), lat.FCC) == seq
     tseq = lat.TurnSequence(lat.TET, (0, 1, 2, 3))
     assert lat.turns_from_string(tseq.to_string(), lat.TET) == tseq
+    # a redundant FCC group reads back as None
+    redundant = lat.turns_from_string("0x3", lat.FCC)
+    assert redundant == lat.TurnSequence(lat.FCC, (0, None, 3))
+    assert redundant.to_string() == "0x3"
     with pytest.raises(EncodingError):
         lat.turns_from_string("0c", lat.FCC)
     with pytest.raises(EncodingError):

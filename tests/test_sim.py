@@ -396,6 +396,8 @@ def test_shot_table_rejects_zero_shots():
         ShotTable(counts={"01": 0}, shots=0)
     with pytest.raises(EncodingError):
         ShotTable(counts={}, shots=0)
+    with pytest.raises(EncodingError, match="shots"):
+        sample(np.array([1.0, 0.0]), 0, seed=0)
 
 
 def test_bitstring_convention():
