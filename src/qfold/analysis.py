@@ -16,8 +16,11 @@ On-disk formats:
   ``bits``/coordinate lines) separated by blank lines, ascending energy.
 * Energy-probability report: tab-delimited rows sorted by energy with a
   cumulative-probability column, plus an optional JSON mirror.
+* shots.tsv (``ShotTable``): one ``<bits>\t<count>`` line per observed
+  bitstring, sorted; the parser also takes blank lines, ``#`` comments and
+  any whitespace between the two fields.
 
-Both writers are exact inverses of their parsers byte for byte.
+The XYZ and topobj writers are exact inverses of their parsers byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,9 +48,6 @@ from .lattice import (
 )
 from .scoring import load_masses
 
-if TYPE_CHECKING:
-    from .sim import ShotTable
-
 BOND_ANGSTROMS = 3.8
 
 
@@ -64,6 +63,50 @@ def lattice_scale(lattice: str) -> float:
 # ---------------------------------------------------------------------------
 # decoding sampled bitstrings
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShotTable:
+    """Counts per observed bitstring from a sampling run."""
+
+    counts: dict
+    shots: int
+
+    def __post_init__(self):
+        if self.shots < 1:
+            raise EncodingError("a shot table needs at least one shot")
+        if sum(self.counts.values()) != self.shots:
+            raise EncodingError("shot counts do not sum to the shot total")
+
+    def to_text(self) -> str:
+        lines = [f"{bits}\t{count}" for bits, count in sorted(self.counts.items())]
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str) -> "ShotTable":
+        counts = {}
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2 or set(parts[0]) - {"0", "1"}:
+                raise ParseError(f"line {lineno}: expected '<bits> <count>'")
+            try:
+                count = int(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad count {parts[1]!r}") from exc
+            if count < 0:
+                raise ParseError(f"line {lineno}: negative count")
+            if counts and len(parts[0]) != len(next(iter(counts))):
+                raise ParseError(f"line {lineno}: bitstrings differ in width")
+            counts[parts[0]] = counts.get(parts[0], 0) + count
+        if not counts:
+            raise ParseError("shot table is empty")
+        shots = sum(counts.values())
+        if shots < 1:
+            raise ParseError("shot counts sum to zero")
+        return cls(counts=counts, shots=shots)
 
 
 @dataclass(frozen=True)

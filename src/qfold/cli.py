@@ -24,7 +24,7 @@ import sys
 from dataclasses import MISSING, fields, replace
 
 from . import pipeline
-from .analysis import energy_probability_report, write_topobj, write_xyz
+from .analysis import ShotTable, energy_probability_report, write_topobj, write_xyz
 from .exceptions import QfoldError
 from .lattice import FCC, LATTICES, MODE_POLYFIT, MODES, EncodingLayout
 from .pipeline import METHOD_MODES, METHODS, RunManifest, check_finite_positive
@@ -281,8 +281,6 @@ def cmd_analyze(args) -> int:
     shots_path = args.shots_file
     if shots_path is None:
         shots_path = os.path.join(args.out if args.out is not None else ".", "shots.tsv")
-    from .sim import ShotTable
-
     with open(shots_path) as handle:
         table = ShotTable.from_text(handle.read())
     ensemble = pipeline.decode_shots(manifest, table, args.e_star, args.oracle)

@@ -49,13 +49,11 @@ class PBPolynomial:
 
     __slots__ = ("n_vars", "terms")
 
-    def __init__(self, n_vars: int, terms: dict | None = None, *, _canonical=False):
+    def __init__(self, n_vars: int, terms: dict, *, _canonical=False):
         if n_vars < 0:
             raise EncodingError("n_vars must be nonnegative")
         self.n_vars = n_vars
-        if terms is None:
-            self.terms = {}
-        elif _canonical:
+        if _canonical:
             self.terms = terms
         else:
             self.terms = {m: c for m, c in terms.items() if abs(c) >= COEFF_EPS}
@@ -130,9 +128,6 @@ class PBPolynomial:
             and self.n_vars == other.n_vars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.n_vars, frozenset(self.terms.items())))
 
     # -- ring operations ----------------------------------------------------
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import DecodedEnsemble, decode_samples
+from .analysis import DecodedEnsemble, ShotTable, decode_samples
 from .exceptions import ParseError, QfoldError
 from .lattice import (
     FCC,
@@ -36,7 +36,7 @@ from .search import SearchConfig, TopK, enumeration_size, search, squared_distan
 if TYPE_CHECKING:
     from .hamiltonian import ProblemInstance
     from .optimize import GridReport, OptTrace
-    from .sim import Ansatz, ShotTable
+    from .sim import Ansatz
 
 # the oracle runs exhaustive search up to N = 9 (4 * 11^6 = 7,086,244
 # sequences); the pruned k = 1 search took 8-36 ms at N = 8 and 0.04-0.23 s
@@ -116,9 +116,10 @@ class RunManifest:
             raise QfoldError("nn_level must be 1 or 2")
         # frozen: the canonical peptide is set once, before anything reads it
         object.__setattr__(self, "peptide", validate_peptide(self.peptide))
-        # NumPy addresses the float64 start angles only within
-        # MANIFEST_COUNT_MAX bytes; chains under 3 beads fail at assembly
-        if self.method in METHOD_MODES and len(self.peptide) >= 3:
+        if len(self.peptide) < 3:
+            raise QfoldError(f"need at least 3 residues, got {len(self.peptide)}")
+        # NumPy addresses the float64 start angles only within MANIFEST_COUNT_MAX bytes
+        if self.method in METHOD_MODES:
             n_params = EncodingLayout(len(self.peptide)).total_qubits * (self.layers + 1)
             if 8 * self.restarts * n_params > MANIFEST_COUNT_MAX:
                 raise QfoldError(f"{self.restarts} restarts x {n_params} start angles "

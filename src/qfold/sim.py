@@ -49,12 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    EmptyDistributionError,
-    EncodingError,
-    ParamLengthError,
-    ParseError,
-)
+from .analysis import ShotTable
+from .exceptions import EmptyDistributionError, EncodingError, ParamLengthError
 
 HALF_PI = math.pi / 2.0
 # most qubits in one Kronecker block: a 32 x 32 matrix per layer and row
@@ -360,50 +356,6 @@ def sorted_cvar(energies: np.ndarray, probs: np.ndarray, alpha: float):
             total += float(energies[boundary]) * (mass - used)
         out[j] = total / mass
     return out if probs.ndim == 2 else float(out[0])
-
-
-@dataclass(frozen=True)
-class ShotTable:
-    """Counts per observed bitstring from a sampling run."""
-
-    counts: dict
-    shots: int
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise EncodingError("a shot table needs at least one shot")
-        if sum(self.counts.values()) != self.shots:
-            raise EncodingError("shot counts do not sum to the shot total")
-
-    def to_text(self) -> str:
-        lines = [f"{bits}\t{count}" for bits, count in sorted(self.counts.items())]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ShotTable":
-        counts = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2 or set(parts[0]) - {"0", "1"}:
-                raise ParseError(f"line {lineno}: expected '<bits> <count>'")
-            try:
-                count = int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad count {parts[1]!r}") from exc
-            if count < 0:
-                raise ParseError(f"line {lineno}: negative count")
-            if counts and len(parts[0]) != len(next(iter(counts))):
-                raise ParseError(f"line {lineno}: bitstrings differ in width")
-            counts[parts[0]] = counts.get(parts[0], 0) + count
-        if not counts:
-            raise ParseError("shot table is empty")
-        shots = sum(counts.values())
-        if shots < 1:
-            raise ParseError("shot counts sum to zero")
-        return cls(counts=counts, shots=shots)
 
 
 def sample(state: np.ndarray, shots: int, seed) -> ShotTable:

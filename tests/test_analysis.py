@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qfold.analysis import (
     BOND_ANGSTROMS,
     DecodedEnsemble,
+    ShotTable,
     TopobjDocument,
     TopobjRecord,
     decode_samples,
@@ -37,7 +38,6 @@ from qfold.lattice import (
 )
 from qfold.scoring import load_masses, load_matrix
 from qfold.search import SearchConfig, conformation_energy, search, squared_distance_scorer
-from qfold.sim import ShotTable
 
 MJ = load_matrix("mj1996")
 LAYOUT4 = EncodingLayout(4)

@@ -465,7 +465,10 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
      ["fit-penalty", "--separation", "3", "--r2-tol", "nan"],
      ["fit-penalty", "--peptide", "KLVF", "--r2-tol", "2"],
      # a 3-bead chain fits no separation: the flag is checked where it enters
-     ["fit-penalty", "--peptide", "KLV", "--r2-tol", "nan"]],
+     ["fit-penalty", "--peptide", "KLV", "--r2-tol", "nan"],
+     # a chain needs three beads, checked before the manifest is written
+     ["pipeline", "--peptide", "KL", "--method", "search"],
+     ["vqec", "--peptide", "KL", "--restarts", "1", "--iterations", "1"]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -881,12 +884,16 @@ VARIATIONAL = ("qfold.sim", "qfold.optimize", "qfold.hamiltonian", "qfold.pb", "
        "--out", "{out}"], VARIATIONAL),
      (["resources", "--peptide", "KLVFFAGW"], VARIATIONAL),
      (["build", "--peptide", "KLVF", "--mode", "vqec", "--out", "{out}"],
-      ("qfold.sim", "qfold.optimize"))],
-    ids=["search-pipeline", "resources", "vqec-build"],
+      ("qfold.sim", "qfold.optimize")),
+     (["analyze", "--peptide", "KLVF", "--shots-file", "{shots}", "--oracle",
+       "--out", "{out}"], VARIATIONAL)],
+    ids=["search-pipeline", "resources", "vqec-build", "analyze"],
 )
 def test_command_loads_only_the_layers_it_runs(tmp_path, args, unloaded):
     # a fresh process, so that no other test's imports count
-    args = [a.format(out=tmp_path / "run") for a in args]
+    shots = tmp_path / "shots.tsv"
+    shots.write_text("000000000\t3\n100000000\t1\n")
+    args = [a.format(out=tmp_path / "run", shots=shots) for a in args]
     script = (
         "import sys\n"
         "from qfold.cli import main\n"
