@@ -4,8 +4,9 @@ Two protocols over the same simulator:
 
 * CVaR-VQE: derivative-free minimization of the conditional value at risk
   of the exact energy distribution, from multiple starts, each drawn
-  uniformly from ``CvarVqeConfig.init_window`` ([3*pi/2, 2*pi] unless a
-  caller sets it).  The minimizer is COBYLA, Powell's
+  uniformly from the fixed window ``CVAR_INIT_WINDOW`` = [3*pi/2, 2*pi].
+  ``ExpectationEngine.cvar_objective`` reads the tail through
+  ``sim.sorted_cvar``.  The minimizer is COBYLA, Powell's
   linear-approximation trust region, kept here as ``_cobyla``: an ask/tell
   generator that follows PRIMA's decision rules for a problem without
   constraints, and re-checks its simplex inverse only where the simplex
@@ -62,6 +63,8 @@ from .sim import (
 )
 
 TWO_PI = 2.0 * math.pi
+# every CVaR-VQE restart draws its start angles uniformly from this window
+CVAR_INIT_WINDOW = (3.0 * math.pi / 2.0, TWO_PI)
 DEFAULT_NU_GRID = (0.01, 0.05, 0.1, 0.2, 0.5)
 DEFAULT_MU_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 # the constraint_violation up to which a run counts as feasible
@@ -127,9 +130,6 @@ class ExpectationEngine:
 
     def config_marginal(self, probs: np.ndarray) -> np.ndarray:
         return probs.reshape(1 << self.n_ancillas, 1 << self.n_config).sum(axis=0)
-
-    def objective_expectation(self, probs: np.ndarray) -> float:
-        return float(self.f_vector(probs)[0])
 
     def f_vector(self, probs: np.ndarray) -> np.ndarray:
         """[objective expectation, constraint expectations...].
@@ -225,15 +225,11 @@ class CvarVqeConfig:
     alpha: float = 0.1
     max_iterations: int = 200
     restarts: int = 20
-    init_window: tuple = (3.0 * math.pi / 2.0, TWO_PI)
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise EncodingError("alpha must lie in (0, 1]")
-        lo, hi = self.init_window
-        if not (0.0 <= lo < hi <= TWO_PI + 1e-12):
-            raise EncodingError("init_window must be an interval inside [0, 2*pi]")
         if self.restarts < 1 or self.max_iterations < 1:
             raise EncodingError("restarts and max_iterations must be >= 1")
 
@@ -604,7 +600,7 @@ def run_cvar_vqe(
     if engine is None:
         engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
-    starts = [rng.uniform(*cfg.init_window, ansatz.n_params)
+    starts = [rng.uniform(*CVAR_INIT_WINDOW, ansatz.n_params)
               for _ in range(cfg.restarts)]
     maxfev = cobyla_budget(cfg, ansatz)
     width = block_columns(ansatz.n_qubits)

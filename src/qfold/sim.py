@@ -36,9 +36,10 @@ shifted circuits through ``evolve_block``; it is the reference the adjoint
 sweep is tested against, to rounding.
 
 Provides diagonal expectations, conditional value at risk over the energy
-distribution (``sorted_cvar`` takes a block of distributions at once),
-seeded multinomial shot sampling, parameter-shift gradients and Jacobians,
-and adjoint gradients of diagonal expectations.
+distribution (``sorted_cvar``, the one CVaR entry: energies already
+ascending, one distribution or a block of them), seeded multinomial shot
+sampling, parameter-shift gradients and Jacobians, and adjoint gradients of
+diagonal expectations.
 """
 
 from __future__ import annotations
@@ -290,58 +291,28 @@ def probabilities(state: np.ndarray) -> np.ndarray:
     return state * state
 
 
-def expectation_diagonal(state: np.ndarray, energy) -> float:
-    """Expectation of a diagonal operator.
-
-    ``energy`` is either a precomputed diagonal (array of length 2^n) or a
-    callable mapping a basis bitstring to its energy.
-    """
-    probs = probabilities(state)
-    if callable(energy):
-        n = int(round(math.log2(state.shape[0])))
-        diag = np.fromiter(
-            (energy(bitstring_of(b, n)) for b in range(state.shape[0])),
-            dtype=float,
-            count=state.shape[0],
-        )
-    else:
-        diag = np.asarray(energy, dtype=float)
-        if diag.shape != state.shape:
-            raise EncodingError("diagonal length does not match the state")
-    return float(probs @ diag)
-
-
-def cvar(energies, probs, alpha: float) -> float:
-    """Mean of the lowest-energy tail holding probability mass ``alpha``.
-
-    The boundary state is included fractionally so the tail mass is exactly
-    ``alpha``; ``alpha = 1`` reduces to the plain expectation.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise EncodingError("alpha must lie in (0, 1]")
-    energies = np.asarray(energies, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    if energies.shape != probs.shape or energies.ndim != 1:
-        raise EncodingError("energies and probabilities must be equal-length 1-d")
-    keep = probs > 0.0
-    energies = energies[keep]
-    probs = probs[keep]
-    if energies.size == 0:
-        raise EmptyDistributionError("no probability mass in the distribution")
-    order = np.argsort(energies, kind="stable")
-    return sorted_cvar(energies[order], probs[order], alpha)
+def expectation_diagonal(state: np.ndarray, diag) -> float:
+    """Expectation of the diagonal operator ``diag``, an array of length 2^n."""
+    diag = np.asarray(diag, dtype=float)
+    if diag.shape != state.shape:
+        raise EncodingError("diagonal length does not match the state")
+    return float(probabilities(state) @ diag)
 
 
 def sorted_cvar(energies: np.ndarray, probs: np.ndarray, alpha: float):
-    """``cvar`` of distributions whose energies are already ascending.
+    """Mean of the lowest-energy tail holding probability mass ``alpha``.
 
-    The one tail kernel.  ``probs`` is one row of probabilities in the order
-    of ``energies``, or a ``(B, 2^n)`` block of such rows; the result is a
-    float, or one value per row.  ``cvar`` calls it after dropping zero-mass
-    states and sorting, and ``ExpectationEngine.cvar_objective`` on a block
-    gathered into its pre-sorted diagonal's order.  Zero-mass entries may
-    stay in; they add nothing to the tail.  The block's cumulative sums are
-    one row-wise ``cumsum``; each row then takes its own ``searchsorted`` and
+    The one CVaR kernel, for distributions whose energies are already
+    ascending.  ``probs`` is one row of probabilities in the order of
+    ``energies``, or a ``(B, 2^n)`` block of such rows; the result is a
+    float, or one value per row.  The boundary state counts fractionally,
+    so the tail holds exactly ``alpha`` (all of a row's mass, if that is
+    less), and ``alpha = 1`` is the plain expectation.  Zero-mass entries
+    may stay in; they add nothing to the tail.  A row whose tail holds no
+    mass, all zeros or ``alpha <= 0``, raises ``EmptyDistributionError``.
+    ``ExpectationEngine.cvar_objective`` calls it on a block gathered into
+    its pre-sorted diagonal's order.  The block's cumulative sums are one
+    row-wise ``cumsum``; each row then takes its own ``searchsorted`` and
     contiguous dot, so a row's value is the same bits as its call alone.
     """
     rows = probs.reshape(-1, probs.shape[-1])
@@ -349,6 +320,8 @@ def sorted_cvar(energies: np.ndarray, probs: np.ndarray, alpha: float):
     out = np.empty(rows.shape[0])
     for j, (row, cum) in enumerate(zip(rows, cums)):
         mass = min(alpha, float(cum[-1]))
+        if not mass > 0.0:
+            raise EmptyDistributionError(f"row {j} has no mass in its CVaR tail")
         boundary = int(cum.searchsorted(mass, side="left"))
         total = float(energies[:boundary] @ row[:boundary])
         used = float(cum[boundary - 1]) if boundary else 0.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qfold import optimize
-from qfold.exceptions import DivergenceError, EncodingError
+from qfold.exceptions import DivergenceError, EmptyDistributionError, EncodingError
 from qfold.hamiltonian import assemble
 from qfold.lattice import EncodingLayout
 from qfold.optimize import (
@@ -30,7 +30,6 @@ from qfold.sim import (
     Ansatz,
     adjoint_gradients,
     block_columns,
-    cvar,
     evolve,
     evolve_block,
     expectation_diagonal,
@@ -40,6 +39,7 @@ from qfold.sim import (
 from util import (
     objective_diagonal,
     plain_rows,
+    reference_cvar,
     reference_cvar_objective,
     reference_f_vector,
     reference_run_cvar_vqe,
@@ -67,7 +67,7 @@ def test_objective_expectation_matches_full_diagonal():
     diag = objective_diagonal(engine.instance)
     for seed in range(4):
         state = random_state(seed, POLYFIT.n_qubits)
-        split = engine.objective_expectation(probabilities(state))
+        split = engine.f_vector(probabilities(state))[0]
         full = expectation_diagonal(state, diag)
         assert split == pytest.approx(full, abs=1e-9)
 
@@ -78,9 +78,8 @@ def test_objective_expectation_is_the_f_vector_kernel():
         engine = ExpectationEngine(instance)
         for seed in range(2):
             probs = probabilities(random_state(seed, instance.n_qubits))
-            value = engine.objective_expectation(probs)
+            value = engine.f_vector(probs)[0]
             assert value == reference_f_vector(engine, probs)[0]
-            assert value == engine.f_vector(probs)[0]
 
 
 def test_constraint_expectations_match_full_tables():
@@ -148,13 +147,13 @@ def test_cvar_objective_matches_reference():
         probs = probabilities(random_state(seed + 20, POLYFIT.n_qubits))
         for alpha in (0.1, 0.37, 1.0):
             assert engine.cvar_objective(probs, alpha) == pytest.approx(
-                cvar(diag, probs, alpha), abs=1e-10
+                reference_cvar(diag, probs, alpha), abs=1e-10
             )
 
 
 def test_cvar_objective_is_the_former_kernel_bit_for_bit():
-    # sim.cvar and ExpectationEngine.cvar_objective share sim.sorted_cvar;
-    # each must keep the bits of its former standalone code
+    # ExpectationEngine.cvar_objective reads sim.sorted_cvar and must keep
+    # the bits of its former standalone code
     engine = ExpectationEngine(POLYFIT)
     rng = np.random.default_rng(9)
     size = 1 << POLYFIT.n_qubits
@@ -185,8 +184,17 @@ def test_cvar_alpha_one_equals_expectation():
     engine = ExpectationEngine(POLYFIT)
     probs = probabilities(random_state(33, POLYFIT.n_qubits))
     assert engine.cvar_objective(probs, 1.0) == pytest.approx(
-        engine.objective_expectation(probs), abs=1e-9
+        engine.f_vector(probs)[0], abs=1e-9
     )
+
+
+def test_cvar_objective_of_an_empty_row_raises():
+    engine = ExpectationEngine(POLYFIT)
+    size = 1 << POLYFIT.n_qubits
+    with pytest.raises(EmptyDistributionError):
+        engine.cvar_objective(np.zeros((1, size)), 0.1)
+    with pytest.raises(EmptyDistributionError):
+        engine.cvar_objective(np.zeros(size), 0.1)
 
 
 def assert_vqec_ground_equals_oracle(peptide, matrix):
@@ -246,8 +254,6 @@ def test_ground_probability_and_modal():
 def test_config_validation():
     with pytest.raises(EncodingError):
         CvarVqeConfig(alpha=0.0)
-    with pytest.raises(EncodingError):
-        CvarVqeConfig(init_window=(1.0, 7.5))
     with pytest.raises(EncodingError):
         CvarVqeConfig(restarts=0)
     with pytest.raises(EncodingError):
@@ -446,9 +452,7 @@ def test_cvar_vqe_lockstep_equals_single_restarts(monkeypatch):
     # as run alone, including a partial second block (65 columns at n=9)
     assert block_columns(ANSATZ.n_qubits) == 64
     configs = (
-        CvarVqeConfig(
-            restarts=5, max_iterations=40, seed=2, init_window=(0.0, TWO_PI),
-        ),
+        CvarVqeConfig(restarts=5, max_iterations=40, seed=2),
         CvarVqeConfig(restarts=65, max_iterations=29, seed=6),
     )
     for cfg in configs:
@@ -504,7 +508,7 @@ def test_pdp_inactive_constraints_reduce_to_projected_descent():
     grad = parameter_shift_gradient(
         ANSATZ,
         theta0,
-        lambda state: engine.objective_expectation(probabilities(state)),
+        lambda state: engine.f_vector(probabilities(state))[0],
     )
     want = np.clip(theta0 - mu * grad, 0.0, TWO_PI)
     assert np.array(entry.params) == pytest.approx(want, abs=1e-12)

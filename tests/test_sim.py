@@ -21,7 +21,6 @@ from qfold.sim import (
     adjoint_gradients,
     bitstring_of,
     block_columns,
-    cvar,
     evolve,
     evolve_block,
     expectation_diagonal,
@@ -31,7 +30,7 @@ from qfold.sim import (
     sample,
     sorted_cvar,
 )
-from util import reference_cvar, reference_f_vector, reference_sorted_cvar
+from util import reference_f_vector, reference_sorted_cvar
 
 
 # --- dense-matrix oracle: explicit kron products, no shared kernels ---
@@ -152,21 +151,6 @@ def test_expectation_uniform_is_mean():
     assert expectation_diagonal(state, diag) == pytest.approx(float(diag.mean()))
 
 
-def test_expectation_callable_matches_array():
-    rng = np.random.default_rng(7)
-    ansatz = Ansatz(4)
-    state = evolve(ansatz, rng.uniform(0.0, 2.0 * math.pi, ansatz.n_params))
-    diag = rng.normal(size=16)
-
-    def fn(bits):
-        index = int(bits[::-1], 2)
-        return float(diag[index])
-
-    assert expectation_diagonal(state, fn) == pytest.approx(
-        expectation_diagonal(state, diag), abs=1e-12
-    )
-
-
 def test_expectation_linear_in_energy():
     rng = np.random.default_rng(11)
     state = evolve(Ansatz(3), rng.uniform(0.0, 2.0 * math.pi, 9))
@@ -182,11 +166,17 @@ def test_expectation_shape_mismatch():
         expectation_diagonal(np.ones(4) / 2.0, np.arange(8.0))
 
 
-# --- cvar ---
+# --- sorted_cvar: energies already ascending ---
+
+
+def sorted_pair(energies, probs):
+    order = np.argsort(energies, kind="stable")
+    return np.asarray(energies)[order], np.asarray(probs)[order]
 
 
 def test_cvar_fractional_boundary():
-    assert cvar([0.0, 10.0], [0.05, 0.95], 0.1) == pytest.approx(5.0, abs=1e-12)
+    energies, probs = np.array([0.0, 10.0]), np.array([0.05, 0.95])
+    assert sorted_cvar(energies, probs, 0.1) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_cvar_alpha_one_is_expectation():
@@ -194,43 +184,28 @@ def test_cvar_alpha_one_is_expectation():
     energies = rng.normal(size=32)
     probs = rng.dirichlet(np.ones(32))
     want = float(energies @ probs)
-    assert cvar(energies, probs, 1.0) == pytest.approx(want, abs=1e-12)
+    assert sorted_cvar(*sorted_pair(energies, probs), 1.0) == pytest.approx(
+        want, abs=1e-12
+    )
 
 
 def test_cvar_small_alpha_is_minimum():
-    energies = [4.0, -2.0, 7.0, -2.0, 9.0]
-    probs = [0.2, 0.3, 0.1, 0.2, 0.2]
-    assert cvar(energies, probs, 1e-9) == pytest.approx(-2.0, abs=1e-12)
+    energies, probs = sorted_pair([4.0, -2.0, 7.0, -2.0, 9.0], [0.2, 0.3, 0.1, 0.2, 0.2])
+    assert sorted_cvar(energies, probs, 1e-9) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_cvar_ignores_zero_probability_states():
-    assert cvar([-100.0, 1.0, 2.0], [0.0, 0.5, 0.5], 0.2) == pytest.approx(1.0)
+    energies, probs = np.array([-100.0, 1.0, 2.0]), np.array([0.0, 0.5, 0.5])
+    assert sorted_cvar(energies, probs, 0.2) == pytest.approx(1.0)
 
 
 def test_cvar_monotone_in_alpha():
     rng = np.random.default_rng(5)
-    energies = rng.normal(size=64)
-    probs = rng.dirichlet(np.ones(64))
+    energies, probs = sorted_pair(rng.normal(size=64), rng.dirichlet(np.ones(64)))
     alphas = np.linspace(0.05, 1.0, 20)
-    values = [cvar(energies, probs, float(a)) for a in alphas]
+    values = [sorted_cvar(energies, probs, float(a)) for a in alphas]
     assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
     assert values[-1] <= float(energies @ probs) + 1e-12
-
-
-def test_cvar_is_the_former_kernel_bit_for_bit():
-    # sim.cvar and ExpectationEngine.cvar_objective share sim.sorted_cvar;
-    # each must keep the bits of its former standalone code
-    rng = np.random.default_rng(8)
-    for trial in range(200):
-        size = int(rng.integers(1, 40))
-        energies = rng.normal(size=size).round(int(rng.integers(0, 3)))
-        probs = rng.random(size) * (rng.random(size) < 0.7)
-        if not probs.any():
-            probs[int(rng.integers(size))] = 0.3
-        # odd trials normalized; even ones may hold less mass than alpha
-        probs /= probs.sum() if trial % 2 else 1.0
-        for alpha in (1.0, 0.1, float(rng.uniform(0.01, 1.0))):
-            assert cvar(energies, probs, alpha) == reference_cvar(energies, probs, alpha)
 
 
 def assert_block_cvar_equals_rows(energies, rows, alpha):
@@ -269,16 +244,16 @@ def test_sorted_cvar_block_boundary_on_a_cumulative_sum():
 
 
 def test_cvar_errors():
+    # a tail with no mass: an all-zero row, alpha <= 0, one empty block row
+    energies = np.array([1.0, 2.0])
     with pytest.raises(EmptyDistributionError):
-        cvar([], [], 0.5)
+        sorted_cvar(energies, np.array([0.0, 0.0]), 0.5)
     with pytest.raises(EmptyDistributionError):
-        cvar([1.0, 2.0], [0.0, 0.0], 0.5)
-    with pytest.raises(EncodingError):
-        cvar([1.0], [1.0], 0.0)
-    with pytest.raises(EncodingError):
-        cvar([1.0], [1.0], 1.5)
-    with pytest.raises(EncodingError):
-        cvar([1.0, 2.0], [1.0], 0.5)
+        sorted_cvar(energies, np.array([0.5, 0.5]), 0.0)
+    with pytest.raises(EmptyDistributionError):
+        sorted_cvar(energies, np.array([0.5, 0.5]), -0.1)
+    with pytest.raises(EmptyDistributionError):
+        sorted_cvar(energies, np.array([[0.5, 0.5], [0.0, 0.0]]), 0.5)
 
 
 # --- sampling ---

@@ -314,6 +314,7 @@ def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
     from scipy.optimize import minimize
 
     from qfold.optimize import (
+        CVAR_INIT_WINDOW,
         CVAR_PARAMS_EVERY,
         ExpectationEngine,
         OptTrace,
@@ -334,7 +335,7 @@ def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
     best_params = None
     best_value = math.inf
     for _ in range(cfg.restarts):
-        x0 = rng.uniform(*cfg.init_window, ansatz.n_params)
+        x0 = rng.uniform(*CVAR_INIT_WINDOW, ansatz.n_params)
         result = minimize(
             objective,
             x0,
