@@ -406,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; 0 on success, 2 on a ``QfoldError`` or ``OSError``.
+    """Run one subcommand; 0 on success, 2 on a ``QfoldError``, an
+    ``OSError`` or an input file that is not UTF-8.
 
     With ``argv`` None (``python -m qfold.cli``, the ``qfold`` script) the
     process ends with the command, so the heap is frozen once the flags
@@ -430,7 +431,7 @@ def main(argv=None) -> int:
     except QfoldError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

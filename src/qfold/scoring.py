@@ -115,6 +115,9 @@ def load_matrix(source: str | Path) -> EnergyMatrix:
     extra = sorted(set(header) - set(RESIDUES))
     if extra:
         raise MatrixFormatError(f"{path}: unknown residue columns {extra}")
+    extra = sorted(set(rows) - set(RESIDUES))
+    if extra:
+        raise MatrixFormatError(f"{path}: unknown residue rows {extra}")
 
     values = np.zeros((20, 20))
     for res, row in rows.items():

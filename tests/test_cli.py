@@ -21,7 +21,7 @@ from qfold.lattice import EncodingLayout
 from qfold.optimize import CvarVqeConfig, VqecConfig
 from qfold.pipeline import read_params
 from qfold.polyfit import PenaltyTarget, fit_penalty, fit_report
-from qfold.scoring import load_matrix
+from qfold.scoring import RESIDUES, load_matrix
 from qfold.search import SearchConfig
 from qfold.analysis import parse_topobj, parse_xyz
 from qfold.sim import Ansatz, ShotTable
@@ -497,6 +497,49 @@ def test_missing_inputs_exit_2_before_writing(tmp_path, capsys, flags):
         code = exc.code
     assert code == 2
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+ZERO_ROWS = [res + ",0" * len(RESIDUES) for res in RESIDUES]
+MATRIX_HEADER = "," + ",".join(RESIDUES)
+BAD_MATRICES = {
+    "unknown-row": [MATRIX_HEADER, *ZERO_ROWS, "X" + ",0" * len(RESIDUES)],
+    "non-numeric": [MATRIX_HEADER, ZERO_ROWS[0][:-1] + "x", *ZERO_ROWS[1:]],
+    "no-header": ["# a comment and nothing else"],
+    "unknown-column": [MATRIX_HEADER + ",Z", *(row + ",0" for row in ZERO_ROWS)],
+    "short-row": [MATRIX_HEADER, ZERO_ROWS[0][:-2], *ZERO_ROWS[1:]],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MATRICES))
+def test_malformed_matrix_exits_2_before_writing(tmp_path, capsys, case):
+    path = tmp_path / "matrix.csv"
+    path.write_text("\n".join(BAD_MATRICES[case]) + "\n")
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(
+        ["search", "--peptide", "KLVF", "--matrix", str(path), "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: MatrixFormatError:")
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["search", "--peptide", "KLVF", "--matrix"], ["pipeline", "--manifest"],
+     ["analyze", "--peptide", "KLVF", "--shots-file"],
+     ["sample", "--peptide", "KLVF", "--params"]],
+    ids=["search-matrix", "pipeline-manifest", "analyze-shots-file", "sample-params"],
+)
+def test_non_utf8_input_exits_2_before_writing(tmp_path, capsys, flags):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe is not UTF-8")
+    out = tmp_path / "run"
+    code, stdout, err = run_cli([*flags, str(path), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    assert stdout == ""
     assert not out.exists()
 
 

@@ -109,6 +109,17 @@ def test_pack_rejects_unreachable_turn1():
         lat.pack_configuration(lat.TurnSequence(lat.FCC, (1, 0, 0)))
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [lat.TurnSequence(lat.TET, (0, 1, 2)), lat.TurnSequence(lat.FCC, (0,)),
+     lat.TurnSequence(lat.FCC, (0, None, 3))],
+    ids=["tet", "one-turn", "redundant-turn"],
+)
+def test_pack_rejects_what_has_no_configuration_bits(seq):
+    with pytest.raises(EncodingError):
+        lat.pack_configuration(seq)
+
+
 # ---------------------------------------------------------------------------
 # geometry: FCC
 # ---------------------------------------------------------------------------

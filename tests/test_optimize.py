@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qfold.optimize import (
     run_cvar_vqe,
     run_vqec_pdp,
 )
+from qfold.pb import PBPolynomial
 from qfold.scoring import RESIDUES, load_matrix
 from qfold.search import SearchConfig, search
 from qfold.sim import (
@@ -123,6 +125,12 @@ def test_f_vector_view_rows_equal_the_mask_reference(n_beads):
     rows = engine.f_vector(probs)
     for j in range(3):
         assert np.array_equal(rows[j], reference_f_vector(engine, probs[j]))
+
+
+def test_engine_rejects_an_instance_no_configuration_satisfies():
+    infeasible = replace(VQEC, constraints=(PBPolynomial.constant(1.0, VQEC.n_qubits),))
+    with pytest.raises(EncodingError, match="no configuration"):
+        ExpectationEngine(infeasible)
 
 
 def test_engine_block_methods_reject_a_transposed_block():
@@ -258,6 +266,8 @@ def test_config_validation():
         CvarVqeConfig(restarts=0)
     with pytest.raises(EncodingError):
         VqecConfig(nu=0.0)
+    with pytest.raises(EncodingError):
+        VqecConfig(restarts=0)
     with pytest.raises(EncodingError):
         VqecConfig(nu_grid=())
     with pytest.raises(EncodingError):

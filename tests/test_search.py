@@ -161,6 +161,11 @@ def test_config_rejects(bad):
         config(**bad)
 
 
+def test_search_rejects_a_two_residue_chain():
+    with pytest.raises(EncodingError):
+        search(config(peptide="KL"))
+
+
 # --- conformation_energy ---
 
 

@@ -316,6 +316,8 @@ def test_shot_table_parse_errors():
     with pytest.raises(ParseError):
         ShotTable.from_text("0101 five\n")
     with pytest.raises(ParseError):
+        ShotTable.from_text("0101 -1\n")
+    with pytest.raises(ParseError):
         ShotTable.from_text("\n")
     with pytest.raises(EncodingError):
         ShotTable(counts={"01": 3}, shots=5)
