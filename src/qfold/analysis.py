@@ -323,21 +323,6 @@ class TopobjDocument:
     records: tuple
 
 
-def _topobj_records(topk, lattice: str):
-    scale = lattice_scale(lattice)
-    out = []
-    for rec in topk.records:
-        out.append(
-            TopobjRecord(
-                energy=float(rec.energy),
-                turn_string=rec.turns.to_string(),
-                bits=rec.bits if lattice == FCC else None,
-                coords_angstrom=rec.coords * scale,
-            )
-        )
-    return out
-
-
 def topobj_text(document: TopobjDocument) -> str:
     blocks = [f"topobj lattice={document.lattice} peptide={document.peptide}"]
     for rec in document.records:
@@ -350,19 +335,20 @@ def topobj_text(document: TopobjDocument) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def write_topobj(topk_or_document, lattice=None, peptide=None) -> str:
-    """Serialize a search TopK (or a parsed document) to topobj text."""
-    if isinstance(topk_or_document, TopobjDocument):
-        document = topk_or_document
-    else:
-        if lattice is None or peptide is None:
-            raise EncodingError("serializing a TopK needs lattice and peptide")
-        document = TopobjDocument(
-            lattice=lattice,
-            peptide=peptide,
-            records=tuple(_topobj_records(topk_or_document, lattice)),
+def write_topobj(topk, lattice: str, peptide: str) -> str:
+    """Serialize a search TopK to topobj text (``topobj_text`` for a parsed
+    document)."""
+    scale = lattice_scale(lattice)
+    records = tuple(
+        TopobjRecord(
+            energy=float(rec.energy),
+            turn_string=rec.turns.to_string(),
+            bits=rec.bits if lattice == FCC else None,
+            coords_angstrom=rec.coords * scale,
         )
-    return topobj_text(document)
+        for rec in topk.records
+    )
+    return topobj_text(TopobjDocument(lattice, peptide, records))
 
 
 def parse_topobj(text: str) -> TopobjDocument:

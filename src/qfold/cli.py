@@ -25,10 +25,10 @@ from dataclasses import MISSING, fields, replace
 
 from . import pipeline
 from .analysis import ShotTable, energy_probability_report, write_topobj, write_xyz
-from .exceptions import QfoldError
+from .exceptions import ParseError, QfoldError
 from .lattice import FCC, LATTICES, MODE_POLYFIT, MODES, EncodingLayout
-from .pipeline import METHOD_MODES, METHODS, RunManifest, check_finite_positive
-from .scoring import validate_peptide
+from .pipeline import METHOD_MODES, METHODS, RunManifest, chain_peptide, check_finite_positive
+from .scoring import read_utf8, validate_peptide
 
 # ---------------------------------------------------------------------------
 # resource accounting
@@ -73,6 +73,8 @@ def cmd_resources(args) -> int:
     else:
         n_beads = args.n
     last = args.n_max if args.n_max is not None else n_beads
+    if last < n_beads:
+        raise QfoldError(f"--n-max {last} is below the chain length {n_beads}")
     for n in range(n_beads, last + 1):
         c = resource_counts(n)
         print(
@@ -245,7 +247,7 @@ def cmd_fit_penalty(args) -> int:
         target = PenaltyTarget(args.separation, args.p0)
         fits = {args.separation: fit_penalty(target, r2_tol=args.r2_tol)}
     else:
-        n_beads = len(validate_peptide(args.peptide))
+        n_beads = len(chain_peptide(args.peptide))
         fits = fit_family(n_beads, p0=args.p0, r2_tol=args.r2_tol)
     _emit_fits(fits, None, args.out)
     return 0
@@ -270,8 +272,7 @@ def cmd_sample(args) -> int:
     params_path = args.params
     if params_path is None:
         params_path = os.path.join(args.out if args.out is not None else ".", "params.json")
-    with open(params_path) as handle:
-        table = pipeline.resample(manifest, handle.read())
+    table = pipeline.resample(manifest, read_utf8(params_path, ParseError))
     _emit_shots(table, manifest, args.out)
     return 0
 
@@ -281,8 +282,7 @@ def cmd_analyze(args) -> int:
     shots_path = args.shots_file
     if shots_path is None:
         shots_path = os.path.join(args.out if args.out is not None else ".", "shots.tsv")
-    with open(shots_path) as handle:
-        table = ShotTable.from_text(handle.read())
+    table = ShotTable.from_text(read_utf8(shots_path, ParseError))
     ensemble = pipeline.decode_shots(manifest, table, args.e_star, args.oracle)
     _emit_ensemble(ensemble, manifest, args.out)
     return 0
@@ -290,8 +290,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_pipeline(args) -> int:
     if args.manifest is not None:
-        with open(args.manifest) as handle:
-            manifest = RunManifest.from_json(handle.read())
+        manifest = RunManifest.from_json(read_utf8(args.manifest, ParseError))
         if args.out is not None:
             manifest = replace(manifest, out=args.out)
     elif args.peptide is None:
@@ -406,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; 0 on success, 2 on a ``QfoldError``, an
-    ``OSError`` or an input file that is not UTF-8.
+    """Run one subcommand; 0 on success, 2 on a ``QfoldError`` (an input
+    file that is not UTF-8 among them) or an ``OSError``.
 
     With ``argv`` None (``python -m qfold.cli``, the ``qfold`` script) the
     process ends with the command, so the heap is frozen once the flags
@@ -431,7 +430,7 @@ def main(argv=None) -> int:
     except QfoldError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

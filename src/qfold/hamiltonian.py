@@ -305,13 +305,13 @@ class ProblemInstance:
 
 def assemble(
     mode: str,
-    layout: EncodingLayout,
     peptide: str,
     matrix: EnergyMatrix,
     p0: float = 50.0,
     fits: dict | None = None,
 ) -> ProblemInstance:
-    """Build the full problem instance for one peptide.
+    """Build the full problem instance for one peptide, on the
+    ``EncodingLayout`` of its length.
 
     Dense mode composes one fitted overlap penalty per pair at separation
     >= 3 into the objective (``fits`` maps separation to fit, each at
@@ -325,10 +325,7 @@ def assemble(
     if mode not in MODES:
         raise EncodingError(f"mode must be one of {MODES}, got {mode!r}")
     peptide = validate_peptide(peptide)
-    if len(peptide) != layout.n_beads:
-        raise EncodingError(
-            f"peptide length {len(peptide)} != layout beads {layout.n_beads}"
-        )
+    layout = EncodingLayout(len(peptide))
     if mode == MODE_VQEC and fits is not None:
         raise EncodingError("penalty fits are a dense-mode input")
 

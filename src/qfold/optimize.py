@@ -1,6 +1,12 @@
 """Variational optimization drivers.
 
-Two protocols over the same simulator:
+Each driver takes an engine, an ``Ansatz`` and a config, and reads the
+engine through a protocol that ``ExpectationEngine`` answers: the VQEC
+driver reads ``n_vars``, ``n_constraints``, ``f_vector``, ``costate`` and
+``ground_probability``, the CVaR driver ``n_vars``, ``n_constraints`` and
+``cvar_objective``.  CVaR-VQE refuses an engine with constraints and the
+primal-dual loop one without, as each does an ansatz whose width is not
+``n_vars`` (``EncodingError``).  The two methods:
 
 * CVaR-VQE: derivative-free minimization of the conditional value at risk
   of the exact energy distribution, from multiple starts, each drawn
@@ -52,7 +58,6 @@ import numpy as np
 
 from .exceptions import DivergenceError, EncodingError
 from .hamiltonian import InstanceTables, ProblemInstance
-from .lattice import MODE_POLYFIT, MODE_VQEC
 from .sim import (
     Ansatz,
     adjoint_gradients,
@@ -578,12 +583,8 @@ def _updatepole(fval, sim, simi, checked=True):
     return simi, ok
 
 
-def run_cvar_vqe(
-    instance: ProblemInstance, ansatz: Ansatz, cfg: CvarVqeConfig, engine=None
-):
-    """Multistart CVaR minimization; returns (best params, trace).
-
-    ``engine`` is the instance's ``ExpectationEngine``, built here if None.
+def run_cvar_vqe(engine, ansatz: Ansatz, cfg: CvarVqeConfig):
+    """Multistart CVaR minimization on ``engine``; returns (best params, trace).
 
     Each restart is one ``_cobyla`` run from its seeded start.  Restarts
     advance in lockstep, ``block_columns(n)`` at a time: a tick evolves the
@@ -593,12 +594,10 @@ def run_cvar_vqe(
     rows are recorded restart after restart; the best restart has the
     lowest value, the first on a tie.
     """
-    if instance.mode != MODE_POLYFIT:
+    if engine.n_constraints:
         raise EncodingError("CVaR-VQE drives the fused-penalty objective only")
-    if ansatz.n_qubits != instance.n_qubits:
-        raise EncodingError("ansatz width does not match the instance")
-    if engine is None:
-        engine = ExpectationEngine(instance)
+    if ansatz.n_qubits != engine.n_vars:
+        raise EncodingError("ansatz width does not match the engine")
     rng = np.random.default_rng(cfg.seed)
     starts = [rng.uniform(*CVAR_INIT_WINDOW, ansatz.n_params)
               for _ in range(cfg.restarts)]
@@ -718,8 +717,10 @@ def _pdp_runs(engine, ansatz, starts, keys, cfg, traced=False):
     order, and the blocks' ``(entries, rows, evaluations)`` are joined;
     each run's rows stay empty unless ``traced``.
     """
+    if not engine.n_constraints:
+        raise EncodingError("the primal-dual loop drives the constrained mode only")
     if ansatz.n_qubits != engine.n_vars:
-        raise EncodingError("ansatz width does not match the instance")
+        raise EncodingError("ansatz width does not match the engine")
     width = block_columns(ansatz.n_qubits)
     blocks = [
         _pdp_block(
@@ -783,7 +784,7 @@ class GridReport:
         return "\n".join(e.to_json() for e in self.entries) + "\n"
 
 
-def _ranked_runs(instance, ansatz, cfg, engine, points, traced=False) -> GridReport:
+def _ranked_runs(engine, ansatz, cfg, points, traced=False) -> GridReport:
     """The VQEC driver: ``cfg.restarts`` seeded restarts at each (nu, mu) of
     ``points``, one ``GridEntry`` per run, ranked by ``GridEntry.sort_key``.
 
@@ -793,10 +794,6 @@ def _ranked_runs(instance, ansatz, cfg, engine, points, traced=False) -> GridRep
     ``DivergenceError`` is raised.  ``traced`` keeps every run's iterations,
     run after run, as the report's ``OptTrace``.
     """
-    if instance.mode != MODE_VQEC:
-        raise EncodingError("the primal-dual loop drives the constrained mode only")
-    if engine is None:
-        engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(0.0, TWO_PI, (cfg.restarts, ansatz.n_params))
     keys = [(float(nu), float(mu), r) for nu, mu in points for r in range(cfg.restarts)]
@@ -810,28 +807,22 @@ def _ranked_runs(instance, ansatz, cfg, engine, points, traced=False) -> GridRep
     return GridReport(tuple(entries), evaluations, trace)
 
 
-def run_vqec_pdp(
-    instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig, engine=None
-) -> GridReport:
+def run_vqec_pdp(engine, ansatz: Ansatz, cfg: VqecConfig) -> GridReport:
     """Multistart primal-dual runs at (cfg.nu, cfg.mu): the one-point grid.
 
     Returns the ranked ``GridReport``, with the run's ``OptTrace`` as its
     ``trace``.  Restarts rank as grid entries do, feasible runs first, then
     the lowest final Lagrangian; a diverged restart ranks last, and
-    ``DivergenceError`` is raised only when all diverged.  ``engine`` is the
-    instance's ``ExpectationEngine``, built here if None.
+    ``DivergenceError`` is raised only when all diverged.
     """
-    return _ranked_runs(instance, ansatz, cfg, engine, [(cfg.nu, cfg.mu)], traced=True)
+    return _ranked_runs(engine, ansatz, cfg, [(cfg.nu, cfg.mu)], traced=True)
 
 
-def grid_search(
-    instance: ProblemInstance, ansatz: Ansatz, cfg: VqecConfig, engine=None
-) -> GridReport:
+def grid_search(engine, ansatz: Ansatz, cfg: VqecConfig) -> GridReport:
     """Sweep (nu, mu) over the configured grids with shared restarts.
 
     Every grid point's restarts run and rank as one ``run_vqec_pdp`` does,
     so a one-point grid's best is that run's pick; the report has no trace.
-    ``engine`` is the instance's ``ExpectationEngine``, built here if None.
     """
     points = list(itertools.product(cfg.nu_grid, cfg.mu_grid))
-    return _ranked_runs(instance, ansatz, cfg, engine, points)
+    return _ranked_runs(engine, ansatz, cfg, points)

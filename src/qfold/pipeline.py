@@ -60,6 +60,14 @@ MANIFEST_COUNT_MINIMA = {
 }
 
 
+def chain_peptide(text: str) -> str:
+    """``validate_peptide``'s canonical text of a chain of at least 3 residues."""
+    peptide = validate_peptide(text)
+    if len(peptide) < 3:
+        raise QfoldError(f"need at least 3 residues, got {len(peptide)}")
+    return peptide
+
+
 def check_finite_positive(name: str, value, what: str) -> None:
     # comparisons, not float(): a JSON integer may exceed every float
     if not 0.0 < value <= sys.float_info.max:
@@ -115,9 +123,7 @@ class RunManifest:
         if self.nn_level not in (1, 2):
             raise QfoldError("nn_level must be 1 or 2")
         # frozen: the canonical peptide is set once, before anything reads it
-        object.__setattr__(self, "peptide", validate_peptide(self.peptide))
-        if len(self.peptide) < 3:
-            raise QfoldError(f"need at least 3 residues, got {len(self.peptide)}")
+        object.__setattr__(self, "peptide", chain_peptide(self.peptide))
         # NumPy addresses the float64 start angles only within MANIFEST_COUNT_MAX bytes
         if self.method in METHOD_MODES:
             n_params = EncodingLayout(len(self.peptide)).total_qubits * (self.layers + 1)
@@ -303,10 +309,7 @@ def build_instance(manifest: RunManifest, fits: dict | None) -> ProblemInstance:
     from .hamiltonian import assemble
 
     peptide, matrix = manifest.peptide, load_matrix(manifest.matrix)
-    return assemble(
-        METHOD_MODES[manifest.method], EncodingLayout(len(peptide)), peptide, matrix,
-        manifest.p0, fits,
-    )
+    return assemble(METHOD_MODES[manifest.method], peptide, matrix, manifest.p0, fits)
 
 
 def solver(manifest: RunManifest, n_qubits: int) -> tuple:
@@ -331,12 +334,12 @@ def solve(manifest: RunManifest, instance: ProblemInstance) -> Solution:
     ansatz, cfg = solver(manifest, instance.n_qubits)
     engine = ExpectationEngine(instance)
     if manifest.method == "vqe":
-        params, trace = run_cvar_vqe(instance, ansatz, cfg, engine)
+        params, trace = run_cvar_vqe(engine, ansatz, cfg)
         duals = report = None
         final = {"objective": trace.best}
     else:
         optimizer = grid_search if manifest.grid else run_vqec_pdp
-        report = optimizer(instance, ansatz, cfg, engine)
+        report = optimizer(engine, ansatz, cfg)
         best, trace = report.best, report.trace
         params, duals = np.array(best.params), np.array(best.duals)
         final = {"lagrangian": best.lagrangian, "violation": best.violation}
@@ -379,5 +382,5 @@ def decode_shots(
     if e_star is None and oracle and enumeration_size(FCC, len(peptide)) <= ORACLE_SIZE_CAP:
         topk = search(replace(config, k=1))
         e_star = topk.records[0].energy if topk.records else None
-    scorer = squared_distance_scorer(peptide, config)
+    scorer = squared_distance_scorer(config)
     return decode_samples(shots, EncodingLayout(len(peptide)), scorer, e_star=e_star)

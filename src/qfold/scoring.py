@@ -82,6 +82,15 @@ def validate_peptide(sequence: str) -> str:
     return seq
 
 
+def read_utf8(path, error=MatrixFormatError) -> str:
+    """The text of an input file, decoded as UTF-8; a byte that is not
+    raises ``error``, naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_matrix(source: str | Path) -> EnergyMatrix:
     """Load an energy matrix from a path or a bundled-table name."""
     path = Path(source)
@@ -93,7 +102,7 @@ def load_matrix(source: str | Path) -> EnergyMatrix:
 
     rows = {}
     header = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -135,7 +144,7 @@ def load_masses() -> dict:
     """Residue masses in daltons."""
     path = data_dir() / "residue_masses.csv"
     masses = {}
-    for raw in path.read_text().splitlines():
+    for raw in read_utf8(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("residue"):
             continue

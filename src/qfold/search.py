@@ -33,7 +33,7 @@ always the enumeration size; pruned ones also count in ``pruned``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,17 +122,17 @@ def enumeration_size(lattice: str, n_beads: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pair_rules(pep: str, config: SearchConfig):
-    """Per-pair (i, j, first-shell energy, second-shell energy) tuples for a
-    validated peptide.
+def _pair_rules(config: SearchConfig):
+    """Per-pair (i, j, first-shell energy, second-shell energy) tuples for
+    ``config.peptide``.
 
     Energies are ``scoring.epsilon_table``'s, the table the Hamiltonian's
     contact terms read, times ``scoring.scale_factor`` of their shell.  A
     zero entry disables that shell for the pair.
     """
-    eps = epsilon_table(config.matrix, pep)
+    eps = epsilon_table(config.matrix, config.peptide)
     first, second = (scale_factor(config.lattice, level) for level in (1, 2))
-    n = len(pep)
+    n = len(config.peptide)
     rules = []
     for i in range(n - 1):
         for j in range(i + 2, n):
@@ -154,8 +154,8 @@ def _scoring_tables(rules, lattice: str):
     return codes.astype(np.int8), table.reshape(-1, 4)
 
 
-def squared_distance_scorer(peptide: str, config: SearchConfig):
-    """``squared -> energy`` for one peptide, with the pair rules built once.
+def squared_distance_scorer(config: SearchConfig):
+    """``squared -> energy`` for ``config.peptide``, with the pair rules built once.
 
     ``squared`` is one conformation's ``squared_distance_matrix``, scored
     as a float, or a ``(..., N, N)`` stack of them, scored as an array.
@@ -165,11 +165,10 @@ def squared_distance_scorer(peptide: str, config: SearchConfig):
     contacts.  Terms add in ``_pair_rules`` order, for each conformation
     of a stack alike.
     """
-    peptide = validate_peptide(peptide)
-    rules = _pair_rules(peptide, config)
+    rules = _pair_rules(config)
     first, last = np.array([r[:2] for r in rules], dtype=np.intp).reshape(-1, 2).T
     codes, table = _scoring_tables(rules, config.lattice)
-    n_beads = len(peptide)
+    n_beads = len(config.peptide)
 
     def score(squared):
         if squared.shape[-2:] != (n_beads, n_beads):
@@ -184,11 +183,12 @@ def squared_distance_scorer(peptide: str, config: SearchConfig):
 
 
 def conformation_energy(conf, peptide: str, config: SearchConfig) -> float:
-    """Score one conformation, a TurnSequence or an integer coordinate array
-    (``squared_distance_scorer``, built for one call)."""
+    """Score one conformation, a TurnSequence or an integer coordinate array,
+    as ``peptide`` (``squared_distance_scorer`` of ``config`` with that
+    peptide, built for one call)."""
     coords = conf if isinstance(conf, np.ndarray) else coords_from_turns(conf)
     squared = squared_distance_matrix(coords, config.lattice)
-    return squared_distance_scorer(peptide, config)(squared)
+    return squared_distance_scorer(replace(config, peptide=peptide))(squared)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ class _Tree:
         ]
         # a pair that cannot score only ever adds an exact 0.0 (a leaf with an
         # overlap is dropped), so it is left out
-        rules = [r for r in _pair_rules(config.peptide, config) if r[2] or r[3]]
+        rules = [r for r in _pair_rules(config) if r[2] or r[3]]
         self.pairs = [(i, j) for i, j, _, _ in rules]
         self.code, self.table = _scoring_tables(rules, config.lattice)
         if not fcc:

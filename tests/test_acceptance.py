@@ -26,6 +26,7 @@ from qfold.analysis import (
     parse_xyz,
     radius_of_gyration,
     scaled_coords,
+    topobj_text,
     write_topobj,
     write_xyz,
     xyz_text,
@@ -120,7 +121,7 @@ def test_criterion_03_hamiltonian_ground_truth():
     # and the argmin decodes to an exactly optimal conformation
     for peptide in ("KLVF", "GNLVS"):
         n_beads = len(peptide)
-        instance = assemble("polyfit", EncodingLayout(n_beads), peptide, MJ)
+        instance = assemble("polyfit", peptide, MJ)
         engine = ExpectationEngine(instance)
         e_star = oracle_minimum(peptide)
         assert abs(engine.ground_energy - e_star) <= 0.05 * 50.0
@@ -167,9 +168,8 @@ def test_criterion_05_polyfit_quality():
 def test_criterion_06_term_count_report():
     # slack-free 6-bead instances; dense form must carry >= 5x the terms
     # of the constrained form (reference implementation: 18133 vs 2199)
-    layout = EncodingLayout(6)
-    dense = assemble("polyfit", layout, "KLVFFA", MJ)
-    constrained = assemble("vqec", layout, "KLVFFA", MJ)
+    dense = assemble("polyfit", "KLVFFA", MJ)
+    constrained = assemble("vqec", "KLVFFA", MJ)
     dense_terms = dense.objective.term_count()
     constrained_terms = constrained.objective.term_count()
     assert dense_terms == 18877
@@ -226,7 +226,7 @@ def test_criterion_07_simulator_correctness():
 def test_criterion_08_cvar_vqe_recovery():
     # 4-bead toy, 20 restarts, alpha 0.1, window [3pi/2, 2pi]: the winning
     # restart's modal decoded sequence attains the search ground energy
-    instance = assemble("polyfit", EncodingLayout(4), "KLVF", MJ)
+    instance = assemble("polyfit", "KLVF", MJ)
     ansatz = Ansatz(instance.n_qubits, layers=2)
     cfg = CvarVqeConfig(
         alpha=0.1,
@@ -235,8 +235,8 @@ def test_criterion_08_cvar_vqe_recovery():
         seed=0,
     )
     assert CVAR_INIT_WINDOW == (1.5 * math.pi, TWO_PI)
-    params, _ = run_cvar_vqe(instance, ansatz, cfg)
     engine = ExpectationEngine(instance)
+    params, _ = run_cvar_vqe(engine, ansatz, cfg)
     probs = probabilities(evolve(ansatz, params))
     modal = engine.modal_config(probs)
     seq = decode_config(int(modal), 4)
@@ -253,7 +253,7 @@ def test_criterion_09_vqec_recovery_and_duals():
     # toy: best grid point's modal sequence is the ground; duals stay
     # nonnegative at every iterate; inactive constraints reduce one
     # iteration to projected gradient descent
-    instance = assemble("vqec", EncodingLayout(4), "KLVF", MJ)
+    instance = assemble("vqec", "KLVF", MJ)
     ansatz = Ansatz(instance.n_qubits, layers=2)
     engine = ExpectationEngine(instance)
 
@@ -277,7 +277,7 @@ def test_criterion_09_vqec_recovery_and_duals():
 
     # dual nonnegativity along a full trace
     trace_cfg = VqecConfig(nu=0.1, mu=1.0, restarts=2, max_iterations=10, seed=3)
-    single = run_vqec_pdp(instance, ansatz, trace_cfg)
+    single = run_vqec_pdp(engine, ansatz, trace_cfg)
     assert single.trace.rows
     for _, _, _, duals in single.trace.rows:
         assert all(value >= 0.0 for value in duals)
@@ -286,7 +286,7 @@ def test_criterion_09_vqec_recovery_and_duals():
     # step-size grid: the ranked-best point must put its modal mass on the
     # ground conformation
     grid_cfg = VqecConfig(restarts=5, max_iterations=150, seed=0)
-    report = grid_search(instance, ansatz, grid_cfg)
+    report = grid_search(engine, ansatz, grid_cfg)
     best = report.best
     assert not best.diverged
     assert all(value >= 0.0 for value in best.duals)
@@ -310,11 +310,11 @@ def test_criterion_09_vqec_recovery_and_duals():
 def test_criterion_09_n6_soft_target():
     # logged against the reference ~0.6 modal ground probability; no hard
     # tolerance (the circuit's entanglement layout is underdetermined)
-    instance = assemble("vqec", EncodingLayout(6), "KLVFFA", MJ)
+    instance = assemble("vqec", "KLVFFA", MJ)
     ansatz = Ansatz(instance.n_qubits, layers=2)
     cfg = VqecConfig(nu=0.01, mu=0.5, restarts=1, max_iterations=50, seed=0)
-    params = np.array(run_vqec_pdp(instance, ansatz, cfg).best.params)
     engine = ExpectationEngine(instance)
+    params = np.array(run_vqec_pdp(engine, ansatz, cfg).best.params)
     probs = probabilities(evolve(ansatz, params))
     ground_probability = engine.ground_probability(probs)
     print(
@@ -353,7 +353,7 @@ def test_criterion_10_analysis_identities():
     ensemble = decode_samples(
         table,
         layout,
-        squared_distance_scorer("KLVF", SearchConfig("fcc", "KLVF", MJ)),
+        squared_distance_scorer(SearchConfig("fcc", "KLVF", MJ)),
     )
     assert abs(ensemble.total_probability - 1.0) <= 1e-12
     print("criterion 10 (analysis identities): PASS")
@@ -365,7 +365,7 @@ def test_criterion_11_format_round_trips():
         topk = search(SearchConfig(lattice, peptide, MJ, k=5))
         text = write_topobj(topk, lattice=lattice, peptide=peptide)
         document = parse_topobj(text)
-        assert write_topobj(document) == text
+        assert topobj_text(document) == text
 
         best = topk.records[0]
         xyz = write_xyz(best.turns, peptide)

@@ -44,8 +44,8 @@ LAYOUT4 = EncodingLayout(4)
 LAYOUT5 = EncodingLayout(5)
 
 
-klvf_energy = squared_distance_scorer("KLVF", SearchConfig("fcc", "KLVF", MJ))
-klvff_energy = squared_distance_scorer("KLVFF", SearchConfig("fcc", "KLVFF", MJ))
+klvf_energy = squared_distance_scorer(SearchConfig("fcc", "KLVF", MJ))
+klvff_energy = squared_distance_scorer(SearchConfig("fcc", "KLVFF", MJ))
 
 
 def shots_of(counts):
@@ -368,7 +368,7 @@ def test_topobj_round_trip_bytes():
     assert document.lattice == "fcc"
     assert document.peptide == "KLVF"
     assert len(document.records) == 5
-    assert write_topobj(document) == text
+    assert topobj_text(document) == text
 
 
 def test_topobj_records_match_search():
@@ -391,7 +391,7 @@ def test_topobj_tet_omits_bits():
     document = parse_topobj(text)
     assert all(rec.bits is None for rec in document.records)
     assert document.records[0].turn_string == "01201"
-    assert write_topobj(document) == text
+    assert topobj_text(document) == text
 
 
 def test_topobj_empty_document():
@@ -400,12 +400,6 @@ def test_topobj_empty_document():
     assert text == "topobj lattice=fcc peptide=KLVF\n"
     parsed = parse_topobj(text)
     assert parsed.records == ()
-
-
-def test_topobj_requires_metadata_for_topk():
-    topk = search(SearchConfig("fcc", "KLVF", MJ, k=1))
-    with pytest.raises(EncodingError):
-        write_topobj(topk)
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "  \n"])
@@ -547,7 +541,7 @@ def test_decode_and_report_match_the_per_entry_path(peptide):
     reference = _per_entry_reference(shots, peptide, masses)
 
     ensemble = decode_samples(
-        shots, layout, squared_distance_scorer(peptide, SearchConfig("fcc", peptide, MJ))
+        shots, layout, squared_distance_scorer(SearchConfig("fcc", peptide, MJ))
     )
     for flag in ("redundant", "backtrack", "overlap"):
         assert any(getattr(e, flag) for e in ensemble.entries), flag
@@ -621,8 +615,8 @@ def test_topobj_round_trips_or_raises(text):
         document = parse_topobj(text)
     except (ParseError, EncodingError):
         return
-    canonical = write_topobj(document)
-    assert write_topobj(parse_topobj(canonical)) == canonical
+    canonical = topobj_text(document)
+    assert topobj_text(parse_topobj(canonical)) == canonical
 
 
 @settings(max_examples=300, deadline=None)
@@ -638,7 +632,7 @@ def test_xyz_round_trips_or_raises(text):
 
 @pytest.mark.parametrize("text", TOPOBJ_TEXTS)
 def test_topobj_written_text_round_trips_byte_exact(text):
-    assert write_topobj(parse_topobj(text)) == text
+    assert topobj_text(parse_topobj(text)) == text
 
 
 @pytest.mark.parametrize("text", XYZ_TEXTS)

@@ -102,6 +102,13 @@ def test_resources_range(capsys):
     assert len(out.splitlines()) == 6
 
 
+def test_resources_rejects_a_range_below_the_chain(capsys):
+    code, out, err = run_cli(["resources", "--n", "5", "--n-max", "3"], capsys)
+    assert code == 2
+    assert err.startswith("error: QfoldError:") and "--n-max 3" in err
+    assert out == ""
+
+
 def test_resources_requires_length(capsys):
     with pytest.raises(SystemExit):
         main(["resources"])
@@ -468,7 +475,8 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
      ["fit-penalty", "--peptide", "KLV", "--r2-tol", "nan"],
      # a chain needs three beads, checked before the manifest is written
      ["pipeline", "--peptide", "KL", "--method", "search"],
-     ["vqec", "--peptide", "KL", "--restarts", "1", "--iterations", "1"]],
+     ["vqec", "--peptide", "KL", "--restarts", "1", "--iterations", "1"],
+     ["fit-penalty", "--peptide", "KL"]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -539,6 +547,7 @@ def test_non_utf8_input_exits_2_before_writing(tmp_path, capsys, flags):
     code, stdout, err = run_cli([*flags, str(path), "--out", str(out)], capsys)
     assert code == 2
     assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    assert str(path) in err
     assert stdout == ""
     assert not out.exists()
 
@@ -788,7 +797,7 @@ def test_pipeline_instance_carries_manifest_p0(tmp_path, capsys):
     assert {fit["p0"] for fit in fits.values()} == {20.0}
     instance = ProblemInstance.from_json((tmp_path / "instance.json").read_text())
     assert instance.p0 == 20.0
-    want = assemble("polyfit", EncodingLayout(4), "KLVF", load_matrix("mj1996"), 20.0)
+    want = assemble("polyfit", "KLVF", load_matrix("mj1996"), 20.0)
     assert instance.objective == want.objective
 
 

@@ -255,40 +255,37 @@ def test_h_int_peptide_length_checked(mj):
 
 
 def test_assemble_vqec_shape(mj):
-    inst = ham.assemble("vqec", ham.EncodingLayout(6), "KLVFFA", mj)
+    inst = ham.assemble("vqec", "KLVFFA", mj)
     assert inst.mode == "vqec"
     assert len(inst.constraints) == 10
-    inst3 = ham.assemble("vqec", ham.EncodingLayout(3), "KLV", mj)
+    inst3 = ham.assemble("vqec", "KLV", mj)
     assert len(inst3.constraints) == 1
 
 
 def test_assemble_polyfit_shape(mj):
-    inst = ham.assemble("polyfit", ham.EncodingLayout(4), "KLVF", mj)
+    inst = ham.assemble("polyfit", "KLVF", mj)
     assert inst.constraints == ()
     with pytest.raises(EncodingError):
-        ham.assemble("vqec", ham.EncodingLayout(4), "KLVF", mj, fits=polyfit.fit_family(4))
+        ham.assemble("vqec", "KLVF", mj, fits=polyfit.fit_family(4))
     with pytest.raises(EncodingError):
-        ham.assemble("anneal", ham.EncodingLayout(4), "KLVF", mj)
-    with pytest.raises(EncodingError, match="layout beads"):
-        ham.assemble("polyfit", ham.EncodingLayout(3), "KLVF", mj)
+        ham.assemble("anneal", "KLVF", mj)
 
 
 def test_assemble_rejects_fits_at_another_p0(mj):
     # the instance would record p0 = 20 while its objective is the p0 = 50 one
     fits = polyfit.fit_family(5, p0=50.0)
     with pytest.raises(EncodingError, match="p0"):
-        ham.assemble("polyfit", ham.EncodingLayout(5), "KLVFF", mj, 20.0, fits)
+        ham.assemble("polyfit", "KLVFF", mj, 20.0, fits)
     # the fits of a 4-bead chain lack the 5-bead chain's separation 4
     with pytest.raises(EncodingError, match="separation 4"):
-        ham.assemble("polyfit", ham.EncodingLayout(5), "KLVFF", mj, 50.0, {3: fits[3]})
+        ham.assemble("polyfit", "KLVFF", mj, 50.0, {3: fits[3]})
 
 
 def test_assemble_term_counts_klvffa(mj):
     # counts on the canonical multilinear form with the fixed prefix
     # substituted away; the dense construction must stay >= 5x larger
-    lay = ham.EncodingLayout(6)
-    vqec = ham.assemble("vqec", lay, "KLVFFA", mj)
-    dense = ham.assemble("polyfit", lay, "KLVFFA", mj)
+    vqec = ham.assemble("vqec", "KLVFFA", mj)
+    dense = ham.assemble("polyfit", "KLVFFA", mj)
     assert vqec.objective.term_count() == 2890
     assert dense.objective.term_count() == 18877
     assert dense.objective.term_count() >= 5 * vqec.objective.term_count()
@@ -320,7 +317,7 @@ def _per_pair_reference(mode, layout, peptide, matrix):
 def test_assemble_equals_per_pair_distances(mj, mode, peptide):
     layout = ham.EncodingLayout(len(peptide))
     objective, constraints = _per_pair_reference(mode, layout, peptide, mj)
-    inst = ham.assemble(mode, layout, peptide, mj)
+    inst = ham.assemble(mode, peptide, mj)
     assert inst.objective == objective
     assert list(inst.constraints) == constraints
 
@@ -336,7 +333,7 @@ def test_assemble_builds_each_pair_distance_once(mj, monkeypatch, mode):
     squared_distance = ham._squared_distance
     monkeypatch.setattr(ham, "_squared_distance", counted)
     layout = ham.EncodingLayout(5)
-    ham.assemble(mode, layout, "KLVFF", mj)
+    ham.assemble(mode, "KLVFF", mj)
     assert len(built) == len(layout.pairs) == 6
     # one per pair: no two calls share both bead positions
     assert len({(id(a), id(b)) for a, b in built}) == len(built)
@@ -344,7 +341,7 @@ def test_assemble_builds_each_pair_distance_once(mj, monkeypatch, mode):
 
 def test_constraints_equal_two_minus_distance(mj):
     lay = ham.EncodingLayout(4)
-    inst = ham.assemble("vqec", lay, "KLVF", mj)
+    inst = ham.assemble("vqec", "KLVF", mj)
     for mask, seq in decodable_masks(4):
         coords = lat.coords_from_turns(seq)
         for (m, n), poly in zip(lay.pairs, inst.constraints):
@@ -390,9 +387,8 @@ def pauli_z_term_count(poly):
 def test_pauli_term_counts_match_the_reference(mj):
     # criterion 6 counts 0/1 monomials (18877 polyfit, 2890 vqec); the
     # reference counts Pauli Z strings of the same Hamiltonians
-    layout = ham.EncodingLayout(6)
     counts = [
-        pauli_z_term_count(ham.assemble(mode, layout, "KLVFFA", mj).objective)
+        pauli_z_term_count(ham.assemble(mode, "KLVFFA", mj).objective)
         for mode in ("polyfit", "vqec")
     ]
     assert counts == [18133, 2199]
@@ -426,8 +422,7 @@ def test_ground_truth_equivalence_n4(mj):
     # configurations equals the oracle minimum within the fit residual,
     # and the unrestricted argmin decodes to an oracle ground state
     pep = "KLVF"
-    lay = ham.EncodingLayout(4)
-    inst = ham.assemble("polyfit", lay, pep, mj)
+    inst = ham.assemble("polyfit", pep, mj)
     tables = ham.InstanceTables(inst)
     energies = tables.ancilla_optimal_energies()
     eps = scoring.epsilon_table(mj, pep)
@@ -449,7 +444,7 @@ def test_ground_truth_equivalence_n4(mj):
 
 
 def test_instance_tables_match_brute_force(mj):
-    inst = ham.assemble("polyfit", ham.EncodingLayout(4), "KLVF", mj)
+    inst = ham.assemble("polyfit", "KLVF", mj)
     tables = ham.InstanceTables(inst)
     nb = inst.layout.n_config_bits
     full = objective_diagonal(inst).reshape(-1, 1 << nb)
@@ -465,7 +460,7 @@ def test_instance_tables_match_brute_force(mj):
 
 
 def test_instance_tables_reject_coupled_ancillas(mj):
-    inst = ham.assemble("polyfit", ham.EncodingLayout(4), "KLVF", mj)
+    inst = ham.assemble("polyfit", "KLVF", mj)
     a, b = inst.layout.ancilla_qubit(0), inst.layout.ancilla_qubit(1)
     coupled = inst.objective + pb.PBPolynomial.from_terms(
         [([a, b], 1.0)], inst.objective.n_vars
@@ -484,7 +479,7 @@ def test_instance_tables_reject_coupled_ancillas(mj):
 
 def test_instance_json_roundtrip(mj):
     for mode in ("polyfit", "vqec"):
-        inst = ham.assemble(mode, ham.EncodingLayout(4), "KLVF", mj)
+        inst = ham.assemble(mode, "KLVF", mj)
         back = ham.ProblemInstance.from_json(inst.to_json())
         assert back.mode == inst.mode
         assert back.peptide == inst.peptide
@@ -521,7 +516,7 @@ def test_instance_from_json_coefficient_beyond_float_raises_parse_error():
 def klvf_instance_texts():
     mj = scoring.load_matrix("mj1996")
     return tuple(
-        ham.assemble(mode, ham.EncodingLayout(4), "KLVF", mj).to_json()
+        ham.assemble(mode, "KLVF", mj).to_json()
         for mode in ham.MODES
     )
 

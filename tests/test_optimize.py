@@ -11,7 +11,6 @@ import pytest
 from qfold import optimize
 from qfold.exceptions import DivergenceError, EmptyDistributionError, EncodingError
 from qfold.hamiltonian import assemble
-from qfold.lattice import EncodingLayout
 from qfold.optimize import (
     CvarVqeConfig,
     ExpectationEngine,
@@ -48,9 +47,10 @@ from util import (
 )
 
 MJ = load_matrix("mj1996")
-LAYOUT = EncodingLayout(4)
-POLYFIT = assemble("polyfit", LAYOUT, "KLVF", MJ)
-VQEC = assemble("vqec", LAYOUT, "KLVF", MJ)
+POLYFIT = assemble("polyfit", "KLVF", MJ)
+VQEC = assemble("vqec", "KLVF", MJ)
+POLYFIT_ENGINE = ExpectationEngine(POLYFIT)
+VQEC_ENGINE = ExpectationEngine(VQEC)
 ANSATZ = Ansatz(POLYFIT.n_qubits, layers=2)
 TWO_PI = 2.0 * math.pi
 
@@ -75,7 +75,7 @@ def test_objective_expectation_matches_full_diagonal():
 
 
 def test_objective_expectation_is_the_f_vector_kernel():
-    klvff = assemble("vqec", EncodingLayout(5), "KLVFF", MJ)
+    klvff = assemble("vqec", "KLVFF", MJ)
     for instance in (POLYFIT, VQEC, klvff):
         engine = ExpectationEngine(instance)
         for seed in range(2):
@@ -206,7 +206,7 @@ def test_cvar_objective_of_an_empty_row_raises():
 
 
 def assert_vqec_ground_equals_oracle(peptide, matrix):
-    instance = assemble("vqec", EncodingLayout(len(peptide)), peptide, matrix)
+    instance = assemble("vqec", peptide, matrix)
     oracle = search(SearchConfig("fcc", peptide, matrix, k=1)).records[0].energy
     ground = ExpectationEngine(instance).ground_energy
     assert ground == pytest.approx(oracle, abs=1e-9), peptide
@@ -317,22 +317,22 @@ def test_trace_json_lines():
 def test_cvar_vqe_rejects_wrong_mode_and_width():
     cfg = CvarVqeConfig(restarts=1, max_iterations=5)
     with pytest.raises(EncodingError):
-        run_cvar_vqe(VQEC, ANSATZ, cfg)
+        run_cvar_vqe(VQEC_ENGINE, ANSATZ, cfg)
     with pytest.raises(EncodingError):
-        run_cvar_vqe(POLYFIT, Ansatz(5), cfg)
+        run_cvar_vqe(POLYFIT_ENGINE, Ansatz(5), cfg)
 
 
 def test_cvar_vqe_deterministic():
     cfg = CvarVqeConfig(restarts=2, max_iterations=30, seed=11)
-    params_a, trace_a = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
-    params_b, trace_b = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    params_a, trace_a = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
+    params_b, trace_b = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     assert np.array_equal(params_a, params_b)
     assert trace_a.objectives == trace_b.objectives
 
 
 def test_cvar_vqe_recovers_ground():
     cfg = CvarVqeConfig(alpha=0.1, restarts=20, max_iterations=80, seed=0)
-    params, trace = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    params, trace = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     engine = ExpectationEngine(POLYFIT)
     probs = probabilities(evolve(ANSATZ, params))
     assert engine.modal_config(probs) in set(engine.ground_configs.tolist())
@@ -347,10 +347,10 @@ def test_cvar_vqe_budget_raised_to_cobyla_minimum():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         params_5, trace_5 = run_cvar_vqe(
-            POLYFIT, ANSATZ, CvarVqeConfig(restarts=2, max_iterations=5, seed=3)
+            POLYFIT_ENGINE, ANSATZ, CvarVqeConfig(restarts=2, max_iterations=5, seed=3)
         )
     params_29, trace_29 = run_cvar_vqe(
-        POLYFIT, ANSATZ, CvarVqeConfig(restarts=2, max_iterations=29, seed=3)
+        POLYFIT_ENGINE, ANSATZ, CvarVqeConfig(restarts=2, max_iterations=29, seed=3)
     )
     assert np.array_equal(params_5, params_29)
     assert plain_rows(trace_5.rows) == plain_rows(trace_29.rows)
@@ -371,8 +371,8 @@ def test_cobyla_initial_simplex_equals_scipy():
     # the first P + 1 points are x0 and x0 + e_j with PRIMA's pole swaps,
     # and their values, bit for bit
     cfg = CvarVqeConfig(restarts=3, max_iterations=40, seed=11)
-    _, ours = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
-    _, theirs = reference_run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    _, ours = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
+    _, theirs = reference_run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     assert len(ours.rows) == len(theirs.rows) == 3 * 40
     for restart in range(3):
         rows = slice(restart * 40, restart * 40 + ANSATZ.n_params + 1)
@@ -383,8 +383,8 @@ def test_cobyla_initial_simplex_equals_scipy():
 def test_cvar_vqe_best_equals_scipy_on_klvf(seed):
     # criterion 8's settings (seed 0) and the pipeline's defaults (seed 11)
     cfg = CvarVqeConfig(alpha=0.1, restarts=20, max_iterations=80, seed=seed)
-    _, ours = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
-    _, theirs = reference_run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    _, ours = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
+    _, theirs = reference_run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     assert ours.best == pytest.approx(theirs.best, abs=1e-9)
 
 
@@ -392,10 +392,11 @@ def test_cvar_vqe_best_equals_scipy_on_drawn_peptides():
     rng = np.random.default_rng(5)
     for k in range(10):
         peptide = "".join(rng.choice(list(RESIDUES), 4))
-        instance = assemble("polyfit", LAYOUT, peptide, MJ)
+        instance = assemble("polyfit", peptide, MJ)
         cfg = CvarVqeConfig(restarts=3, max_iterations=60, seed=k)
-        _, ours = run_cvar_vqe(instance, ANSATZ, cfg)
-        _, theirs = reference_run_cvar_vqe(instance, ANSATZ, cfg)
+        engine = ExpectationEngine(instance)
+        _, ours = run_cvar_vqe(engine, ANSATZ, cfg)
+        _, theirs = reference_run_cvar_vqe(engine, ANSATZ, cfg)
         assert ours.best == pytest.approx(theirs.best, abs=1e-9), peptide
 
 
@@ -422,7 +423,7 @@ def test_cobyla_converges_like_scipy_on_a_convex_quadratic(n):
 
 def test_cvar_vqe_stops_on_final_radius_before_the_budget():
     cfg = CvarVqeConfig(restarts=2, max_iterations=1500, seed=0)
-    params, trace = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+    params, trace = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     assert len(trace.objectives) < cfg.restarts * cobyla_budget(cfg, ANSATZ)
     engine = ExpectationEngine(POLYFIT)
     assert trace.best == pytest.approx(engine.ground_energy, abs=0.05)
@@ -466,10 +467,10 @@ def test_cvar_vqe_lockstep_equals_single_restarts(monkeypatch):
         CvarVqeConfig(restarts=65, max_iterations=29, seed=6),
     )
     for cfg in configs:
-        params, trace = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+        params, trace = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
         with monkeypatch.context() as patch:
             patch.setattr(optimize, "block_columns", lambda n_qubits: 1)
-            alone_params, alone = run_cvar_vqe(POLYFIT, ANSATZ, cfg)
+            alone_params, alone = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
         assert plain_rows(trace.rows) == plain_rows(alone.rows)
         assert np.array_equal(params, alone_params)
         assert trace.best == alone.best
@@ -491,15 +492,44 @@ def pdp_alone(engine, ansatz, theta0, key, cfg):
 def test_pdp_rejects_wrong_mode():
     cfg = VqecConfig(restarts=1, max_iterations=2)
     with pytest.raises(EncodingError):
-        run_vqec_pdp(POLYFIT, ANSATZ, cfg)
+        run_vqec_pdp(POLYFIT_ENGINE, ANSATZ, cfg)
 
 
 def test_pdp_drivers_reject_wrong_width():
     cfg = VqecConfig(nu_grid=(0.1,), mu_grid=(0.5,), restarts=1, max_iterations=1)
     with pytest.raises(EncodingError):
-        run_vqec_pdp(VQEC, Ansatz(5), cfg)
+        run_vqec_pdp(VQEC_ENGINE, Ansatz(5), cfg)
     with pytest.raises(EncodingError):
-        grid_search(VQEC, Ansatz(5), cfg)
+        grid_search(VQEC_ENGINE, Ansatz(5), cfg)
+
+
+class ProtocolOnly:
+    """An engine that has only ``names``, each read from a real ``engine``."""
+
+    def __init__(self, engine, names):
+        for name in names:
+            setattr(self, name, getattr(engine, name))
+
+
+def test_drivers_read_only_the_engine_protocol():
+    # each driver runs on an object with nothing beyond the protocol that
+    # the module docstring names, and gives the real engine's results
+    vqec = ProtocolOnly(
+        VQEC_ENGINE,
+        ("n_vars", "n_constraints", "f_vector", "costate", "ground_probability"),
+    )
+    cfg = VqecConfig(nu=0.1, mu=1.0, restarts=3, max_iterations=20, seed=0)
+    want = run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg)
+    got = run_vqec_pdp(vqec, ANSATZ, cfg)
+    assert got.entries == want.entries
+    assert got.circuit_evaluations == want.circuit_evaluations
+
+    cvar = ProtocolOnly(POLYFIT_ENGINE, ("n_vars", "n_constraints", "cvar_objective"))
+    cvar_cfg = CvarVqeConfig(restarts=3, max_iterations=40, seed=1)
+    want_params, want_trace = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cvar_cfg)
+    params, trace = run_cvar_vqe(cvar, ANSATZ, cvar_cfg)
+    assert np.array_equal(params, want_params)
+    assert plain_rows(trace.rows) == plain_rows(want_trace.rows)
 
 
 def test_pdp_inactive_constraints_reduce_to_projected_descent():
@@ -527,7 +557,7 @@ def test_pdp_inactive_constraints_reduce_to_projected_descent():
 
 def test_pdp_duals_nonnegative_and_angles_projected():
     cfg = VqecConfig(nu=0.1, mu=2.0, restarts=2, max_iterations=8, seed=3)
-    report = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    report = run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg)
     trace = report.trace
     assert len(trace.rows) == 2 * 8
     for _, theta, _, duals in trace.rows:
@@ -539,8 +569,8 @@ def test_pdp_duals_nonnegative_and_angles_projected():
 
 def test_pdp_deterministic():
     cfg = VqecConfig(nu=0.05, mu=0.5, restarts=2, max_iterations=6, seed=7)
-    a = run_vqec_pdp(VQEC, ANSATZ, cfg)
-    b = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    a = run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg)
+    b = run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg)
     assert a.entries == b.entries
     assert a.trace.objectives == b.trace.objectives
 
@@ -552,9 +582,9 @@ def test_pdp_divergence_ceiling(monkeypatch):
         seed=0,
     )
     with pytest.raises(DivergenceError):
-        run_vqec_pdp(VQEC, ANSATZ, cfg)
+        run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg)
     with pytest.raises(DivergenceError):
-        grid_search(VQEC, ANSATZ, cfg)
+        grid_search(VQEC_ENGINE, ANSATZ, cfg)
 
 
 def test_pdp_single_run_keeps_the_best_surviving_restart(monkeypatch):
@@ -562,7 +592,7 @@ def test_pdp_single_run_keeps_the_best_surviving_restart(monkeypatch):
     # 1, 2 and 4 finish feasible; a ceiling of 30 drops every restart
     monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 40.0)
     cfg = VqecConfig(nu=0.1, mu=1.0, restarts=5, max_iterations=8, seed=4)
-    best = run_vqec_pdp(VQEC, ANSATZ, cfg).best
+    best = run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg).best
     engine = ExpectationEngine(VQEC)
     starts = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (5, ANSATZ.n_params))
     survivors = []
@@ -575,19 +605,20 @@ def test_pdp_single_run_keeps_the_best_surviving_restart(monkeypatch):
     assert best == min(survivors, key=lambda e: (e.violation > tol, e.lagrangian))
     monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 30.0)
     with pytest.raises(DivergenceError):
-        run_vqec_pdp(VQEC, ANSATZ, cfg)
+        run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg)
 
 
 def test_pdp_single_run_ranks_feasible_restarts_first():
     # FMFG's lowest final Lagrangian (24.59, restart 4) violates a constraint
     # by 0.039; the run takes feasible restart 3 (30.48), as a grid point does
-    instance = assemble("vqec", LAYOUT, "FMFG", MJ)
+    instance = assemble("vqec", "FMFG", MJ)
     cfg = VqecConfig(
         nu=0.1, mu=1.0, nu_grid=(0.1,), mu_grid=(1.0,), restarts=5, max_iterations=5,
         seed=4,
     )
-    single = run_vqec_pdp(instance, ANSATZ, cfg).best
-    report = grid_search(instance, ANSATZ, cfg)
+    engine = ExpectationEngine(instance)
+    single = run_vqec_pdp(engine, ANSATZ, cfg).best
+    report = grid_search(engine, ANSATZ, cfg)
     lowest = min(report.entries, key=lambda entry: entry.lagrangian)
     assert lowest.violation > optimize.FEASIBLE_TOL
     best = report.best
@@ -602,7 +633,7 @@ def test_pdp_evaluation_count():
     # simulator ran: 2P + 2 per iteration plus one final state per restart
     iterations = 3
     cfg = VqecConfig(nu=0.05, mu=0.5, restarts=1, max_iterations=iterations, seed=1)
-    single = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    single = run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg)
     per_iteration = 2 * ANSATZ.n_params + 2
     final_metrics = 1
     assert single.circuit_evaluations == iterations * per_iteration + final_metrics
@@ -610,7 +641,7 @@ def test_pdp_evaluation_count():
         nu_grid=(0.05,), mu_grid=(0.5, 1.0), restarts=2, max_iterations=iterations,
         seed=1,
     )
-    report = grid_search(VQEC, ANSATZ, grid_cfg)
+    report = grid_search(VQEC_ENGINE, ANSATZ, grid_cfg)
     per_run = iterations * per_iteration + final_metrics
     assert report.circuit_evaluations == 4 * per_run
 
@@ -618,7 +649,7 @@ def test_pdp_evaluation_count():
 def random_vqec(n_beads, seed):
     rng = np.random.default_rng(seed)
     peptide = "".join(rng.choice(list(RESIDUES), n_beads))
-    instance = assemble("vqec", EncodingLayout(n_beads), peptide, MJ)
+    instance = assemble("vqec", peptide, MJ)
     return instance, Ansatz(instance.n_qubits, layers=2), rng
 
 
@@ -642,7 +673,7 @@ def test_costate_is_weighted_full_diagonal_times_state():
 )
 def test_objective_diagonal_is_the_tabulated_objective_bit_for_bit(mode, peptide):
     # the CVaR path's diagonal comes from the co-state's table doubling
-    instance = assemble(mode, EncodingLayout(len(peptide)), peptide, MJ)
+    instance = assemble(mode, peptide, MJ)
     engine = ExpectationEngine(instance)
     diag = engine._diagonal(np.ones((1, 1)), 1 << engine.n_vars)
     assert np.array_equal(diag, objective_diagonal(instance))
@@ -711,7 +742,7 @@ def test_pdp_block_columns_equal_single_runs(monkeypatch):
     # that diverges and leaves the block
     iterations = 8
     cfg = VqecConfig(nu=0.1, mu=1.0, restarts=5, max_iterations=iterations, seed=4)
-    report = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    report = run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg)
     trace = report.trace
     engine = ExpectationEngine(VQEC)
     starts = np.random.default_rng(cfg.seed).uniform(0.0, TWO_PI, (5, ANSATZ.n_params))
@@ -731,7 +762,7 @@ def test_pdp_block_columns_equal_single_runs(monkeypatch):
         nu_grid=(0.05, 0.1), mu_grid=(0.5, 1.0), restarts=3, max_iterations=iterations,
         seed=cfg.seed,
     )
-    report = grid_search(VQEC, ANSATZ, grid_cfg)
+    report = grid_search(VQEC_ENGINE, ANSATZ, grid_cfg)
     assert any(e.diverged for e in report.entries)
     assert any(not e.diverged for e in report.entries)
     for entry in report.entries:
@@ -746,7 +777,7 @@ def test_pdp_block_columns_equal_single_runs(monkeypatch):
 
 def test_pdp_recovers_ground():
     cfg = VqecConfig(nu=0.01, mu=0.5, restarts=3, max_iterations=150, seed=0)
-    params = np.array(run_vqec_pdp(VQEC, ANSATZ, cfg).best.params)
+    params = np.array(run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg).best.params)
     engine = ExpectationEngine(VQEC)
     probs = probabilities(evolve(ANSATZ, params))
     assert engine.modal_config(probs) in set(engine.ground_configs.tolist())
@@ -764,7 +795,7 @@ def test_grid_search_shapes_and_best():
         max_iterations=60,
         seed=0,
     )
-    report = grid_search(VQEC, ANSATZ, cfg)
+    report = grid_search(VQEC_ENGINE, ANSATZ, cfg)
     assert len(report.entries) == 2 * 1 * 2
     best = report.best
     assert not best.diverged
@@ -780,8 +811,8 @@ def test_grid_single_point_matches_multistart_driver():
         nu=0.05, mu=0.5, nu_grid=(0.05,), mu_grid=(0.5,),
         restarts=2, max_iterations=10, seed=9,
     )
-    report = grid_search(VQEC, ANSATZ, cfg)
-    single = run_vqec_pdp(VQEC, ANSATZ, cfg)
+    report = grid_search(VQEC_ENGINE, ANSATZ, cfg)
+    single = run_vqec_pdp(VQEC_ENGINE, ANSATZ, cfg)
     # the same ranked runs; only the single run keeps a trace
     assert single.entries == report.entries
     assert report.trace is None and single.trace.objectives

@@ -236,7 +236,7 @@ def test_scorer_equals_former_scalar_scorer(lattice, matrix_name):
                 matrix=load_matrix(matrix_name),
                 nn_level=nn_level,
             )
-            score = squared_distance_scorer(peptide, cfg)
+            score = squared_distance_scorer(cfg)
             stack, wants = [], []
             for _ in range(40):
                 seq = TurnSequence(lattice, tuple(rng.integers(0, labels, n_beads - 1)))

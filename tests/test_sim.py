@@ -531,13 +531,12 @@ def test_jacobian_equals_inline_loop_on_random_diagonal(n, layers):
 
 def assert_vqec_jacobian_equals_inline_loop(n_beads, seed):
     from qfold.hamiltonian import assemble
-    from qfold.lattice import EncodingLayout
     from qfold.optimize import ExpectationEngine
     from qfold.scoring import RESIDUES, load_matrix
 
     rng = np.random.default_rng(seed)
     peptide = "".join(rng.choice(list(RESIDUES), n_beads))
-    instance = assemble("vqec", EncodingLayout(n_beads), peptide, load_matrix("mj1996"))
+    instance = assemble("vqec", peptide, load_matrix("mj1996"))
     engine = ExpectationEngine(instance)
     ansatz = Ansatz(engine.n_vars, layers=2)
     theta = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_params)

@@ -3,6 +3,7 @@
 import heapq
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -88,7 +89,7 @@ def reference_conformation_energy(conf, peptide: str, config: SearchConfig) -> f
         raise EncodingError("conformation length differs from peptide length")
     shell1 = 2 if config.lattice == FCC else 1
     energy = 0.0
-    for i, j, e1, e2 in _pair_rules(peptide, config):
+    for i, j, e1, e2 in _pair_rules(replace(config, peptide=peptide)):
         d2 = lat.pair_squared_distance(coords, i, j, config.lattice)
         if d2 == 0:
             energy += COLLISION_PENALTY
@@ -257,7 +258,7 @@ def _turn_text(labels_row, lattice: str) -> str:
 
 def _sweep_span(config: SearchConfig, n_beads: int, start: int, stop: int):
     """Worker kernel: best k (energy, turn string) pairs in [start, stop)."""
-    rules = _pair_rules(config.peptide, config)
+    rules = _pair_rules(config)
     best: list = []  # max-heap via negated sort key
     for lo in range(start, stop, CHUNK):
         hi = min(lo + CHUNK, stop)
@@ -304,7 +305,7 @@ def reference_search(config):
 # --- CVaR-VQE's former SciPy-driven multistart, as reference ---
 
 
-def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
+def reference_run_cvar_vqe(engine, ansatz, cfg, on_result=None):
     """The former ``run_cvar_vqe``: one SciPy COBYLA call per restart.
 
     Returns (best params, trace) as ``run_cvar_vqe`` does.  ``on_result``
@@ -316,13 +317,11 @@ def reference_run_cvar_vqe(instance, ansatz, cfg, on_result=None):
     from qfold.optimize import (
         CVAR_INIT_WINDOW,
         CVAR_PARAMS_EVERY,
-        ExpectationEngine,
         OptTrace,
         cobyla_budget,
     )
     from qfold.sim import evolve, probabilities
 
-    engine = ExpectationEngine(instance)
     rng = np.random.default_rng(cfg.seed)
     trace = OptTrace(CVAR_PARAMS_EVERY)
 
