@@ -21,11 +21,11 @@ hamiltonian
 search
     Classical exhaustive conformation search oracle.
 sim
-    Real-amplitude statevector simulator, sampling, parameter-shift gradients.
+    Real-amplitude statevector simulator, sampling, adjoint gradients.
 optimize
     CVaR-VQE and primal-dual constrained optimization loops.
 analysis
-    Sample decoding, structural metrics, file formats.
+    Sample decoding, radius of gyration, file formats.
 pipeline
     Run manifests and the fit, assemble, solve, sample, decode chain; each
     stage imports the layers it runs, so a search never loads the simulator,

@@ -3,8 +3,8 @@
 Sampled bitstrings are converted to turn sequences by stripping the ancilla
 bits and aggregating counts per configuration; energies are re-scored
 geometrically from the decoded conformation rather than trusted from the
-sampled ancillas.  Structure metrics are the mass-weighted radius of
-gyration and the Kabsch superposition RMSD (proper rotations only).
+sampled ancillas.  The structure metric is the mass-weighted radius of
+gyration.
 
 On-disk formats:
 
@@ -20,7 +20,8 @@ On-disk formats:
   bitstring, sorted; the parser also takes blank lines, ``#`` comments and
   any whitespace between the two fields.
 
-The XYZ and topobj writers are exact inverses of their parsers byte for byte.
+The topobj writer is the exact inverse of its parser byte for byte; XYZ
+files are only written.
 """
 
 from __future__ import annotations
@@ -139,10 +140,6 @@ class DecodedEnsemble:
         return self.entries[0]
 
     @property
-    def total_probability(self) -> float:
-        return math.fsum(e.probability for e in self.entries)
-
-    @property
     def valid_probability(self) -> float:
         return math.fsum(e.probability for e in self.entries if e.valid)
 
@@ -225,25 +222,6 @@ def radius_of_gyration(coords, masses=None):
     return float(rg) if coords.ndim == 2 else rg
 
 
-def kabsch_rmsd(a, b) -> float:
-    """RMSD after optimal proper-rotation superposition of ``a`` onto ``b``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[1] != 3:
-        raise EncodingError("coordinate arrays must share an (n, 3) shape")
-    if a.shape[0] == 0:
-        raise EmptyStructureError("need at least one bead")
-    ac = a - a.mean(axis=0)
-    bc = b - b.mean(axis=0)
-    cov = ac.T @ bc
-    u, _, vt = np.linalg.svd(cov)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    flip = np.diag([1.0, 1.0, d])
-    rotation = vt.T @ flip @ u.T
-    diff = ac @ rotation.T - bc
-    return float(np.sqrt(np.einsum("ij,ij->", diff, diff) / a.shape[0]))
-
-
 # ---------------------------------------------------------------------------
 # XYZ files
 # ---------------------------------------------------------------------------
@@ -274,33 +252,6 @@ def write_xyz(seq: TurnSequence, peptide: str) -> str:
     """The XYZ text of a chain."""
     comment = f"{seq.lattice} lattice chain, bonds {BOND_ANGSTROMS} A"
     return xyz_text(peptide, scaled_coords(seq), comment)
-
-
-def parse_xyz(text: str):
-    """Inverse of the XYZ writer: returns (peptide, coordinates, comment)."""
-    lines = text.splitlines()
-    if len(lines) < 2:
-        raise ParseError("xyz needs a count line and a comment line")
-    try:
-        count = int(lines[0].strip())
-    except ValueError as exc:
-        raise ParseError(f"bad atom count {lines[0]!r}") from exc
-    comment = lines[1]
-    rows = lines[2:]
-    if len(rows) != count:
-        raise ParseError(f"expected {count} atom lines, found {len(rows)}")
-    peptide = []
-    coords = np.empty((count, 3))
-    for i, row in enumerate(rows):
-        parts = row.split()
-        if len(parts) != 4 or len(parts[0]) != 1:
-            raise ParseError(f"atom line {i + 1}: expected '<residue> <x> <y> <z>'")
-        peptide.append(parts[0])
-        try:
-            coords[i] = [float(v) for v in parts[1:]]
-        except ValueError as exc:
-            raise ParseError(f"atom line {i + 1}: bad coordinate") from exc
-    return "".join(peptide), coords, comment
 
 
 # ---------------------------------------------------------------------------

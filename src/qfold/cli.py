@@ -279,6 +279,8 @@ def cmd_sample(args) -> int:
 
 def cmd_analyze(args) -> int:
     manifest = _manifest(args)
+    if args.e_star is not None and not math.isfinite(args.e_star):
+        raise QfoldError(f"e_star must be a finite energy, got {args.e_star}")
     shots_path = args.shots_file
     if shots_path is None:
         shots_path = os.path.join(args.out if args.out is not None else ".", "shots.tsv")

@@ -113,17 +113,6 @@ def _bead_positions(layout: EncodingLayout, count: int) -> list:
     return positions
 
 
-def position_polys(layout: EncodingLayout, m: int) -> tuple:
-    """Coordinates of bead ``m`` as polynomials (x_m, y_m, z_m).
-
-    Bead 0 sits at the origin; bead 1 adds only the fixed first turn; each
-    later bead adds one sum of direction indicators of its turn.
-    """
-    if not 0 <= m < layout.n_beads:
-        raise EncodingError(f"bead index {m} out of range 0..{layout.n_beads - 1}")
-    return _bead_positions(layout, m + 1)[m]
-
-
 def _squared_distance(pos_m: tuple, pos_n: tuple) -> PBPolynomial:
     total = PBPolynomial.zero(pos_m[0].n_vars)
     for c in range(3):

@@ -104,7 +104,6 @@ class ExpectationEngine:
     """
 
     def __init__(self, instance: ProblemInstance):
-        self.instance = instance
         self.tables = InstanceTables(instance)
         self.n_vars = instance.n_qubits
         self.n_config = instance.layout.n_config_bits

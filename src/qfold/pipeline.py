@@ -216,12 +216,13 @@ class Solution:
         return json.dumps({**payload, **self.final, **self.summary}, indent=2) + "\n"
 
 
-def read_params(text: str) -> tuple:
-    """The angles and layer count of a ``params.json`` text.
+def read_params(text: str, peptide: str) -> tuple:
+    """The angles and layer count of ``peptide``'s ``params.json`` text.
 
     The layer count is None where the text gives none.  Anything but an
-    object with a list of finite numbers under ``params``, and a
-    non-negative integer under ``layers`` if present, raises ``ParseError``.
+    object with a list of finite numbers under ``params``, a non-negative
+    integer under ``layers`` and ``peptide`` under ``peptide``, each of the
+    last two if present, raises ``ParseError``.
     """
     try:
         doc = json.loads(text)
@@ -237,6 +238,8 @@ def read_params(text: str) -> tuple:
     layers = doc.get("layers")
     if "layers" in doc and not (type(layers) is int and layers >= 0):
         raise ParseError("layers must be a non-negative integer")
+    if doc.get("peptide", peptide) != peptide:
+        raise ParseError(f"params file is for peptide {doc['peptide']!r}, not {peptide!r}")
     return np.array(params, dtype=float), layers
 
 
@@ -366,7 +369,7 @@ def resample(manifest: RunManifest, params_text: str) -> ShotTable:
     """
     from .sim import Ansatz, evolve, sample
 
-    params, layers = read_params(params_text)
+    params, layers = read_params(params_text, manifest.peptide)
     n_qubits = EncodingLayout(len(manifest.peptide)).total_qubits
     ansatz = Ansatz(n_qubits, layers=manifest.layers if layers is None else layers)
     return sample(evolve(ansatz, params), manifest.shots, manifest.seed)

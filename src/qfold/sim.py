@@ -31,15 +31,13 @@ sweeps the circuit backward once, layer by layer, carrying the state and
 one co-state D_w psi per weight vector.  For each group it reads all of the
 group's gradients from one overlap matrix per co-state and then undoes the
 group with the transposed block, so its cost does not depend on P or on
-the number of observables.  ``parameter_shift_jacobian`` evolves the 2P
-shifted circuits through ``evolve_block``; it is the reference the adjoint
-sweep is tested against, to rounding.
+the number of observables.  It is the only gradient routine; the tests
+check it against the parameter-shift Jacobian, to rounding.
 
-Provides diagonal expectations, conditional value at risk over the energy
-distribution (``sorted_cvar``, the one CVaR entry: energies already
-ascending, one distribution or a block of them), seeded multinomial shot
-sampling, parameter-shift gradients and Jacobians, and adjoint gradients of
-diagonal expectations.
+Provides conditional value at risk over the energy distribution
+(``sorted_cvar``, the one CVaR entry: energies already ascending, one
+distribution or a block of them), seeded multinomial shot sampling, and
+adjoint gradients of diagonal expectations.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ import numpy as np
 from .analysis import ShotTable
 from .exceptions import EmptyDistributionError, EncodingError, ParamLengthError
 
-HALF_PI = math.pi / 2.0
 # most qubits in one Kronecker block: a 32 x 32 matrix per layer and row
 GROUP_QUBITS = 5
 
@@ -272,13 +269,12 @@ def evolve(ansatz: Ansatz, params) -> np.ndarray:
 def block_columns(n_qubits: int) -> int:
     """Circuits run together as one block, one row each, at this width.
 
-    This is the chunk width of the parameter-shift Jacobian and the number
-    of restarts or primal-dual trajectories ``optimize`` advances in
-    lockstep.  A row costs the same matrix products at any block width,
-    so a block saves only NumPy's per-call overhead, which pays while
-    states are small.  From 13 qubits wider blocks measured no faster per
-    circuit than one circuit at a time, so circuits run one at a time
-    (crossover table in CHANGES.md).
+    This is the number of restarts or primal-dual trajectories
+    ``optimize`` advances in lockstep.  A row costs the same matrix
+    products at any block width, so a block saves only NumPy's per-call
+    overhead, which pays while states are small.  From 13 qubits wider
+    blocks measured no faster per circuit than one circuit at a time, so
+    circuits run one at a time (crossover table in CHANGES.md).
     """
     if n_qubits <= 10:
         return 64
@@ -289,14 +285,6 @@ def block_columns(n_qubits: int) -> int:
 
 def probabilities(state: np.ndarray) -> np.ndarray:
     return state * state
-
-
-def expectation_diagonal(state: np.ndarray, diag) -> float:
-    """Expectation of the diagonal operator ``diag``, an array of length 2^n."""
-    diag = np.asarray(diag, dtype=float)
-    if diag.shape != state.shape:
-        raise EncodingError("diagonal length does not match the state")
-    return float(probabilities(state) @ diag)
 
 
 def sorted_cvar(energies: np.ndarray, probs: np.ndarray, alpha: float):
@@ -347,50 +335,6 @@ def sample(state: np.ndarray, shots: int, seed) -> ShotTable:
     return ShotTable(counts=counts, shots=shots)
 
 
-def parameter_shift_jacobian(ansatz: Ansatz, params, block_objective, with_value=False):
-    """Exact Jacobian of an objective of ``evolve(ansatz, params)``.
-
-    ``block_objective`` maps a ``(b, 2^n)`` block of state rows to b values
-    (floats or 1-d arrays); the block is only valid during the call.  Row p
-    of the result is ``0.5 * (value at params + pi/2 e_p - value at
-    params - pi/2 e_p)``; with ``with_value`` it returns ``(value,
-    jacobian)``.
-
-    The 2P shifted circuits, preceded by the unshifted one when asked, run
-    through ``evolve_block`` in chunks of ``block_columns(n)`` rows, so
-    every value is the bits of a single ``evolve``.  It costs 2P (+ 1)
-    circuits against the adjoint sweep's few, and stays as the reference
-    ``adjoint_gradients`` is tested against.
-    """
-    params = _check_params(ansatz, params)
-    n_params = ansatz.n_params
-    first = 1 if with_value else 0
-    block = np.repeat(params[None], first + 2 * n_params, axis=0)
-    shifted = np.arange(n_params)
-    block[first + 2 * shifted, shifted] = params + HALF_PI
-    block[first + 2 * shifted + 1, shifted] = params - HALF_PI
-    step = block_columns(ansatz.n_qubits)
-    values = []
-    for r in range(0, block.shape[0], step):
-        values += list(block_objective(evolve_block(ansatz, block[r : r + step])))
-    values = np.array(values, dtype=float)
-    jac = 0.5 * (values[first::2] - values[first + 1 :: 2])
-    return (values[0], jac) if with_value else jac
-
-
-def parameter_shift_gradient(ansatz: Ansatz, params, objective) -> np.ndarray:
-    """Exact gradient of a scalar ``objective(evolve(ansatz, params))``.
-
-    Uses the two-point rule with shifts of half pi, so a full gradient costs
-    exactly ``2 * n_params`` circuit evaluations.
-    """
-
-    def block_objective(states):
-        return [objective(state) for state in states]
-
-    return parameter_shift_jacobian(ansatz, params, block_objective)
-
-
 def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     """Gradients of diagonal expectations by one backward sweep.
 
@@ -399,8 +343,8 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     ``D_w * state`` for a real diagonal D_w in natural index order, row by
     row.  The result is ``(W, n_params)`` for W co-states, or ``(W, B,
     n_params)`` for a block: entry w (of row b) is the gradient of
-    <psi|D_w|psi>, and for D_w = sum_m w_m D_m it equals
-    ``parameter_shift_jacobian(...) @ w`` to rounding.
+    <psi|D_w|psi>, and for D_w = sum_m w_m D_m it equals the
+    parameter-shift Jacobian's ``jac @ w`` to rounding.
 
     The sweep walks the rotation layers backward over psi and the
     co-states, each as ``(B, 2^n)``.  psi is copied.  The co-states are

@@ -21,9 +21,7 @@ import pytest
 
 from qfold.analysis import (
     decode_samples,
-    kabsch_rmsd,
     parse_topobj,
-    parse_xyz,
     radius_of_gyration,
     scaled_coords,
     topobj_text,
@@ -32,7 +30,7 @@ from qfold.analysis import (
     xyz_text,
 )
 from qfold.cli import resource_counts
-from qfold.hamiltonian import EncodingLayout, assemble, position_polys
+from qfold.hamiltonian import EncodingLayout, assemble
 from qfold.lattice import FCC_VECTORS, unpack_configuration
 from qfold.optimize import (
     CVAR_INIT_WINDOW,
@@ -59,10 +57,15 @@ from qfold.sim import (
     ShotTable,
     bitstring_of,
     evolve,
-    expectation_diagonal,
-    parameter_shift_gradient,
     probabilities,
     sorted_cvar,
+)
+from util import (
+    expectation_diagonal,
+    kabsch_rmsd,
+    parameter_shift_gradient,
+    parse_xyz,
+    position_polys,
 )
 
 MJ = load_matrix("mj1996")
@@ -355,7 +358,7 @@ def test_criterion_10_analysis_identities():
         layout,
         squared_distance_scorer(SearchConfig("fcc", "KLVF", MJ)),
     )
-    assert abs(ensemble.total_probability - 1.0) <= 1e-12
+    assert abs(math.fsum(e.probability for e in ensemble.entries) - 1.0) <= 1e-12
     print("criterion 10 (analysis identities): PASS")
 
 

@@ -17,10 +17,8 @@ from qfold.analysis import (
     TopobjRecord,
     decode_samples,
     energy_probability_report,
-    kabsch_rmsd,
     lattice_scale,
     parse_topobj,
-    parse_xyz,
     radius_of_gyration,
     scaled_coords,
     topobj_text,
@@ -38,6 +36,7 @@ from qfold.lattice import (
 )
 from qfold.scoring import load_masses, load_matrix
 from qfold.search import SearchConfig, conformation_energy, search, squared_distance_scorer
+from util import kabsch_rmsd, parse_xyz
 
 MJ = load_matrix("mj1996")
 LAYOUT4 = EncodingLayout(4)
@@ -63,7 +62,6 @@ def test_decode_straight_chain():
     assert entry.probability == 1.0
     assert entry.energy == 0.0
     assert entry.valid
-    assert ensemble.total_probability == 1.0
     assert ensemble.valid_probability == 1.0
 
 
@@ -91,7 +89,7 @@ def test_decode_sorting_and_conservation():
     assert [e.turn_string for e in ensemble.entries] == ["000", "093", "025"]
     probs = [e.probability for e in ensemble.entries]
     assert probs == [6 / 16, 6 / 16, 4 / 16]
-    assert ensemble.total_probability == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
     # descending probability with the tie broken by turn string
     assert ensemble.modal.turn_string == "000"
 

@@ -23,9 +23,9 @@ from qfold.pipeline import read_params
 from qfold.polyfit import PenaltyTarget, fit_penalty, fit_report
 from qfold.scoring import RESIDUES, load_matrix
 from qfold.search import SearchConfig
-from qfold.analysis import parse_topobj, parse_xyz
+from qfold.analysis import parse_topobj
 from qfold.sim import Ansatz, ShotTable
-from util import json_values, mutated_json
+from util import json_values, mutated_json, parse_xyz
 
 
 def run_cli(args, capsys):
@@ -476,7 +476,10 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
      # a chain needs three beads, checked before the manifest is written
      ["pipeline", "--peptide", "KL", "--method", "search"],
      ["vqec", "--peptide", "KL", "--restarts", "1", "--iterations", "1"],
-     ["fit-penalty", "--peptide", "KL"]],
+     ["fit-penalty", "--peptide", "KL"],
+     # a reference energy that is not finite, checked before the shot table is read
+     ["analyze", "--peptide", "KLVF", "--e-star", "nan"],
+     ["analyze", "--peptide", "KLVF", "--e-star=-inf"]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -556,7 +559,10 @@ def test_non_utf8_input_exits_2_before_writing(tmp_path, capsys, flags):
     "text",
     ["{not json", '{"layers": 2}', "[1, 2]", '{"params": ["a", "b"]}',
      '{"params": [0.1], "layers": "x"}', '{"params": [NaN]}', '{"params": [true]}',
-     '{"params": [0.1], "layers": -1}', '{"params": [0.1], "layers": null}'],
+     '{"params": [0.1], "layers": -1}', '{"params": [0.1], "layers": null}',
+     # angles of another peptide's run, or a peptide that is no string
+     json.dumps({"peptide": "GNLV", "params": [0.5] * 27}),
+     json.dumps({"peptide": ["KLVF"], "params": [0.5] * 27})],
 )
 def test_sample_bad_params_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "params.json"
@@ -589,7 +595,7 @@ def params_texts(draw):
 @given(params_texts())
 def test_read_params_round_trips_or_raises_parse_error(text):
     try:
-        params, layers = read_params(text)
+        params, layers = read_params(text, "KLVF")
     except ParseError:
         return
     assert params.dtype == float and np.isfinite(params).all()
@@ -597,7 +603,7 @@ def test_read_params_round_trips_or_raises_parse_error(text):
     doc = {"params": params.tolist()}
     if layers is not None:
         doc["layers"] = layers
-    again, again_layers = read_params(json.dumps(doc))
+    again, again_layers = read_params(json.dumps(doc), "KLVF")
     assert again.tolist() == params.tolist()
     assert again_layers == layers
 

