@@ -135,6 +135,11 @@ class DecodedEnsemble:
     entries: tuple
     e_star: float | None = None
 
+    def __post_init__(self):
+        # the report writes e_star as JSON, which has no NaN or infinity
+        if self.e_star is not None and not math.isfinite(self.e_star):
+            raise EncodingError(f"e_star must be a finite energy, got {self.e_star}")
+
     @property
     def modal(self) -> DecodedEntry:
         return self.entries[0]

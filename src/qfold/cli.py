@@ -239,6 +239,9 @@ def cmd_fit_penalty(args) -> int:
     check_finite_positive("p0", args.p0, "penalty height")
     if not 0.0 < args.r2_tol <= 1.0:
         raise QfoldError(f"r2_tol must lie in (0, 1], got {args.r2_tol}")
+    # a given peptide is checked even where --separation alone picks the fit
+    if args.peptide is not None:
+        n_beads = len(chain_peptide(args.peptide))
     from .polyfit import PenaltyTarget, fit_family, fit_penalty
 
     if args.separation is not None:
@@ -247,7 +250,6 @@ def cmd_fit_penalty(args) -> int:
         target = PenaltyTarget(args.separation, args.p0)
         fits = {args.separation: fit_penalty(target, r2_tol=args.r2_tol)}
     else:
-        n_beads = len(chain_peptide(args.peptide))
         fits = fit_family(n_beads, p0=args.p0, r2_tol=args.r2_tol)
     _emit_fits(fits, None, args.out)
     return 0
@@ -369,8 +371,7 @@ COMMANDS = (
      FCC_ONLY, {"method": "vqe"}),
     ("vqec", "constrained primal-dual optimization", cmd_solve,
      "peptide matrix lattice nu mu grid restarts iterations layers seed out",
-     {**FCC_ONLY, "iterations": {"default": 50}},
-     {"method": "vqec"}),
+     FCC_ONLY, {"method": "vqec"}),
     ("sample", "draw shots from optimized parameters", cmd_sample,
      "peptide params shots layers seed out", {}, {}),
     ("analyze", "decode shots into an energy report", cmd_analyze,

@@ -224,12 +224,13 @@ class ExpectationEngine:
 # ---------------------------------------------------------------------------
 
 
+# the solver configs state no run setting's default: ``RunManifest`` does
 @dataclass(frozen=True)
 class CvarVqeConfig:
-    alpha: float = 0.1
-    max_iterations: int = 200
-    restarts: int = 20
-    seed: int = 0
+    alpha: float
+    max_iterations: int
+    restarts: int
+    seed: int
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -240,13 +241,13 @@ class CvarVqeConfig:
 
 @dataclass(frozen=True)
 class VqecConfig:
-    nu: float = 0.1
-    mu: float = 1.0
+    nu: float
+    mu: float
+    restarts: int
+    max_iterations: int
+    seed: int
     nu_grid: tuple = DEFAULT_NU_GRID
     mu_grid: tuple = DEFAULT_MU_GRID
-    restarts: int = 20
-    max_iterations: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if not self.nu_grid or not self.mu_grid:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -381,9 +381,9 @@ def decode_shots(
     """Decode ``shots`` against ``e_star``, or with ``oracle`` and no
     ``e_star`` against the exhaustive oracle's minimum where N allows."""
     peptide, matrix = manifest.peptide, load_matrix(manifest.matrix)
-    config = SearchConfig(FCC, peptide, matrix, nn_level=manifest.nn_level)
+    config = SearchConfig(FCC, peptide, matrix, k=1, nn_level=manifest.nn_level)
     if e_star is None and oracle and enumeration_size(FCC, len(peptide)) <= ORACLE_SIZE_CAP:
-        topk = search(replace(config, k=1))
+        topk = search(config)
         e_star = topk.records[0].energy if topk.records else None
     scorer = squared_distance_scorer(config)
     return decode_samples(shots, EncodingLayout(len(peptide)), scorer, e_star=e_star)

@@ -68,7 +68,7 @@ class SearchConfig:
     lattice: str
     peptide: str
     matrix: EnergyMatrix
-    k: int = 100
+    k: int
     nn_level: int = 1
 
     def __post_init__(self):

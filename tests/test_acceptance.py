@@ -130,7 +130,7 @@ def test_criterion_03_hamiltonian_ground_truth():
         assert abs(engine.ground_energy - e_star) <= 0.05 * 50.0
         seq = decode_config(int(engine.ground_configs[0]), n_beads)
         decoded_energy = conformation_energy(
-            seq, peptide, SearchConfig("fcc", peptide, MJ)
+            seq, peptide, SearchConfig("fcc", peptide, MJ, k=100)
         )
         assert decoded_energy == pytest.approx(e_star, abs=1e-9)
     print("criterion 3 (hamiltonian ground truth): PASS")
@@ -243,7 +243,7 @@ def test_criterion_08_cvar_vqe_recovery():
     probs = probabilities(evolve(ansatz, params))
     modal = engine.modal_config(probs)
     seq = decode_config(int(modal), 4)
-    modal_energy = conformation_energy(seq, "KLVF", SearchConfig("fcc", "KLVF", MJ))
+    modal_energy = conformation_energy(seq, "KLVF", SearchConfig("fcc", "KLVF", MJ, k=100))
     e_star = oracle_minimum("KLVF")
     assert modal_energy == pytest.approx(e_star, abs=1e-9)
     print(
@@ -288,14 +288,14 @@ def test_criterion_09_vqec_recovery_and_duals():
 
     # step-size grid: the ranked-best point must put its modal mass on the
     # ground conformation
-    grid_cfg = VqecConfig(restarts=5, max_iterations=150, seed=0)
+    grid_cfg = VqecConfig(nu=0.1, mu=1.0, restarts=5, max_iterations=150, seed=0)
     report = grid_search(engine, ansatz, grid_cfg)
     best = report.best
     assert not best.diverged
     assert all(value >= 0.0 for value in best.duals)
     probs = probabilities(evolve(ansatz, np.array(best.params)))
     seq = decode_config(int(engine.modal_config(probs)), 4)
-    modal_energy = conformation_energy(seq, "KLVF", SearchConfig("fcc", "KLVF", MJ))
+    modal_energy = conformation_energy(seq, "KLVF", SearchConfig("fcc", "KLVF", MJ, k=100))
     e_star = oracle_minimum("KLVF")
     assert modal_energy == pytest.approx(e_star, abs=1e-9)
     print(
@@ -356,7 +356,7 @@ def test_criterion_10_analysis_identities():
     ensemble = decode_samples(
         table,
         layout,
-        squared_distance_scorer(SearchConfig("fcc", "KLVF", MJ)),
+        squared_distance_scorer(SearchConfig("fcc", "KLVF", MJ, k=100)),
     )
     assert abs(math.fsum(e.probability for e in ensemble.entries) - 1.0) <= 1e-12
     print("criterion 10 (analysis identities): PASS")

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from qfold.analysis import (
     BOND_ANGSTROMS,
-    DecodedEnsemble,
     ShotTable,
     TopobjDocument,
-    TopobjRecord,
     decode_samples,
     energy_probability_report,
     lattice_scale,
@@ -43,8 +41,8 @@ LAYOUT4 = EncodingLayout(4)
 LAYOUT5 = EncodingLayout(5)
 
 
-klvf_energy = squared_distance_scorer(SearchConfig("fcc", "KLVF", MJ))
-klvff_energy = squared_distance_scorer(SearchConfig("fcc", "KLVFF", MJ))
+klvf_energy = squared_distance_scorer(SearchConfig("fcc", "KLVF", MJ, k=100))
+klvff_energy = squared_distance_scorer(SearchConfig("fcc", "KLVFF", MJ, k=100))
 
 
 def shots_of(counts):
@@ -499,13 +497,21 @@ def test_report_uses_ensemble_e_star():
     assert text.splitlines()[1].split("\t")[5] == "*"
 
 
+@pytest.mark.parametrize("e_star", [math.nan, math.inf, -math.inf])
+def test_ensemble_rejects_a_non_finite_e_star(e_star):
+    # report.json would print it as NaN or Infinity, which JSON has not
+    shots = shots_of({"011111" + "000": 1})
+    with pytest.raises(EncodingError, match="e_star"):
+        decode_samples(shots, LAYOUT4, klvf_energy, e_star=e_star)
+
+
 # --- decoding once per configuration ---
 
 
 def _per_entry_reference(shots, peptide, masses):
     """Decode every distinct configuration on its own, from its turns."""
     n_beads = len(peptide)
-    config = SearchConfig("fcc", peptide, MJ)
+    config = SearchConfig("fcc", peptide, MJ, k=100)
     n_config = EncodingLayout(n_beads).n_config_bits
     counts = collections.Counter()
     for bits, count in shots.counts.items():
@@ -539,7 +545,7 @@ def test_decode_and_report_match_the_per_entry_path(peptide):
     reference = _per_entry_reference(shots, peptide, masses)
 
     ensemble = decode_samples(
-        shots, layout, squared_distance_scorer(SearchConfig("fcc", peptide, MJ))
+        shots, layout, squared_distance_scorer(SearchConfig("fcc", peptide, MJ, k=100))
     )
     for flag in ("redundant", "backtrack", "overlap"):
         assert any(getattr(e, flag) for e in ensemble.entries), flag

@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfold import pipeline
 from qfold.cli import RunManifest, build_parser, main, resource_counts
 from qfold.exceptions import ParseError, QfoldError
 from qfold.hamiltonian import ProblemInstance
@@ -285,6 +286,41 @@ def test_vqec_single_point(tmp_path, capsys):
     assert all(v >= 0.0 for v in payload["duals"])
 
 
+def test_vqec_runs_as_the_vqec_pipeline(tmp_path, capsys):
+    # no --iterations: both take the manifest's count
+    flags = ["--peptide", "KLVF", "--restarts", "1"]
+    solve, run = tmp_path / "vqec", tmp_path / "pipeline"
+    assert run_cli(["vqec", *flags, "--out", str(solve)], capsys)[0] == 0
+    assert run_cli(["pipeline", "--method", "vqec", *flags, "--out", str(run)], capsys)[0] == 0
+    for name in ("params.json", "trace.jsonl"):
+        assert (solve / name).read_bytes() == (run / name).read_bytes(), name
+
+
+# each solver config's fields that pipeline.solver fills, and the manifest
+# field it fills each from
+SOLVER_SETTINGS = {
+    "vqe": (CvarVqeConfig, {"alpha": "alpha", "max_iterations": "iterations",
+                            "restarts": "restarts", "seed": "seed"}),
+    "vqec": (VqecConfig, {"nu": "nu", "mu": "mu", "max_iterations": "iterations",
+                          "restarts": "restarts", "seed": "seed"}),
+}
+
+
+@pytest.mark.parametrize("method", list(SOLVER_SETTINGS))
+def test_only_the_manifest_states_a_run_settings_default(method):
+    config_type, settings_of = SOLVER_SETTINGS[method]
+    manifest = RunManifest(peptide="KLVF", method=method, alpha=0.2, nu=0.3, mu=0.7,
+                           restarts=3, iterations=7, seed=5)
+    _, cfg = pipeline.solver(manifest, EncodingLayout(4).total_qubits)
+    assert type(cfg) is config_type
+    defaults = {f.name for f in fields(config_type) if f.default is not MISSING}
+    assert not defaults & set(settings_of)
+    for name, field_name in settings_of.items():
+        assert getattr(cfg, name) == getattr(manifest, field_name), name
+    search_defaults = {f.name for f in fields(SearchConfig) if f.default is not MISSING}
+    assert "k" not in search_defaults
+
+
 @pytest.mark.parametrize(
     "peptide, covered", [("KLVFFAEDV", True), ("KLVFFAEDVG", False)]
 )
@@ -479,7 +515,9 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
      ["fit-penalty", "--peptide", "KL"],
      # a reference energy that is not finite, checked before the shot table is read
      ["analyze", "--peptide", "KLVF", "--e-star", "nan"],
-     ["analyze", "--peptide", "KLVF", "--e-star=-inf"]],
+     ["analyze", "--peptide", "KLVF", "--e-star=-inf"],
+     # a given peptide is checked even where --separation alone picks the fit
+     ["fit-penalty", "--peptide", "KL", "--separation", "3"]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -493,13 +531,15 @@ def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
 @pytest.mark.parametrize(
     "flags",
     [["pipeline"], ["fit-penalty"], ["build"],
-     ["sample", "--peptide", "KLVF", "--params", "missing.json"]],
+     ["sample", "--peptide", "KLVF", "--params", "missing.json"],
+     ["fit-penalty", "--peptide", "K?", "--separation", "3"]],
     ids=["pipeline-no-input", "fit-penalty-no-input", "build-no-peptide",
-         "sample-missing-params"],
+         "sample-missing-params", "fit-penalty-unknown-residue"],
 )
 def test_missing_inputs_exit_2_before_writing(tmp_path, capsys, flags):
-    # the first three end in parser.error's SystemExit(2), the last in the
-    # OSError of opening a params file that is not there
+    # the first three end in parser.error's SystemExit(2), the fourth in the
+    # OSError of opening a params file that is not there, the last in the
+    # UnknownResidueError of a peptide that --separation does not need
     out = tmp_path / "run"
     flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
     try:

@@ -261,27 +261,30 @@ def test_ground_probability_and_modal():
 
 
 def test_config_validation():
+    # each case changes one setting of a valid config
+    cvar = dict(alpha=0.1, max_iterations=200, restarts=20, seed=0)
+    vqec = dict(nu=0.1, mu=1.0, restarts=20, max_iterations=50, seed=0)
     with pytest.raises(EncodingError):
-        CvarVqeConfig(alpha=0.0)
+        CvarVqeConfig(**{**cvar, "alpha": 0.0})
     with pytest.raises(EncodingError):
-        CvarVqeConfig(restarts=0)
+        CvarVqeConfig(**{**cvar, "restarts": 0})
     with pytest.raises(EncodingError):
-        VqecConfig(nu=0.0)
+        VqecConfig(**{**vqec, "nu": 0.0})
     with pytest.raises(EncodingError):
-        VqecConfig(restarts=0)
+        VqecConfig(**{**vqec, "restarts": 0})
     with pytest.raises(EncodingError):
-        VqecConfig(nu_grid=())
+        VqecConfig(**vqec, nu_grid=())
     with pytest.raises(EncodingError):
-        VqecConfig(mu_grid=(0.1, -0.5))
+        VqecConfig(**vqec, mu_grid=(0.1, -0.5))
     # non-finite steps: inf used to run to angles at 2*pi, NaN to a
     # DivergenceError that named the ceiling
     for bad in (math.inf, math.nan, -math.inf):
         for name in ("nu", "mu"):
             with pytest.raises(EncodingError):
-                VqecConfig(**{name: bad})
+                VqecConfig(**{**vqec, name: bad})
         for name in ("nu_grid", "mu_grid"):
             with pytest.raises(EncodingError):
-                VqecConfig(**{name: (0.1, bad)})
+                VqecConfig(**vqec, **{name: (0.1, bad)})
 
 
 def test_trace_best_so_far_monotone():
@@ -316,7 +319,7 @@ def test_trace_json_lines():
 
 
 def test_cvar_vqe_rejects_wrong_mode_and_width():
-    cfg = CvarVqeConfig(restarts=1, max_iterations=5)
+    cfg = CvarVqeConfig(alpha=0.1, restarts=1, max_iterations=5, seed=0)
     with pytest.raises(EncodingError):
         run_cvar_vqe(VQEC_ENGINE, ANSATZ, cfg)
     with pytest.raises(EncodingError):
@@ -324,7 +327,7 @@ def test_cvar_vqe_rejects_wrong_mode_and_width():
 
 
 def test_cvar_vqe_deterministic():
-    cfg = CvarVqeConfig(restarts=2, max_iterations=30, seed=11)
+    cfg = CvarVqeConfig(alpha=0.1, restarts=2, max_iterations=30, seed=11)
     params_a, trace_a = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     params_b, trace_b = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     assert np.array_equal(params_a, params_b)
@@ -343,15 +346,16 @@ def test_cvar_vqe_recovers_ground():
 
 def test_cvar_vqe_budget_raised_to_cobyla_minimum():
     # below P + 2, COBYLA would raise the budget itself and warn
-    assert cobyla_budget(CvarVqeConfig(max_iterations=5), ANSATZ) == 29
-    assert cobyla_budget(CvarVqeConfig(max_iterations=80), ANSATZ) == 80
+    runs = dict(alpha=0.1, restarts=20, seed=0)
+    assert cobyla_budget(CvarVqeConfig(max_iterations=5, **runs), ANSATZ) == 29
+    assert cobyla_budget(CvarVqeConfig(max_iterations=80, **runs), ANSATZ) == 80
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         params_5, trace_5 = run_cvar_vqe(
-            POLYFIT_ENGINE, ANSATZ, CvarVqeConfig(restarts=2, max_iterations=5, seed=3)
+            POLYFIT_ENGINE, ANSATZ, CvarVqeConfig(alpha=0.1, restarts=2, max_iterations=5, seed=3)
         )
     params_29, trace_29 = run_cvar_vqe(
-        POLYFIT_ENGINE, ANSATZ, CvarVqeConfig(restarts=2, max_iterations=29, seed=3)
+        POLYFIT_ENGINE, ANSATZ, CvarVqeConfig(alpha=0.1, restarts=2, max_iterations=29, seed=3)
     )
     assert np.array_equal(params_5, params_29)
     assert plain_rows(trace_5.rows) == plain_rows(trace_29.rows)
@@ -371,7 +375,7 @@ def cobyla_values(x0, objective, maxfev):
 def test_cobyla_initial_simplex_equals_scipy():
     # the first P + 1 points are x0 and x0 + e_j with PRIMA's pole swaps,
     # and their values, bit for bit
-    cfg = CvarVqeConfig(restarts=3, max_iterations=40, seed=11)
+    cfg = CvarVqeConfig(alpha=0.1, restarts=3, max_iterations=40, seed=11)
     _, ours = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     _, theirs = reference_run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     assert len(ours.rows) == len(theirs.rows) == 3 * 40
@@ -394,7 +398,7 @@ def test_cvar_vqe_best_equals_scipy_on_drawn_peptides():
     for k in range(10):
         peptide = "".join(rng.choice(list(RESIDUES), 4))
         instance = assemble("polyfit", peptide, MJ)
-        cfg = CvarVqeConfig(restarts=3, max_iterations=60, seed=k)
+        cfg = CvarVqeConfig(alpha=0.1, restarts=3, max_iterations=60, seed=k)
         engine = ExpectationEngine(instance)
         _, ours = run_cvar_vqe(engine, ANSATZ, cfg)
         _, theirs = reference_run_cvar_vqe(engine, ANSATZ, cfg)
@@ -423,7 +427,7 @@ def test_cobyla_converges_like_scipy_on_a_convex_quadratic(n):
 
 
 def test_cvar_vqe_stops_on_final_radius_before_the_budget():
-    cfg = CvarVqeConfig(restarts=2, max_iterations=1500, seed=0)
+    cfg = CvarVqeConfig(alpha=0.1, restarts=2, max_iterations=1500, seed=0)
     params, trace = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
     assert len(trace.objectives) < cfg.restarts * cobyla_budget(cfg, ANSATZ)
     engine = ExpectationEngine(POLYFIT)
@@ -464,8 +468,8 @@ def test_cvar_vqe_lockstep_equals_single_restarts(monkeypatch):
     # as run alone, including a partial second block (65 columns at n=9)
     assert block_columns(ANSATZ.n_qubits) == 64
     configs = (
-        CvarVqeConfig(restarts=5, max_iterations=40, seed=2),
-        CvarVqeConfig(restarts=65, max_iterations=29, seed=6),
+        CvarVqeConfig(alpha=0.1, restarts=5, max_iterations=40, seed=2),
+        CvarVqeConfig(alpha=0.1, restarts=65, max_iterations=29, seed=6),
     )
     for cfg in configs:
         params, trace = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cfg)
@@ -491,13 +495,15 @@ def pdp_alone(engine, ansatz, theta0, key, cfg):
 
 
 def test_pdp_rejects_wrong_mode():
-    cfg = VqecConfig(restarts=1, max_iterations=2)
+    cfg = VqecConfig(nu=0.1, mu=1.0, restarts=1, max_iterations=2, seed=0)
     with pytest.raises(EncodingError):
         run_vqec_pdp(POLYFIT_ENGINE, ANSATZ, cfg)
 
 
 def test_pdp_drivers_reject_wrong_width():
-    cfg = VqecConfig(nu_grid=(0.1,), mu_grid=(0.5,), restarts=1, max_iterations=1)
+    cfg = VqecConfig(
+        nu=0.1, mu=1.0, nu_grid=(0.1,), mu_grid=(0.5,), restarts=1, max_iterations=1, seed=0
+    )
     with pytest.raises(EncodingError):
         run_vqec_pdp(VQEC_ENGINE, Ansatz(5), cfg)
     with pytest.raises(EncodingError):
@@ -526,7 +532,7 @@ def test_drivers_read_only_the_engine_protocol():
     assert got.circuit_evaluations == want.circuit_evaluations
 
     cvar = ProtocolOnly(POLYFIT_ENGINE, ("n_vars", "n_constraints", "cvar_objective"))
-    cvar_cfg = CvarVqeConfig(restarts=3, max_iterations=40, seed=1)
+    cvar_cfg = CvarVqeConfig(alpha=0.1, restarts=3, max_iterations=40, seed=1)
     want_params, want_trace = run_cvar_vqe(POLYFIT_ENGINE, ANSATZ, cvar_cfg)
     params, trace = run_cvar_vqe(cvar, ANSATZ, cvar_cfg)
     assert np.array_equal(params, want_params)
@@ -637,7 +643,7 @@ def test_pdp_evaluation_count():
     final_metrics = 1
     assert single.circuit_evaluations == iterations * per_iteration + final_metrics
     grid_cfg = VqecConfig(
-        nu_grid=(0.05,), mu_grid=(0.5, 1.0), restarts=2, max_iterations=iterations,
+        nu=0.1, mu=1.0, nu_grid=(0.05,), mu_grid=(0.5, 1.0), restarts=2, max_iterations=iterations,
         seed=1,
     )
     report = grid_search(VQEC_ENGINE, ANSATZ, grid_cfg)
@@ -758,8 +764,8 @@ def test_pdp_block_columns_equal_single_runs(monkeypatch):
     # a ceiling of 40 drops some columns mid-run and lets the others finish
     monkeypatch.setattr(optimize, "DIVERGENCE_CEILING", 40.0)
     grid_cfg = VqecConfig(
-        nu_grid=(0.05, 0.1), mu_grid=(0.5, 1.0), restarts=3, max_iterations=iterations,
-        seed=cfg.seed,
+        nu=0.1, mu=1.0, nu_grid=(0.05, 0.1), mu_grid=(0.5, 1.0), restarts=3,
+        max_iterations=iterations, seed=cfg.seed,
     )
     report = grid_search(VQEC_ENGINE, ANSATZ, grid_cfg)
     assert any(e.diverged for e in report.entries)
@@ -788,6 +794,8 @@ def test_pdp_recovers_ground():
 
 def test_grid_search_shapes_and_best():
     cfg = VqecConfig(
+        nu=0.1,
+        mu=1.0,
         nu_grid=(0.01, 0.1),
         mu_grid=(0.5,),
         restarts=2,

@@ -305,9 +305,9 @@ def test_visited_counts_complete():
 def test_config_keeps_the_canonical_peptide():
     # the tree and the pair rules read the one stored peptide, so padded
     # lowercase text searches exactly as its canonical form does
-    raw = SearchConfig("fcc", "klvf ", MJ)
+    raw = SearchConfig("fcc", "klvf ", MJ, k=100)
     assert raw.peptide == "KLVF"
-    top, want = search(raw), search(SearchConfig("fcc", "KLVF", MJ))
+    top, want = search(raw), search(SearchConfig("fcc", "KLVF", MJ, k=100))
     assert top.visited == want.visited == 44
     assert top.pruned == want.pruned
     assert [(r.energy, r.turn_string, r.bits) for r in top.records] == [
@@ -398,7 +398,7 @@ def test_search_equals_odometer_sweep(lattice, matrix_name, nn_level):
     rng = np.random.default_rng(["fcc", "tet"].index(lattice) * 4 + nn_level)
     for n_beads in range(3, 8):
         peptide = "".join(rng.choice(list(RESIDUES), n_beads))
-        cfg = SearchConfig(lattice, peptide, matrix, nn_level=nn_level)
+        cfg = SearchConfig(lattice, peptide, matrix, k=100, nn_level=nn_level)
         every = enumeration_size(lattice, n_beads) + 1  # more than the valid folds
         want, visited = reference_search(replace(cfg, k=every))
         for k in (1, 10, every):
