@@ -242,13 +242,16 @@ def cmd_fit_penalty(args) -> int:
     # a given peptide is checked even where --separation alone picks the fit
     if args.peptide is not None:
         n_beads = len(chain_peptide(args.peptide))
-    from .polyfit import PenaltyTarget, fit_family, fit_penalty
+    from .polyfit import PenaltyTarget, fit_family, fit_penalty, required_separations
 
-    if args.separation is not None:
-        if args.separation < 3:
+    separation = args.separation
+    if separation is not None:
+        if separation < 3:
             raise QfoldError("penalty fits start at bead separation 3")
-        target = PenaltyTarget(args.separation, args.p0)
-        fits = {args.separation: fit_penalty(target, r2_tol=args.r2_tol)}
+        if args.peptide is not None and separation not in required_separations(n_beads):
+            raise QfoldError(f"a {n_beads}-bead chain has no bead separation {separation}")
+        target = PenaltyTarget(separation, args.p0)
+        fits = {separation: fit_penalty(target, r2_tol=args.r2_tol)}
     else:
         fits = fit_family(n_beads, p0=args.p0, r2_tol=args.r2_tol)
     _emit_fits(fits, None, args.out)

@@ -675,7 +675,8 @@ def _pdp_block(engine, ansatz, starts, keys, cfg, traced):
 
         ones = np.ones((len(live), 1))
         duals_pert = np.maximum(duals + nu * f_here[:, 1:], 0.0)
-        # the sweep consumes the co-states: at 24 qubits each is 128 MiB
+        # the sweep consumes states and both co-states, 128 MiB each at 24
+        # qubits: states is not read again
         step, step_pert = adjoint_gradients(
             ansatz,
             theta,

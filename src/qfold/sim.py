@@ -19,10 +19,13 @@ only the products, which are its blocks' first columns.  The kernel
 applies a block as one matrix product per row: the group is read from
 the bottom index bits and written to the top ones, so after the last
 group the index is back in natural order.  The CNOT chain between layers
-is one cached gather (``_chain_gather``).  Each row's products have the
-same shape whatever B is, so row j equals ``evolve`` of that row bit
-for bit.  Fusing a group sums each amplitude in another order than a
-gate-by-gate loop, so the two agree to rounding, not bit for bit.
+permutes each row (``_chain``; ``_unchain`` undoes it): one gather up to
+``CHAIN_BITS`` = 14 qubits, and above, one or two gathers per slice of
+2^14 amplitudes, so no cached index table holds more than 2^14 entries.
+Each row's products have the same shape whatever B is, so row j equals
+``evolve`` of that row bit for bit.  Fusing a group sums each amplitude
+in another order than a gate-by-gate loop, so the two agree to rounding,
+not bit for bit.
 
 ``adjoint_gradients`` is the derivative the optimizer uses: the gradients of
 a few weighted diagonal expectations <psi|D_w|psi>, which is what a
@@ -53,6 +56,8 @@ from .exceptions import EmptyDistributionError, EncodingError, ParamLengthError
 
 # most qubits in one Kronecker block: a 32 x 32 matrix per layer and row
 GROUP_QUBITS = 5
+# most index bits one CNOT-chain gather table spans: 2^14 entries, 128 KiB
+CHAIN_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -91,31 +96,88 @@ def _group_sizes(n_qubits: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=4)
-def _chain_gather(n_qubits: int) -> np.ndarray:
-    """Gather applying the linear CNOT chain in the natural index order.
+def _chain_gather(n_bits: int) -> np.ndarray:
+    """Gather applying the linear CNOT chain to ``n_bits`` index bits.
 
     The chain sends basis state x to its prefix XOR (new bit j = XOR of old
     bits 0..j), whose inverse is ``x ^ (x << 1)``, so ``np.take(state,
-    gather, axis=-1)`` is the chained state.  One ``intp`` per amplitude,
-    left writeable: ``np.take`` copies a read-only index array on every call.
+    gather, axis=-1)`` is the chained state.  ``_chain`` asks for at most
+    ``CHAIN_BITS`` bits.  One ``intp`` per entry, left writeable:
+    ``np.take`` copies a read-only index array on every call.
     """
-    index = np.arange(1 << n_qubits)
-    return index ^ ((index << 1) & ((1 << n_qubits) - 1))
+    index = np.arange(1 << n_bits)
+    return index ^ ((index << 1) & ((1 << n_bits) - 1))
 
 
 @functools.lru_cache(maxsize=4)
-def _chain_inverse(n_qubits: int) -> np.ndarray:
+def _chain_inverse(n_bits: int) -> np.ndarray:
     """Gather undoing the CNOT chain, the inverse of ``_chain_gather``.
 
     It is the prefix XOR of the index, built in place by doubling: setting
-    bit k flips every prefix bit from k up.  One ``intp`` per amplitude,
-    left writeable as the gather is.
+    bit k flips every prefix bit from k up.  One ``intp`` per entry, left
+    writeable as the gather is.
     """
-    inverse = np.zeros(1 << n_qubits, dtype=np.intp)
-    for k in range(n_qubits):
-        flips = (1 << n_qubits) - (1 << k)
+    inverse = np.zeros(1 << n_bits, dtype=np.intp)
+    for k in range(n_bits):
+        flips = (1 << n_bits) - (1 << k)
         np.bitwise_xor(inverse[: 1 << k], flips, out=inverse[1 << k : 2 << k])
     return inverse
+
+
+def _chain(a: np.ndarray, out: np.ndarray) -> None:
+    """Apply the CNOT chain to each row of the ``(B, 2^n)`` ``a``, into ``out``.
+
+    Up to ``CHAIN_BITS`` qubits this is one ``np.take`` of ``_chain_gather(n)``.
+    Above, split the index as x = h 2^k + l with k = ``CHAIN_BITS``, so that
+    a row is 2^(n-k) slices h of 2^k amplitudes.  The gather x ^ (x << 1)
+    is ``Ghi(h) ^ top(l)`` in its high bits and ``Glo(l)`` in its low ones,
+    for Ghi = ``_chain_gather(n - k)``, Glo = ``_chain_gather(k)`` and top(l)
+    = bit k - 1 of l.  So the two halves of output slice h are gathered
+    through the halves of Glo from slices ``Ghi(h)`` and ``Ghi(h) ^ 1``.
+    """
+    width, size = a.shape
+    n = size.bit_length() - 1
+    k = min(n, CHAIN_BITS)
+    lo = _chain_gather(k)
+    # any mode but the default "raise" writes into ``out`` unbuffered
+    if k == n:
+        np.take(a, lo, axis=1, out=out, mode="clip")
+        return
+    half = 1 << (k - 1)
+    rows = a.reshape(width, -1, 1 << k)
+    dest = out.reshape(rows.shape)
+    for h, g in enumerate(_chain_gather(n - k).tolist()):
+        np.take(rows[:, g], lo[:half], axis=1, out=dest[:, h, :half], mode="clip")
+        np.take(rows[:, g ^ 1], lo[half:], axis=1, out=dest[:, h, half:], mode="clip")
+
+
+def _unchain(a: np.ndarray, out: np.ndarray) -> None:
+    """Undo the CNOT chain on each row of the ``(B, 2^n)`` ``a``, into ``out``.
+
+    Up to ``CHAIN_BITS`` qubits this is one ``np.take`` of ``_chain_inverse(n)``.
+    Above, with the slices x = h 2^k + l of ``_chain``, the prefix XOR of x
+    is ``PXhi(h) ^ par(l) (2^(n-k) - 1)`` in its high bits and ``PXlo(l)``
+    in its low ones, for PXhi = ``_chain_inverse(n - k)`` and PXlo =
+    ``_chain_inverse(k)``; par(l), the parity of l, is the top bit of
+    PXlo(l).  So output slice h is one gather through PXlo from a buffer
+    that holds the lower half of slice ``PXhi(h)`` and the upper half of
+    its complement.
+    """
+    width, size = a.shape
+    n = size.bit_length() - 1
+    k = min(n, CHAIN_BITS)
+    lo = _chain_inverse(k)
+    if k == n:
+        np.take(a, lo, axis=1, out=out, mode="clip")
+        return
+    half, flip = 1 << (k - 1), (1 << (n - k)) - 1
+    rows = a.reshape(width, -1, 1 << k)
+    dest = out.reshape(rows.shape)
+    row = np.empty((width, 1 << k))
+    for h, p in enumerate(_chain_inverse(n - k).tolist()):
+        row[:, :half] = rows[:, p, :half]
+        row[:, half:] = rows[:, p ^ flip, half:]
+        np.take(row, lo, axis=1, out=dest[:, h], mode="clip")
 
 
 @functools.lru_cache(maxsize=GROUP_QUBITS)
@@ -243,10 +305,8 @@ def evolve_block(ansatz: Ansatz, block) -> np.ndarray:
     # state is a C-contiguous (B, 2^n) array, a product or one group's
     # first-layer rows, and the layer loop writes into it and spare
     spare = np.empty_like(state)
-    chain = _chain_gather(n)
     for layer in range(1, ansatz.layers + 1):
-        # any mode but the default "raise" writes into ``out`` unbuffered
-        np.take(state, chain, axis=1, out=spare, mode="clip")
+        _chain(state, spare)
         state, spare = spare, state
         for kron in blocks:
             # the group on the bottom index bits moves to the top ones
@@ -324,7 +384,7 @@ def sample(state: np.ndarray, shots: int, seed) -> ShotTable:
     if shots < 1:
         raise EncodingError("shots must be >= 1")
     probs = probabilities(state)
-    probs = probs / probs.sum()
+    probs /= probs.sum()
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, probs)
     n = int(round(math.log2(state.shape[0])))
@@ -347,23 +407,23 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     parameter-shift Jacobian's ``jac @ w`` to rounding.
 
     The sweep walks the rotation layers backward over psi and the
-    co-states, each as ``(B, 2^n)``.  psi is copied.  The co-states are
-    consumed: where a co-state is C-contiguous the sweep runs in its
+    co-states, each as ``(B, 2^n)`` (one vector as a ``(1, 2^n)`` view).
+    It consumes its inputs: psi and every co-state that is C-contiguous,
+    writeable float64 and overlaps no earlier input is swept in its own
     buffer, which ends up holding scratch values, so a caller that still
-    needs one passes a copy.  The rotations of a layer commute, and
-    Ry(pi)_q commutes with Ry(theta_q), so every gate's gradient
-    d<psi|D_w|psi>/d theta_q = <lambda| Ry(pi)_q |psi> may be read anywhere
-    inside its layer.  The groups come off in reverse order, each from the
+    needs one passes a copy; any other input is copied.  The rotations of
+    a layer commute, and Ry(pi)_q commutes with Ry(theta_q), so every
+    gate's gradient d<psi|D_w|psi>/d theta_q = <lambda| Ry(pi)_q |psi> may
+    be read anywhere inside its layer.  The groups come off in reverse order, each from the
     top index bits.  One matrix product per row and co-state gives the
     group's overlap matrix C = sum psi lambda^T over the other index bits,
     a cached sign table turns C into the group's g gradients
     (``_ry_pi_table``), and one more product undoes the group with its
-    transposed Kronecker block.  The CNOT chain is undone by one cached
-    gather (``_chain_inverse``).  Every product has the same shape for every
-    row, so a row's gradients are the same bits whatever the other rows
-    hold.  Besides its inputs the sweep holds two states per row, the copy
-    of psi and one spare, when every co-state is swept in place, and one
-    more per co-state it has to copy.
+    transposed Kronecker block.  ``_unchain`` undoes the CNOT chain.  Every
+    product has the same shape for every row, so a row's gradients are the
+    same bits whatever the other rows hold.  Besides its inputs the sweep
+    holds one spare state per row, and one more per input it has to copy:
+    a primal-dual iteration at two co-states peaks at four states per row.
     """
     params = np.asarray(params, dtype=float)
     single = params.ndim == 1
@@ -371,17 +431,19 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
     n = ansatz.n_qubits
     width = block.shape[0]
     shape = (1 << n,) if single else (width, 1 << n)
-    # psi is copied; a co-state is swept in place where it is C-contiguous
-    # and overlaps no other co-state, else in a copy
-    arrays = [np.array(state, dtype=float, order="C")]
-    for lam in costates:
-        lam = np.asarray(lam, dtype=float, order="C")
-        shared = any(np.may_share_memory(lam, a) for a in arrays[1:])
-        arrays.append(lam.copy() if shared else lam)
-    if any(a.shape != shape for a in arrays):
-        raise EncodingError("state and co-states must hold 2^n amplitudes per row")
+    # an input is swept in place unless it is strided, read-only or
+    # overlaps an earlier one
+    arrays = []
+    for a in (state, *costates):
+        a = np.asarray(a, dtype=float, order="C")
+        if a.shape != shape:
+            raise EncodingError(
+                "state and co-states must hold 2^n amplitudes per row"
+            )
+        if not a.flags.writeable or any(np.may_share_memory(a, b) for b in arrays):
+            a = a.copy()
+        arrays.append(a.reshape(width, -1))
     spare = np.empty_like(arrays[0])
-    unchain = _chain_inverse(n)
     blocks = _layer_blocks(_layer_products(n, block))
     grads = np.empty((len(costates), width, ansatz.n_params))
     for layer in reversed(range(ansatz.layers + 1)):
@@ -410,6 +472,6 @@ def adjoint_gradients(ansatz: Ansatz, params, state, costates) -> np.ndarray:
             hi = lo
         if layer:
             for i, a in enumerate(arrays):
-                np.take(a, unchain, axis=-1, out=spare, mode="clip")
+                _unchain(a, spare)
                 arrays[i], spare = spare, a
     return grads[:, 0] if single else grads

@@ -517,7 +517,9 @@ PIPELINE = ["pipeline", "--peptide", "KLVF"]
      ["analyze", "--peptide", "KLVF", "--e-star", "nan"],
      ["analyze", "--peptide", "KLVF", "--e-star=-inf"],
      # a given peptide is checked even where --separation alone picks the fit
-     ["fit-penalty", "--peptide", "KL", "--separation", "3"]],
+     ["fit-penalty", "--peptide", "KL", "--separation", "3"],
+     # and so is a separation wider than its chain has
+     ["fit-penalty", "--peptide", "KLVF", "--separation", "7"]],
 )
 def test_pipeline_bad_numbers_exit_2_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "run"

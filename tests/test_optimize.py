@@ -2,13 +2,14 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qfold import optimize
+from qfold import optimize, sim
 from qfold.exceptions import DivergenceError, EmptyDistributionError, EncodingError
 from qfold.hamiltonian import assemble
 from qfold.optimize import (
@@ -739,6 +740,24 @@ def test_pdp_iteration_agrees_with_shift_jacobian_step(n_beads):
         assert np.abs(a - b).max() <= 1e-10
     assert entry.objective == f_final[0]
     assert not np.array_equal(got[0], theta0)
+
+
+def test_pdp_iteration_peaks_below_five_states_at_16_qubits():
+    # psi, two co-states and the sweep's spare: four 2^16 float64 buffers
+    # at most, with no full-size chain table cached
+    instance, ansatz, _ = random_vqec(5, 3)
+    engine = ExpectationEngine(instance)
+    cfg = VqecConfig(nu=0.1, mu=1.0, restarts=1, max_iterations=1, seed=0)
+    sim._chain_gather.cache_clear()
+    sim._chain_inverse.cache_clear()
+    tracemalloc.start()
+    try:
+        run_vqec_pdp(engine, ansatz, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ansatz.n_qubits == 16
+    assert peak < 5 * (1 << 16) * 8
 
 
 def test_pdp_block_columns_equal_single_runs(monkeypatch):

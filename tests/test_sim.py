@@ -1,7 +1,9 @@
 """Statevector simulator against dense-matrix and finite-difference oracles."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -575,7 +577,7 @@ def test_adjoint_gradients_block_columns_equal_single_sweeps(n):
     diags = rng.normal(size=(1 << n, 2))
     states = evolve_block(ansatz, block)
     grads = adjoint_gradients(
-        ansatz, block, states, [diags[:, m] * states for m in range(2)]
+        ansatz, block, states.copy(), [diags[:, m] * states for m in range(2)]
     )
     assert grads.shape == (2, 4, ansatz.n_params)
     for b in range(4):
@@ -588,26 +590,35 @@ def test_adjoint_gradients_block_columns_equal_single_sweeps(n):
 
 @pytest.mark.parametrize("n", [3, 9])
 def test_adjoint_gradients_sweep_costates_in_place(n):
-    # a contiguous co-state is consumed, a strided one copied, and one
+    # a contiguous input is consumed, a strided one copied, and one
     # passed twice is copied the second time: all give the same bits
     ansatz = Ansatz(n, layers=2)
     rng = np.random.default_rng(40 + n)
     theta = rng.uniform(0.0, 2.0 * math.pi, ansatz.n_params)
     state = evolve(ansatz, theta)
-    kept = state.copy()
     costates = [rng.normal(size=1 << n) * state for _ in range(2)]
     strided = np.empty((1 << n, 2))
     strided[:, 0] = costates[1]
-    want = adjoint_gradients(ansatz, theta, state, [costates[0].copy(), strided[:, 0]])
+    strided[:, 1] = state
+    want = adjoint_gradients(
+        ansatz, theta, strided[:, 1], [costates[0].copy(), strided[:, 0]]
+    )
     assert np.array_equal(strided[:, 0], costates[1])
-    assert np.array_equal(state, kept)
-    consumed = costates[0].copy()
-    got = adjoint_gradients(ansatz, theta, state, [consumed, costates[1].copy()])
+    assert np.array_equal(strided[:, 1], state)
+    psi, consumed = state.copy(), costates[0].copy()
+    got = adjoint_gradients(ansatz, theta, psi, [consumed, costates[1].copy()])
     assert np.array_equal(got, want)
+    assert not np.array_equal(psi, state)
     assert not np.array_equal(consumed, costates[0])
     twice = costates[0].copy()
-    got = adjoint_gradients(ansatz, theta, state, [twice, twice])
+    got = adjoint_gradients(ansatz, theta, state.copy(), [twice, twice])
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[0])
+    # psi passed again as a co-state (D = 1) is copied there, and a
+    # read-only psi is copied
+    aliased = state.copy()
+    got = adjoint_gradients(ansatz, theta, aliased, [aliased])
+    state.flags.writeable = False
+    assert np.array_equal(got, adjoint_gradients(ansatz, theta, state, [state.copy()]))
 
 
 def test_adjoint_gradients_single_qubit_analytic():
@@ -774,3 +785,49 @@ def test_chain_gather_equals_swap_loop(n):
     chained = state.copy()
     ref_cnot_chain(chained, n)
     assert np.array_equal(np.take(state, sim._chain_gather(n), axis=0), chained)
+
+
+def prefix_xor(n):
+    # bit j of entry x is the XOR of bits 0..j of x, one bit at a time
+    index = np.arange(1 << n)
+    out = np.zeros_like(index)
+    acc = np.zeros_like(index)
+    for j in range(n):
+        acc ^= index >> j & 1
+        out |= acc << j
+    return out
+
+
+# below, at and above CHAIN_BITS = 14: one gather, or half-row gathers
+# through 2^14-entry tables
+@pytest.mark.parametrize("n", [3, 13, 14, 15, 18])
+@pytest.mark.parametrize("width", [1, 3])
+def test_chain_and_unchain_equal_full_gathers(n, width):
+    a = np.random.default_rng(n + width).normal(size=(width, 1 << n))
+    x = np.arange(1 << n)
+    out = np.empty_like(a)
+    sim._chain(a, out)
+    assert np.array_equal(out, a[:, x ^ ((x << 1) & ((1 << n) - 1))])
+    sim._unchain(a, out)
+    assert np.array_equal(out, a[:, prefix_xor(n)])
+
+
+def test_cached_chain_tables_hold_at_most_2_to_the_14_entries():
+    # every table sim keeps after a circuit and a sweep above CHAIN_BITS
+    # qubits spans at most 2^14 index bits' worth of intp entries
+    ansatz = Ansatz(18, layers=2)
+    block = np.random.default_rng(18).uniform(0.0, 2.0 * math.pi, (1, ansatz.n_params))
+    sim._chain_gather.cache_clear()
+    sim._chain_inverse.cache_clear()
+    tracemalloc.start()
+    try:
+        state = sim.evolve_block(ansatz, block)
+        sim.adjoint_gradients(ansatz, block, state, [np.linspace(-1, 1, 1 << 18) * state])
+        del state
+        gc.collect()
+        kept = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        )
+    finally:
+        tracemalloc.stop()
+    assert max(trace.size for trace in kept.traces) <= (1 << sim.CHAIN_BITS) * 8
